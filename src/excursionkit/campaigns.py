@@ -28,6 +28,7 @@ from .densities import (
 )
 from .sampling import (
     GridSpec,
+    covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
     sample_gaussian_points,
@@ -299,7 +300,7 @@ def _mean_stderr(values: np.ndarray) -> tuple:
 
 
 def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
-    cfg = validate_config(cfg)
+    """Dispatch to the runner of ``cfg.kind``; each runner validates ``cfg``."""
     runners = {
         "bias-sweep": run_bias_sweep,
         "crossing": run_crossing_convergence,
@@ -307,6 +308,8 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
         "crofton-demo": run_crofton_demo,
         "volume-check": run_volume_check,
     }
+    if cfg.kind not in runners:
+        raise ConfigError(f"unknown campaign kind {cfg.kind!r}")
     return runners[cfg.kind](cfg)
 
 
@@ -333,10 +336,54 @@ def _grid_values(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, se
     return sample_chi_square(model, cfg.k, grid, seed_key).values
 
 
-def _point_values(cfg: CampaignConfig, model: CovarianceModel, points, seed_key):
+def _point_values(cfg: CampaignConfig, model: CovarianceModel, points, seed_key, factor=None):
     if cfg.model == "gaussian":
-        return sample_gaussian_points(model, points, seed_key, max_points=cfg.point_cap)
-    return sample_chi_square(model, cfg.k, points, seed_key, max_points=cfg.point_cap)
+        return sample_gaussian_points(
+            model, points, seed_key, max_points=cfg.point_cap, factor=factor
+        )
+    return sample_chi_square(
+        model, cfg.k, points, seed_key, max_points=cfg.point_cap, factor=factor
+    )
+
+
+def _bias_surfaces(
+    cfg: CampaignConfig, model: CovarianceModel, window: Box, si: int, delta: float
+) -> np.ndarray:
+    """Surface estimates of every replicate at one cell size."""
+    if cfg.family == "hypercubic":
+        grid = GridSpec(cfg.d, _lattice_half_extent(cfg.half_width, delta), delta)
+
+        def one(rep):
+            values = _grid_values(cfg, model, grid, _rep_seed(cfg.seed, si, rep))
+            return hypercubic_surface_fast(values, grid, cfg.u)
+
+    elif cfg.family == "hexagonal":
+        wh = hexagonal_honeycomb(delta, window)
+        refs = wh.ref_points_inside
+        # the cells are the same for every replicate of the row, so is the
+        # covariance: factor it once here; the replicates only read it
+        factor = covariance_factor(model, refs, cfg.point_cap)
+
+        def one(rep):
+            sample = _point_values(cfg, model, refs, _rep_seed(cfg.seed, si, rep), factor)
+            return surface_estimate(wh, exceedance_indicator(sample, cfg.u))
+
+    else:  # voronoi: fresh unit-rate cloud per replicate, scaled by delta
+        def one(rep):
+            unit_half = cfg.half_width / delta + cfg.guard
+            unit_box = Box(np.full(2, -unit_half), np.full(2, unit_half))
+            pts = delta * sample_poisson_process(
+                1.0, unit_box, _rep_seed(cfg.seed, si, rep, 0)
+            )
+            if pts.shape[0] < 2:
+                return 0.0
+            wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
+            sample = _point_values(
+                cfg, model, wh.ref_points_meeting, _rep_seed(cfg.seed, si, rep, 1)
+            )
+            return clipped_surface_estimate(wh, exceedance_indicator(sample, cfg.u))
+
+    return np.array(_parallel(one, cfg.reps, cfg.threads))
 
 
 def run_bias_sweep(cfg: CampaignConfig) -> McCampaignResult:
@@ -344,11 +391,12 @@ def run_bias_sweep(cfg: CampaignConfig) -> McCampaignResult:
     analytic surface density; the mean ratio approaches 2d/beta_d from below.
 
     The hypercubic family uses the fast lattice path and the hexagonal family
-    ``surface_estimate`` (inside cells only, divided by the window volume).
-    The Voronoi family uses ``clipped_surface_estimate``: the field is drawn
-    at the generators of every cell meeting the window and facets count with
-    their length clipped to it, so the edge band of partly covered cells is
-    not lost.
+    ``surface_estimate`` (inside cells only, divided by the window volume),
+    with one covariance factor per cell size.  The Voronoi family uses
+    ``clipped_surface_estimate``: the field is drawn at the generators of
+    every cell meeting the window and facets count with their length clipped
+    to it, so the edge band of partly covered cells is not lost.  Each
+    Voronoi replicate has its own cloud and so its own factor.
     """
     cfg = validate_config(cfg)
     start = time.perf_counter()
@@ -357,37 +405,7 @@ def run_bias_sweep(cfg: CampaignConfig) -> McCampaignResult:
     window = Box(np.full(cfg.d, -cfg.half_width), np.full(cfg.d, cfg.half_width))
     rows, raw = [], []
     for si, delta in enumerate(cfg.deltas):
-        if cfg.family == "hypercubic":
-            grid = GridSpec(cfg.d, _lattice_half_extent(cfg.half_width, delta), delta)
-
-            def one(rep, _grid=grid, _si=si):
-                values = _grid_values(cfg, model, _grid, _rep_seed(cfg.seed, _si, rep))
-                return hypercubic_surface_fast(values, _grid, cfg.u)
-
-        elif cfg.family == "hexagonal":
-            wh = hexagonal_honeycomb(delta, window)
-            refs = wh.ref_points_inside
-
-            def one(rep, _wh=wh, _refs=refs, _si=si):
-                sample = _point_values(cfg, model, _refs, _rep_seed(cfg.seed, _si, rep))
-                return surface_estimate(_wh, exceedance_indicator(sample, cfg.u))
-
-        else:  # voronoi: fresh unit-rate cloud per replicate, scaled by delta
-            def one(rep, _delta=delta, _si=si):
-                unit_half = cfg.half_width / _delta + cfg.guard
-                unit_box = Box(np.full(2, -unit_half), np.full(2, unit_half))
-                pts = _delta * sample_poisson_process(
-                    1.0, unit_box, _rep_seed(cfg.seed, _si, rep, 0)
-                )
-                if pts.shape[0] < 2:
-                    return 0.0
-                wh = voronoi_honeycomb_2d(pts, window, cfg.guard * _delta)
-                sample = _point_values(
-                    cfg, model, wh.ref_points_meeting, _rep_seed(cfg.seed, _si, rep, 1)
-                )
-                return clipped_surface_estimate(wh, exceedance_indicator(sample, cfg.u))
-
-        surfaces = np.array(_parallel(one, cfg.reps, cfg.threads))
+        surfaces = _bias_surfaces(cfg, model, window, si, delta)
         ratios = surfaces / denom
         corrected = np.array([corrected_surface(r, cfg.d) for r in ratios])
         mean_ratio, se_ratio = _mean_stderr(ratios)

@@ -11,6 +11,7 @@ reproduce bit for bit.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +25,7 @@ from .tessellation import Box
 
 EIGENVALUE_TOL = 1e-9       # largest negative embedding eigenvalue that is clipped to 0
 DEFAULT_POINT_CAP = 4096    # default dense-factorization size limit
-CHOLESKY_JITTER = 1e-10     # one-shot diagonal jitter on factorization failure
+CHOLESKY_JITTER = 1e-10     # one-shot diagonal jitter on factorization failure, with a warning
 _MAX_PAD = 8                # padding factors tried: 2, 4, 8
 
 
@@ -217,27 +218,69 @@ def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed: int) -> F
     )
 
 
-def _gaussian_point_values(model, points, seed_key, max_points) -> np.ndarray:
+def covariance_factor(
+    model: CovarianceModel, points, max_points: int = DEFAULT_POINT_CAP
+) -> np.ndarray:
+    """Lower Cholesky factor of the model covariance at scattered points.
+
+    A factor depends only on (model, points), so a point set drawn many
+    times is factored once and each draw is a matrix-vector product.  When
+    the plain factorization fails, CHOLESKY_JITTER is added to the diagonal
+    once and a RuntimeWarning is emitted.
+
+    Parameters
+    ----------
+    model : CovarianceModel
+    points : array_like
+        (n, d) locations with n <= max_points.
+    max_points : int
+        Dense-factorization size cap.
+
+    Returns
+    -------
+    ndarray
+        (n, n) lower-triangular L with L @ L.T equal to the covariance.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     if n > max_points:
         raise PointCapacityError(
             f"{n} points exceed the dense-factorization cap of {max_points}"
         )
     if n == 0:
-        return np.empty(0)
+        return np.empty((0, 0))
     cov = model.covariance(cdist(points, points, "sqeuclidean"))
     try:
-        factor = _scipy_cholesky(cov, lower=True, check_finite=False)
+        return _scipy_cholesky(cov, lower=True, check_finite=False)
     except LinAlgError:
+        # a fixed text: the default filter reports it once per call site, not per factor
+        warnings.warn(
+            f"covariance not numerically positive definite; added {CHOLESKY_JITTER:g} "
+            "to its diagonal",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         cov[np.diag_indices_from(cov)] += CHOLESKY_JITTER
         try:
-            factor = _scipy_cholesky(cov, lower=True, check_finite=False)
+            return _scipy_cholesky(cov, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise CovarianceNotPositiveDefiniteError(
                 f"covariance of {n} points not positive definite after jitter"
             ) from exc
-    rng = _rng(seed_key)
-    return factor @ rng.standard_normal(n)
+
+
+def _draw(factor: np.ndarray, seed_key) -> np.ndarray:
+    return factor @ _rng(seed_key).standard_normal(factor.shape[0])
+
+
+def _point_factor(model, points, max_points, factor) -> np.ndarray:
+    """The given factor after a shape check, or a fresh one."""
+    if factor is None:
+        return covariance_factor(model, points, max_points)
+    n = points.shape[0]
+    if factor.shape != (n, n):
+        raise ValueError(f"factor of shape {factor.shape} does not match {n} points")
+    return factor
 
 
 def sample_gaussian_points(
@@ -245,6 +288,7 @@ def sample_gaussian_points(
     points,
     seed: int,
     max_points: int = DEFAULT_POINT_CAP,
+    factor: np.ndarray | None = None,
 ) -> FieldSample:
     """Exact Gaussian draw at scattered locations via dense Cholesky.
 
@@ -256,13 +300,16 @@ def sample_gaussian_points(
     seed : int
     max_points : int
         Dense-factorization size cap; raise it explicitly for larger clouds.
+    factor : ndarray, optional
+        ``covariance_factor(model, points)``, to reuse one factor across
+        draws; computed here when omitted.
 
     Returns
     -------
     FieldSample
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = _gaussian_point_values(model, points, seed, max_points)
+    values = _draw(_point_factor(model, points, max_points, factor), seed)
     return FieldSample(
         locations=points,
         values=values,
@@ -277,6 +324,7 @@ def sample_chi_square(
     locations,
     seed: int,
     max_points: int = DEFAULT_POINT_CAP,
+    factor: np.ndarray | None = None,
 ) -> FieldSample:
     """Chi-square field with k degrees of freedom: sum of k squared Gaussian draws.
 
@@ -294,6 +342,9 @@ def sample_chi_square(
     seed : int
     max_points : int
         Cap for the scattered-point path.
+    factor : ndarray, optional
+        Precomputed ``covariance_factor`` for scattered points.  All k
+        components are drawn from one factor either way.
     """
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
@@ -305,9 +356,10 @@ def sample_chi_square(
         locs = locations.nodes()
     else:
         pts = np.atleast_2d(np.asarray(locations, dtype=float))
+        factor = _point_factor(model, pts, max_points, factor)
         values = np.zeros(pts.shape[0])
         for comp in range(k):
-            g = _gaussian_point_values(model, pts, _flat_key(seed, comp), max_points)
+            g = _draw(factor, _flat_key(seed, comp))
             values += g * g
         locs = pts
     return FieldSample(

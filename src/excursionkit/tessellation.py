@@ -116,8 +116,9 @@ class Honeycomb:
 
     Args:
         d: ambient dimension.
-        cells: list of (m_i, 2) CCW vertex arrays for 2D families, or None for
-            the implicit hypercubic lattice.
+        cells: list of (m_i, 2) CCW vertex arrays for Voronoi diagrams, one
+            (n, 6, 2) stack for hexagonal tilings, or None for the implicit
+            hypercubic lattice.
         ref_points: (n, d) reference point of each cell.
         cell_volumes: (n,) sigma_d measure of each (unclipped) cell.
         facets: all positive-measure shared facets, indexed by global cell id.
@@ -127,7 +128,7 @@ class Honeycomb:
     """
 
     d: int
-    cells: list | None
+    cells: list | np.ndarray | None
     ref_points: np.ndarray
     cell_volumes: np.ndarray
     facets: FacetSet
@@ -223,20 +224,8 @@ class WindowedHoneycomb:
         )
 
 
-def _windowed(parent: Honeycomb, duplicates_merged: int = 0) -> WindowedHoneycomb:
-    """Build the interior view: inside mask, local facet table, coverage."""
-    n = parent.ref_points.shape[0]
-    inside = np.zeros(n, dtype=bool)
-    if parent.cells is None:
-        inside[:] = True
-    else:
-        for i, verts in enumerate(parent.cells):
-            if verts is None or len(verts) < 3:
-                continue
-            inside[i] = bool(
-                np.all(verts >= parent.window.lo - CONTAINMENT_TOL)
-                and np.all(verts <= parent.window.hi + CONTAINMENT_TOL)
-            )
+def _windowed(parent: Honeycomb, inside: np.ndarray, duplicates_merged: int = 0):
+    """Interior view of the cells marked ``inside``: local facet table, coverage."""
     local = np.cumsum(inside) - 1
     f = parent.facets
     mask = inside[f.a] & inside[f.b]
@@ -334,7 +323,7 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         window_areas=np.full(ref_points.shape[0], delta**d),
         diameter_bound=delta * float(np.sqrt(d)),
     )
-    wh = _windowed(parent)
+    wh = _windowed(parent, np.ones(ref_points.shape[0], dtype=bool))
     wh.coverage_ratio = 1.0  # lattice cells tile T by construction
     return wh
 
@@ -366,40 +355,36 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
 
     root3 = np.sqrt(3.0)
     margin = 2.0 * delta
-    # axial lattice: center(q, r) = q*a1 + r*a2
+    # axial lattice: center(q, r) = q*a1 + r*a2, cells ordered by q, then r
     a1 = np.array([1.5 * delta, 0.5 * root3 * delta])
     a2 = np.array([0.0, -root3 * delta])
 
     q_lo = int(np.ceil((window.lo[0] - margin) / a1[0]))
     q_hi = int(np.floor((window.hi[0] + margin) / a1[0]))
-    centers, keys = [], {}
-    for q in range(q_lo, q_hi + 1):
-        y_of_q = q * a1[1]
-        r_lo = int(np.ceil((y_of_q - (window.hi[1] + margin)) / root3 / delta))
-        r_hi = int(np.floor((y_of_q - (window.lo[1] - margin)) / root3 / delta))
-        for r in range(r_lo, r_hi + 1):
-            keys[(q, r)] = len(centers)
-            centers.append(q * a1 + r * a2)
-    centers = np.asarray(centers)
+    q_axis = np.arange(q_lo, q_hi + 1)
+    y_of_q = q_axis * a1[1]
+    r_lo = np.ceil((y_of_q - (window.hi[1] + margin)) / root3 / delta).astype(np.int64)
+    r_hi = np.floor((y_of_q - (window.lo[1] - margin)) / root3 / delta).astype(np.int64)
+    counts = np.maximum(r_hi - r_lo + 1, 0)
+    qi = np.repeat(np.arange(q_axis.size), counts)
+    ri = np.arange(qi.size) - np.repeat(np.cumsum(counts) - counts, counts) + r_lo[qi]
+    q = q_axis[qi]
+    centers = q[:, None] * a1 + ri[:, None] * a2
 
     angles = np.deg2rad(60.0 * np.arange(6))
     hex_offsets = delta * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    cells = [c + hex_offsets for c in centers]
+    cells = centers[:, None, :] + hex_offsets
 
+    # (q, r) -> cell id, with a border of -1 so that every neighbor step stays in range
+    r_min = int(ri.min())
+    ids = np.full((q_axis.size + 2, int(ri.max()) - r_min + 3), -1, dtype=np.int64)
+    ids[qi + 1, ri - r_min + 1] = np.arange(qi.size)
     # neighbor at direction angle 30 + 60k shares the edge (vertex k, vertex k+1)
-    neighbor_steps = [((1, 0), 0), ((0, -1), 1), ((-1, -1), 2)]
-    fa, fb, ends = [], [], []
-    for (q, r), i in keys.items():
-        for (dq, dr), k in neighbor_steps:
-            j = keys.get((q + dq, r + dr))
-            if j is None:
-                continue
-            fa.append(i)
-            fb.append(j)
-            ends.append((cells[i][k], cells[i][(k + 1) % 6]))
-    fa = np.asarray(fa, dtype=np.int64)
-    fb = np.asarray(fb, dtype=np.int64)
-    endpoints = np.asarray(ends).reshape(-1, 2, 2)
+    steps = np.array([(1, 0), (0, -1), (-1, -1)])
+    nb = ids[qi[:, None] + 1 + steps[:, 0], ri[:, None] - r_min + 1 + steps[:, 1]]
+    fa, k = np.nonzero(nb >= 0)
+    fb = nb[fa, k]
+    endpoints = np.stack([cells[fa, k], cells[fa, k + 1]], axis=1)
     diffs = centers[fb] - centers[fa]
     dist = np.linalg.norm(diffs, axis=1)
     facets = FacetSet(
@@ -409,20 +394,7 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
         normal=diffs / dist[:, None],
         endpoints=endpoints,
     )
-
-    cell_volumes = np.array([_shoelace_area(v) for v in cells])
-    window_areas, diameter = _window_clip_stats(cells, window)
-    parent = Honeycomb(
-        d=2,
-        cells=cells,
-        ref_points=centers,
-        cell_volumes=cell_volumes,
-        facets=facets,
-        window=window,
-        window_areas=window_areas,
-        diameter_bound=diameter,
-    )
-    return _windowed(parent)
+    return _polygon_honeycomb(cells, centers, facets, window)
 
 
 # ---------------------------------------------------------------------------
@@ -529,19 +501,7 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     else:
         facets = FacetSet.empty(2)
 
-    cell_volumes = np.array([_shoelace_area(v) for v in cells])
-    window_areas, diameter = _window_clip_stats(cells, window)
-    parent = Honeycomb(
-        d=2,
-        cells=cells,
-        ref_points=points,
-        cell_volumes=cell_volumes,
-        facets=facets,
-        window=window,
-        window_areas=window_areas,
-        diameter_bound=diameter,
-    )
-    return _windowed(parent, duplicates_merged=merged)
+    return _polygon_honeycomb(cells, points, facets, window, duplicates_merged=merged)
 
 
 def _candidate_neighbors(points: np.ndarray) -> list:
@@ -643,20 +603,80 @@ def clip_segments_to_box(endpoints: np.ndarray, box: Box) -> np.ndarray:
     return np.stack([p0 + t0[:, None] * step, p0 + t1[:, None] * step], axis=1)
 
 
-def _window_clip_stats(cells, window: Box):
-    """Per-cell window-clipped areas and the max clipped diameter."""
-    areas = np.zeros(len(cells))
-    diameter = 0.0
-    for i, verts in enumerate(cells):
-        if len(verts) < 3:
-            continue
-        clipped = clip_polygon_to_box(verts, window)
-        if clipped.shape[0] < 3:
-            continue
-        areas[i] = _shoelace_area(clipped)
-        diff = clipped[:, None, :] - clipped[None, :, :]
-        diameter = max(diameter, float(np.sqrt((diff**2).sum(axis=2).max())))
-    return areas, diameter
+def _stack_cells(cells) -> tuple:
+    """(n, m, 2) vertex stack and (n,) vertex counts of a list of polygons.
+
+    A polygon with fewer than m vertices is padded by repeating its last
+    vertex, which changes neither its bounding box nor its diameter; an
+    empty one is padded with zeros.
+    """
+    counts = np.array([len(v) for v in cells], dtype=np.int64)
+    width = max(int(counts.max(initial=0)), 1)
+    flat = np.concatenate([np.zeros((1, 2))] + [np.reshape(v, (-1, 2)) for v in cells])
+    start = np.cumsum(counts) - counts + 1
+    col = np.minimum(np.arange(width), np.maximum(counts, 1)[:, None] - 1)
+    return flat[np.where(counts[:, None] > 0, start[:, None] + col, 0)], counts
+
+
+def _max_diameter(verts: np.ndarray) -> float:
+    """Largest vertex-to-vertex distance over a (n, m, 2) stack of polygons."""
+    if verts.shape[0] == 0:
+        return 0.0
+    sq = 0.0
+    for shift in range(1, verts.shape[1]):
+        diff = verts - np.roll(verts, shift, axis=1)
+        sq = max(sq, float((diff**2).sum(axis=2).max()))
+    return float(np.sqrt(sq))
+
+
+def _polygon_honeycomb(cells, ref_points, facets, window: Box, duplicates_merged=0):
+    """Windowed honeycomb of 2D convex cells: areas, window clip and inside view.
+
+    ``cells`` is a list of (m_i, 2) CCW vertex arrays or one (n, m, 2) stack.
+    A cell wholly inside the window keeps its own vertices and area, and a
+    cell beyond the window's clipping slack has area 0; only the cells
+    straddling the window boundary are clipped polygon by polygon.
+    """
+    if isinstance(cells, np.ndarray):
+        verts, counts = cells, np.full(cells.shape[0], cells.shape[1])
+        x, y = cells[:, :, 0], cells[:, :, 1]
+        terms = x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1)
+        cell_volumes = 0.5 * np.abs(np.sum(terms, axis=1))
+    else:
+        verts, counts = _stack_cells(cells)
+        cell_volumes = np.array([_shoelace_area(v) for v in cells])
+    polygon = counts >= 3
+    lo, hi = verts.min(axis=1), verts.max(axis=1)
+    inside = polygon & np.all(
+        (lo >= window.lo - CONTAINMENT_TOL) & (hi <= window.hi + CONTAINMENT_TOL), axis=1
+    )
+    within = polygon & np.all((lo >= window.lo) & (hi <= window.hi), axis=1)
+    # clipping interpolates vertices, whose rounding stays far below this margin
+    margin = CONTAINMENT_TOL + 1e-9 * np.abs(verts).max(axis=(1, 2), initial=1.0)
+    beyond = np.any(
+        (hi < window.lo - margin[:, None]) | (lo > window.hi + margin[:, None]), axis=1
+    )
+    window_areas = np.where(within, cell_volumes, 0.0)
+    clipped = []
+    for i in np.flatnonzero(polygon & ~within & ~beyond):
+        piece = clip_polygon_to_box(verts[i, : counts[i]], window)
+        if piece.shape[0] >= 3:
+            window_areas[i] = _shoelace_area(piece)
+            clipped.append(piece)
+    diameter = _max_diameter(verts[within])
+    if clipped:
+        diameter = max(diameter, _max_diameter(_stack_cells(clipped)[0]))
+    parent = Honeycomb(
+        d=2,
+        cells=cells,
+        ref_points=ref_points,
+        cell_volumes=cell_volumes,
+        facets=facets,
+        window=window,
+        window_areas=window_areas,
+        diameter_bound=diameter,
+    )
+    return _windowed(parent, inside, duplicates_merged)
 
 
 def polygon_contains_point(verts, point, tol: float = 1e-12) -> bool:

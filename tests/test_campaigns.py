@@ -1,20 +1,33 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from excursionkit import cli
+from excursionkit import campaigns, cli, sampling
 from excursionkit.campaigns import (
     CampaignConfig,
     ConfigError,
+    _csv_text,
     apply_config_file,
     default_config,
     run_campaign,
     validate_config,
 )
-from excursionkit.sampling import EmbeddingNotNonnegativeDefiniteError
+from excursionkit.densities import CovarianceModel
+from excursionkit.estimators import (
+    clipped_surface_estimate,
+    exceedance_indicator,
+    surface_estimate,
+)
+from excursionkit.sampling import (
+    EmbeddingNotNonnegativeDefiniteError,
+    sample_gaussian_points,
+    sample_poisson_process,
+)
+from excursionkit.tessellation import Box, hexagonal_honeycomb, voronoi_honeycomb_2d
 
 
 def tiny(kind, **overrides):
@@ -116,6 +129,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(CampaignConfig(kind="frobnicate"))
 
+    def test_run_campaign_rejects_unknown_kind(self):
+        with pytest.raises(ConfigError, match="unknown campaign"):
+            run_campaign(CampaignConfig(kind="frobnicate"))
+
+    def test_run_campaign_validates_once(self, monkeypatch):
+        calls = []
+        real = campaigns.validate_config
+        monkeypatch.setattr(
+            campaigns, "validate_config", lambda cfg: calls.append(1) or real(cfg)
+        )
+        run_campaign(tiny("crofton-demo"))
+        assert len(calls) == 1
+
     def test_volume_check_hypercubic_only(self):
         with pytest.raises(ConfigError, match="hypercubic"):
             run_campaign(tiny("volume-check", family="hexagonal"))
@@ -168,6 +194,80 @@ class TestDeterminism:
         assert data["config_hash"] == res.config_hash
         assert "threads" not in data["config"]
         assert len(data["rows"]) == 1
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Count calls of the covariance factor step, wherever it is looked up."""
+    calls = []
+    real = sampling.covariance_factor
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "covariance_factor", counted)
+    monkeypatch.setattr(campaigns, "covariance_factor", counted)
+    return calls
+
+
+class TestCovarianceFactorReuse:
+    def test_hexagonal_factors_once_per_cell_size(self, factor_calls):
+        # the replicates of a row share one factor read-only; more threads
+        # than cores and a short switch interval must still give the same bytes
+        cfg = validate_config(tiny("bias-sweep", family="hexagonal", deltas=(0.5, 0.25), reps=6))
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2, 4):
+                factor_calls.clear()
+                res = run_campaign(replace(cfg, threads=threads))
+                assert len(factor_calls) == len(cfg.deltas)
+                results.append(res)
+        finally:
+            sys.setswitchinterval(interval)
+        texts = [_csv_text(r.rows, r.config_hash) + r.raw_csv_text() for r in results]
+        assert texts[0] == texts[1] == texts[2]
+        # the same values as a fresh factor for every draw
+        window = Box(np.full(2, -cfg.half_width), np.full(2, cfg.half_width))
+        expected = []
+        for si, delta in enumerate(cfg.deltas):
+            wh = hexagonal_honeycomb(delta, window)
+            for rep in range(cfg.reps):
+                sample = sample_gaussian_points(
+                    CovarianceModel(cfg.ell), wh.ref_points_inside, (cfg.seed, si, rep)
+                )
+                expected.append(surface_estimate(wh, exceedance_indicator(sample, cfg.u)))
+        assert [r["surface_raw"] for r in results[0].raw] == expected
+
+    def test_voronoi_factors_once_per_replicate(self, factor_calls):
+        cfg = validate_config(
+            tiny("bias-sweep", family="voronoi", deltas=(0.5, 0.25), half_width=1.5, reps=2)
+        )
+        res = run_campaign(cfg)
+        campaign_calls = list(factor_calls)
+        window = Box(np.full(2, -cfg.half_width), np.full(2, cfg.half_width))
+        expected, sizes = [], []
+        for si, delta in enumerate(cfg.deltas):
+            unit_half = cfg.half_width / delta + cfg.guard
+            unit_box = Box(np.full(2, -unit_half), np.full(2, unit_half))
+            for rep in range(cfg.reps):
+                pts = delta * sample_poisson_process(1.0, unit_box, (cfg.seed, si, rep, 0))
+                wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
+                sizes.append(wh.ref_points_meeting.shape[0])
+                sample = sample_gaussian_points(
+                    CovarianceModel(cfg.ell), wh.ref_points_meeting, (cfg.seed, si, rep, 1)
+                )
+                expected.append(clipped_surface_estimate(wh, exceedance_indicator(sample, cfg.u)))
+        # one factor per replicate, of that replicate's own cloud
+        assert campaign_calls == sizes
+        assert [r["surface_raw"] for r in res.raw] == expected
+
+    def test_chi_square_hexagonal_factors_once_per_cell_size(self, factor_calls):
+        cfg = tiny("bias-sweep", family="hexagonal", model="chi-square", k=3, u=2.0, reps=3)
+        run_campaign(cfg)
+        assert len(factor_calls) == 1
 
 
 class TestCampaignOutputs:

@@ -5,17 +5,22 @@ statistic under test, so a correct implementation fails any single check with
 probability well under 1e-3.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+from excursionkit import sampling
 from excursionkit.densities import CovarianceModel
 from excursionkit.sampling import (
     DEFAULT_POINT_CAP,
+    CovarianceNotPositiveDefiniteError,
     FieldSample,
     GridSpec,
     PointCapacityError,
     _check_eigenvalues,
     _embedding_spectrum,
+    covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
     sample_gaussian_points,
@@ -165,6 +170,57 @@ class TestGaussianPoints:
         out = sample_gaussian_points(MODEL, np.empty((0, 2)), 0)
         assert out.values.shape == (0,)
 
+    def test_precomputed_factor_gives_the_same_bits(self):
+        pts = np.random.default_rng(2).random((50, 2)) * 4
+        factor = covariance_factor(MODEL, pts)
+        for seed in (0, (5, 1, 2)):
+            fresh = sample_gaussian_points(MODEL, pts, seed).values
+            reused = sample_gaussian_points(MODEL, pts, seed, factor=factor).values
+            assert fresh.tobytes() == reused.tobytes()
+
+    def test_factor_shape_checked(self):
+        pts = np.random.default_rng(3).random((6, 2))
+        with pytest.raises(ValueError, match="does not match"):
+            sample_gaussian_points(MODEL, pts, 0, factor=covariance_factor(MODEL, pts[:5]))
+
+    def test_factor_reproduces_covariance(self):
+        pts = np.random.default_rng(4).random((20, 2)) * 3
+        factor = covariance_factor(MODEL, pts)
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        assert np.allclose(factor @ factor.T, MODEL.covariance(d2), atol=1e-12)
+        assert np.array_equal(factor, np.tril(factor))
+
+
+class TestCholeskyJitter:
+    # two coincident points: the covariance [[1, 1], [1, 1]] is singular and
+    # factors only once the diagonal jitter is added
+    TWIN = np.zeros((2, 2))
+
+    def test_jitter_warns(self):
+        with pytest.warns(RuntimeWarning, match="not numerically positive definite"):
+            factor = covariance_factor(MODEL, self.TWIN)
+        assert np.all(np.isfinite(factor))
+
+    def test_jitter_warns_once_per_factor(self):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            sample_chi_square(MODEL, 3, self.TWIN, 1)
+        assert [w.category for w in rec] == [RuntimeWarning]
+
+    def test_no_warning_when_plain_factor_succeeds(self):
+        pts = np.random.default_rng(5).random((30, 2)) * 10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            covariance_factor(MODEL, pts)
+
+    def test_failure_after_jitter_raises(self):
+        class Indefinite:  # eigenvalue -1, far beyond the jitter
+            def covariance(self, sq_dist):
+                return np.array([[1.0, 2.0], [2.0, 1.0]])
+
+        with pytest.warns(RuntimeWarning), pytest.raises(CovarianceNotPositiveDefiniteError):
+            covariance_factor(Indefinite(), self.TWIN)
+
 
 class TestChiSquare:
     def test_moments_at_single_point(self):
@@ -209,6 +265,22 @@ class TestChiSquare:
     def test_rejects_bad_degrees(self):
         with pytest.raises(ValueError):
             sample_chi_square(MODEL, 0, [[0.0, 0.0]], 1)
+
+    def test_scattered_points_factor_once(self, monkeypatch):
+        calls = []
+        real = sampling.covariance_factor
+        monkeypatch.setattr(
+            sampling, "covariance_factor", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        pts = np.random.default_rng(6).random((25, 2)) * 3
+        out = sample_chi_square(MODEL, 3, pts, 8)
+        assert len(calls) == 1
+        # each component is still the Gaussian draw on stream (seed, component)
+        expected = np.zeros(25)
+        for comp in range(3):
+            g = sample_gaussian_points(MODEL, pts, (8, comp)).values
+            expected += g * g
+        assert out.values.tobytes() == expected.tobytes()
 
 
 class TestPoissonProcess:

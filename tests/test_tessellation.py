@@ -7,7 +7,10 @@ from scipy.spatial import cKDTree
 
 from excursionkit.sampling import sample_poisson_process
 from excursionkit.tessellation import (
+    CONTAINMENT_TOL,
     Box,
+    FacetSet,
+    _shoelace_area,
     clip_polygon_to_box,
     clip_segments_to_box,
     facet_normality_violation,
@@ -149,6 +152,134 @@ class TestHexagonal:
     def test_coverage_below_one(self):
         wh = hexagonal_honeycomb(1.0, self.WINDOW)
         assert 0.5 < wh.coverage_ratio < 1.0
+
+
+def _loop_window_stats(cells, window):
+    """Inside mask, clipped areas and clipped diameter, one polygon at a time."""
+    inside = np.zeros(len(cells), dtype=bool)
+    areas = np.zeros(len(cells))
+    diameter = 0.0
+    for i, verts in enumerate(cells):
+        if len(verts) < 3:
+            continue
+        inside[i] = bool(
+            np.all(verts >= window.lo - CONTAINMENT_TOL)
+            and np.all(verts <= window.hi + CONTAINMENT_TOL)
+        )
+        clipped = clip_polygon_to_box(verts, window)
+        if clipped.shape[0] < 3:
+            continue
+        areas[i] = _shoelace_area(clipped)
+        diff = clipped[:, None, :] - clipped[None, :, :]
+        diameter = max(diameter, float(np.sqrt((diff**2).sum(axis=2).max())))
+    return inside, areas, diameter
+
+
+def _loop_hexagonal(delta, window):
+    """Per-cell loop construction of the hexagonal tiling, the reference for
+    the array-based builder: cells in (q, r) order, facets by dictionary lookup."""
+    root3 = np.sqrt(3.0)
+    margin = 2.0 * delta
+    a1 = np.array([1.5 * delta, 0.5 * root3 * delta])
+    a2 = np.array([0.0, -root3 * delta])
+    q_lo = int(np.ceil((window.lo[0] - margin) / a1[0]))
+    q_hi = int(np.floor((window.hi[0] + margin) / a1[0]))
+    centers, keys = [], {}
+    for q in range(q_lo, q_hi + 1):
+        y_of_q = q * a1[1]
+        r_lo = int(np.ceil((y_of_q - (window.hi[1] + margin)) / root3 / delta))
+        r_hi = int(np.floor((y_of_q - (window.lo[1] - margin)) / root3 / delta))
+        for r in range(r_lo, r_hi + 1):
+            keys[(q, r)] = len(centers)
+            centers.append(q * a1 + r * a2)
+    centers = np.asarray(centers)
+    angles = np.deg2rad(60.0 * np.arange(6))
+    hex_offsets = delta * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    cells = [c + hex_offsets for c in centers]
+    fa, fb, ends = [], [], []
+    for (q, r), i in keys.items():
+        for (dq, dr), k in [((1, 0), 0), ((0, -1), 1), ((-1, -1), 2)]:
+            j = keys.get((q + dq, r + dr))
+            if j is not None:
+                fa.append(i)
+                fb.append(j)
+                ends.append((cells[i][k], cells[i][(k + 1) % 6]))
+    fa = np.asarray(fa, dtype=np.int64)
+    fb = np.asarray(fb, dtype=np.int64)
+    diffs = centers[fb] - centers[fa]
+    facets = FacetSet(
+        a=fa,
+        b=fb,
+        measure=np.full(fa.size, delta),
+        normal=diffs / np.linalg.norm(diffs, axis=1)[:, None],
+        endpoints=np.asarray(ends).reshape(-1, 2, 2),
+    )
+    inside, areas, diameter = _loop_window_stats(cells, window)
+    local = np.cumsum(inside) - 1
+    keep = inside[fa] & inside[fb]
+    interior = FacetSet(
+        a=local[fa[keep]],
+        b=local[fb[keep]],
+        measure=facets.measure[keep],
+        normal=facets.normal[keep],
+        endpoints=facets.endpoints[keep],
+    )
+    volumes = np.array([_shoelace_area(v) for v in cells])
+    return dict(
+        cells=np.asarray(cells), ref_points=centers, cell_volumes=volumes, inside=inside,
+        window_areas=areas, diameter=diameter, facets=facets, interior=interior,
+    )
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _same_facets(f, g):
+    return all(
+        _same_bits(getattr(f, name), getattr(g, name))
+        for name in ("a", "b", "measure", "normal", "endpoints")
+    )
+
+
+class TestHexagonalMatchesLoopReference:
+    @pytest.mark.parametrize(
+        "lo,hi,delta",
+        [
+            ((-4.0, -4.0), (4.0, 4.0), 0.125),  # the benchmark tiling
+            ((-4.0, -4.0), (4.0, 4.0), 0.25),
+            ((-2.0, -1.0), (3.0, 1.5), 0.2),  # rectangular
+            ((0.3, -5.1), (2.9, -1.7), 0.15),  # off-centre
+            ((1.0, 2.0), (7.0, 3.0), 0.99),  # delta close to the shortest side
+            ((-0.5, -0.5), (0.5, 0.5), 0.999),
+        ],
+    )
+    def test_bitwise_equal_to_loop_builder(self, lo, hi, delta):
+        window = Box(np.array(lo), np.array(hi))
+        ref = _loop_hexagonal(delta, window)
+        wh = hexagonal_honeycomb(delta, window)
+        parent = wh.parent
+        assert _same_bits(parent.cells, ref["cells"])
+        assert _same_bits(parent.ref_points, ref["ref_points"])
+        assert _same_bits(parent.cell_volumes, ref["cell_volumes"])
+        assert _same_bits(wh.inside, ref["inside"])
+        assert _same_bits(parent.window_areas, ref["window_areas"])
+        assert parent.diameter_bound == ref["diameter"]
+        assert _same_facets(parent.facets, ref["facets"])
+        assert _same_facets(wh.interior_facets, ref["interior"])
+        assert wh.coverage_ratio == float(
+            np.sum(ref["cell_volumes"][ref["inside"]]) / window.volume
+        )
+
+    def test_voronoi_window_stats_equal_to_loop(self):
+        pts = sample_poisson_process(4.0, Box(np.full(2, -3.0), np.full(2, 3.0)), 5)
+        window = Box(np.full(2, -2.0), np.full(2, 2.0))
+        wh = voronoi_honeycomb_2d(pts, window, guard=1.0)
+        inside, areas, diameter = _loop_window_stats(wh.parent.cells, window)
+        assert _same_bits(wh.inside, inside)
+        assert _same_bits(wh.parent.window_areas, areas)
+        assert wh.parent.diameter_bound == diameter
 
 
 class TestVoronoiTwoGenerators:
