@@ -13,7 +13,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, field, fields, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 from scipy import stats
@@ -34,16 +34,14 @@ from .sampling import (
     sample_gaussian_points,
     sample_poisson_process,
 )
-from .tessellation import Box, hexagonal_honeycomb, hypercubic_honeycomb, voronoi_honeycomb_2d
+from .tessellation import Box, hexagonal_honeycomb, voronoi_honeycomb_2d
 from .estimators import (
-    ExcursionIndicator,
     clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
     exceedance_indicator,
     hypercubic_surface_fast,
     surface_estimate,
-    volume_estimate,
 )
 from .crofton import circle_shape, crofton_measure_mc, square_shape
 
@@ -153,8 +151,6 @@ def _parse_value(key, value, path, lineno):
         if key in _INT_TUPLE_KEYS:
             return tuple(int(v) for v in value.split(","))
         current = getattr(CampaignConfig(kind="bias-sweep"), key)
-        if isinstance(current, bool):
-            return value.lower() in ("1", "true", "yes")
         if isinstance(current, int):
             return int(value)
         if isinstance(current, float):
@@ -201,10 +197,10 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
         qs=tuple(sorted(cfg.qs, reverse=True)),
         windows=tuple(sorted(set(cfg.windows))),
     )
-    if cfg.family == "voronoi" and cfg.d != 2:
-        raise ConfigError("the voronoi family is only available in dimension 2")
-    if cfg.family == "hexagonal" and cfg.d != 2:
-        raise ConfigError("the hexagonal family is only available in dimension 2")
+    if cfg.family in ("voronoi", "hexagonal") and cfg.d != 2:
+        raise ConfigError(f"the {cfg.family} family is only available in dimension 2")
+    if cfg.kind == "volume-check" and cfg.family != "hypercubic":
+        raise ConfigError("the volume check runs on the hypercubic family only")
     if cfg.kind == "crossing" and cfg.model != "gaussian":
         raise ConfigError("the crossing campaign supports the gaussian model only")
     if cfg.kind in ("bias-sweep", "volume-check") and cfg.family == "hypercubic":
@@ -300,34 +296,41 @@ def _mean_stderr(values: np.ndarray) -> tuple:
 
 
 def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
-    """Dispatch to the runner of ``cfg.kind``; each runner validates ``cfg``."""
-    runners = {
-        "bias-sweep": run_bias_sweep,
-        "crossing": run_crossing_convergence,
-        "clt": run_clt,
-        "crofton-demo": run_crofton_demo,
-        "volume-check": run_volume_check,
-    }
-    if cfg.kind not in runners:
-        raise ConfigError(f"unknown campaign kind {cfg.kind!r}")
-    return runners[cfg.kind](cfg)
+    """Validate ``cfg`` and run the sweep of its kind.
 
+    Every kind is the same loop: for each value of the sweep, ``cfg.reps``
+    replicates run through ``_parallel`` and are reduced to one summary row,
+    and the replicate results become the raw rows.  The spec of the kind
+    (``_SPECS``) returns the sweep column name, the sweep values,
+    ``replicates(si, value)`` giving the per-replicate function of row si, and
+    ``reduce(value, results)`` giving the row and the named raw columns.
+    """
+    cfg = validate_config(cfg)
+    start = time.perf_counter()
+    column, values, replicates, reduce = _SPECS[cfg.kind](cfg)
+    rows, raw = [], []
+    for si, value in enumerate(values):
+        results = _parallel(replicates(si, value), cfg.reps, cfg.threads)
+        row, raw_columns = reduce(value, results)
+        rows.append({column: value, **row, "reps": cfg.reps})
+        for rep, entries in enumerate(zip(*raw_columns.values())):
+            named = dict(zip(raw_columns, map(float, entries)))
+            raw.append({column: value, "replicate": rep, **named})
+    return McCampaignResult(
+        kind=cfg.kind,
+        rows=rows,
+        raw=raw,
+        config=cfg,
+        config_hash=cfg.config_hash(),
+        wall_clock_s=time.perf_counter() - start,
+    )
 
-# ---------------------------------------------------------------------------
-# bias sweep
-# ---------------------------------------------------------------------------
 
 def _reference_surface_density(cfg: CampaignConfig) -> float:
     lam = 1.0 / (cfg.ell * cfg.ell)
     if cfg.model == "gaussian":
         return gaussian_surface_density(cfg.u, lam, cfg.d)
     return chisq_surface_density(cfg.u, lam, cfg.d, cfg.k)
-
-
-def _reference_volume_density(cfg: CampaignConfig, u: float) -> float:
-    if cfg.model == "gaussian":
-        return gaussian_volume_density(u)
-    return chisq_volume_density(u, cfg.k)
 
 
 def _grid_values(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, seed_key):
@@ -346,47 +349,7 @@ def _point_values(cfg: CampaignConfig, model: CovarianceModel, points, seed_key,
     )
 
 
-def _bias_surfaces(
-    cfg: CampaignConfig, model: CovarianceModel, window: Box, si: int, delta: float
-) -> np.ndarray:
-    """Surface estimates of every replicate at one cell size."""
-    if cfg.family == "hypercubic":
-        grid = GridSpec(cfg.d, _lattice_half_extent(cfg.half_width, delta), delta)
-
-        def one(rep):
-            values = _grid_values(cfg, model, grid, _rep_seed(cfg.seed, si, rep))
-            return hypercubic_surface_fast(values, grid, cfg.u)
-
-    elif cfg.family == "hexagonal":
-        wh = hexagonal_honeycomb(delta, window)
-        refs = wh.ref_points_inside
-        # the cells are the same for every replicate of the row, so is the
-        # covariance: factor it once here; the replicates only read it
-        factor = covariance_factor(model, refs, cfg.point_cap)
-
-        def one(rep):
-            sample = _point_values(cfg, model, refs, _rep_seed(cfg.seed, si, rep), factor)
-            return surface_estimate(wh, exceedance_indicator(sample, cfg.u))
-
-    else:  # voronoi: fresh unit-rate cloud per replicate, scaled by delta
-        def one(rep):
-            unit_half = cfg.half_width / delta + cfg.guard
-            unit_box = Box(np.full(2, -unit_half), np.full(2, unit_half))
-            pts = delta * sample_poisson_process(
-                1.0, unit_box, _rep_seed(cfg.seed, si, rep, 0)
-            )
-            if pts.shape[0] < 2:
-                return 0.0
-            wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
-            sample = _point_values(
-                cfg, model, wh.ref_points_meeting, _rep_seed(cfg.seed, si, rep, 1)
-            )
-            return clipped_surface_estimate(wh, exceedance_indicator(sample, cfg.u))
-
-    return np.array(_parallel(one, cfg.reps, cfg.threads))
-
-
-def run_bias_sweep(cfg: CampaignConfig) -> McCampaignResult:
+def _bias_spec(cfg: CampaignConfig):
     """Replicated surface estimates over shrinking cells, as ratios to the
     analytic surface density; the mean ratio approaches 2d/beta_d from below.
 
@@ -398,235 +361,199 @@ def run_bias_sweep(cfg: CampaignConfig) -> McCampaignResult:
     to it, so the edge band of partly covered cells is not lost.  Each
     Voronoi replicate has its own cloud and so its own factor.
     """
-    cfg = validate_config(cfg)
-    start = time.perf_counter()
     model = CovarianceModel(cfg.ell)
     denom = _reference_surface_density(cfg)
     window = Box(np.full(cfg.d, -cfg.half_width), np.full(cfg.d, cfg.half_width))
-    rows, raw = [], []
-    for si, delta in enumerate(cfg.deltas):
-        surfaces = _bias_surfaces(cfg, model, window, si, delta)
+
+    def replicates(si, delta):
+        if cfg.family == "hypercubic":
+            grid = GridSpec(cfg.d, _lattice_half_extent(cfg.half_width, delta), delta)
+
+            def one(rep):
+                values = _grid_values(cfg, model, grid, _rep_seed(cfg.seed, si, rep))
+                return hypercubic_surface_fast(values, grid, cfg.u)
+
+        elif cfg.family == "hexagonal":
+            wh = hexagonal_honeycomb(delta, window)
+            refs = wh.ref_points_inside
+            # the cells are the same for every replicate of the row, so is the
+            # covariance: factor it once here; the replicates only read it
+            factor = covariance_factor(model, refs, cfg.point_cap)
+
+            def one(rep):
+                sample = _point_values(cfg, model, refs, _rep_seed(cfg.seed, si, rep), factor)
+                return surface_estimate(wh, exceedance_indicator(sample, cfg.u))
+
+        else:  # voronoi: fresh unit-rate cloud per replicate, scaled by delta
+            def one(rep):
+                unit_half = cfg.half_width / delta + cfg.guard
+                unit_box = Box(np.full(2, -unit_half), np.full(2, unit_half))
+                pts = delta * sample_poisson_process(1.0, unit_box, _rep_seed(cfg.seed, si, rep, 0))
+                if pts.shape[0] < 2:
+                    return 0.0
+                wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
+                sample = _point_values(
+                    cfg, model, wh.ref_points_meeting, _rep_seed(cfg.seed, si, rep, 1)
+                )
+                return clipped_surface_estimate(wh, exceedance_indicator(sample, cfg.u))
+
+        return one
+
+    def reduce(delta, surfaces):
+        surfaces = np.array(surfaces)
         ratios = surfaces / denom
         corrected = np.array([corrected_surface(r, cfg.d) for r in ratios])
         mean_ratio, se_ratio = _mean_stderr(ratios)
         mean_corr, se_corr = _mean_stderr(corrected)
-        rows.append(
-            {
-                "delta": delta,
-                "mean_ratio": mean_ratio,
-                "stderr_ratio": se_ratio,
-                "mean_ratio_corrected": mean_corr,
-                "stderr_ratio_corrected": se_corr,
-                "mean_surface_raw": float(surfaces.mean()),
-                "target_bias": 2.0 * cfg.d / beta_d(cfg.d),
-                "reps": cfg.reps,
-            }
-        )
-        for rep, (s, r) in enumerate(zip(surfaces, ratios)):
-            raw.append({"delta": delta, "replicate": rep, "surface_raw": float(s), "ratio": float(r)})
-    return McCampaignResult(
-        kind=cfg.kind,
-        rows=rows,
-        raw=raw,
-        config=cfg,
-        config_hash=cfg.config_hash(),
-        wall_clock_s=time.perf_counter() - start,
-    )
+        row = {
+            "mean_ratio": mean_ratio,
+            "stderr_ratio": se_ratio,
+            "mean_ratio_corrected": mean_corr,
+            "stderr_ratio_corrected": se_corr,
+            "mean_surface_raw": float(surfaces.mean()),
+            "target_bias": 2.0 * cfg.d / beta_d(cfg.d),
+        }
+        return row, {"surface_raw": surfaces, "ratio": ratios}
+
+    return "delta", cfg.deltas, replicates, reduce
 
 
-# ---------------------------------------------------------------------------
-# crossing-rate convergence
-# ---------------------------------------------------------------------------
-
-def run_crossing_convergence(cfg: CampaignConfig) -> McCampaignResult:
+def _crossing_spec(cfg: CampaignConfig):
     """beta_d * p_hat / q over a descending lag sweep; the estimate approaches
     the surface density from below as q -> 0."""
-    cfg = validate_config(cfg)
-    start = time.perf_counter()
     model = CovarianceModel(cfg.ell)
     target = _reference_surface_density(cfg)
     batch = cfg.n_pairs // cfg.reps
-    factor = beta_d(cfg.d)
-    rows, raw = [], []
-    for qi, q in enumerate(cfg.qs):
 
-        def one(rep, _q=q, _qi=qi):
-            return crossing_frequency(model, cfg.u, _q, batch, _rep_seed(cfg.seed, _qi, rep))
-
-        freqs = np.array(_parallel(one, cfg.reps, cfg.threads))
-        estimates = factor * freqs / q
-        est, se = _mean_stderr(estimates)
-        rows.append(
-            {
-                "q": q,
-                "p_hat": float(freqs.mean()),
-                "estimate": est,
-                "stderr": se,
-                "below_limit": bool(est <= target + 3.0 * se),
-                "target": target,
-                "pairs_per_rep": batch,
-                "reps": cfg.reps,
-            }
+    def replicates(qi, q):
+        return lambda rep: crossing_frequency(
+            model, cfg.u, q, batch, _rep_seed(cfg.seed, qi, rep)
         )
-        for rep, (p, e) in enumerate(zip(freqs, estimates)):
-            raw.append({"q": q, "replicate": rep, "p_hat": float(p), "estimate": float(e)})
-    return McCampaignResult(
-        kind=cfg.kind,
-        rows=rows,
-        raw=raw,
-        config=cfg,
-        config_hash=cfg.config_hash(),
-        wall_clock_s=time.perf_counter() - start,
-    )
+
+    def reduce(q, freqs):
+        freqs = np.array(freqs)
+        estimates = beta_d(cfg.d) * freqs / q
+        est, se = _mean_stderr(estimates)
+        row = {
+            "p_hat": float(freqs.mean()),
+            "estimate": est,
+            "stderr": se,
+            "below_limit": bool(est <= target + 3.0 * se),
+            "target": target,
+            "pairs_per_rep": batch,
+        }
+        return row, {"p_hat": freqs, "estimate": estimates}
+
+    return "q", cfg.qs, replicates, reduce
 
 
-# ---------------------------------------------------------------------------
-# joint scaling / normality diagnostics
-# ---------------------------------------------------------------------------
-
-def run_clt(cfg: CampaignConfig) -> McCampaignResult:
+def _clt_spec(cfg: CampaignConfig):
     """Window sweep of the (volume, surface) estimator pair: scaled variances,
     scaled covariance, and standardized skewness/kurtosis per window."""
-    cfg = validate_config(cfg)
-    start = time.perf_counter()
     model = CovarianceModel(cfg.ell)
     delta = cfg.deltas[0]
-    rows, raw = [], []
-    for wi, half_extent in enumerate(cfg.windows):
-        grid = GridSpec(cfg.d, int(half_extent), delta)
 
-        def one(rep, _grid=grid, _wi=wi):
-            values = _grid_values(cfg, model, _grid, _rep_seed(cfg.seed, _wi, rep))
-            vol = float(np.count_nonzero(values >= cfg.u) / _grid.n_nodes)
-            surf = hypercubic_surface_fast(values, _grid, cfg.u)
-            return vol, surf
+    def replicates(wi, half_extent):
+        grid = GridSpec(cfg.d, half_extent, delta)
 
-        pairs = np.array(_parallel(one, cfg.reps, cfg.threads))
+        def one(rep):
+            values = _grid_values(cfg, model, grid, _rep_seed(cfg.seed, wi, rep))
+            vol = float(np.count_nonzero(values >= cfg.u) / grid.n_nodes)
+            return vol, hypercubic_surface_fast(values, grid, cfg.u)
+
+        return one
+
+    def reduce(half_extent, pairs):
+        pairs = np.array(pairs)
         vol, surf = pairs[:, 0], pairs[:, 1]
-        sigma_t = grid.window_volume
-        rows.append(
-            {
-                "window_half_extent": int(half_extent),
-                "sigma_T": sigma_t,
-                "mean_volume": float(vol.mean()),
-                "mean_surface": float(surf.mean()),
-                "var_volume_scaled": float(sigma_t * vol.var(ddof=1)),
-                "var_surface_scaled": float(sigma_t * surf.var(ddof=1)),
-                "cov_scaled": float(sigma_t * np.cov(vol, surf, ddof=1)[0, 1]),
-                "skew_volume": float(stats.skew(vol)),
-                "kurt_volume": float(stats.kurtosis(vol)),
-                "skew_surface": float(stats.skew(surf)),
-                "kurt_surface": float(stats.kurtosis(surf)),
-                "reps": cfg.reps,
-            }
-        )
-        for rep, (v, s) in enumerate(pairs):
-            raw.append(
-                {
-                    "window_half_extent": int(half_extent),
-                    "replicate": rep,
-                    "volume": float(v),
-                    "surface_raw": float(s),
-                }
-            )
-    return McCampaignResult(
-        kind=cfg.kind,
-        rows=rows,
-        raw=raw,
-        config=cfg,
-        config_hash=cfg.config_hash(),
-        wall_clock_s=time.perf_counter() - start,
-    )
+        sigma_t = GridSpec(cfg.d, half_extent, delta).window_volume
+        row = {
+            "sigma_T": sigma_t,
+            "mean_volume": float(vol.mean()),
+            "mean_surface": float(surf.mean()),
+            "var_volume_scaled": float(sigma_t * vol.var(ddof=1)),
+            "var_surface_scaled": float(sigma_t * surf.var(ddof=1)),
+            "cov_scaled": float(sigma_t * np.cov(vol, surf, ddof=1)[0, 1]),
+            "skew_volume": float(stats.skew(vol)),
+            "kurt_volume": float(stats.kurtosis(vol)),
+            "skew_surface": float(stats.skew(surf)),
+            "kurt_surface": float(stats.kurtosis(surf)),
+        }
+        return row, {"volume": vol, "surface_raw": surf}
+
+    return "window_half_extent", tuple(int(w) for w in cfg.windows), replicates, reduce
 
 
-# ---------------------------------------------------------------------------
-# crofton demo and volume check
-# ---------------------------------------------------------------------------
-
-def run_crofton_demo(cfg: CampaignConfig) -> McCampaignResult:
+def _crofton_spec(cfg: CampaignConfig):
     """Random-line measures of analytic shapes against their closed forms."""
-    cfg = validate_config(cfg)
-    start = time.perf_counter()
-    shapes = []
+    shapes = {}  # name -> (size, oracle, true boundary length)
     if cfg.shape in ("circle", "both"):
-        shapes.append(
-            ("circle", cfg.circle_radius, circle_shape(cfg.circle_radius), 2.0 * np.pi * cfg.circle_radius)
-        )
+        r = cfg.circle_radius
+        shapes["circle"] = (r, circle_shape(r), 2.0 * np.pi * r)
     if cfg.shape in ("square", "both"):
-        shapes.append(("square", cfg.square_side, square_shape(cfg.square_side), 4.0 * cfg.square_side))
+        side = cfg.square_side
+        shapes["square"] = (side, square_shape(side), 4.0 * side)
     batch = cfg.n_lines // cfg.reps
-    rows, raw = [], []
-    for si, (name, param, oracle, truth) in enumerate(shapes):
 
-        def one(rep, _oracle=oracle, _si=si):
-            est = crofton_measure_mc(_oracle, 2, batch, cfg.bounding_radius, _rep_seed(cfg.seed, _si, rep))
-            return est.value
+    def replicates(si, name):
+        oracle = shapes[name][1]
+        return lambda rep: crofton_measure_mc(
+            oracle, 2, batch, cfg.bounding_radius, _rep_seed(cfg.seed, si, rep)
+        ).value
 
-        values = np.array(_parallel(one, cfg.reps, cfg.threads))
+    def reduce(name, values):
+        size, _, truth = shapes[name]
+        values = np.array(values)
         est, se = _mean_stderr(values)
-        rows.append(
-            {
-                "shape": name,
-                "size": param,
-                "estimate": est,
-                "stderr": se,
-                "truth": truth,
-                "rel_error": abs(est - truth) / truth,
-                "lines_total": batch * cfg.reps,
-                "reps": cfg.reps,
-            }
-        )
-        for rep, v in enumerate(values):
-            raw.append({"shape": name, "replicate": rep, "estimate": float(v)})
-    return McCampaignResult(
-        kind=cfg.kind,
-        rows=rows,
-        raw=raw,
-        config=cfg,
-        config_hash=cfg.config_hash(),
-        wall_clock_s=time.perf_counter() - start,
-    )
+        row = {
+            "size": size,
+            "estimate": est,
+            "stderr": se,
+            "truth": truth,
+            "rel_error": abs(est - truth) / truth,
+            "lines_total": batch * cfg.reps,
+        }
+        return row, {"estimate": values}
+
+    return "shape", tuple(shapes), replicates, reduce
 
 
-def run_volume_check(cfg: CampaignConfig) -> McCampaignResult:
-    """Mean lattice volume estimates against the analytic volume density."""
-    cfg = validate_config(cfg)
-    if cfg.family != "hypercubic":
-        raise ConfigError("the volume check runs on the hypercubic family only")
-    start = time.perf_counter()
+def _volume_spec(cfg: CampaignConfig):
+    """Mean lattice volume estimates against the analytic volume density.
+
+    A replicate's estimate is the volume of its exceeding lattice cells over
+    |T|, summed as a multiset of equal cell volumes like
+    ``hypercubic_surface_fast`` sums facets: it equals ``volume_estimate`` on
+    the lattice honeycomb bit for bit without building one.  The shorter
+    count / n_nodes can differ from it in the last bit.
+    """
     model = CovarianceModel(cfg.ell)
     delta = cfg.deltas[0]
-    half_extent = _lattice_half_extent(cfg.half_width, delta)
-    grid = GridSpec(cfg.d, half_extent, delta)
-    wh = hypercubic_honeycomb(delta, half_extent, cfg.d)
-    rows, raw = [], []
-    for ui, u in enumerate(cfg.levels):
-        target = _reference_volume_density(cfg, u)
+    grid = GridSpec(cfg.d, _lattice_half_extent(cfg.half_width, delta), delta)
 
-        def one(rep, _u=u, _ui=ui):
-            values = _grid_values(cfg, model, grid, _rep_seed(cfg.seed, _ui, rep))
-            ind = ExcursionIndicator(flags=values >= _u, u=_u, source_tag=cfg.model)
-            return volume_estimate(wh, ind)
+    def replicates(ui, u):
+        def one(rep):
+            values = _grid_values(cfg, model, grid, _rep_seed(cfg.seed, ui, rep))
+            count = np.count_nonzero(values >= u)
+            return float(np.sum(np.full(count, delta**cfg.d)) / grid.window_volume)
 
-        vols = np.array(_parallel(one, cfg.reps, cfg.threads))
+        return one
+
+    def reduce(u, vols):
+        vols = np.array(vols)
         mean, se = _mean_stderr(vols)
-        rows.append(
-            {
-                "u": u,
-                "mean_volume": mean,
-                "stderr": se,
-                "target": target,
-                "abs_error": abs(mean - target),
-                "reps": cfg.reps,
-            }
-        )
-        for rep, v in enumerate(vols):
-            raw.append({"u": u, "replicate": rep, "volume": float(v)})
-    return McCampaignResult(
-        kind=cfg.kind,
-        rows=rows,
-        raw=raw,
-        config=cfg,
-        config_hash=cfg.config_hash(),
-        wall_clock_s=time.perf_counter() - start,
-    )
+        gaussian = cfg.model == "gaussian"
+        target = gaussian_volume_density(u) if gaussian else chisq_volume_density(u, cfg.k)
+        row = {"mean_volume": mean, "stderr": se, "target": target, "abs_error": abs(mean - target)}
+        return row, {"volume": vols}
+
+    return "u", cfg.levels, replicates, reduce
+
+
+_SPECS = {
+    "bias-sweep": _bias_spec,
+    "crossing": _crossing_spec,
+    "clt": _clt_spec,
+    "crofton-demo": _crofton_spec,
+    "volume-check": _volume_spec,
+}

@@ -17,7 +17,6 @@ from .campaigns import (
     apply_config_file,
     default_config,
     run_campaign,
-    validate_config,
 )
 from .sampling import (
     CovarianceNotPositiveDefiniteError,
@@ -59,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> CampaignConfig:
+    """Merge defaults, the config file and the flags; ``run_campaign`` validates."""
     cfg = default_config(args.kind)
     if args.config:
         cfg = apply_config_file(cfg, args.config)
@@ -79,7 +79,7 @@ def config_from_args(args: argparse.Namespace) -> CampaignConfig:
         overrides["summary"] = args.summary
     if overrides:
         cfg = replace(cfg, **overrides)
-    return validate_config(cfg)
+    return cfg
 
 
 def _print_rows(rows, stream) -> None:

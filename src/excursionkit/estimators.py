@@ -21,7 +21,7 @@ import numpy as np
 
 from .densities import CovarianceModel, beta_d
 from .sampling import FieldSample, GridSpec, _rng
-from .tessellation import WindowedHoneycomb
+from .tessellation import FacetSet, WindowedHoneycomb
 
 REPORT_CSV_HEADER = "d,delta,u,volume,surface_raw,surface_corrected,coverage"
 
@@ -59,14 +59,10 @@ def surface_estimate(wh: WindowedHoneycomb, ind: ExcursionIndicator) -> float:
 
     A facet contributes when its two cells sit on opposite sides of the level;
     exactly one of the two orderings satisfies the crossing indicator, so the
-    unordered pass below equals the ordered double sum.
+    unordered pass of ``_crossing_density`` equals the ordered double sum.
     """
     _check_alignment(wh, ind)
-    f = wh.interior_facets
-    if len(f) == 0:
-        return 0.0
-    crossing = ind.flags[f.a] != ind.flags[f.b]
-    return float(np.sum(f.measure[crossing]) / wh.window.volume)
+    return _crossing_density(wh.interior_facets, ind.flags, wh.window.volume)
 
 
 def clipped_surface_estimate(wh: WindowedHoneycomb, ind: ExcursionIndicator) -> float:
@@ -83,11 +79,15 @@ def clipped_surface_estimate(wh: WindowedHoneycomb, ind: ExcursionIndicator) -> 
         raise ValueError(
             f"indicator has {ind.flags.shape[0]} flags for {n_meeting} cells meeting the window"
         )
-    f = wh.clipped_facets()
+    return _crossing_density(wh.clipped_facets(), ind.flags, wh.window.volume)
+
+
+def _crossing_density(f: FacetSet, flags: np.ndarray, window_volume: float) -> float:
+    """Summed measure of the facets whose two cells disagree, over |T|."""
     if len(f) == 0:
         return 0.0
-    crossing = ind.flags[f.a] != ind.flags[f.b]
-    return float(np.sum(f.measure[crossing]) / wh.window.volume)
+    crossing = flags[f.a] != flags[f.b]
+    return float(np.sum(f.measure[crossing]) / window_volume)
 
 
 def corrected_surface(raw: float, d: int) -> float:

@@ -21,13 +21,21 @@ from excursionkit.estimators import (
     clipped_surface_estimate,
     exceedance_indicator,
     surface_estimate,
+    volume_estimate,
 )
 from excursionkit.sampling import (
     EmbeddingNotNonnegativeDefiniteError,
+    GridSpec,
+    sample_gaussian_grid,
     sample_gaussian_points,
     sample_poisson_process,
 )
-from excursionkit.tessellation import Box, hexagonal_honeycomb, voronoi_honeycomb_2d
+from excursionkit.tessellation import (
+    Box,
+    hexagonal_honeycomb,
+    hypercubic_honeycomb,
+    voronoi_honeycomb_2d,
+)
 
 
 def tiny(kind, **overrides):
@@ -119,6 +127,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             validate_config(tiny("bias-sweep", **overrides))
 
+    def test_volume_check_requires_hypercubic(self):
+        with pytest.raises(ConfigError, match="hypercubic"):
+            validate_config(tiny("volume-check", family="hexagonal"))
+
     def test_crossing_requires_gaussian(self):
         with pytest.raises(ConfigError, match="gaussian"):
             validate_config(tiny("crossing", model="chi-square"))
@@ -161,11 +173,52 @@ class TestHashing:
 
 
 class TestDeterminism:
-    def test_rows_identical_across_thread_counts(self):
-        r1 = run_campaign(tiny("bias-sweep", reps=6, threads=1))
-        r4 = run_campaign(tiny("bias-sweep", reps=6, threads=4))
+    @pytest.mark.parametrize("kind", campaigns.KINDS)
+    def test_rows_identical_across_thread_counts(self, kind):
+        r1 = run_campaign(tiny(kind, reps=6, threads=1))
+        r4 = run_campaign(tiny(kind, reps=6, threads=4))
         assert json.dumps(r1.rows, default=str) == json.dumps(r4.rows, default=str)
         assert r1.raw == r4.raw
+
+    @pytest.mark.parametrize(
+        "kind,row_columns,raw_columns",
+        [
+            (
+                "bias-sweep",
+                "delta,mean_ratio,stderr_ratio,mean_ratio_corrected,stderr_ratio_corrected,"
+                "mean_surface_raw,target_bias,reps",
+                "delta,replicate,surface_raw,ratio",
+            ),
+            (
+                "crossing",
+                "q,p_hat,estimate,stderr,below_limit,target,pairs_per_rep,reps",
+                "q,replicate,p_hat,estimate",
+            ),
+            (
+                "clt",
+                "window_half_extent,sigma_T,mean_volume,mean_surface,var_volume_scaled,"
+                "var_surface_scaled,cov_scaled,skew_volume,kurt_volume,skew_surface,"
+                "kurt_surface,reps",
+                "window_half_extent,replicate,volume,surface_raw",
+            ),
+            (
+                "crofton-demo",
+                "shape,size,estimate,stderr,truth,rel_error,lines_total,reps",
+                "shape,replicate,estimate",
+            ),
+            (
+                "volume-check",
+                "u,mean_volume,stderr,target,abs_error,reps",
+                "u,replicate,volume",
+            ),
+        ],
+    )
+    def test_csv_column_layout(self, tmp_path, kind, row_columns, raw_columns):
+        res = run_campaign(tiny(kind))
+        path = tmp_path / "rows.csv"
+        res.write_csv(path)
+        assert path.read_text().splitlines()[0] == row_columns + ",config_hash"
+        assert res.raw_csv_text().splitlines()[0] == raw_columns + ",config_hash"
 
     def test_csv_byte_identical_across_threads(self, tmp_path):
         p1, p4 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -291,6 +344,21 @@ class TestCampaignOutputs:
         assert res.rows[0]["target"] == pytest.approx(0.5)
         assert res.rows[1]["target"] == pytest.approx(0.15865525393145707)
 
+    def test_volume_equals_lattice_honeycomb_estimate_bitwise(self):
+        # a non-dyadic spacing, where count / n_nodes differs in the last bit
+        cfg = validate_config(
+            tiny("volume-check", deltas=(0.1,), half_width=2.0, levels=(0.3, -0.7), reps=5)
+        )
+        res = run_campaign(cfg)
+        grid = GridSpec(2, 20, 0.1)
+        wh = hypercubic_honeycomb(0.1, 20, 2)
+        expected = []
+        for ui, u in enumerate(cfg.levels):
+            for rep in range(cfg.reps):
+                sample = sample_gaussian_grid(CovarianceModel(cfg.ell), grid, (cfg.seed, ui, rep))
+                expected.append(volume_estimate(wh, exceedance_indicator(sample, u)))
+        assert [r["volume"] for r in res.raw] == expected
+
     def test_volume_chi_square_target(self):
         res = run_campaign(
             tiny("volume-check", model="chi-square", k=2, levels=(2.0,), reps=3)
@@ -364,6 +432,20 @@ class TestCli:
 
     def test_validation_error_exit_code(self, capsys):
         assert cli.main(["bias-sweep", "--reps", "1"]) == 2
+
+    def test_main_validates_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = campaigns.validate_config
+
+        def counted(cfg):
+            calls.append(1)
+            return real(cfg)
+
+        monkeypatch.setattr(campaigns, "validate_config", counted)
+        monkeypatch.setattr(cli, "validate_config", counted, raising=False)
+        cfg_path = _write_cfg(tmp_path, "n_lines = 2000\n")
+        assert cli.main(["crofton-demo", "--reps", "2", "--config", str(cfg_path)]) == 0
+        assert len(calls) == 1
 
     def test_numeric_failure_exit_code(self, monkeypatch, capsys):
         def boom(cfg):
