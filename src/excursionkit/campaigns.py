@@ -4,7 +4,9 @@ Each campaign maps a sweep parameter (cell size, crossing lag, window size,
 shape) to replicate statistics.  Replicate seeds are derived from
 (base seed, sweep index, replicate index) through a SeedSequence hash, so any
 replicate can run on any thread at any time and the aggregated output is byte
-identical regardless of the thread count.
+identical regardless of the thread count.  Lattice fields come two per FFT:
+replicate r of sweep step s is half r % 2 (real, imaginary) of the grid draw
+keyed (base seed, s, r // 2).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .densities import (
 )
 from .sampling import (
     GridSpec,
+    _embedding_spectrum,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -302,15 +305,22 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
     replicates run through ``_parallel`` and are reduced to one summary row,
     and the replicate results become the raw rows.  The spec of the kind
     (``_SPECS``) returns the sweep column name, the sweep values,
-    ``replicates(si, value)`` giving the per-replicate function of row si, and
-    ``reduce(value, results)`` giving the row and the named raw columns.
+    ``replicates(si, value)`` giving the per-task function of row si,
+    ``reduce(value, results)`` giving the row and the named raw columns, and
+    ``paired``.  A task is one replicate, or with ``paired`` the two
+    replicates 2t and 2t + 1 of one grid draw; an odd count drops the last.
     """
     cfg = validate_config(cfg)
     start = time.perf_counter()
-    column, values, replicates, reduce = _SPECS[cfg.kind](cfg)
+    column, values, replicates, reduce, paired = _SPECS[cfg.kind](cfg)
     rows, raw = [], []
     for si, value in enumerate(values):
-        results = _parallel(replicates(si, value), cfg.reps, cfg.threads)
+        tasks = (cfg.reps + 1) // 2 if paired else cfg.reps
+        # no name holds the task function, so what it closes over (a
+        # covariance factor, say) is freed before the next row builds its own
+        results = _parallel(replicates(si, value), tasks, cfg.threads)
+        if paired:
+            results = [r for pair in results for r in pair][: cfg.reps]
         row, raw_columns = reduce(value, results)
         rows.append({column: value, **row, "reps": cfg.reps})
         for rep, entries in enumerate(zip(*raw_columns.values())):
@@ -333,10 +343,35 @@ def _reference_surface_density(cfg: CampaignConfig) -> float:
     return chisq_surface_density(cfg.u, lam, cfg.d, cfg.k)
 
 
-def _grid_values(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, seed_key):
-    if cfg.model == "gaussian":
-        return sample_gaussian_grid(model, grid, seed_key).values
-    return sample_chi_square(model, cfg.k, grid, seed_key).values
+def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, si, estimate):
+    """Task function of row si on a grid: task t draws once, keyed
+    (seed, si, t), and returns ``estimate`` of the real and the imaginary
+    half, replicates 2t and 2t + 1."""
+    # computed here, in the calling thread, so that pool threads share one
+    # spectrum instead of racing to fill the cache with copies of it
+    _embedding_spectrum(model.length_scale, grid.spacing, grid.shape)
+
+    def task(t):
+        key = _rep_seed(cfg.seed, si, t)
+        if cfg.model == "gaussian":
+            halves = sample_gaussian_grid(model, grid, key, pair=True)
+        else:
+            halves = sample_chi_square(model, cfg.k, grid, key, pair=True)
+        return [estimate(half.values) for half in halves]
+
+    return task
+
+
+def _lattice_volume(values: np.ndarray, grid: GridSpec, u: float) -> float:
+    """Volume of the exceeding lattice cells over |T|.
+
+    Summed as a multiset of equal cell volumes, like
+    ``hypercubic_surface_fast`` sums facets, it equals ``volume_estimate`` on
+    the lattice honeycomb bit for bit without building one.  The shorter
+    count / n_nodes can differ from it in the last bit.
+    """
+    count = np.count_nonzero(values >= u)
+    return float(np.sum(np.full(count, grid.spacing**grid.d)) / grid.window_volume)
 
 
 def _point_values(cfg: CampaignConfig, model: CovarianceModel, points, seed_key, factor=None):
@@ -368,10 +403,9 @@ def _bias_spec(cfg: CampaignConfig):
     def replicates(si, delta):
         if cfg.family == "hypercubic":
             grid = GridSpec(cfg.d, _lattice_half_extent(cfg.half_width, delta), delta)
-
-            def one(rep):
-                values = _grid_values(cfg, model, grid, _rep_seed(cfg.seed, si, rep))
-                return hypercubic_surface_fast(values, grid, cfg.u)
+            return _grid_replicates(
+                cfg, model, grid, si, lambda values: hypercubic_surface_fast(values, grid, cfg.u)
+            )
 
         elif cfg.family == "hexagonal":
             wh = hexagonal_honeycomb(delta, window)
@@ -415,7 +449,7 @@ def _bias_spec(cfg: CampaignConfig):
         }
         return row, {"surface_raw": surfaces, "ratio": ratios}
 
-    return "delta", cfg.deltas, replicates, reduce
+    return "delta", cfg.deltas, replicates, reduce, cfg.family == "hypercubic"
 
 
 def _crossing_spec(cfg: CampaignConfig):
@@ -444,7 +478,7 @@ def _crossing_spec(cfg: CampaignConfig):
         }
         return row, {"p_hat": freqs, "estimate": estimates}
 
-    return "q", cfg.qs, replicates, reduce
+    return "q", cfg.qs, replicates, reduce, False
 
 
 def _clt_spec(cfg: CampaignConfig):
@@ -455,13 +489,16 @@ def _clt_spec(cfg: CampaignConfig):
 
     def replicates(wi, half_extent):
         grid = GridSpec(cfg.d, half_extent, delta)
-
-        def one(rep):
-            values = _grid_values(cfg, model, grid, _rep_seed(cfg.seed, wi, rep))
-            vol = float(np.count_nonzero(values >= cfg.u) / grid.n_nodes)
-            return vol, hypercubic_surface_fast(values, grid, cfg.u)
-
-        return one
+        return _grid_replicates(
+            cfg,
+            model,
+            grid,
+            wi,
+            lambda values: (
+                _lattice_volume(values, grid, cfg.u),
+                hypercubic_surface_fast(values, grid, cfg.u),
+            ),
+        )
 
     def reduce(half_extent, pairs):
         pairs = np.array(pairs)
@@ -481,7 +518,7 @@ def _clt_spec(cfg: CampaignConfig):
         }
         return row, {"volume": vol, "surface_raw": surf}
 
-    return "window_half_extent", tuple(int(w) for w in cfg.windows), replicates, reduce
+    return "window_half_extent", tuple(int(w) for w in cfg.windows), replicates, reduce, True
 
 
 def _crofton_spec(cfg: CampaignConfig):
@@ -515,29 +552,20 @@ def _crofton_spec(cfg: CampaignConfig):
         }
         return row, {"estimate": values}
 
-    return "shape", tuple(shapes), replicates, reduce
+    return "shape", tuple(shapes), replicates, reduce, False
 
 
 def _volume_spec(cfg: CampaignConfig):
-    """Mean lattice volume estimates against the analytic volume density.
-
-    A replicate's estimate is the volume of its exceeding lattice cells over
-    |T|, summed as a multiset of equal cell volumes like
-    ``hypercubic_surface_fast`` sums facets: it equals ``volume_estimate`` on
-    the lattice honeycomb bit for bit without building one.  The shorter
-    count / n_nodes can differ from it in the last bit.
-    """
+    """Mean lattice volume estimates (``_lattice_volume``) against the analytic
+    volume density."""
     model = CovarianceModel(cfg.ell)
     delta = cfg.deltas[0]
     grid = GridSpec(cfg.d, _lattice_half_extent(cfg.half_width, delta), delta)
 
     def replicates(ui, u):
-        def one(rep):
-            values = _grid_values(cfg, model, grid, _rep_seed(cfg.seed, ui, rep))
-            count = np.count_nonzero(values >= u)
-            return float(np.sum(np.full(count, delta**cfg.d)) / grid.window_volume)
-
-        return one
+        return _grid_replicates(
+            cfg, model, grid, ui, lambda values: _lattice_volume(values, grid, u)
+        )
 
     def reduce(u, vols):
         vols = np.array(vols)
@@ -547,7 +575,7 @@ def _volume_spec(cfg: CampaignConfig):
         row = {"mean_volume": mean, "stderr": se, "target": target, "abs_error": abs(mean - target)}
         return row, {"volume": vols}
 
-    return "u", cfg.levels, replicates, reduce
+    return "u", cfg.levels, replicates, reduce, True
 
 
 _SPECS = {

@@ -1,11 +1,14 @@
 """Random-field and point-process samplers with counter-based seeding.
 
 Gaussian fields on regular grids are drawn exactly by circulant embedding
-(FFT on a padded torus); scattered locations use a dense Cholesky factor of
-the covariance matrix.  All samplers are pure functions of
-(model, locations, seed): the RNG is a Philox counter generator keyed by the
-seed, so replicates can run on any number of threads in any order and still
-reproduce bit for bit.
+(FFT on a padded torus).  One draw fills the torus spectrum with complex
+white noise, so the real and the imaginary part of its inverse FFT are two
+independent exact fields (Wood & Chan 1994; Dietrich & Newsam 1997);
+``sample_gaussian_grid(..., pair=True)`` returns both.  Scattered locations
+use a dense Cholesky factor of the covariance matrix.  All samplers are pure
+functions of (model, locations, seed): the RNG is a Philox counter generator
+keyed by the seed, so replicates can run on any number of threads in any
+order and still reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -97,22 +100,30 @@ class GridSpec:
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-@dataclass(eq=False)
 class FieldSample:
     """Field values attached to sample locations.
 
     Identical (model, locations, seed) triples reproduce identical values bit
     for bit; ``model_tag`` records the generating model and RNG for provenance.
+    ``locations`` may be given as a GridSpec: the (n_nodes, d) node array is
+    then built on first read, so a caller that reads only the values never
+    pays for it.
     """
 
-    locations: np.ndarray
-    values: np.ndarray
-    seed: int
-    model_tag: str
-
-    def __post_init__(self):
-        if self.locations.shape[0] != self.values.shape[0]:
+    def __init__(self, locations, values: np.ndarray, seed, model_tag: str):
+        n = locations.n_nodes if isinstance(locations, GridSpec) else locations.shape[0]
+        if n != values.shape[0]:
             raise ValueError("locations and values must have equal length")
+        self._locations = locations
+        self.values = values
+        self.seed = seed
+        self.model_tag = model_tag
+
+    @property
+    def locations(self) -> np.ndarray:
+        if isinstance(self._locations, GridSpec):
+            self._locations = self._locations.nodes()
+        return self._locations
 
     def to_csv(self, path) -> None:
         """Dump the sample as CSV with header x1,...,xd,value."""
@@ -156,23 +167,22 @@ def _embedding_spectrum(length_scale: float, spacing: float, shape: tuple) -> tu
     The covariance is wrapped onto a torus with per-axis size pad * (grid
     size); padding starts at 2x and doubles until the eigenvalues are
     nonnegative (the squared-exponential spectrum is strictly positive, so 2x
-    always suffices in practice).
+    always suffices in practice).  The squared-exponential kernel is a
+    product over axes, so the eigenvalues, the FFT of the wrapped kernel, are
+    the outer product of one 1D FFT per axis.
     """
     pad = 2
     while True:
         dims = tuple(pad * s for s in shape)
-        sq = np.zeros(())
-        for axis, m in enumerate(dims):
+        lam = np.ones(())
+        for m in dims:
             k = np.arange(m)
             wrapped = np.minimum(k, m - k) * spacing
-            ax_shape = [1] * len(dims)
-            ax_shape[axis] = m
-            sq = sq + (wrapped**2).reshape(ax_shape)
-        cov = np.exp(-0.5 * sq / (length_scale * length_scale))
-        lam = np.fft.fftn(cov).real
+            axis_cov = np.exp(-0.5 * wrapped**2 / (length_scale * length_scale))
+            lam = np.multiply.outer(lam, np.fft.fft(axis_cov).real)
         lam = _check_eigenvalues(lam)
         if lam is not None:
-            return np.sqrt(lam), dims
+            return np.sqrt(lam, out=lam), dims
         if pad >= _MAX_PAD:
             raise EmbeddingNotNonnegativeDefiniteError(
                 f"circulant embedding not nonnegative definite at padding {pad}x "
@@ -181,21 +191,50 @@ def _embedding_spectrum(length_scale: float, spacing: float, shape: tuple) -> tu
         pad *= 2
 
 
-def _gaussian_grid_values(model: CovarianceModel, grid: GridSpec, seed_key) -> np.ndarray:
+def _pruned_ifftn(spectral: np.ndarray, shape: tuple) -> np.ndarray:
+    """``np.fft.ifftn(spectral)`` cut to its leading ``shape`` block, bit for bit.
+
+    Like ``ifftn`` it transforms the last axis first, but it cuts each axis
+    to its ``shape`` length before transforming the next, so the padded rows
+    that are never read are never transformed.  Every remaining line is the
+    same 1D transform as in ``ifftn``.  ``spectral`` is overwritten.
+    """
+    z = np.fft.ifft(spectral, axis=-1, out=spectral)
+    for axis in reversed(range(z.ndim)):
+        z = z[(slice(None),) * axis + (slice(0, shape[axis]),)]
+        if axis:
+            z = np.fft.ifft(z, axis=axis - 1)
+    return z
+
+
+def _gaussian_grid_values(model: CovarianceModel, grid: GridSpec, seed_key) -> tuple:
+    """Two independent exact fields at the grid nodes from one FFT: (real, imaginary)."""
     sqrt_lam, dims = _embedding_spectrum(model.length_scale, grid.spacing, grid.shape)
-    rng = _rng(seed_key)
-    noise = rng.standard_normal((2,) + dims)
-    spectral = sqrt_lam * (noise[0] + 1j * noise[1])
-    z = np.fft.ifftn(spectral) * np.sqrt(float(np.prod(dims)))
-    block = z.real[tuple(slice(0, s) for s in grid.shape)]
-    return np.ascontiguousarray(block).reshape(-1)
+    noise = _rng(seed_key).standard_normal((2,) + dims)
+    spectral = np.empty(dims, dtype=complex)
+    np.multiply(sqrt_lam, noise[0], out=spectral.real)
+    np.multiply(sqrt_lam, noise[1], out=spectral.imag)
+    del noise
+    z = _pruned_ifftn(spectral, grid.shape)
+    z *= np.sqrt(float(np.prod(dims)))
+    return np.ascontiguousarray(z.real).reshape(-1), np.ascontiguousarray(z.imag).reshape(-1)
 
 
-def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed: int) -> FieldSample:
+def _grid_samples(grid: GridSpec, halves, seed, tag: str, pair: bool):
+    """The real-half sample, or the samples of both halves when ``pair`` is set."""
+    real = FieldSample(grid, halves[0], seed, tag)
+    if not pair:
+        return real
+    return real, FieldSample(grid, halves[1], seed, f"{tag}, imaginary half")
+
+
+def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed: int, pair: bool = False):
     """Draw a zero-mean unit-variance Gaussian field at the grid nodes.
 
     The draw is exact: the covariance of the returned values equals the model
-    covariance at every pair of nodes, up to floating-point rounding.
+    covariance at every pair of nodes, up to floating-point rounding.  One
+    draw is one complex inverse FFT whose real and imaginary parts are two
+    independent fields; the real half is returned, or both with ``pair``.
 
     Parameters
     ----------
@@ -203,19 +242,17 @@ def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed: int) -> F
     grid : GridSpec
     seed : int
         64-bit replicate seed.
+    pair : bool
+        Return the (real half, imaginary half) samples of the draw.
 
     Returns
     -------
-    FieldSample
-        Values in the row-major node order of ``grid.nodes()``.
+    FieldSample or tuple of two FieldSample
+        Values in the row-major node order of ``grid.nodes()``; the node
+        array is built only if ``locations`` is read.
     """
-    values = _gaussian_grid_values(model, grid, seed)
-    return FieldSample(
-        locations=grid.nodes(),
-        values=values,
-        seed=seed,
-        model_tag=f"gaussian-grid[{model.tag()}, philox]",
-    )
+    halves = _gaussian_grid_values(model, grid, seed)
+    return _grid_samples(grid, halves, seed, f"gaussian-grid[{model.tag()}, philox]", pair)
 
 
 def covariance_factor(
@@ -325,12 +362,16 @@ def sample_chi_square(
     seed: int,
     max_points: int = DEFAULT_POINT_CAP,
     factor: np.ndarray | None = None,
-) -> FieldSample:
+    pair: bool = False,
+):
     """Chi-square field with k degrees of freedom: sum of k squared Gaussian draws.
 
     Component fields are independent, with sub-seeds derived from
     (seed, component) through the SeedSequence hash, so the draw is
-    reproducible and component order is immaterial.
+    reproducible and component order is immaterial.  On a grid each
+    component is one FFT draw whose two halves are independent: the field
+    sums the real halves, and with ``pair`` a second field sums the
+    imaginary halves of the same k draws.
 
     Parameters
     ----------
@@ -345,29 +386,28 @@ def sample_chi_square(
     factor : ndarray, optional
         Precomputed ``covariance_factor`` for scattered points.  All k
         components are drawn from one factor either way.
+    pair : bool
+        Grid only: return the (real-half, imaginary-half) samples.
     """
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
+    tag = f"chi-square[K={k}, {model.tag()}, philox]"
     if isinstance(locations, GridSpec):
-        values = np.zeros(locations.n_nodes)
+        halves = np.zeros((2, locations.n_nodes))
         for comp in range(k):
-            g = _gaussian_grid_values(model, locations, _flat_key(seed, comp))
-            values += g * g
-        locs = locations.nodes()
-    else:
-        pts = np.atleast_2d(np.asarray(locations, dtype=float))
-        factor = _point_factor(model, pts, max_points, factor)
-        values = np.zeros(pts.shape[0])
-        for comp in range(k):
-            g = _draw(factor, _flat_key(seed, comp))
-            values += g * g
-        locs = pts
-    return FieldSample(
-        locations=locs,
-        values=values,
-        seed=seed,
-        model_tag=f"chi-square[K={k}, {model.tag()}, philox]",
-    )
+            draw = _gaussian_grid_values(model, locations, _flat_key(seed, comp))
+            for acc, g in zip(halves, draw):
+                acc += g * g
+        return _grid_samples(locations, halves, seed, tag, pair)
+    if pair:
+        raise ValueError("pair draws exist on grids only")
+    pts = np.atleast_2d(np.asarray(locations, dtype=float))
+    factor = _point_factor(model, pts, max_points, factor)
+    values = np.zeros(pts.shape[0])
+    for comp in range(k):
+        g = _draw(factor, _flat_key(seed, comp))
+        values += g * g
+    return FieldSample(locations=pts, values=values, seed=seed, model_tag=tag)
 
 
 def sample_poisson_process(rate: float, box, seed: int) -> np.ndarray:

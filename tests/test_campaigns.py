@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -176,9 +177,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("kind", campaigns.KINDS)
     def test_rows_identical_across_thread_counts(self, kind):
         r1 = run_campaign(tiny(kind, reps=6, threads=1))
-        r4 = run_campaign(tiny(kind, reps=6, threads=4))
-        assert json.dumps(r1.rows, default=str) == json.dumps(r4.rows, default=str)
-        assert r1.raw == r4.raw
+        for threads in (2, 4):
+            other = run_campaign(tiny(kind, reps=6, threads=threads))
+            assert json.dumps(r1.rows, default=str) == json.dumps(other.rows, default=str)
+            assert r1.raw == other.raw
 
     @pytest.mark.parametrize(
         "kind,row_columns,raw_columns",
@@ -219,6 +221,36 @@ class TestDeterminism:
         res.write_csv(path)
         assert path.read_text().splitlines()[0] == row_columns + ",config_hash"
         assert res.raw_csv_text().splitlines()[0] == raw_columns + ",config_hash"
+
+    @pytest.mark.parametrize("kind", ["bias-sweep", "clt", "volume-check"])
+    def test_odd_reps_drop_the_last_imaginary_half(self, kind):
+        # grid kinds draw two replicates per FFT; an odd count keeps the
+        # first reps of them, the same values as the next even count
+        odd = run_campaign(tiny(kind, reps=5))
+        even = run_campaign(tiny(kind, reps=6))
+        assert all(row["reps"] == 5 for row in odd.rows)
+        assert len(odd.raw) == 5 * len(odd.rows)
+        assert odd.raw == [r for r in even.raw if r["replicate"] < 5]
+
+    def test_lattice_spectrum_once_per_grid_shape(self, monkeypatch):
+        # a slow uncached spectrum: pool threads that each computed it on
+        # their first replicate would overlap here and count twice
+        calls = []
+        real = sampling._check_eigenvalues
+
+        def slow(lam):
+            calls.append(lam.shape)
+            time.sleep(0.05)
+            return real(lam)
+
+        monkeypatch.setattr(sampling, "_check_eigenvalues", slow)
+        sampling._embedding_spectrum.cache_clear()
+        try:
+            cfg = tiny("bias-sweep", half_width=4.0, deltas=(0.5, 0.25), reps=8, threads=2)
+            run_campaign(cfg)
+        finally:
+            sampling._embedding_spectrum.cache_clear()
+        assert calls == [(32, 32), (64, 64)]
 
     def test_csv_byte_identical_across_threads(self, tmp_path):
         p1, p4 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -355,8 +387,24 @@ class TestCampaignOutputs:
         expected = []
         for ui, u in enumerate(cfg.levels):
             for rep in range(cfg.reps):
-                sample = sample_gaussian_grid(CovarianceModel(cfg.ell), grid, (cfg.seed, ui, rep))
-                expected.append(volume_estimate(wh, exceedance_indicator(sample, u)))
+                # replicate r is half r % 2 of the draw keyed (seed, ui, r // 2)
+                halves = sample_gaussian_grid(
+                    CovarianceModel(cfg.ell), grid, (cfg.seed, ui, rep // 2), pair=True
+                )
+                expected.append(volume_estimate(wh, exceedance_indicator(halves[rep % 2], u)))
+        assert [r["volume"] for r in res.raw] == expected
+
+    def test_clt_volume_equals_lattice_honeycomb_estimate_bitwise(self):
+        cfg = validate_config(tiny("clt", deltas=(0.1,), windows=(20,), u=0.3, reps=5))
+        res = run_campaign(cfg)
+        grid = GridSpec(2, 20, 0.1)
+        wh = hypercubic_honeycomb(0.1, 20, 2)
+        expected = []
+        for rep in range(cfg.reps):
+            halves = sample_gaussian_grid(
+                CovarianceModel(cfg.ell), grid, (cfg.seed, 0, rep // 2), pair=True
+            )
+            expected.append(volume_estimate(wh, exceedance_indicator(halves[rep % 2], cfg.u)))
         assert [r["volume"] for r in res.raw] == expected
 
     def test_volume_chi_square_target(self):

@@ -20,6 +20,7 @@ from excursionkit.sampling import (
     PointCapacityError,
     _check_eigenvalues,
     _embedding_spectrum,
+    _pruned_ifftn,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -79,6 +80,50 @@ class TestGaussianGrid:
         # entrywise s.e. of a Gaussian product moment is about 1/sqrt(reps)
         assert np.max(np.abs(emp - expected)) < 4.5 / np.sqrt(reps)
 
+    def test_imaginary_half_has_model_covariance(self):
+        g = GridSpec(1, 4, 0.5)
+        reps = 3000
+        draws = np.stack(
+            [sample_gaussian_grid(MODEL, g, s, pair=True)[1].values for s in range(reps)]
+        )
+        emp = draws.T @ draws / reps
+        coords = g.axis_coords
+        expected = MODEL.covariance((coords[:, None] - coords[None, :]) ** 2)
+        assert np.max(np.abs(emp - expected)) < 4.5 / np.sqrt(reps)
+
+    def test_halves_are_uncorrelated(self):
+        # real and imaginary parts of one complex-noise embedding are
+        # independent: every entry of their cross-covariance is 0
+        g = GridSpec(1, 4, 0.5)
+        reps = 3000
+        pairs = [sample_gaussian_grid(MODEL, g, 10_000 + s, pair=True) for s in range(reps)]
+        re = np.stack([p[0].values for p in pairs])
+        im = np.stack([p[1].values for p in pairs])
+        cross = re.T @ im / reps
+        # each entry is a mean of products of two independent unit normals
+        assert np.max(np.abs(cross)) < 4.5 / np.sqrt(reps)
+
+    def test_single_draw_is_the_real_half(self):
+        g = GridSpec(2, 8, 0.25)
+        real, imag = sample_gaussian_grid(MODEL, g, (4, 2), pair=True)
+        single = sample_gaussian_grid(MODEL, g, (4, 2))
+        assert single.values.tobytes() == real.values.tobytes()
+        assert not np.array_equal(real.values, imag.values)
+        assert real.seed == imag.seed == (4, 2)
+        assert real.model_tag != imag.model_tag
+
+    def test_draw_builds_no_nodes(self, monkeypatch):
+        g = GridSpec(2, 2, 0.5)
+        calls = []
+        real_nodes = GridSpec.nodes
+        monkeypatch.setattr(GridSpec, "nodes", lambda self: calls.append(1) or real_nodes(self))
+        samples = [*sample_gaussian_grid(MODEL, g, 1, pair=True), sample_chi_square(MODEL, 2, g, 1)]
+        assert calls == []
+        # built on first read, once
+        assert np.array_equal(samples[0].locations, real_nodes(g))
+        assert samples[0].locations is samples[0].locations
+        assert calls == [1]
+
     def test_normalized_lag_correlation_2d(self):
         g = GridSpec(2, 16, 0.25)
         reps = 80
@@ -114,7 +159,42 @@ class TestGaussianGrid:
         assert "gaussian" in s.model_tag
 
 
+def _fftn_spectrum_reference(length_scale, spacing, shape):
+    """The embedding spectrum as one n-D FFT of the wrapped kernel, with the
+    same padding rule as ``_embedding_spectrum``."""
+    pad = 2
+    while True:
+        dims = tuple(pad * s for s in shape)
+        sq = np.zeros(())
+        for axis, m in enumerate(dims):
+            k = np.arange(m)
+            ax_shape = [1] * len(dims)
+            ax_shape[axis] = m
+            sq = sq + ((np.minimum(k, m - k) * spacing) ** 2).reshape(ax_shape)
+        lam = _check_eigenvalues(np.fft.fftn(np.exp(-0.5 * sq / length_scale**2)).real)
+        if lam is not None:
+            return np.sqrt(lam), dims
+        pad *= 2
+
+
 class TestEmbeddingSpectrum:
+    @pytest.mark.parametrize(
+        "length_scale,spacing,shape",
+        [
+            (1.0, 0.25, (8, 8)),
+            (1.0, 0.5, (32, 32)),
+            (1.0, 0.5, (9,)),
+            (1.0, 0.5, (6, 10)),
+            (1.0, 0.5, (4, 6, 8)),
+        ],
+    )
+    def test_per_axis_spectrum_matches_fftn_reference(self, length_scale, spacing, shape):
+        sqrt_lam, dims = _embedding_spectrum(length_scale, spacing, shape)
+        ref, ref_dims = _fftn_spectrum_reference(length_scale, spacing, shape)
+        assert dims == ref_dims
+        # compared as eigenvalues: the square root magnifies rounding near 0
+        assert np.allclose(sqrt_lam**2, ref**2, rtol=1e-12, atol=1e-12)
+
     def test_spectrum_nonnegative_and_shape(self):
         sqrt_lam, dims = _embedding_spectrum(1.0, 0.25, (8, 8))
         # padding doubles until the minimal-image embedding is nonnegative
@@ -134,6 +214,20 @@ class TestEmbeddingSpectrum:
 
     def test_eigenvalue_rejection(self):
         assert _check_eigenvalues(np.array([1.0, -1e-3])) is None
+
+
+class TestPrunedIfft:
+    @pytest.mark.parametrize(
+        "shape,pad", [((5,), 2), ((6, 6), 2), ((4, 6), 2), ((3, 5, 4), 2), ((4, 4, 4), 4)]
+    )
+    def test_equals_block_of_ifftn_bitwise(self, shape, pad):
+        rng = np.random.default_rng(len(shape) * 10 + pad)
+        dims = tuple(pad * s for s in shape)
+        spectral = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        expected = np.fft.ifftn(spectral)[tuple(slice(0, s) for s in shape)]
+        got = _pruned_ifftn(spectral.copy(), shape)
+        assert got.shape == shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 class TestGaussianPoints:
@@ -262,6 +356,24 @@ class TestChiSquare:
         frac = np.mean(v >= 2.0)
         assert 0.2 < frac < 0.55  # loose: one correlated field draw
 
+    def test_grid_pair_sums_both_halves_of_each_component(self):
+        # both halves take their k components from the draws keyed (seed, component)
+        g = GridSpec(2, 4, 0.5)
+        real, imag = sample_chi_square(MODEL, 3, g, (9, 1), pair=True)
+        expected = np.zeros((2, g.n_nodes))
+        for comp in range(3):
+            halves = sample_gaussian_grid(MODEL, g, (9, 1, comp), pair=True)
+            for acc, half in zip(expected, halves):
+                acc += half.values * half.values
+        assert real.values.tobytes() == expected[0].tobytes()
+        assert imag.values.tobytes() == expected[1].tobytes()
+        single = sample_chi_square(MODEL, 3, g, (9, 1))
+        assert single.values.tobytes() == real.values.tobytes()
+
+    def test_pair_needs_a_grid(self):
+        with pytest.raises(ValueError, match="grids only"):
+            sample_chi_square(MODEL, 2, [[0.0, 0.0]], 1, pair=True)
+
     def test_rejects_bad_degrees(self):
         with pytest.raises(ValueError):
             sample_chi_square(MODEL, 0, [[0.0, 0.0]], 1)
@@ -336,3 +448,17 @@ class TestFieldSampleCsv:
             FieldSample(
                 locations=np.zeros((3, 2)), values=np.zeros(2), seed=0, model_tag=""
             )
+
+    def test_grid_locations_checked_and_written_lazily(self, tmp_path, monkeypatch):
+        g = GridSpec(2, 1, 0.5)
+        real_nodes = GridSpec.nodes
+        monkeypatch.setattr(GridSpec, "nodes", lambda self: pytest.fail("nodes built"))
+        with pytest.raises(ValueError, match="equal length"):
+            FieldSample(locations=g, values=np.zeros(3), seed=0, model_tag="")
+        s = FieldSample(locations=g, values=np.arange(4.0), seed=0, model_tag="")
+        monkeypatch.setattr(GridSpec, "nodes", real_nodes)
+        path = tmp_path / "grid.csv"
+        s.to_csv(path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "x1,x2,value"
+        assert lines[1:] == ["-0.5,-0.5,0", "-0.5,0,1", "0,-0.5,2", "0,0,3"]
