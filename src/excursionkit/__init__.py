@@ -25,7 +25,6 @@ from .tessellation import (
     WindowedHoneycomb,
     facet_normality_violation,
     hexagonal_honeycomb,
-    honeycomb_edge_csv,
     hypercubic_honeycomb,
     pyramid_identity_sum,
     voronoi_honeycomb_2d,
@@ -43,17 +42,12 @@ from .sampling import (
     sample_poisson_process,
 )
 from .estimators import (
-    CrossingRateResult,
-    EstimateReport,
     ExcursionIndicator,
     clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
-    crossing_rate_surface,
     exceedance_indicator,
-    first_order_surface_from_crossing,
     hypercubic_surface_fast,
-    make_report,
     surface_estimate,
     volume_estimate,
 )
@@ -85,9 +79,7 @@ __all__ = [
     "CovarianceModel",
     "CovarianceNotPositiveDefiniteError",
     "CroftonEstimate",
-    "CrossingRateResult",
     "EmbeddingNotNonnegativeDefiniteError",
-    "EstimateReport",
     "ExcursionIndicator",
     "FacetSet",
     "FieldSample",
@@ -108,21 +100,17 @@ __all__ = [
     "covariance_factor",
     "crofton_measure_mc",
     "crossing_frequency",
-    "crossing_rate_surface",
     "default_config",
     "exceedance_indicator",
     "extract_level_polyline_2d",
     "facet_normality_violation",
-    "first_order_surface_from_crossing",
     "gaussian_l1_limit",
     "gaussian_surface_density",
     "gaussian_volume_density",
     "hexagonal_honeycomb",
-    "honeycomb_edge_csv",
     "hypercubic_honeycomb",
     "hypercubic_surface_fast",
     "l1_weighted_length",
-    "make_report",
     "pyramid_identity_sum",
     "run_campaign",
     "sample_chi_square",

@@ -8,22 +8,18 @@ inverts that universal factor.  On a honeycomb whose cells do not tile T it
 misses the facets near the window edge, so it estimates the facet density of
 the inside-cell union, not of T.  ``clipped_surface_estimate`` is the
 plus-sampling edge correction for that case: flags on every cell meeting T,
-facet lengths clipped to T.  ``crossing_rate_surface`` is the one-pair
-shortcut: the crossing probability over a single lag q, rescaled by beta_d/q.
+facet lengths clipped to T.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import CovarianceModel, beta_d
 from .sampling import FieldSample, GridSpec, _rng
 from .tessellation import FacetSet, WindowedHoneycomb
-
-REPORT_CSV_HEADER = "d,delta,u,volume,surface_raw,surface_corrected,coverage"
 
 
 @dataclass(eq=False)
@@ -121,21 +117,6 @@ def hypercubic_surface_fast(values: np.ndarray, grid: GridSpec, u: float) -> flo
     return total / grid.window_volume
 
 
-def first_order_surface_from_crossing(p_hat: float, q: float, d: int) -> float:
-    """First-order surface density beta_d * p_hat / q from a crossing frequency."""
-    if q <= 0:
-        raise ValueError(f"lag must be positive, got {q}")
-    return beta_d(d) * p_hat / q
-
-
-@dataclass(frozen=True)
-class CrossingRateResult:
-    p_hat: float
-    surface_first_order: float
-    q: float
-    n_pairs: int
-
-
 def crossing_frequency(
     model: CovarianceModel, u: float, distance: float, n_pairs: int, seed: int
 ) -> float:
@@ -151,73 +132,3 @@ def crossing_frequency(
     x0 = z[0]
     x1 = rho * z[0] + np.sqrt(max(1.0 - rho * rho, 0.0)) * z[1]
     return float(np.count_nonzero((x0 <= u) & (x1 > u)) / n_pairs)
-
-
-def crossing_rate_surface(
-    model: CovarianceModel, u: float, q: float, d: int, n_pairs: int, seed: int
-) -> CrossingRateResult:
-    """Crossing-probability estimate of the surface density over lag q.
-
-    The rescaled rate beta_d * p_hat / q approaches the surface density from
-    below as q -> 0; at fixed q it underestimates by O(q).
-    """
-    if q <= 0:
-        raise ValueError(f"lag must be positive, got {q}")
-    p_hat = crossing_frequency(model, u, q, n_pairs, seed)
-    return CrossingRateResult(
-        p_hat=p_hat,
-        surface_first_order=first_order_surface_from_crossing(p_hat, q, d),
-        q=q,
-        n_pairs=n_pairs,
-    )
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """One set of excursion-geometry estimates with normalization metadata.
-
-    ``surface_corrected`` is always surface_raw * beta_d/(2d); ``coverage`` is
-    the inside-cell volume fraction of the window, reported so the
-    deterministic volume bias of partial coverage can be undone downstream.
-    """
-
-    d: int
-    delta: float
-    u: float
-    volume: float
-    surface_raw: float
-    surface_corrected: float
-    coverage: float
-    window_volume: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    def csv_row(self) -> str:
-        fields = (
-            str(self.d),
-            format(self.delta, ".17g"),
-            format(self.u, ".17g"),
-            format(self.volume, ".17g"),
-            format(self.surface_raw, ".17g"),
-            format(self.surface_corrected, ".17g"),
-            format(self.coverage, ".17g"),
-        )
-        return ",".join(fields)
-
-
-def make_report(
-    wh: WindowedHoneycomb, ind: ExcursionIndicator, delta: float | None = None
-) -> EstimateReport:
-    """Evaluate both estimators on a honeycomb and package the results."""
-    raw = surface_estimate(wh, ind)
-    return EstimateReport(
-        d=wh.d,
-        delta=wh.diameter_bound if delta is None else delta,
-        u=ind.u,
-        volume=volume_estimate(wh, ind),
-        surface_raw=raw,
-        surface_corrected=corrected_surface(raw, wh.d),
-        coverage=wh.coverage_ratio,
-        window_volume=wh.window.volume,
-    )

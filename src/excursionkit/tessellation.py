@@ -7,7 +7,7 @@ Three families are built here:
 
 * hypercubic lattices in any dimension d >= 2 (implicit cell geometry),
 * regular hexagonal tilings in 2D,
-* Voronoi diagrams of arbitrary 2D generator clouds.
+* Voronoi diagrams of arbitrary 2D generator clouds (``scipy.spatial.Voronoi``).
 
 Cells whose closure lies inside the observation window are the ones the
 paper's estimators operate on; facets between two such cells are "interior".
@@ -17,20 +17,18 @@ every cell that meets the window and clips facet lengths to it.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import Voronoi, cKDTree
 
 # geometric tolerances, in the spatial units of the tessellation
 DUPLICATE_TOL = 1e-12     # generators closer than this are merged
 CONTAINMENT_TOL = 1e-12   # slack for the closed-cell containment test
 MIN_FACET_FRACTION = 1e-12  # facets shorter than this fraction of the window scale are dropped
 NORMALITY_TOL = 1e-9      # angular tolerance of the facet/reference-difference check
-
-_BOX_EDGE = -1  # edge label for guard-box boundary pieces
 
 
 @dataclass(eq=False)
@@ -99,16 +97,6 @@ class FacetSet:
             endpoints=None if self.endpoints is None else self.endpoints[mask],
         )
 
-    @staticmethod
-    def empty(d: int) -> "FacetSet":
-        return FacetSet(
-            a=np.empty(0, dtype=np.int64),
-            b=np.empty(0, dtype=np.int64),
-            measure=np.empty(0),
-            normal=np.empty((0, d)),
-            endpoints=np.empty((0, 2, 2)) if d == 2 else None,
-        )
-
 
 @dataclass(eq=False)
 class Honeycomb:
@@ -116,11 +104,12 @@ class Honeycomb:
 
     Args:
         d: ambient dimension.
-        cells: list of (m_i, 2) CCW vertex arrays for Voronoi diagrams, one
-            (n, 6, 2) stack for hexagonal tilings, or None for the implicit
-            hypercubic lattice.
+        cells: list of (m_i, 2) CCW vertex arrays for Voronoi diagrams (the
+            Voronoi regions, clipped to the guard box where they cross it;
+            (0, 2) for a region wholly outside), one (n, 6, 2) stack for
+            hexagonal tilings, or None for the implicit hypercubic lattice.
         ref_points: (n, d) reference point of each cell.
-        cell_volumes: (n,) sigma_d measure of each (unclipped) cell.
+        cell_volumes: (n,) sigma_d measure of each cell (not clipped to the window).
         facets: all positive-measure shared facets, indexed by global cell id.
         window: the observation window T.
         window_areas: (n,) sigma_d(P intersect T) per cell.
@@ -404,11 +393,14 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
 def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb:
     """Voronoi tessellation of a 2D generator cloud, clipped to a guard box.
 
-    Each cell is the intersection of the bisector half-planes against its
-    Delaunay neighbors with the guard box (window expanded by ``guard``), so
-    every cell is bounded.  Generators are the reference points; facets lie on
-    perpendicular bisectors, which makes them orthogonal to the corresponding
-    generator difference by construction.
+    The diagram is one ``scipy.spatial.Voronoi`` call on the generators plus
+    four far sentinel points, which bound every generator's region; cells
+    that cross the guard box (window expanded by ``guard``) are clipped to
+    it.  Generators are the reference points.  Each facet is the Voronoi
+    ridge between two generators a < b, clipped to the guard box, so it is
+    orthogonal to their difference by construction; rows are sorted by
+    (a, b), and facets shorter than ``MIN_FACET_FRACTION`` of the longest
+    guard-box side are dropped.
 
     A cell meeting the window may still be cut by the guard box: at the
     bias-sweep guard of 1.5 unit-rate cell units, 409 of 33,838 such cells
@@ -454,105 +446,69 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
         raise ValueError(f"need at least 2 distinct generators, got {n}")
 
     guard_box = window.expanded(guard)
-    neighbors = _candidate_neighbors(points)
+    # Sentinels sit at the corners of a square 4 spans out from the centre of
+    # (guard box U cloud).  Every generator is then inside their hull, so its
+    # region is bounded, and inside that box any generator is nearer than any
+    # sentinel, so no sentinel bisector reaches it.
+    lo = np.minimum(guard_box.lo, points.min(axis=0))
+    hi = np.maximum(guard_box.hi, points.max(axis=0))
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    vor = Voronoi(np.vstack([points, 0.5 * (lo + hi) + 4.0 * float(np.max(hi - lo)) * corners]))
 
-    box_verts = np.array(
-        [
-            [guard_box.lo[0], guard_box.lo[1]],
-            [guard_box.hi[0], guard_box.lo[1]],
-            [guard_box.hi[0], guard_box.hi[1]],
-            [guard_box.lo[0], guard_box.hi[1]],
-        ]
+    # facets: the ridges between two generators, in (a, b) order
+    ridge = np.asarray(vor.ridge_points, dtype=np.int64)
+    real = np.all(ridge < n, axis=1)
+    ab = np.sort(ridge[real], axis=1)
+    order = np.lexsort((ab[:, 1], ab[:, 0]))
+    ab = ab[order]
+    ends = vor.vertices[np.asarray(vor.ridge_vertices)[real][order]]
+    ends = clip_segments_to_box(ends, guard_box)
+    measure = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    keep = measure > MIN_FACET_FRACTION * float(np.max(guard_box.side_lengths))
+    fa, fb = ab[keep, 0], ab[keep, 1]
+    diffs = points[fb] - points[fa]
+    facets = FacetSet(
+        a=fa,
+        b=fb,
+        measure=measure[keep],
+        normal=diffs / np.linalg.norm(diffs, axis=1)[:, None],
+        endpoints=ends[keep],
     )
-    box_labels = [_BOX_EDGE] * 4
 
-    min_len = MIN_FACET_FRACTION * float(np.max(guard_box.side_lengths))
-    cells = []
-    facet_map = {}
-    for i in range(n):
-        verts = box_verts
-        labels = box_labels
-        pi = points[i]
-        for j in neighbors[i]:
-            mid = 0.5 * (pi + points[j])
-            nrm = points[j] - pi
-            verts, labels = _clip_half_plane(verts, labels, nrm, float(nrm @ mid), int(j))
-            if len(verts) == 0:
-                break
-        cells.append(np.asarray(verts))
-        for k, lab in enumerate(labels):
-            if lab >= 0 and i < lab:
-                facet_map[(i, lab)] = (verts[k - 1], verts[k])
-
-    fa, fb, ends = [], [], []
-    for (i, j), (p0, p1) in facet_map.items():
-        if np.hypot(p1[0] - p0[0], p1[1] - p0[1]) > min_len:
-            fa.append(i)
-            fb.append(j)
-            ends.append((p0, p1))
-    fa = np.asarray(fa, dtype=np.int64)
-    fb = np.asarray(fb, dtype=np.int64)
-    if fa.size:
-        endpoints = np.asarray(ends).reshape(-1, 2, 2)
-        measure = np.linalg.norm(endpoints[:, 1] - endpoints[:, 0], axis=1)
-        diffs = points[fb] - points[fa]
-        normal = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-        facets = FacetSet(a=fa, b=fb, measure=measure, normal=normal, endpoints=endpoints)
-    else:
-        facets = FacetSet.empty(2)
+    # cells: each generator's region as a run of one flat vertex-id array
+    sizes = np.fromiter(map(len, vor.regions), np.int64, len(vor.regions))
+    flat = np.fromiter(chain.from_iterable(vor.regions), np.int64, int(sizes.sum()))
+    region = vor.point_region[:n]
+    counts = sizes[region]
+    stops = np.cumsum(counts)
+    cell = np.repeat(np.arange(n), counts)
+    pos = np.arange(stops[-1]) - (stops - counts)[cell]
+    first = (np.cumsum(sizes) - sizes)[region][cell]
+    v = vor.vertices[flat[first + pos]]
+    w = vor.vertices[flat[first + (pos + 1) % counts[cell]]]
+    twice_area = np.bincount(cell, v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0], minlength=n)
+    # Qhull lists regions in either orientation; reverse the clockwise ones
+    pos = np.where(twice_area[cell] < 0, counts[cell] - 1 - pos, pos)
+    cells = np.split(vor.vertices[flat[first + pos]], stops[:-1])
+    crosses = np.bincount(cell, ~guard_box.contains(v), minlength=n) > 0
+    for i in np.flatnonzero(crosses):
+        cells[i] = clip_polygon_to_box(cells[i], guard_box)
 
     return _polygon_honeycomb(cells, points, facets, window, duplicates_merged=merged)
 
 
-def _candidate_neighbors(points: np.ndarray) -> list:
-    """Per-generator candidate neighbor lists for bisector clipping.
-
-    Uses Delaunay adjacency when available: every Voronoi neighbor pair with a
-    positive-length shared facet appears in any Delaunay triangulation, and a
-    bisector constraint missing on a cocircular tie touches the cell in a
-    single point only, so clipping against Delaunay neighbors is exact.  Falls
-    back to all pairs for tiny or degenerate (collinear) clouds.
-    """
-    n = points.shape[0]
-    if n >= 4:
-        try:
-            tri = Delaunay(points)
-            indptr, idx = tri.vertex_neighbor_vertices
-            return [idx[indptr[i]:indptr[i + 1]] for i in range(n)]
-        except QhullError:
-            pass
-    everyone = np.arange(n)
-    return [everyone[everyone != i] for i in range(n)]
-
-
-def _clip_half_plane(verts, labels, normal_vec, offset, new_label):
-    """Clip a convex polygon with labeled edges against {x : normal . x <= offset}.
-
-    ``labels[k]`` is the label of the edge from vertex k-1 to vertex k.  Edge
-    pieces created on the clip line get ``new_label``.
-    """
-    m = len(verts)
+def _clip_half_plane(verts, normal_vec, offset):
+    """Clip a convex polygon (list of vertices) against {x : normal . x <= offset}."""
     vals = [float(v @ normal_vec) - offset for v in verts]
     ins = [val <= CONTAINMENT_TOL for val in vals]
-    out_v, out_l = [], []
-    for k in range(m):
-        s_in, e_in = ins[k - 1], ins[k]
-        if s_in and e_in:
-            out_v.append(verts[k])
-            out_l.append(labels[k])
-        elif s_in and not e_in:
+    out = []
+    for k in range(len(verts)):
+        if ins[k - 1] != ins[k]:
             t = vals[k - 1] / (vals[k - 1] - vals[k])
-            out_v.append(verts[k - 1] + t * (verts[k] - verts[k - 1]))
-            out_l.append(labels[k])
-        elif not s_in and e_in:
-            t = vals[k - 1] / (vals[k - 1] - vals[k])
-            out_v.append(verts[k - 1] + t * (verts[k] - verts[k - 1]))
-            out_l.append(new_label)
-            out_v.append(verts[k])
-            out_l.append(labels[k])
-    if len(out_v) < 3:
-        return [], []
-    return out_v, out_l
+            out.append(verts[k - 1] + t * (verts[k] - verts[k - 1]))
+        if ins[k]:
+            out.append(verts[k])
+    return out if len(out) >= 3 else []
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +526,11 @@ def _shoelace_area(verts) -> float:
 def clip_polygon_to_box(verts, box: Box):
     """Intersection of a convex CCW polygon with an axis-aligned 2D box."""
     v = [np.asarray(p, dtype=float) for p in verts]
-    labels = [_BOX_EDGE] * len(v)
     for sign, axis in ((1.0, 0), (1.0, 1), (-1.0, 0), (-1.0, 1)):
         nrm = np.zeros(2)
         nrm[axis] = sign
         offset = box.hi[axis] if sign > 0 else -box.lo[axis]
-        v, labels = _clip_half_plane(v, labels, nrm, float(offset), _BOX_EDGE)
+        v = _clip_half_plane(v, nrm, float(offset))
         if not v:
             return np.empty((0, 2))
     return np.asarray(v)
@@ -679,16 +634,6 @@ def _polygon_honeycomb(cells, ref_points, facets, window: Box, duplicates_merged
     return _windowed(parent, inside, duplicates_merged)
 
 
-def polygon_contains_point(verts, point, tol: float = 1e-12) -> bool:
-    """Membership test for a convex CCW polygon (closed, with slack tol)."""
-    v = np.asarray(verts)
-    p = np.asarray(point, dtype=float)
-    e = np.roll(v, -1, axis=0) - v
-    w = p - v
-    cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
-    return bool(np.all(cross >= -tol))
-
-
 def pyramid_identity_sum(wh: WindowedHoneycomb) -> float:
     """Sum over ordered interior facet pairs of measure * reference distance.
 
@@ -720,29 +665,3 @@ def facet_normality_violation(wh: WindowedHoneycomb) -> float:
     d_norm = np.linalg.norm(diff, axis=1)
     dots = np.abs(np.sum(tangent * diff, axis=1))
     return float(np.max(dots / (t_norm * d_norm)))
-
-
-def honeycomb_edge_csv(wh: WindowedHoneycomb, path) -> None:
-    """Write interior facets as a CSV edge list: ax,ay,bx,by,cell_a,cell_b,length.
-
-    Cell ids are positions in the inside-cell ordering, matching the indicator
-    alignment used by the estimators.
-    """
-    f = wh.interior_facets
-    if f.endpoints is None:
-        raise ValueError("edge export requires explicit 2D facet endpoints")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ax", "ay", "bx", "by", "cell_a", "cell_b", "length"])
-        for k in range(len(f)):
-            writer.writerow(
-                [
-                    format(f.endpoints[k, 0, 0], ".17g"),
-                    format(f.endpoints[k, 0, 1], ".17g"),
-                    format(f.endpoints[k, 1, 0], ".17g"),
-                    format(f.endpoints[k, 1, 1], ".17g"),
-                    int(f.a[k]),
-                    int(f.b[k]),
-                    format(f.measure[k], ".17g"),
-                ]
-            )

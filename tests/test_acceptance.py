@@ -99,8 +99,8 @@ def test_criterion_03_poisson_voronoi_bias():
     ok = lo <= fine["mean_ratio"] <= hi
     detail = (
         f"ratio(0.125)={fine['mean_ratio']:.4f}±{fine['stderr_ratio']:.4f} "
-        f"band=[{lo:.4f},{hi:.4f}]; the [-4,4]^2 window keeps only ~94% of the "
-        f"facet mass at this cell count, see README known-failure note"
+        f"band=[{lo:.4f},{hi:.4f}]; facets clipped to the [-4,4]^2 window, "
+        f"see README note on window edges"
     )
     assert _report(3, "Poisson-Voronoi bias 4/pi", ok, detail)
 

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -9,18 +8,12 @@ from hypothesis import given, settings, strategies as st
 from excursionkit.campaigns import default_config, run_campaign
 from excursionkit.densities import CovarianceModel, beta_d
 from excursionkit.estimators import (
-    REPORT_CSV_HEADER,
-    CrossingRateResult,
-    EstimateReport,
     ExcursionIndicator,
     clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
-    crossing_rate_surface,
     exceedance_indicator,
-    first_order_surface_from_crossing,
     hypercubic_surface_fast,
-    make_report,
     surface_estimate,
     volume_estimate,
 )
@@ -216,12 +209,6 @@ class TestClippedSurface:
 
 
 class TestCrossing:
-    def test_first_order_arithmetic(self):
-        # beta_2 * 0.1 / 0.2 = pi / 2
-        assert first_order_surface_from_crossing(0.1, 0.2, 2) == pytest.approx(
-            math.pi / 2.0, rel=1e-14
-        )
-
     def test_frequency_matches_closed_form(self):
         # P(X(0) <= 0 < X(q)) = arccos(rho)/(2 pi) for a centered bivariate pair
         q = 0.3
@@ -242,11 +229,9 @@ class TestCrossing:
     def test_estimate_below_density_over_lags(self):
         # the rescaled rate approaches the surface density from below
         for qi, q in enumerate((0.4, 0.1, 0.02)):
-            res = crossing_rate_surface(MODEL, 0.0, q, 2, 200_000, 1000 + qi)
-            se = beta_d(2) / q * math.sqrt(res.p_hat * (1 - res.p_hat) / res.n_pairs)
-            assert res.surface_first_order <= 0.5 + 3 * se
-            assert isinstance(res, CrossingRateResult)
-            assert res.q == q
+            p = crossing_frequency(MODEL, 0.0, q, 200_000, 1000 + qi)
+            se = beta_d(2) / q * math.sqrt(p * (1 - p) / 200_000)
+            assert beta_d(2) * p / q <= 0.5 + 3 * se
 
     def test_directed_crossing_bounded_by_surface_times_lag(self):
         # p(t) <= C* ||t|| / beta_d + Monte Carlo slack, in several directions
@@ -259,40 +244,3 @@ class TestCrossing:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             crossing_frequency(MODEL, 0.0, 0.1, 0, 1)
-        with pytest.raises(ValueError):
-            crossing_rate_surface(MODEL, 0.0, -0.1, 2, 100, 1)
-
-
-class TestReports:
-    def test_csv_row_matches_header(self):
-        rep = EstimateReport(
-            d=2, delta=0.25, u=0.0, volume=0.5, surface_raw=0.625,
-            surface_corrected=0.4908738521234052, coverage=1.0, window_volume=64.0,
-        )
-        assert REPORT_CSV_HEADER == "d,delta,u,volume,surface_raw,surface_corrected,coverage"
-        row = rep.csv_row()
-        fields = row.split(",")
-        assert len(fields) == len(REPORT_CSV_HEADER.split(","))
-        assert fields[0] == "2"
-        assert float(fields[3]) == 0.5
-        assert float(fields[4]) == 0.625
-
-    def test_json_round_trip(self):
-        rep = EstimateReport(
-            d=2, delta=0.5, u=1.0, volume=0.25, surface_raw=0.5,
-            surface_corrected=0.39269908169872414, coverage=1.0, window_volume=4.0,
-        )
-        data = json.loads(rep.to_json())
-        assert data["volume"] == 0.25
-        assert list(data.keys()) == sorted(data.keys())
-
-    def test_make_report_integration(self):
-        wh = hypercubic_honeycomb(1.0, 1, 2)
-        values = np.array([0.0, 1.0, 1.0, 0.0])
-        ind = exceedance_indicator(lattice_sample(wh, values), 0.5)
-        rep = make_report(wh, ind)
-        assert rep.volume == pytest.approx(0.5)
-        assert rep.surface_raw == pytest.approx(1.0)
-        assert rep.surface_corrected == pytest.approx(math.pi / 4.0)
-        assert rep.coverage == 1.0
-        assert rep.u == 0.5

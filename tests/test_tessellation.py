@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from excursionkit.sampling import sample_poisson_process
 from excursionkit.tessellation import (
     CONTAINMENT_TOL,
+    MIN_FACET_FRACTION,
     Box,
     FacetSet,
     _shoelace_area,
@@ -15,12 +16,20 @@ from excursionkit.tessellation import (
     clip_segments_to_box,
     facet_normality_violation,
     hexagonal_honeycomb,
-    honeycomb_edge_csv,
     hypercubic_honeycomb,
-    polygon_contains_point,
     pyramid_identity_sum,
     voronoi_honeycomb_2d,
 )
+
+
+def polygon_contains_point(verts, point, tol: float = 1e-12) -> bool:
+    """Membership test for a convex CCW polygon (closed, with slack tol)."""
+    v = np.asarray(verts)
+    p = np.asarray(point, dtype=float)
+    e = np.roll(v, -1, axis=0) - v
+    w = p - v
+    cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
+    return bool(np.all(cross >= -tol))
 
 
 class TestBox:
@@ -282,6 +291,97 @@ class TestHexagonalMatchesLoopReference:
         assert wh.parent.diameter_bound == diameter
 
 
+def _clip_labelled(verts, labels, normal_vec, offset, new_label):
+    """Half-plane clip of a convex polygon whose edges carry labels:
+    ``labels[k]`` names the edge from vertex k-1 to vertex k, and pieces
+    created on the clip line get ``new_label``."""
+    vals = [float(v @ normal_vec) - offset for v in verts]
+    ins = [val <= CONTAINMENT_TOL for val in vals]
+    out_v, out_l = [], []
+    for k in range(len(verts)):
+        s_in, e_in = ins[k - 1], ins[k]
+        if s_in != e_in:
+            t = vals[k - 1] / (vals[k - 1] - vals[k])
+            out_v.append(verts[k - 1] + t * (verts[k] - verts[k - 1]))
+            out_l.append(labels[k] if s_in else new_label)
+        if e_in:
+            out_v.append(verts[k])
+            out_l.append(labels[k])
+    if len(out_v) < 3:
+        return [], []
+    return out_v, out_l
+
+
+def _half_plane_voronoi(points, guard_box):
+    """Per-cell half-plane construction of the Voronoi diagram, the reference
+    for the scipy-based builder: each cell is the guard box clipped by the
+    bisectors against its Delaunay neighbors, and the clip-line labels give
+    the facets.  Returns the cells and {(a, b): length} with a < b."""
+    indptr, nbrs = Delaunay(points).vertex_neighbor_vertices
+    lo, hi = guard_box.lo, guard_box.hi
+    box = [np.array(c) for c in ([lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]])]
+    cells, lengths = [], {}
+    for i, p in enumerate(points):
+        verts, labels = box, [-1] * 4
+        for j in nbrs[indptr[i]:indptr[i + 1]]:
+            nrm = points[j] - p
+            verts, labels = _clip_labelled(verts, labels, nrm, float(nrm @ (0.5 * (p + points[j]))), int(j))
+            if not verts:
+                break
+        cells.append(np.asarray(verts))
+        for k, lab in enumerate(labels):
+            if lab > i:
+                lengths[(i, lab)] = float(np.linalg.norm(verts[k] - verts[k - 1]))
+    return cells, lengths
+
+
+class TestVoronoiMatchesHalfPlaneReference:
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_same_diagram_as_half_plane_builder(self, seed):
+        window = Box(np.full(2, -3.0), np.full(2, 3.0))
+        guard_box = window.expanded(0.5)
+        pts = sample_poisson_process(16.0, guard_box, seed)
+        wh = voronoi_honeycomb_2d(pts, window, guard=0.5)
+        cells, lengths = _half_plane_voronoi(pts, guard_box)
+        scale = float(np.max(guard_box.side_lengths))
+        pairs = sorted(k for k, m in lengths.items() if m > MIN_FACET_FRACTION * scale)
+        f = wh.parent.facets
+        assert list(zip(f.a.tolist(), f.b.tolist())) == pairs  # rows sorted by (a, b)
+        inside, areas, _ = _loop_window_stats(cells, window)
+        assert np.array_equal(wh.inside, inside)
+        assert np.array_equal(wh.meeting_index, np.flatnonzero(areas > 0))
+        # Voronoi vertices are rounded relative to their coordinates, not to
+        # the facet length, so the tolerance is relative to the guard-box side
+        # (its square for areas): short facets differ by up to ~1e-9 of their
+        # own length, but by less than 1e-13 in absolute terms
+        tol = 1e-12 * scale
+        assert np.allclose(f.measure, [lengths[k] for k in pairs], rtol=0, atol=tol)
+        assert np.allclose(wh.parent.window_areas, areas, rtol=0, atol=tol * scale)
+        volumes = [_shoelace_area(c) for c in cells]
+        assert np.allclose(wh.parent.cell_volumes, volumes, rtol=0, atol=tol * scale)
+        # each generator in the guard box lies in its own cell, which needs CCW order
+        for i in np.flatnonzero(guard_box.contains(pts)):
+            assert polygon_contains_point(wh.parent.cells[i], pts[i])
+
+
+class TestPoissonVoronoiFacetDensity:
+    def test_clipped_facet_length_per_area_is_two_sqrt_rate(self):
+        # The edge length per unit area of a rate-lambda Poisson-Voronoi
+        # tessellation is 2 sqrt(lambda) (Okabe, Boots, Sugihara & Chiu,
+        # Spatial Tessellations, 2000).  At about 1,024 cells per window the
+        # ratio of one cloud spread with sd 0.017 over 30 clouds, so the mean
+        # of 8 has sd 0.006 and the 3% tolerance is 5 of those.
+        rate, guard = 16.0, 0.375  # guard of 1.5 mean cell spacings, as in the bias sweep
+        window = Box(np.full(2, -4.0), np.full(2, 4.0))
+        ratios = []
+        for seed in range(8):
+            pts = sample_poisson_process(rate, window.expanded(guard), seed)
+            wh = voronoi_honeycomb_2d(pts, window, guard)
+            density = wh.clipped_facets().measure.sum() / window.volume
+            ratios.append(density / (2.0 * math.sqrt(rate)))
+        assert abs(np.mean(ratios) - 1.0) < 0.03
+
+
 class TestVoronoiTwoGenerators:
     WINDOW = Box(np.array([-1.0, -1.0]), np.array([2.0, 1.0]))
 
@@ -474,18 +574,3 @@ class TestPolygonHelpers:
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         assert polygon_contains_point(square, np.array([0.5, 0.5]))
         assert not polygon_contains_point(square, np.array([1.5, 0.5]))
-
-
-class TestEdgeCsv:
-    def test_two_generator_export(self, tmp_path):
-        window = Box(np.array([-1.0, -1.0]), np.array([2.0, 1.0]))
-        wh = voronoi_honeycomb_2d(np.array([[0.0, 0.0], [1.0, 0.0]]), window, guard=0.0)
-        path = tmp_path / "edges.csv"
-        honeycomb_edge_csv(wh, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "ax,ay,bx,by,cell_a,cell_b,length"
-        assert len(lines) == 2
-        fields = lines[1].split(",")
-        assert float(fields[0]) == pytest.approx(0.5)
-        assert float(fields[2]) == pytest.approx(0.5)
-        assert float(fields[6]) == pytest.approx(2.0)
