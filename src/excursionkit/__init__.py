@@ -9,7 +9,6 @@ rates, random-line boundary measures, and joint fluctuation scaling.
 
 from .densities import (
     CovarianceModel,
-    ReferenceDensities,
     beta_d,
     bias_factor,
     chisq_surface_density,
@@ -32,7 +31,6 @@ from .tessellation import (
 from .sampling import (
     CovarianceNotPositiveDefiniteError,
     EmbeddingNotNonnegativeDefiniteError,
-    FieldSample,
     GridSpec,
     PointCapacityError,
     covariance_factor,
@@ -42,7 +40,6 @@ from .sampling import (
     sample_poisson_process,
 )
 from .estimators import (
-    ExcursionIndicator,
     clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
@@ -80,15 +77,12 @@ __all__ = [
     "CovarianceNotPositiveDefiniteError",
     "CroftonEstimate",
     "EmbeddingNotNonnegativeDefiniteError",
-    "ExcursionIndicator",
     "FacetSet",
-    "FieldSample",
     "GridSpec",
     "Honeycomb",
     "LevelPolyline",
     "McCampaignResult",
     "PointCapacityError",
-    "ReferenceDensities",
     "WindowedHoneycomb",
     "beta_d",
     "bias_factor",

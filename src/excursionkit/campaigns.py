@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
-from scipy import stats
 
 from .densities import (
     CovarianceModel,
@@ -354,10 +353,10 @@ def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec
     def task(t):
         key = _rep_seed(cfg.seed, si, t)
         if cfg.model == "gaussian":
-            halves = sample_gaussian_grid(model, grid, key, pair=True)
+            halves = sample_gaussian_grid(model, grid, key)
         else:
-            halves = sample_chi_square(model, cfg.k, grid, key, pair=True)
-        return [estimate(half.values) for half in halves]
+            halves = sample_chi_square(model, cfg.k, grid, key)
+        return [estimate(half) for half in halves]
 
     return task
 
@@ -415,8 +414,8 @@ def _bias_spec(cfg: CampaignConfig):
             factor = covariance_factor(model, refs, cfg.point_cap)
 
             def one(rep):
-                sample = _point_values(cfg, model, refs, _rep_seed(cfg.seed, si, rep), factor)
-                return surface_estimate(wh, exceedance_indicator(sample, cfg.u))
+                values = _point_values(cfg, model, refs, _rep_seed(cfg.seed, si, rep), factor)
+                return surface_estimate(wh, exceedance_indicator(values, cfg.u))
 
         else:  # voronoi: fresh unit-rate cloud per replicate, scaled by delta
             def one(rep):
@@ -426,10 +425,10 @@ def _bias_spec(cfg: CampaignConfig):
                 if pts.shape[0] < 2:
                     return 0.0
                 wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
-                sample = _point_values(
+                values = _point_values(
                     cfg, model, wh.ref_points_meeting, _rep_seed(cfg.seed, si, rep, 1)
                 )
-                return clipped_surface_estimate(wh, exceedance_indicator(sample, cfg.u))
+                return clipped_surface_estimate(wh, exceedance_indicator(values, cfg.u))
 
         return one
 
@@ -501,6 +500,8 @@ def _clt_spec(cfg: CampaignConfig):
         )
 
     def reduce(half_extent, pairs):
+        from scipy import stats  # slow to import, and only this reduction uses it
+
         pairs = np.array(pairs)
         vol, surf = pairs[:, 0], pairs[:, 1]
         sigma_t = GridSpec(cfg.d, half_extent, delta).window_volume

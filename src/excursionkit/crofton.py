@@ -10,35 +10,15 @@ of the lattice surface estimator in 2D.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .sampling import FieldSample, GridSpec, _rng
+from .sampling import GridSpec, _rng
 
-UNIT_TOL = 1e-12       # tolerance for unit-norm and orthogonality checks
 _CHUNK = 200_000       # lines evaluated per vectorized batch
 _GAUSS_NODES = 96      # Gauss-Legendre nodes; overkill for these analytic integrands
-
-
-@dataclass(frozen=True)
-class ParamLine:
-    """Line {v + t*s : t real} with unit direction s and offset v orthogonal to s."""
-
-    direction: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.direction, dtype=float)
-        v = np.asarray(self.offset, dtype=float)
-        if abs(np.linalg.norm(s) - 1.0) > UNIT_TOL:
-            raise ValueError("direction must be a unit vector")
-        if abs(float(s @ v)) > UNIT_TOL:
-            raise ValueError("offset must be orthogonal to the direction")
-        object.__setattr__(self, "direction", s)
-        object.__setattr__(self, "offset", v)
 
 
 @dataclass(frozen=True)
@@ -211,16 +191,6 @@ class LevelPolyline:
     def total_length(self) -> float:
         return float(np.sum(self.lengths))
 
-    def to_csv(self, path) -> None:
-        """Write segments as CSV rows x1,y1,x2,y2,nx,ny."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x1", "y1", "x2", "y2", "nx", "ny"])
-            for seg, nrm in zip(self.segments, self.normals):
-                writer.writerow(
-                    [format(x, ".17g") for x in (seg[0, 0], seg[0, 1], seg[1, 0], seg[1, 1], nrm[0], nrm[1])]
-                )
-
 
 # segment endpoints per marching-squares case, as pairs of edge names;
 # saddle cases 5 and 10 are resolved by the cell-center average at runtime
@@ -240,8 +210,11 @@ _CASE_SEGMENTS = {
 }
 
 
-def extract_level_polyline_2d(sample: FieldSample, grid: GridSpec, u: float) -> LevelPolyline:
+def extract_level_polyline_2d(values: np.ndarray, grid: GridSpec, u: float) -> LevelPolyline:
     """Marching-squares level curve of a gridded 2D field at level u.
+
+    ``values`` holds the field at the grid nodes, in the row-major order of
+    ``grid.nodes()``.
 
     Crossing points are linearly interpolated along cell edges; each segment
     carries a unit normal from the central-difference gradient, bilinearly
@@ -251,7 +224,7 @@ def extract_level_polyline_2d(sample: FieldSample, grid: GridSpec, u: float) -> 
     """
     if grid.d != 2:
         raise ValueError("level-curve extraction is 2D only")
-    vals = np.asarray(sample.values).reshape(grid.shape)
+    vals = np.asarray(values).reshape(grid.shape)
     coords = grid.axis_coords
     delta = grid.spacing
 

@@ -178,33 +178,3 @@ class CovarianceModel:
 
     def tag(self) -> str:
         return f"sqexp(ell={self.length_scale!r})"
-
-
-@dataclass(frozen=True)
-class ReferenceDensities:
-    """Analytic volume and surface densities at one level, used as test targets."""
-
-    d: int
-    u: float
-    c_d_star: float
-    c_dm1_star: float
-
-    @staticmethod
-    def gaussian(u: float, model: CovarianceModel, d: int) -> "ReferenceDensities":
-        lam = model.second_spectral_moment
-        return ReferenceDensities(
-            d=d,
-            u=u,
-            c_d_star=gaussian_volume_density(u),
-            c_dm1_star=gaussian_surface_density(u, lam, d),
-        )
-
-    @staticmethod
-    def chi_square(u: float, model: CovarianceModel, d: int, k: int) -> "ReferenceDensities":
-        lam = model.second_spectral_moment
-        return ReferenceDensities(
-            d=d,
-            u=u,
-            c_d_star=chisq_volume_density(u, k),
-            c_dm1_star=chisq_surface_density(u, lam, d, k),
-        )

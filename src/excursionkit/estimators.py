@@ -8,60 +8,52 @@ inverts that universal factor.  On a honeycomb whose cells do not tile T it
 misses the facets near the window edge, so it estimates the facet density of
 the inside-cell union, not of T.  ``clipped_surface_estimate`` is the
 plus-sampling edge correction for that case: flags on every cell meeting T,
-facet lengths clipped to T.
+facet lengths clipped to T.  Each estimator is a function of the windowed
+honeycomb and one boolean exceedance flag per cell, ``exceedance_indicator``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .densities import CovarianceModel, beta_d
-from .sampling import FieldSample, GridSpec, _rng
+from .sampling import GridSpec, _rng
 from .tessellation import FacetSet, WindowedHoneycomb
 
 
-@dataclass(eq=False)
-class ExcursionIndicator:
-    """Per-cell exceedance flags 1{X(ref point) >= u}; ties count as exceedance."""
-
-    flags: np.ndarray
-    u: float
-    source_tag: str = ""
+def exceedance_indicator(values: np.ndarray, u: float) -> np.ndarray:
+    """Per-cell flags 1{X(ref point) >= u}; exact ties count as exceedances."""
+    return np.asarray(values) >= u
 
 
-def exceedance_indicator(sample: FieldSample, u: float) -> ExcursionIndicator:
-    """Threshold a field sample at level u (>=, so exact ties are exceedances)."""
-    return ExcursionIndicator(flags=sample.values >= u, u=u, source_tag=sample.model_tag)
+def _check_flags(flags: np.ndarray, n_cells: int, cells: str) -> None:
+    if flags.shape[0] != n_cells:
+        raise ValueError(f"indicator has {flags.shape[0]} flags for {n_cells} {cells}")
 
 
-def _check_alignment(wh: WindowedHoneycomb, ind: ExcursionIndicator) -> None:
-    if ind.flags.shape[0] != wh.n_inside:
-        raise ValueError(
-            f"indicator has {ind.flags.shape[0]} flags for {wh.n_inside} inside cells"
-        )
-
-
-def volume_estimate(wh: WindowedHoneycomb, ind: ExcursionIndicator) -> float:
+def volume_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
     """Volume fraction: sum of inside-cell volumes with exceeding reference points,
-    normalized by the window volume (not by the covered volume)."""
-    _check_alignment(wh, ind)
-    return float(np.sum(wh.cell_volumes_inside[ind.flags]) / wh.window.volume)
+    normalized by the window volume (not by the covered volume).
+
+    ``flags`` holds one flag per inside cell, in ``wh.inside_index`` order.
+    """
+    _check_flags(flags, wh.n_inside, "inside cells")
+    return float(np.sum(wh.cell_volumes_inside[flags]) / wh.window.volume)
 
 
-def surface_estimate(wh: WindowedHoneycomb, ind: ExcursionIndicator) -> float:
+def surface_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
     """Crossing-weighted interior facet measure per unit window volume.
 
+    ``flags`` holds one flag per inside cell, in ``wh.inside_index`` order.
     A facet contributes when its two cells sit on opposite sides of the level;
     exactly one of the two orderings satisfies the crossing indicator, so the
     unordered pass of ``_crossing_density`` equals the ordered double sum.
     """
-    _check_alignment(wh, ind)
-    return _crossing_density(wh.interior_facets, ind.flags, wh.window.volume)
+    _check_flags(flags, wh.n_inside, "inside cells")
+    return _crossing_density(wh.interior_facets, flags, wh.window.volume)
 
 
-def clipped_surface_estimate(wh: WindowedHoneycomb, ind: ExcursionIndicator) -> float:
+def clipped_surface_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
     """Crossing-weighted facet measure inside the window, per unit window volume.
 
     Plus-sampling edge correction of ``surface_estimate``: the flags are
@@ -70,12 +62,8 @@ def clipped_surface_estimate(wh: WindowedHoneycomb, ind: ExcursionIndicator) -> 
     clipped to the window.  Equals ``surface_estimate`` bit for bit when every
     cell meeting the window lies inside it.
     """
-    n_meeting = wh.meeting_index.size
-    if ind.flags.shape[0] != n_meeting:
-        raise ValueError(
-            f"indicator has {ind.flags.shape[0]} flags for {n_meeting} cells meeting the window"
-        )
-    return _crossing_density(wh.clipped_facets(), ind.flags, wh.window.volume)
+    _check_flags(flags, wh.meeting_index.size, "cells meeting the window")
+    return _crossing_density(wh.clipped_facets(), flags, wh.window.volume)
 
 
 def _crossing_density(f: FacetSet, flags: np.ndarray, window_volume: float) -> float:

@@ -4,16 +4,15 @@ Gaussian fields on regular grids are drawn exactly by circulant embedding
 (FFT on a padded torus).  One draw fills the torus spectrum with complex
 white noise, so the real and the imaginary part of its inverse FFT are two
 independent exact fields (Wood & Chan 1994; Dietrich & Newsam 1997);
-``sample_gaussian_grid(..., pair=True)`` returns both.  Scattered locations
-use a dense Cholesky factor of the covariance matrix.  All samplers are pure
-functions of (model, locations, seed): the RNG is a Philox counter generator
-keyed by the seed, so replicates can run on any number of threads in any
-order and still reproduce bit for bit.
+``sample_gaussian_grid`` returns both as plain value arrays.  Scattered
+locations use a dense Cholesky factor of the covariance matrix and give one
+value array.  All samplers are pure functions of (model, locations, seed):
+the RNG is a Philox counter generator keyed by the seed, so replicates can
+run on any number of threads in any order and still reproduce bit for bit.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -100,41 +99,6 @@ class GridSpec:
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-class FieldSample:
-    """Field values attached to sample locations.
-
-    Identical (model, locations, seed) triples reproduce identical values bit
-    for bit; ``model_tag`` records the generating model and RNG for provenance.
-    ``locations`` may be given as a GridSpec: the (n_nodes, d) node array is
-    then built on first read, so a caller that reads only the values never
-    pays for it.
-    """
-
-    def __init__(self, locations, values: np.ndarray, seed, model_tag: str):
-        n = locations.n_nodes if isinstance(locations, GridSpec) else locations.shape[0]
-        if n != values.shape[0]:
-            raise ValueError("locations and values must have equal length")
-        self._locations = locations
-        self.values = values
-        self.seed = seed
-        self.model_tag = model_tag
-
-    @property
-    def locations(self) -> np.ndarray:
-        if isinstance(self._locations, GridSpec):
-            self._locations = self._locations.nodes()
-        return self._locations
-
-    def to_csv(self, path) -> None:
-        """Dump the sample as CSV with header x1,...,xd,value."""
-        d = self.locations.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(d)] + ["value"])
-            for loc, val in zip(self.locations, self.values):
-                writer.writerow([format(x, ".17g") for x in loc] + [format(val, ".17g")])
-
-
 def _rng(seed_key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
 
@@ -207,10 +171,29 @@ def _pruned_ifftn(spectral: np.ndarray, shape: tuple) -> np.ndarray:
     return z
 
 
-def _gaussian_grid_values(model: CovarianceModel, grid: GridSpec, seed_key) -> tuple:
-    """Two independent exact fields at the grid nodes from one FFT: (real, imaginary)."""
+def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> tuple:
+    """Draw two independent zero-mean unit-variance Gaussian fields at the grid nodes.
+
+    The draw is exact: the covariance of each returned array equals the
+    model covariance at every pair of nodes, up to floating-point rounding.
+    One draw is one complex inverse FFT whose real and imaginary parts are
+    the two fields.
+
+    Parameters
+    ----------
+    model : CovarianceModel
+    grid : GridSpec
+    seed : int or tuple of int
+        Replicate seed key.
+
+    Returns
+    -------
+    tuple of two ndarray
+        The (real, imaginary) halves, each of length ``grid.n_nodes`` in the
+        row-major node order of ``grid.nodes()``.
+    """
     sqrt_lam, dims = _embedding_spectrum(model.length_scale, grid.spacing, grid.shape)
-    noise = _rng(seed_key).standard_normal((2,) + dims)
+    noise = _rng(seed).standard_normal((2,) + dims)
     spectral = np.empty(dims, dtype=complex)
     np.multiply(sqrt_lam, noise[0], out=spectral.real)
     np.multiply(sqrt_lam, noise[1], out=spectral.imag)
@@ -218,41 +201,6 @@ def _gaussian_grid_values(model: CovarianceModel, grid: GridSpec, seed_key) -> t
     z = _pruned_ifftn(spectral, grid.shape)
     z *= np.sqrt(float(np.prod(dims)))
     return np.ascontiguousarray(z.real).reshape(-1), np.ascontiguousarray(z.imag).reshape(-1)
-
-
-def _grid_samples(grid: GridSpec, halves, seed, tag: str, pair: bool):
-    """The real-half sample, or the samples of both halves when ``pair`` is set."""
-    real = FieldSample(grid, halves[0], seed, tag)
-    if not pair:
-        return real
-    return real, FieldSample(grid, halves[1], seed, f"{tag}, imaginary half")
-
-
-def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed: int, pair: bool = False):
-    """Draw a zero-mean unit-variance Gaussian field at the grid nodes.
-
-    The draw is exact: the covariance of the returned values equals the model
-    covariance at every pair of nodes, up to floating-point rounding.  One
-    draw is one complex inverse FFT whose real and imaginary parts are two
-    independent fields; the real half is returned, or both with ``pair``.
-
-    Parameters
-    ----------
-    model : CovarianceModel
-    grid : GridSpec
-    seed : int
-        64-bit replicate seed.
-    pair : bool
-        Return the (real half, imaginary half) samples of the draw.
-
-    Returns
-    -------
-    FieldSample or tuple of two FieldSample
-        Values in the row-major node order of ``grid.nodes()``; the node
-        array is built only if ``locations`` is read.
-    """
-    halves = _gaussian_grid_values(model, grid, seed)
-    return _grid_samples(grid, halves, seed, f"gaussian-grid[{model.tag()}, philox]", pair)
 
 
 def covariance_factor(
@@ -326,7 +274,7 @@ def sample_gaussian_points(
     seed: int,
     max_points: int = DEFAULT_POINT_CAP,
     factor: np.ndarray | None = None,
-) -> FieldSample:
+) -> np.ndarray:
     """Exact Gaussian draw at scattered locations via dense Cholesky.
 
     Parameters
@@ -343,16 +291,11 @@ def sample_gaussian_points(
 
     Returns
     -------
-    FieldSample
+    ndarray
+        (n,) values in the order of ``points``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = _draw(_point_factor(model, points, max_points, factor), seed)
-    return FieldSample(
-        locations=points,
-        values=values,
-        seed=seed,
-        model_tag=f"gaussian-points[{model.tag()}, philox]",
-    )
+    return _draw(_point_factor(model, points, max_points, factor), seed)
 
 
 def sample_chi_square(
@@ -362,16 +305,15 @@ def sample_chi_square(
     seed: int,
     max_points: int = DEFAULT_POINT_CAP,
     factor: np.ndarray | None = None,
-    pair: bool = False,
 ):
     """Chi-square field with k degrees of freedom: sum of k squared Gaussian draws.
 
     Component fields are independent, with sub-seeds derived from
     (seed, component) through the SeedSequence hash, so the draw is
     reproducible and component order is immaterial.  On a grid each
-    component is one FFT draw whose two halves are independent: the field
-    sums the real halves, and with ``pair`` a second field sums the
-    imaginary halves of the same k draws.
+    component is one ``sample_gaussian_grid`` draw whose two halves are
+    independent, and two fields are returned: one sums the real halves, the
+    other the imaginary halves of the same k draws.
 
     Parameters
     ----------
@@ -386,28 +328,29 @@ def sample_chi_square(
     factor : ndarray, optional
         Precomputed ``covariance_factor`` for scattered points.  All k
         components are drawn from one factor either way.
-    pair : bool
-        Grid only: return the (real-half, imaginary-half) samples.
+
+    Returns
+    -------
+    tuple of two ndarray or ndarray
+        On a grid the (real-half, imaginary-half) fields, in the node order
+        of ``locations.nodes()``; on scattered points one (n,) array.
     """
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
-    tag = f"chi-square[K={k}, {model.tag()}, philox]"
     if isinstance(locations, GridSpec):
-        halves = np.zeros((2, locations.n_nodes))
+        real, imag = np.zeros((2, locations.n_nodes))
         for comp in range(k):
-            draw = _gaussian_grid_values(model, locations, _flat_key(seed, comp))
-            for acc, g in zip(halves, draw):
-                acc += g * g
-        return _grid_samples(locations, halves, seed, tag, pair)
-    if pair:
-        raise ValueError("pair draws exist on grids only")
+            re, im = sample_gaussian_grid(model, locations, _flat_key(seed, comp))
+            real += re * re
+            imag += im * im
+        return real, imag
     pts = np.atleast_2d(np.asarray(locations, dtype=float))
     factor = _point_factor(model, pts, max_points, factor)
     values = np.zeros(pts.shape[0])
     for comp in range(k):
         g = _draw(factor, _flat_key(seed, comp))
         values += g * g
-    return FieldSample(locations=pts, values=values, seed=seed, model_tag=tag)
+    return values
 
 
 def sample_poisson_process(rate: float, box, seed: int) -> np.ndarray:

@@ -88,15 +88,6 @@ class FacetSet:
     def __len__(self) -> int:
         return self.a.size
 
-    def select(self, mask: np.ndarray) -> "FacetSet":
-        return FacetSet(
-            a=self.a[mask],
-            b=self.b[mask],
-            measure=self.measure[mask],
-            normal=self.normal[mask],
-            endpoints=None if self.endpoints is None else self.endpoints[mask],
-        )
-
 
 @dataclass(eq=False)
 class Honeycomb:
@@ -133,7 +124,7 @@ class WindowedHoneycomb:
     ``inside`` marks cells entirely contained in the closed window;
     ``interior_facets`` keeps only facets between two inside cells, with cell
     indices remapped to positions in the inside-cell ordering (the ordering
-    used by field samples and excursion indicators).  ``meeting_index`` and
+    of the field values and exceedance flags).  ``meeting_index`` and
     ``clipped_facets`` give the window-clipped view over every cell with
     positive area in the window.
     """

@@ -22,11 +22,7 @@ from excursionkit.densities import (
     gaussian_l1_limit,
     gaussian_surface_density,
 )
-from excursionkit.estimators import (
-    ExcursionIndicator,
-    hypercubic_surface_fast,
-    surface_estimate,
-)
+from excursionkit.estimators import hypercubic_surface_fast, surface_estimate
 from excursionkit.sampling import GridSpec, sample_gaussian_grid
 from excursionkit.tessellation import hypercubic_honeycomb
 
@@ -179,10 +175,10 @@ def test_criterion_09_l1_oracle_consistency():
     sigma = fine.window_volume
     err_fine, err_coarse = [], []
     for s in range(50):
-        sample = sample_gaussian_grid(model, fine, (SEED, 9, s))
-        field = sample.values.reshape(fine.shape)
-        oracle = l1_weighted_length(extract_level_polyline_2d(sample, fine, 0.0)) / sigma
-        est_fine = hypercubic_surface_fast(sample.values, fine, 0.0)
+        values = sample_gaussian_grid(model, fine, (SEED, 9, s))[0]
+        field = values.reshape(fine.shape)
+        oracle = l1_weighted_length(extract_level_polyline_2d(values, fine, 0.0)) / sigma
+        est_fine = hypercubic_surface_fast(values, fine, 0.0)
         sub = np.ascontiguousarray(field[::4, ::4]).reshape(-1)
         est_coarse = hypercubic_surface_fast(sub, coarse, 0.0)
         err_fine.append(abs(est_fine - oracle))
@@ -229,8 +225,7 @@ def test_criterion_11_fast_path_exactness():
             wh = hypercubic_honeycomb(delta, n, d)
             values = rng.standard_normal(grid.n_nodes)
             u = float(rng.standard_normal())
-            ind = ExcursionIndicator(flags=values >= u, u=u)
-            if hypercubic_surface_fast(values, grid, u) != surface_estimate(wh, ind):
+            if hypercubic_surface_fast(values, grid, u) != surface_estimate(wh, values >= u):
                 mismatches += 1
             trials += 1
     ok = mismatches == 0 and trials == 100

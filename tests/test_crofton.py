@@ -7,7 +7,6 @@ import pytest
 from excursionkit.crofton import (
     CroftonEstimate,
     LevelPolyline,
-    ParamLine,
     circle_shape,
     crofton_measure_mc,
     extract_level_polyline_2d,
@@ -16,29 +15,8 @@ from excursionkit.crofton import (
     square_shape,
 )
 from excursionkit.densities import beta_d
-from excursionkit.sampling import FieldSample, GridSpec, sample_gaussian_grid
+from excursionkit.sampling import GridSpec, sample_gaussian_grid
 from excursionkit.densities import CovarianceModel
-
-
-def field_on(grid, fn, tag="analytic"):
-    nodes = grid.nodes()
-    return FieldSample(
-        locations=nodes, values=fn(nodes), seed=0, model_tag=tag
-    )
-
-
-class TestParamLine:
-    def test_accepts_unit_orthogonal(self):
-        line = ParamLine(direction=np.array([1.0, 0.0]), offset=np.array([0.0, 2.0]))
-        assert line.direction.shape == (2,)
-
-    def test_rejects_non_unit_direction(self):
-        with pytest.raises(ValueError):
-            ParamLine(direction=np.array([2.0, 0.0]), offset=np.zeros(2))
-
-    def test_rejects_non_orthogonal_offset(self):
-        with pytest.raises(ValueError):
-            ParamLine(direction=np.array([1.0, 0.0]), offset=np.array([1.0, 1.0]))
 
 
 class TestSphereL1Average:
@@ -108,8 +86,8 @@ class TestCroftonMc:
 class TestLevelPolyline:
     def test_vertical_level_line(self):
         grid = GridSpec(2, 40, 0.1)
-        sample = field_on(grid, lambda p: p[:, 0])
-        poly = extract_level_polyline_2d(sample, grid, 0.0)
+        values = grid.nodes()[:, 0]
+        poly = extract_level_polyline_2d(values, grid, 0.0)
         # the zero set x = 0 spans the node range [-4, 3.9]
         assert poly.total_length() == pytest.approx(7.9, rel=1e-9)
         assert np.allclose(np.abs(poly.normals[:, 0]), 1.0)
@@ -117,52 +95,48 @@ class TestLevelPolyline:
 
     def test_diagonal_level_line_l1_weight(self):
         grid = GridSpec(2, 40, 0.1)
-        sample = field_on(grid, lambda p: p[:, 0] + p[:, 1])
-        poly = extract_level_polyline_2d(sample, grid, 0.0)
+        nodes = grid.nodes()
+        values = nodes[:, 0] + nodes[:, 1]
+        poly = extract_level_polyline_2d(values, grid, 0.0)
         assert poly.total_length() == pytest.approx(7.8 * math.sqrt(2), rel=1e-6)
         # normals are (1,1)/sqrt(2): the l1 weight is sqrt(2) per unit length
         assert l1_weighted_length(poly) == pytest.approx(2 * 7.8, rel=1e-6)
 
     def test_circle_level_line(self):
         grid = GridSpec(2, 400, 0.01)
-        sample = field_on(grid, lambda p: -np.hypot(p[:, 0], p[:, 1]))
-        poly = extract_level_polyline_2d(sample, grid, -1.0)
+        nodes = grid.nodes()
+        values = -np.hypot(nodes[:, 0], nodes[:, 1])
+        poly = extract_level_polyline_2d(values, grid, -1.0)
         assert poly.total_length() == pytest.approx(2.0 * math.pi, rel=0.005)
         # average of ||n||_1 over the circle is 4/pi
         assert l1_weighted_length(poly) == pytest.approx(8.0, rel=0.01)
 
     def test_constant_field_empty(self):
         grid = GridSpec(2, 10, 0.2)
-        sample = field_on(grid, lambda p: np.ones(p.shape[0]))
-        poly = extract_level_polyline_2d(sample, grid, 0.0)
+        values = np.ones(grid.n_nodes)
+        poly = extract_level_polyline_2d(values, grid, 0.0)
         assert poly.segments.shape == (0, 2, 2)
         assert poly.total_length() == 0.0
 
     def test_l1_at_least_euclidean(self):
         grid = GridSpec(2, 30, 0.2)
-        sample = sample_gaussian_grid(CovarianceModel(1.0), grid, 55)
-        poly = extract_level_polyline_2d(sample, grid, 0.3)
+        values = sample_gaussian_grid(CovarianceModel(1.0), grid, 55)[0]
+        poly = extract_level_polyline_2d(values, grid, 0.3)
         assert l1_weighted_length(poly) >= poly.total_length() - 1e-9
 
     def test_saddles_recorded(self):
         # four-node checkerboard forces the ambiguous case
         grid = GridSpec(2, 1, 1.0)
-        sample = FieldSample(
-            locations=grid.nodes(),
-            values=np.array([1.0, -1.0, -1.0, 1.0]),
-            seed=0,
-            model_tag="saddle",
-        )
-        poly = extract_level_polyline_2d(sample, grid, 0.0)
+        poly = extract_level_polyline_2d(np.array([1.0, -1.0, -1.0, 1.0]), grid, 0.0)
         assert poly.saddle_cells == 1
         assert poly.segments.shape[0] == 2
 
     def test_segment_endpoints_on_level(self):
         grid = GridSpec(2, 20, 0.25)
-        sample = sample_gaussian_grid(CovarianceModel(1.0), grid, 77)
+        values = sample_gaussian_grid(CovarianceModel(1.0), grid, 77)[0]
         u = 0.4
-        poly = extract_level_polyline_2d(sample, grid, u)
-        vals = sample.values.reshape(grid.shape)
+        poly = extract_level_polyline_2d(values, grid, u)
+        vals = values.reshape(grid.shape)
         coords = grid.axis_coords
         # bilinear interpolation of the field at segment endpoints returns u
         for seg in poly.segments[:50]:
@@ -179,23 +153,10 @@ class TestLevelPolyline:
                 )
                 assert v == pytest.approx(u, abs=1e-9)
 
-    def test_csv_export(self, tmp_path):
-        grid = GridSpec(2, 4, 0.5)
-        sample = field_on(grid, lambda p: p[:, 0])
-        poly = extract_level_polyline_2d(sample, grid, 0.0)
-        path = tmp_path / "level.csv"
-        poly.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1,y1,x2,y2,nx,ny"
-        assert len(lines) == poly.segments.shape[0] + 1
-
     def test_mismatched_grid_rejected(self):
         grid = GridSpec(2, 4, 0.5)
-        bad = FieldSample(
-            locations=np.zeros((10, 2)), values=np.zeros(10), seed=0, model_tag=""
-        )
         with pytest.raises(ValueError):
-            extract_level_polyline_2d(bad, grid, 0.0)
+            extract_level_polyline_2d(np.zeros(10), grid, 0.0)
 
 
 class TestLevelLineVsLatticeEstimator:
@@ -205,7 +166,7 @@ class TestLevelLineVsLatticeEstimator:
         from excursionkit.estimators import hypercubic_surface_fast
 
         grid = GridSpec(2, 100, 0.04)
-        sample = sample_gaussian_grid(CovarianceModel(1.0), grid, 4242)
-        est = hypercubic_surface_fast(sample.values, grid, 0.0)
-        oracle = l1_weighted_length(extract_level_polyline_2d(sample, grid, 0.0))
+        values = sample_gaussian_grid(CovarianceModel(1.0), grid, 4242)[0]
+        est = hypercubic_surface_fast(values, grid, 0.0)
+        oracle = l1_weighted_length(extract_level_polyline_2d(values, grid, 0.0))
         assert est == pytest.approx(oracle / grid.window_volume, rel=0.08)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from excursionkit.densities import (
     CovarianceModel,
-    ReferenceDensities,
     beta_d,
     bias_factor,
     chisq_surface_density,
@@ -184,19 +183,3 @@ class TestCovarianceModel:
 
     def test_tag_mentions_scale(self):
         assert "1.5" in CovarianceModel(1.5).tag()
-
-
-class TestReferenceDensities:
-    def test_gaussian_factory_matches_functions(self):
-        m = CovarianceModel(2.0)
-        ref = ReferenceDensities.gaussian(0.3, m, 2)
-        lam = m.second_spectral_moment
-        assert ref.c_d_star == pytest.approx(gaussian_volume_density(0.3), rel=1e-14)
-        assert ref.c_dm1_star == pytest.approx(gaussian_surface_density(0.3, lam, 2), rel=1e-14)
-        assert (ref.d, ref.u) == (2, 0.3)
-
-    def test_chi_square_factory_matches_functions(self):
-        m = CovarianceModel(1.0)
-        ref = ReferenceDensities.chi_square(2.0, m, 3, 2)
-        assert ref.c_d_star == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert ref.c_dm1_star == pytest.approx(chisq_surface_density(2.0, 1.0, 3, 2), rel=1e-14)

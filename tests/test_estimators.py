@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from excursionkit.campaigns import default_config, run_campaign
 from excursionkit.densities import CovarianceModel, beta_d
 from excursionkit.estimators import (
-    ExcursionIndicator,
     clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
@@ -17,19 +16,10 @@ from excursionkit.estimators import (
     surface_estimate,
     volume_estimate,
 )
-from excursionkit.sampling import FieldSample, GridSpec, sample_gaussian_grid, sample_poisson_process
+from excursionkit.sampling import GridSpec, sample_gaussian_grid, sample_poisson_process
 from excursionkit.tessellation import Box, hypercubic_honeycomb, voronoi_honeycomb_2d
 
 MODEL = CovarianceModel(1.0)
-
-
-def lattice_sample(wh, values):
-    return FieldSample(
-        locations=wh.ref_points_inside,
-        values=np.asarray(values, dtype=float),
-        seed=0,
-        model_tag="fixture",
-    )
 
 
 class TestHandExamples:
@@ -41,31 +31,29 @@ class TestHandExamples:
 
     def test_single_cell_exceedance(self, wh):
         flags = np.array([False, False, False, True])  # only (0, 0)
-        ind = ExcursionIndicator(flags=flags, u=0.0)
-        assert volume_estimate(wh, ind) == pytest.approx(0.25)
-        assert surface_estimate(wh, ind) == pytest.approx(0.5)
+        assert volume_estimate(wh, flags) == pytest.approx(0.25)
+        assert surface_estimate(wh, flags) == pytest.approx(0.5)
 
     def test_checkerboard(self, wh):
         values = wh.ref_points_inside.sum(axis=1) % 2  # 0, 1, 1, 0 pattern
-        ind = exceedance_indicator(lattice_sample(wh, values), 0.5)
-        assert volume_estimate(wh, ind) == pytest.approx(0.5)
+        flags = exceedance_indicator(values, 0.5)
+        assert volume_estimate(wh, flags) == pytest.approx(0.5)
         # all four interior facets cross: 4 * 1 / sigma = 1
-        assert surface_estimate(wh, ind) == pytest.approx(1.0)
+        assert surface_estimate(wh, flags) == pytest.approx(1.0)
 
     def test_constant_field(self, wh):
-        ind = exceedance_indicator(lattice_sample(wh, np.ones(4)), 0.0)
-        assert volume_estimate(wh, ind) == pytest.approx(1.0)
-        assert surface_estimate(wh, ind) == 0.0
+        flags = exceedance_indicator(np.ones(4), 0.0)
+        assert volume_estimate(wh, flags) == pytest.approx(1.0)
+        assert surface_estimate(wh, flags) == 0.0
 
     def test_ties_count_as_exceedance(self, wh):
-        ind = exceedance_indicator(lattice_sample(wh, np.zeros(4)), 0.0)
-        assert np.all(ind.flags)
+        assert np.all(exceedance_indicator(np.zeros(4), 0.0))
 
     def test_alignment_checked(self, wh):
         with pytest.raises(ValueError):
-            volume_estimate(wh, ExcursionIndicator(flags=np.ones(3, dtype=bool), u=0.0))
+            volume_estimate(wh, np.ones(3, dtype=bool))
         with pytest.raises(ValueError):
-            surface_estimate(wh, ExcursionIndicator(flags=np.ones(5, dtype=bool), u=0.0))
+            surface_estimate(wh, np.ones(5, dtype=bool))
 
 
 class TestCorrection:
@@ -92,8 +80,7 @@ class TestFastEqualsGeneric:
             wh = hypercubic_honeycomb(delta, n, d)
             values = rng.standard_normal(grid.n_nodes)
             u = float(rng.standard_normal())
-            ind = exceedance_indicator(lattice_sample(wh, values), u)
-            generic = surface_estimate(wh, ind)
+            generic = surface_estimate(wh, exceedance_indicator(values, u))
             fast = hypercubic_surface_fast(values, grid, u)
             assert fast == generic  # bitwise, not approx
 
@@ -108,8 +95,8 @@ class TestEstimatorProperties:
     def test_surface_invariant_under_complement(self, bits):
         wh = hypercubic_honeycomb(0.5, 2, 2)
         flags = np.array([(bits >> k) & 1 for k in range(16)], dtype=bool)
-        a = surface_estimate(wh, ExcursionIndicator(flags=flags, u=0.0))
-        b = surface_estimate(wh, ExcursionIndicator(flags=~flags, u=0.0))
+        a = surface_estimate(wh, flags)
+        b = surface_estimate(wh, ~flags)
         assert a == b
 
     @given(st.integers(min_value=0, max_value=2**16 - 1))
@@ -117,8 +104,8 @@ class TestEstimatorProperties:
     def test_volumes_of_complements_sum_to_coverage(self, bits):
         wh = hypercubic_honeycomb(0.5, 2, 2)
         flags = np.array([(bits >> k) & 1 for k in range(16)], dtype=bool)
-        a = volume_estimate(wh, ExcursionIndicator(flags=flags, u=0.0))
-        b = volume_estimate(wh, ExcursionIndicator(flags=~flags, u=0.0))
+        a = volume_estimate(wh, flags)
+        b = volume_estimate(wh, ~flags)
         assert a + b == pytest.approx(wh.coverage_ratio, rel=1e-12)
 
     @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.0, max_value=2.0))
@@ -126,16 +113,16 @@ class TestEstimatorProperties:
     def test_volume_monotone_in_level(self, u, step):
         grid = GridSpec(2, 8, 0.5)
         wh = hypercubic_honeycomb(0.5, 8, 2)
-        sample = sample_gaussian_grid(MODEL, grid, 77)
-        lo = volume_estimate(wh, exceedance_indicator(sample, u))
-        hi = volume_estimate(wh, exceedance_indicator(sample, u + step))
+        values = sample_gaussian_grid(MODEL, grid, 77)[0]
+        lo = volume_estimate(wh, exceedance_indicator(values, u))
+        hi = volume_estimate(wh, exceedance_indicator(values, u + step))
         assert hi <= lo
 
     def test_far_level_gives_empty_set(self):
         grid = GridSpec(2, 8, 0.5)
-        sample = sample_gaussian_grid(MODEL, grid, 5)
-        assert hypercubic_surface_fast(sample.values, grid, 50.0) == 0.0
-        assert hypercubic_surface_fast(sample.values, grid, -50.0) == 0.0
+        values = sample_gaussian_grid(MODEL, grid, 5)[0]
+        assert hypercubic_surface_fast(values, grid, 50.0) == 0.0
+        assert hypercubic_surface_fast(values, grid, -50.0) == 0.0
 
 
 def _poisson_voronoi(seed, guard, half=2.0):
@@ -157,10 +144,8 @@ class TestClippedSurface:
         assert f.measure.tolist() == [2.0]
         assert np.allclose(f.endpoints[0, :, 0], 0.0)
         assert sorted(f.endpoints[0, :, 1].tolist()) == [-1.0, 1.0]
-        one_sided = ExcursionIndicator(flags=np.array([True, False]), u=0.0)
-        assert clipped_surface_estimate(wh, one_sided) == 2.0 / window.volume
-        same = ExcursionIndicator(flags=np.array([True, True]), u=0.0)
-        assert clipped_surface_estimate(wh, same) == 0.0
+        assert clipped_surface_estimate(wh, np.array([True, False])) == 2.0 / window.volume
+        assert clipped_surface_estimate(wh, np.array([True, True])) == 0.0
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_equals_inside_estimator_when_cells_lie_inside(self, seed):
@@ -168,31 +153,28 @@ class TestClippedSurface:
         assert np.array_equal(wh.meeting_index, wh.inside_index)
         rng = np.random.default_rng(seed)
         for _ in range(10):
-            ind = ExcursionIndicator(flags=rng.random(wh.n_inside) < 0.5, u=0.0)
-            assert clipped_surface_estimate(wh, ind) == surface_estimate(wh, ind)  # bitwise
+            flags = rng.random(wh.n_inside) < 0.5
+            assert clipped_surface_estimate(wh, flags) == surface_estimate(wh, flags)  # bitwise
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_equals_inside_estimator_on_lattice(self, d):
         wh = hypercubic_honeycomb(0.5, 2, d)
         flags = np.random.default_rng(d).random(wh.n_inside) < 0.5
-        ind = ExcursionIndicator(flags=flags, u=0.0)
-        assert clipped_surface_estimate(wh, ind) == surface_estimate(wh, ind)
+        assert clipped_surface_estimate(wh, flags) == surface_estimate(wh, flags)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_complement(self, seed):
         n = _GUARDED.meeting_index.size
         flags = np.random.default_rng(seed).random(n) < 0.5
-        a = clipped_surface_estimate(_GUARDED, ExcursionIndicator(flags=flags, u=0.0))
-        b = clipped_surface_estimate(_GUARDED, ExcursionIndicator(flags=~flags, u=0.0))
+        a = clipped_surface_estimate(_GUARDED, flags)
+        b = clipped_surface_estimate(_GUARDED, ~flags)
         assert a == b
 
     def test_alignment_checked(self):
         n = _GUARDED.meeting_index.size
         with pytest.raises(ValueError):
-            clipped_surface_estimate(
-                _GUARDED, ExcursionIndicator(flags=np.ones(n - 1, dtype=bool), u=0.0)
-            )
+            clipped_surface_estimate(_GUARDED, np.ones(n - 1, dtype=bool))
 
     def test_voronoi_sweep_identical_across_threads(self, tmp_path):
         cfg = replace(

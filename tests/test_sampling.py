@@ -15,7 +15,6 @@ from excursionkit.densities import CovarianceModel
 from excursionkit.sampling import (
     DEFAULT_POINT_CAP,
     CovarianceNotPositiveDefiniteError,
-    FieldSample,
     GridSpec,
     PointCapacityError,
     _check_eigenvalues,
@@ -62,9 +61,9 @@ class TestGridSpec:
 class TestGaussianGrid:
     def test_deterministic_in_seed(self):
         g = GridSpec(2, 8, 0.25)
-        a = sample_gaussian_grid(MODEL, g, 123).values
-        b = sample_gaussian_grid(MODEL, g, 123).values
-        c = sample_gaussian_grid(MODEL, g, 124).values
+        a = sample_gaussian_grid(MODEL, g, 123)[0]
+        b = sample_gaussian_grid(MODEL, g, 123)[0]
+        c = sample_gaussian_grid(MODEL, g, 124)[0]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -73,7 +72,7 @@ class TestGaussianGrid:
         # 1D grid must match the model within plain Monte Carlo error
         g = GridSpec(1, 4, 0.5)
         reps = 3000
-        draws = np.stack([sample_gaussian_grid(MODEL, g, s).values for s in range(reps)])
+        draws = np.stack([sample_gaussian_grid(MODEL, g, s)[0] for s in range(reps)])
         emp = draws.T @ draws / reps
         coords = g.axis_coords
         expected = MODEL.covariance((coords[:, None] - coords[None, :]) ** 2)
@@ -83,9 +82,7 @@ class TestGaussianGrid:
     def test_imaginary_half_has_model_covariance(self):
         g = GridSpec(1, 4, 0.5)
         reps = 3000
-        draws = np.stack(
-            [sample_gaussian_grid(MODEL, g, s, pair=True)[1].values for s in range(reps)]
-        )
+        draws = np.stack([sample_gaussian_grid(MODEL, g, s)[1] for s in range(reps)])
         emp = draws.T @ draws / reps
         coords = g.axis_coords
         expected = MODEL.covariance((coords[:, None] - coords[None, :]) ** 2)
@@ -96,39 +93,27 @@ class TestGaussianGrid:
         # independent: every entry of their cross-covariance is 0
         g = GridSpec(1, 4, 0.5)
         reps = 3000
-        pairs = [sample_gaussian_grid(MODEL, g, 10_000 + s, pair=True) for s in range(reps)]
-        re = np.stack([p[0].values for p in pairs])
-        im = np.stack([p[1].values for p in pairs])
+        pairs = [sample_gaussian_grid(MODEL, g, 10_000 + s) for s in range(reps)]
+        re = np.stack([p[0] for p in pairs])
+        im = np.stack([p[1] for p in pairs])
         cross = re.T @ im / reps
         # each entry is a mean of products of two independent unit normals
         assert np.max(np.abs(cross)) < 4.5 / np.sqrt(reps)
-
-    def test_single_draw_is_the_real_half(self):
-        g = GridSpec(2, 8, 0.25)
-        real, imag = sample_gaussian_grid(MODEL, g, (4, 2), pair=True)
-        single = sample_gaussian_grid(MODEL, g, (4, 2))
-        assert single.values.tobytes() == real.values.tobytes()
-        assert not np.array_equal(real.values, imag.values)
-        assert real.seed == imag.seed == (4, 2)
-        assert real.model_tag != imag.model_tag
 
     def test_draw_builds_no_nodes(self, monkeypatch):
         g = GridSpec(2, 2, 0.5)
         calls = []
         real_nodes = GridSpec.nodes
         monkeypatch.setattr(GridSpec, "nodes", lambda self: calls.append(1) or real_nodes(self))
-        samples = [*sample_gaussian_grid(MODEL, g, 1, pair=True), sample_chi_square(MODEL, 2, g, 1)]
+        sample_gaussian_grid(MODEL, g, 1)
+        sample_chi_square(MODEL, 2, g, 1)
         assert calls == []
-        # built on first read, once
-        assert np.array_equal(samples[0].locations, real_nodes(g))
-        assert samples[0].locations is samples[0].locations
-        assert calls == [1]
 
     def test_normalized_lag_correlation_2d(self):
         g = GridSpec(2, 16, 0.25)
         reps = 80
         fields = np.stack(
-            [sample_gaussian_grid(MODEL, g, 1000 + s).values.reshape(g.shape) for s in range(reps)]
+            [sample_gaussian_grid(MODEL, g, 1000 + s)[0].reshape(g.shape) for s in range(reps)]
         )
         var = fields.var()
         lag = np.mean(fields[:, :-1, :] * fields[:, 1:, :]) / var
@@ -137,7 +122,7 @@ class TestGaussianGrid:
     def test_mean_and_variance(self):
         g = GridSpec(2, 16, 0.5)
         reps = 60
-        vals = np.concatenate([sample_gaussian_grid(MODEL, g, 2000 + s).values for s in range(reps)])
+        vals = np.concatenate([sample_gaussian_grid(MODEL, g, 2000 + s)[0] for s in range(reps)])
         assert abs(vals.mean()) < 0.05
         assert vals.var() == pytest.approx(1.0, abs=0.06)
 
@@ -145,18 +130,11 @@ class TestGaussianGrid:
         g = GridSpec(2, 16, 0.25)
         reps = 60
         fields = np.stack(
-            [sample_gaussian_grid(MODEL, g, 3000 + s).values.reshape(g.shape) for s in range(reps)]
+            [sample_gaussian_grid(MODEL, g, 3000 + s)[0].reshape(g.shape) for s in range(reps)]
         )
         c0 = np.mean(fields[:, :-1, :] * fields[:, 1:, :])
         c1 = np.mean(fields[:, :, :-1] * fields[:, :, 1:])
         assert c0 == pytest.approx(c1, abs=0.01)
-
-    def test_sample_metadata(self):
-        g = GridSpec(2, 2, 0.5)
-        s = sample_gaussian_grid(MODEL, g, 5)
-        assert s.locations.shape == (16, 2)
-        assert s.seed == 5
-        assert "gaussian" in s.model_tag
 
 
 def _fftn_spectrum_reference(length_scale, spacing, shape):
@@ -237,7 +215,7 @@ class TestGaussianPoints:
         pts = np.stack([np.zeros(40), 0.25 * np.arange(40)], axis=1)
         reps = 400
         draws = np.stack(
-            [sample_gaussian_points(MODEL, pts, 4000 + s).values for s in range(reps)]
+            [sample_gaussian_points(MODEL, pts, 4000 + s) for s in range(reps)]
         )
         var = draws.var()
         lag = np.mean(draws[:, :-1] * draws[:, 1:]) / var
@@ -246,8 +224,8 @@ class TestGaussianPoints:
 
     def test_deterministic(self):
         pts = np.random.default_rng(0).random((30, 2))
-        a = sample_gaussian_points(MODEL, pts, 9).values
-        b = sample_gaussian_points(MODEL, pts, 9).values
+        a = sample_gaussian_points(MODEL, pts, 9)
+        b = sample_gaussian_points(MODEL, pts, 9)
         assert np.array_equal(a, b)
 
     def test_point_cap(self):
@@ -258,18 +236,18 @@ class TestGaussianPoints:
     def test_cap_can_be_raised(self):
         pts = np.random.default_rng(1).random((40, 2)) * 10
         out = sample_gaussian_points(MODEL, pts, 0, max_points=40)
-        assert out.values.shape == (40,)
+        assert out.shape == (40,)
 
     def test_empty_points(self):
         out = sample_gaussian_points(MODEL, np.empty((0, 2)), 0)
-        assert out.values.shape == (0,)
+        assert out.shape == (0,)
 
     def test_precomputed_factor_gives_the_same_bits(self):
         pts = np.random.default_rng(2).random((50, 2)) * 4
         factor = covariance_factor(MODEL, pts)
         for seed in (0, (5, 1, 2)):
-            fresh = sample_gaussian_points(MODEL, pts, seed).values
-            reused = sample_gaussian_points(MODEL, pts, seed, factor=factor).values
+            fresh = sample_gaussian_points(MODEL, pts, seed)
+            reused = sample_gaussian_points(MODEL, pts, seed, factor=factor)
             assert fresh.tobytes() == reused.tobytes()
 
     def test_factor_shape_checked(self):
@@ -321,7 +299,7 @@ class TestChiSquare:
         # K=3 marginal: mean 3, variance 6
         reps = 6000
         vals = np.array(
-            [sample_chi_square(MODEL, 3, [[0.0, 0.0]], s).values[0] for s in range(reps)]
+            [sample_chi_square(MODEL, 3, [[0.0, 0.0]], s)[0] for s in range(reps)]
         )
         assert vals.mean() == pytest.approx(3.0, abs=0.15)
         assert vals.var() == pytest.approx(6.0, abs=0.6)
@@ -329,50 +307,44 @@ class TestChiSquare:
     def test_one_degree_survival(self):
         reps = 8000
         vals = np.array(
-            [sample_chi_square(MODEL, 1, [[0.0, 0.0]], s).values[0] for s in range(reps)]
+            [sample_chi_square(MODEL, 1, [[0.0, 0.0]], s)[0] for s in range(reps)]
         )
         assert np.mean(vals >= 1.0) == pytest.approx(0.3173, abs=0.015)
 
     def test_grid_path_matches_marginals(self):
         g = GridSpec(2, 8, 0.5)
         vals = np.concatenate(
-            [sample_chi_square(MODEL, 2, g, 7000 + s).values for s in range(50)]
+            [sample_chi_square(MODEL, 2, g, 7000 + s)[0] for s in range(50)]
         )
         assert vals.mean() == pytest.approx(2.0, abs=0.1)
         assert np.mean(vals >= 2.0) == pytest.approx(np.exp(-1.0), abs=0.02)
 
     def test_nonnegative_and_deterministic(self):
         g = GridSpec(2, 4, 0.5)
-        a = sample_chi_square(MODEL, 2, g, 3)
-        b = sample_chi_square(MODEL, 2, g, 3)
-        assert np.all(a.values >= 0.0)
-        assert np.array_equal(a.values, b.values)
+        a = np.concatenate(sample_chi_square(MODEL, 2, g, 3))
+        b = np.concatenate(sample_chi_square(MODEL, 2, g, 3))
+        assert np.all(a >= 0.0)
+        assert np.array_equal(a, b)
 
     def test_components_are_independent_streams(self):
         # with equal component seeds the field would be k * Z^2; the survival
         # at u = k would then be about 0.32, not the chi-square value
         g = GridSpec(1, 256, 0.5)
-        v = sample_chi_square(MODEL, 2, g, 11).values
+        v = sample_chi_square(MODEL, 2, g, 11)[0]
         frac = np.mean(v >= 2.0)
         assert 0.2 < frac < 0.55  # loose: one correlated field draw
 
     def test_grid_pair_sums_both_halves_of_each_component(self):
         # both halves take their k components from the draws keyed (seed, component)
         g = GridSpec(2, 4, 0.5)
-        real, imag = sample_chi_square(MODEL, 3, g, (9, 1), pair=True)
+        real, imag = sample_chi_square(MODEL, 3, g, (9, 1))
         expected = np.zeros((2, g.n_nodes))
         for comp in range(3):
-            halves = sample_gaussian_grid(MODEL, g, (9, 1, comp), pair=True)
+            halves = sample_gaussian_grid(MODEL, g, (9, 1, comp))
             for acc, half in zip(expected, halves):
-                acc += half.values * half.values
-        assert real.values.tobytes() == expected[0].tobytes()
-        assert imag.values.tobytes() == expected[1].tobytes()
-        single = sample_chi_square(MODEL, 3, g, (9, 1))
-        assert single.values.tobytes() == real.values.tobytes()
-
-    def test_pair_needs_a_grid(self):
-        with pytest.raises(ValueError, match="grids only"):
-            sample_chi_square(MODEL, 2, [[0.0, 0.0]], 1, pair=True)
+                acc += half * half
+        assert real.tobytes() == expected[0].tobytes()
+        assert imag.tobytes() == expected[1].tobytes()
 
     def test_rejects_bad_degrees(self):
         with pytest.raises(ValueError):
@@ -390,9 +362,9 @@ class TestChiSquare:
         # each component is still the Gaussian draw on stream (seed, component)
         expected = np.zeros(25)
         for comp in range(3):
-            g = sample_gaussian_points(MODEL, pts, (8, comp)).values
+            g = sample_gaussian_points(MODEL, pts, (8, comp))
             expected += g * g
-        assert out.values.tobytes() == expected.tobytes()
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestPoissonProcess:
@@ -426,39 +398,3 @@ class TestPoissonProcess:
     def test_array_box_accepted(self):
         pts = sample_poisson_process(50.0, [[0.0, 0.0], [2.0, 2.0]], 3)
         assert pts.shape[1] == 2 and np.all(pts >= 0.0) and np.all(pts <= 2.0)
-
-
-class TestFieldSampleCsv:
-    def test_round_trip_format(self, tmp_path):
-        s = FieldSample(
-            locations=np.array([[0.5, -1.25], [2.0, 3.5]]),
-            values=np.array([0.125, -7.75]),
-            seed=1,
-            model_tag="test",
-        )
-        path = tmp_path / "sample.csv"
-        s.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1,x2,value"
-        assert lines[1] == "0.5,-1.25,0.125"
-        assert len(lines) == 3
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            FieldSample(
-                locations=np.zeros((3, 2)), values=np.zeros(2), seed=0, model_tag=""
-            )
-
-    def test_grid_locations_checked_and_written_lazily(self, tmp_path, monkeypatch):
-        g = GridSpec(2, 1, 0.5)
-        real_nodes = GridSpec.nodes
-        monkeypatch.setattr(GridSpec, "nodes", lambda self: pytest.fail("nodes built"))
-        with pytest.raises(ValueError, match="equal length"):
-            FieldSample(locations=g, values=np.zeros(3), seed=0, model_tag="")
-        s = FieldSample(locations=g, values=np.arange(4.0), seed=0, model_tag="")
-        monkeypatch.setattr(GridSpec, "nodes", real_nodes)
-        path = tmp_path / "grid.csv"
-        s.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1,x2,value"
-        assert lines[1:] == ["-0.5,-0.5,0", "-0.5,0,1", "0,-0.5,2", "0,0,3"]

@@ -411,11 +411,10 @@ class TestVoronoiTwoGenerators:
 
     def test_crossing_surface_value(self):
         # exceedance on one side only: estimate = facet length / window area
-        from excursionkit.estimators import ExcursionIndicator, surface_estimate
+        from excursionkit.estimators import surface_estimate
 
         wh = self.build()
-        ind = ExcursionIndicator(flags=np.array([True, False]), u=0.0)
-        assert surface_estimate(wh, ind) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert surface_estimate(wh, np.array([True, False])) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 class TestVoronoiCornerGenerators:
