@@ -201,8 +201,8 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
     )
     if cfg.family in ("voronoi", "hexagonal") and cfg.d != 2:
         raise ConfigError(f"the {cfg.family} family is only available in dimension 2")
-    if cfg.kind == "volume-check" and cfg.family != "hypercubic":
-        raise ConfigError("the volume check runs on the hypercubic family only")
+    if cfg.kind in ("volume-check", "clt") and cfg.family != "hypercubic":
+        raise ConfigError(f"the {cfg.kind} campaign runs on the hypercubic family only")
     if cfg.kind == "crossing" and cfg.model != "gaussian":
         raise ConfigError("the crossing campaign supports the gaussian model only")
     if cfg.kind in ("bias-sweep", "volume-check") and cfg.family == "hypercubic":
@@ -211,6 +211,8 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
     if cfg.kind == "crossing" and cfg.n_pairs < cfg.reps:
         raise ConfigError("n_pairs must be at least the replicate count")
     if cfg.kind == "crofton-demo":
+        if cfg.d != 2:
+            raise ConfigError(f"the crofton demo measures 2D shapes, not dimension {cfg.d}")
         if cfg.n_lines < cfg.reps:
             raise ConfigError("n_lines must be at least the replicate count")
         if cfg.shape not in ("circle", "square", "both"):

@@ -175,6 +175,3 @@ class CovarianceModel:
             exp(-sq_dist / (2*ell^2)); equals 1 at lag 0 and lies in (0, 1].
         """
         return np.exp(-0.5 * np.asarray(sq_dist) / (self.length_scale * self.length_scale))
-
-    def tag(self) -> str:
-        return f"sqexp(ell={self.length_scale!r})"

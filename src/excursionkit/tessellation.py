@@ -12,7 +12,9 @@ Three families are built here:
 Cells whose closure lies inside the observation window are the ones the
 paper's estimators operate on; facets between two such cells are "interior".
 The plus-sampling view (``WindowedHoneycomb.clipped_facets``) instead keeps
-every cell that meets the window and clips facet lengths to it.
+every cell that meets the window and clips facet lengths to it.  Both 2D
+families pass their cells to one builder as a flat CCW vertex array plus a
+vertex count per cell.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from scipy.spatial import Voronoi, cKDTree
 DUPLICATE_TOL = 1e-12     # generators closer than this are merged
 CONTAINMENT_TOL = 1e-12   # slack for the closed-cell containment test
 MIN_FACET_FRACTION = 1e-12  # facets shorter than this fraction of the window scale are dropped
-NORMALITY_TOL = 1e-9      # angular tolerance of the facet/reference-difference check
 
 
 @dataclass(eq=False)
@@ -71,18 +72,18 @@ class Box:
 class FacetSet:
     """Flat table of shared facets.
 
+    No direction is stored: a facet is orthogonal to ref[b] - ref[a].
+
     Args:
         a: integer cell index of the first cell of each facet.
         b: integer cell index of the second cell.
         measure: sigma_{d-1} measure of each facet (length in 2D).
-        normal: (n, d) unit normals, oriented from cell a toward cell b.
         endpoints: (n, 2, 2) segment endpoints for 2D facets, or None.
     """
 
     a: np.ndarray
     b: np.ndarray
     measure: np.ndarray
-    normal: np.ndarray
     endpoints: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -95,26 +96,24 @@ class Honeycomb:
 
     Args:
         d: ambient dimension.
-        cells: list of (m_i, 2) CCW vertex arrays for Voronoi diagrams (the
-            Voronoi regions, clipped to the guard box where they cross it;
-            (0, 2) for a region wholly outside), one (n, 6, 2) stack for
-            hexagonal tilings, or None for the implicit hypercubic lattice.
+        cells: list of (m_i, 2) CCW vertex arrays for the 2D families (a
+            Voronoi region is clipped to the guard box where it crosses it,
+            and is (0, 2) when wholly outside), or None for the implicit
+            hypercubic lattice.
         ref_points: (n, d) reference point of each cell.
         cell_volumes: (n,) sigma_d measure of each cell (not clipped to the window).
         facets: all positive-measure shared facets, indexed by global cell id.
         window: the observation window T.
         window_areas: (n,) sigma_d(P intersect T) per cell.
-        diameter_bound: max over cells of diam(P intersect T).
     """
 
     d: int
-    cells: list | np.ndarray | None
+    cells: list | None
     ref_points: np.ndarray
     cell_volumes: np.ndarray
     facets: FacetSet
     window: Box
     window_areas: np.ndarray
-    diameter_bound: float
 
 
 @dataclass(eq=False)
@@ -160,10 +159,6 @@ class WindowedHoneycomb:
         return self.parent.cell_volumes[self.inside_index]
 
     @property
-    def diameter_bound(self) -> float:
-        return self.parent.diameter_bound
-
-    @property
     def meeting_index(self) -> np.ndarray:
         """Global ids of the cells with positive area in the window, ascending."""
         return np.flatnonzero(self.parent.window_areas > 0)
@@ -199,7 +194,6 @@ class WindowedHoneycomb:
             a=local[f.a[keep]],
             b=local[f.b[keep]],
             measure=measure[keep],
-            normal=f.normal[keep],
             endpoints=None if endpoints is None else endpoints[keep],
         )
 
@@ -213,7 +207,6 @@ def _windowed(parent: Honeycomb, inside: np.ndarray, duplicates_merged: int = 0)
         a=local[f.a[mask]],
         b=local[f.b[mask]],
         measure=f.measure[mask],
-        normal=f.normal[mask],
         endpoints=None if f.endpoints is None else f.endpoints[mask],
     )
     coverage = float(np.sum(parent.cell_volumes[inside]) / parent.window.volume)
@@ -263,7 +256,7 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
     ref_points = np.stack([m.reshape(-1) for m in mesh], axis=1)
 
     ids = np.arange(n_side**d, dtype=np.int64).reshape(shape)
-    a_parts, b_parts, ax_parts = [], [], []
+    a_parts, b_parts = [], []
     for axis in range(d):
         sl_lo = [slice(None)] * d
         sl_hi = [slice(None)] * d
@@ -271,28 +264,19 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         sl_hi[axis] = slice(1, n_side)
         a_parts.append(ids[tuple(sl_lo)].reshape(-1))
         b_parts.append(ids[tuple(sl_hi)].reshape(-1))
-        ax_parts.append(np.full(a_parts[-1].size, axis, dtype=np.int64))
     a = np.concatenate(a_parts)
     b = np.concatenate(b_parts)
-    ax = np.concatenate(ax_parts)
-    normal = np.zeros((a.size, d))
-    normal[np.arange(a.size), ax] = 1.0
     measure = np.full(a.size, delta ** (d - 1))
 
     endpoints = None
     if d == 2:
         # shared face of cells i and i+e_axis: for axis 0 it is the segment
         # x = ref_a_x + delta, y in [ref_a_y, ref_a_y + delta]; symmetric for axis 1
-        ra = ref_points[a]
-        endpoints = np.empty((a.size, 2, 2))
-        x0 = ra[:, 0] + np.where(ax == 0, delta, 0.0)
-        y0 = ra[:, 1] + np.where(ax == 1, delta, 0.0)
-        endpoints[:, 0, 0] = x0
-        endpoints[:, 0, 1] = y0
-        endpoints[:, 1, 0] = x0 + np.where(ax == 0, 0.0, delta)
-        endpoints[:, 1, 1] = y0 + np.where(ax == 1, 0.0, delta)
+        step = np.repeat([[delta, 0.0], [0.0, delta]], [a_parts[0].size, a_parts[1].size], axis=0)
+        start = ref_points[a] + step
+        endpoints = np.stack([start, start + step[:, ::-1]], axis=1)
 
-    facets = FacetSet(a=a, b=b, measure=measure, normal=normal, endpoints=endpoints)
+    facets = FacetSet(a=a, b=b, measure=measure, endpoints=endpoints)
     parent = Honeycomb(
         d=d,
         cells=None,
@@ -301,7 +285,6 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         facets=facets,
         window=window,
         window_areas=np.full(ref_points.shape[0], delta**d),
-        diameter_bound=delta * float(np.sqrt(d)),
     )
     wh = _windowed(parent, np.ones(ref_points.shape[0], dtype=bool))
     wh.coverage_ratio = 1.0  # lattice cells tile T by construction
@@ -365,16 +348,10 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
     fa, k = np.nonzero(nb >= 0)
     fb = nb[fa, k]
     endpoints = np.stack([cells[fa, k], cells[fa, k + 1]], axis=1)
-    diffs = centers[fb] - centers[fa]
-    dist = np.linalg.norm(diffs, axis=1)
-    facets = FacetSet(
-        a=fa,
-        b=fb,
-        measure=np.full(fa.size, delta),
-        normal=diffs / dist[:, None],
-        endpoints=endpoints,
+    facets = FacetSet(a=fa, b=fb, measure=np.full(fa.size, delta), endpoints=endpoints)
+    return _polygon_honeycomb(
+        cells.reshape(-1, 2), np.full(centers.shape[0], 6), centers, facets, window
     )
-    return _polygon_honeycomb(cells, centers, facets, window)
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +433,7 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     ends = clip_segments_to_box(ends, guard_box)
     measure = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
     keep = measure > MIN_FACET_FRACTION * float(np.max(guard_box.side_lengths))
-    fa, fb = ab[keep, 0], ab[keep, 1]
-    diffs = points[fb] - points[fa]
-    facets = FacetSet(
-        a=fa,
-        b=fb,
-        measure=measure[keep],
-        normal=diffs / np.linalg.norm(diffs, axis=1)[:, None],
-        endpoints=ends[keep],
-    )
+    facets = FacetSet(a=ab[keep, 0], b=ab[keep, 1], measure=measure[keep], endpoints=ends[keep])
 
     # cells: each generator's region as a run of one flat vertex-id array
     sizes = np.fromiter(map(len, vor.regions), np.int64, len(vor.regions))
@@ -480,16 +449,20 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     twice_area = np.bincount(cell, v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0], minlength=n)
     # Qhull lists regions in either orientation; reverse the clockwise ones
     pos = np.where(twice_area[cell] < 0, counts[cell] - 1 - pos, pos)
-    cells = np.split(vor.vertices[flat[first + pos]], stops[:-1])
-    crosses = np.bincount(cell, ~guard_box.contains(v), minlength=n) > 0
-    for i in np.flatnonzero(crosses):
-        cells[i] = clip_polygon_to_box(cells[i], guard_box)
+    verts = vor.vertices[flat[first + pos]]
+    crosses = np.flatnonzero(np.bincount(cell, ~guard_box.contains(v), minlength=n))
+    if crosses.size:
+        cells = np.split(verts, stops[:-1])
+        for i in crosses:
+            cells[i] = clip_polygon_to_box(cells[i], guard_box)
+        counts = np.fromiter(map(len, cells), np.int64, n)
+        verts = np.concatenate(cells)
 
-    return _polygon_honeycomb(cells, points, facets, window, duplicates_merged=merged)
+    return _polygon_honeycomb(verts, counts, points, facets, window, duplicates_merged=merged)
 
 
 def _clip_half_plane(verts, normal_vec, offset):
-    """Clip a convex polygon (list of vertices) against {x : normal . x <= offset}."""
+    """Clip a convex polygon (list of vertices) against {x : normal_vec . x <= offset}."""
     vals = [float(v @ normal_vec) - offset for v in verts]
     ins = [val <= CONTAINMENT_TOL for val in vals]
     out = []
@@ -549,78 +522,53 @@ def clip_segments_to_box(endpoints: np.ndarray, box: Box) -> np.ndarray:
     return np.stack([p0 + t0[:, None] * step, p0 + t1[:, None] * step], axis=1)
 
 
-def _stack_cells(cells) -> tuple:
-    """(n, m, 2) vertex stack and (n,) vertex counts of a list of polygons.
-
-    A polygon with fewer than m vertices is padded by repeating its last
-    vertex, which changes neither its bounding box nor its diameter; an
-    empty one is padded with zeros.
-    """
-    counts = np.array([len(v) for v in cells], dtype=np.int64)
-    width = max(int(counts.max(initial=0)), 1)
-    flat = np.concatenate([np.zeros((1, 2))] + [np.reshape(v, (-1, 2)) for v in cells])
-    start = np.cumsum(counts) - counts + 1
-    col = np.minimum(np.arange(width), np.maximum(counts, 1)[:, None] - 1)
-    return flat[np.where(counts[:, None] > 0, start[:, None] + col, 0)], counts
-
-
-def _max_diameter(verts: np.ndarray) -> float:
-    """Largest vertex-to-vertex distance over a (n, m, 2) stack of polygons."""
-    if verts.shape[0] == 0:
-        return 0.0
-    sq = 0.0
-    for shift in range(1, verts.shape[1]):
-        diff = verts - np.roll(verts, shift, axis=1)
-        sq = max(sq, float((diff**2).sum(axis=2).max()))
-    return float(np.sqrt(sq))
-
-
-def _polygon_honeycomb(cells, ref_points, facets, window: Box, duplicates_merged=0):
+def _polygon_honeycomb(verts, counts, ref_points, facets, window: Box, duplicates_merged=0):
     """Windowed honeycomb of 2D convex cells: areas, window clip and inside view.
 
-    ``cells`` is a list of (m_i, 2) CCW vertex arrays or one (n, m, 2) stack.
-    A cell wholly inside the window keeps its own vertices and area, and a
-    cell beyond the window's clipping slack has area 0; only the cells
-    straddling the window boundary are clipped polygon by polygon.
+    Cell i is the CCW run of ``counts[i]`` rows of the flat (N, 2) vertex
+    array ``verts``, in cell order; a count of 0 is an empty cell.  Areas and
+    bounding boxes come from one pass over the array.  A cell wholly inside
+    the window keeps its own vertices and area, and a cell beyond the
+    window's clipping slack has area 0; only the cells straddling the window
+    boundary are clipped polygon by polygon.
     """
-    if isinstance(cells, np.ndarray):
-        verts, counts = cells, np.full(cells.shape[0], cells.shape[1])
-        x, y = cells[:, :, 0], cells[:, :, 1]
-        terms = x * np.roll(y, -1, axis=1) - y * np.roll(x, -1, axis=1)
-        cell_volumes = 0.5 * np.abs(np.sum(terms, axis=1))
-    else:
-        verts, counts = _stack_cells(cells)
-        cell_volumes = np.array([_shoelace_area(v) for v in cells])
+    n = counts.size
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    cell = np.repeat(np.arange(n), counts)
+    # successor of each vertex around its own cell
+    nxt = np.arange(1, verts.shape[0] + 1)
+    nonempty = counts > 0
+    nxt[stops[nonempty] - 1] = starts[nonempty]
+    x, y = verts[:, 0], verts[:, 1]
+    cell_volumes = 0.5 * np.abs(np.bincount(cell, x * y[nxt] - y * x[nxt], minlength=n))
+    # reduceat gives verts[start] for an empty run and cannot start at N, so
+    # only the nonempty runs are reduced
+    lo = np.full((n, 2), np.inf)
+    hi = np.full((n, 2), -np.inf)
+    lo[nonempty] = np.minimum.reduceat(verts, starts[nonempty], axis=0)
+    hi[nonempty] = np.maximum.reduceat(verts, starts[nonempty], axis=0)
     polygon = counts >= 3
-    lo, hi = verts.min(axis=1), verts.max(axis=1)
     inside = polygon & np.all(
         (lo >= window.lo - CONTAINMENT_TOL) & (hi <= window.hi + CONTAINMENT_TOL), axis=1
     )
     within = polygon & np.all((lo >= window.lo) & (hi <= window.hi), axis=1)
     # clipping interpolates vertices, whose rounding stays far below this margin
-    margin = CONTAINMENT_TOL + 1e-9 * np.abs(verts).max(axis=(1, 2), initial=1.0)
+    margin = CONTAINMENT_TOL + 1e-9 * np.maximum(np.maximum(-lo, hi).max(axis=1), 1.0)
     beyond = np.any(
         (hi < window.lo - margin[:, None]) | (lo > window.hi + margin[:, None]), axis=1
     )
     window_areas = np.where(within, cell_volumes, 0.0)
-    clipped = []
     for i in np.flatnonzero(polygon & ~within & ~beyond):
-        piece = clip_polygon_to_box(verts[i, : counts[i]], window)
-        if piece.shape[0] >= 3:
-            window_areas[i] = _shoelace_area(piece)
-            clipped.append(piece)
-    diameter = _max_diameter(verts[within])
-    if clipped:
-        diameter = max(diameter, _max_diameter(_stack_cells(clipped)[0]))
+        window_areas[i] = _shoelace_area(clip_polygon_to_box(verts[starts[i] : stops[i]], window))
     parent = Honeycomb(
         d=2,
-        cells=cells,
+        cells=np.split(verts, stops[:-1]),
         ref_points=ref_points,
         cell_volumes=cell_volumes,
         facets=facets,
         window=window,
         window_areas=window_areas,
-        diameter_bound=diameter,
     )
     return _windowed(parent, inside, duplicates_merged)
 
@@ -629,7 +577,7 @@ def pyramid_identity_sum(wh: WindowedHoneycomb) -> float:
     """Sum over ordered interior facet pairs of measure * reference distance.
 
     The value is bounded by 2*d*sigma_d(T) and converges to that bound as the
-    cell diameter goes to 0, which is the geometric identity behind the
+    cells shrink to points, which is the geometric identity behind the
     surface estimator's limiting constant.
     """
     f = wh.interior_facets

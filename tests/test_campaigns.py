@@ -133,6 +133,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="hypercubic"):
             validate_config(tiny("volume-check", family="hexagonal"))
 
+    @pytest.mark.parametrize("family", ["hexagonal", "voronoi"])
+    def test_clt_requires_hypercubic(self, family):
+        # the window sweep draws lattice fields only; another family would be
+        # ignored under a hash that names it
+        with pytest.raises(ConfigError, match="hypercubic"):
+            validate_config(tiny("clt", family=family, windows=(20,)))
+
+    def test_crofton_demo_requires_dimension_two(self):
+        with pytest.raises(ConfigError, match="2D"):
+            validate_config(tiny("crofton-demo", d=3))
+
     def test_crossing_requires_gaussian(self):
         with pytest.raises(ConfigError, match="gaussian"):
             validate_config(tiny("crossing", model="chi-square"))

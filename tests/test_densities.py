@@ -180,6 +180,3 @@ class TestCovarianceModel:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             CovarianceModel(0.0)
-
-    def test_tag_mentions_scale(self):
-        assert "1.5" in CovarianceModel(1.5).tag()
