@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
@@ -30,6 +31,7 @@ from .densities import (
 from .sampling import (
     GridSpec,
     _embedding_spectrum,
+    _torus_size,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -54,6 +56,10 @@ MODELS = ("gaussian", "chi-square")
 # fields that do not influence the computed numbers and are therefore
 # excluded from the config hash echoed on every output row
 _NON_SEMANTIC_FIELDS = ("threads", "out", "summary")
+
+# transient memory of one grid draw per torus point: the two noise arrays
+# (2 x 8 B), the complex spectrum (16 B) and the complex inverse FFT (16 B)
+_GRID_BYTES_PER_TORUS_POINT = 48
 
 
 class ConfigError(ValueError):
@@ -208,6 +214,7 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
     if cfg.kind in ("bias-sweep", "volume-check") and cfg.family == "hypercubic":
         for delta in cfg.deltas:
             _lattice_half_extent(cfg.half_width, delta)
+    _check_grid_memory(cfg)
     if cfg.kind == "crossing" and cfg.n_pairs < cfg.reps:
         raise ConfigError("n_pairs must be at least the replicate count")
     if cfg.kind == "crofton-demo":
@@ -228,6 +235,38 @@ def _lattice_half_extent(half_width: float, delta: float) -> int:
             f"spacing {delta} does not divide the window half width {half_width}"
         )
     return int(n_int)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_grid_memory(cfg: CampaignConfig) -> None:
+    """Refuse a lattice campaign whose concurrent grid draws cannot fit in
+    physical memory: each worker thread holds one draw on the largest
+    embedding torus."""
+    if cfg.kind == "clt":
+        axes = [(2 * w, cfg.deltas[0]) for w in cfg.windows]
+    elif cfg.kind in ("bias-sweep", "volume-check") and cfg.family == "hypercubic":
+        deltas = cfg.deltas if cfg.kind == "bias-sweep" else cfg.deltas[:1]
+        axes = [(2 * _lattice_half_extent(cfg.half_width, delta), delta) for delta in deltas]
+    else:
+        return
+    memory = _physical_memory()
+    if memory is None:
+        return
+    m = max(_torus_size(n, cfg.ell, delta) for n, delta in axes)
+    need = m**cfg.d * _GRID_BYTES_PER_TORUS_POINT * cfg.threads
+    if need > memory:
+        raise ConfigError(
+            f"grid draws need about {need / 2**30:.1f} GiB of memory ({m}^{cfg.d} torus "
+            f"points x {_GRID_BYTES_PER_TORUS_POINT} B x threads = {cfg.threads}), more than "
+            f"the {memory / 2**30:.1f} GiB of physical memory"
+        )
 
 
 @dataclass(eq=False)

@@ -1,18 +1,24 @@
 """Random-field and point-process samplers with counter-based seeding.
 
 Gaussian fields on regular grids are drawn exactly by circulant embedding
-(FFT on a padded torus).  One draw fills the torus spectrum with complex
-white noise, so the real and the imaginary part of its inverse FFT are two
-independent exact fields (Wood & Chan 1994; Dietrich & Newsam 1997);
-``sample_gaussian_grid`` returns both as plain value arrays.  Scattered
-locations use a dense Cholesky factor of the covariance matrix and give one
-value array.  All samplers are pure functions of (model, locations, seed):
-the RNG is a Philox counter generator keyed by the seed, so replicates can
-run on any number of threads in any order and still reproduce bit for bit.
+(FFT on a torus that contains the grid).  Each axis of n nodes starts on the
+smallest torus on which the wrapped kernel still equals the model covariance
+at every lag the grid uses, to within machine epsilon: n - 1 nodes plus the
+reach of the kernel, rounded up to a 5-smooth FFT size, at most 2n.  It
+grows only if its embedding is indefinite.  One draw fills the torus
+spectrum with complex white noise, so the real and the imaginary part of its
+inverse FFT are two independent exact fields (Wood & Chan 1994; Dietrich &
+Newsam 1997); ``sample_gaussian_grid`` returns both as plain value arrays.
+Scattered locations use a dense Cholesky factor of the covariance matrix and
+give one value array.  All samplers are pure functions of (model, locations,
+seed): the RNG is a Philox counter generator keyed by the seed, so
+replicates can run on any number of threads in any order and still reproduce
+bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,11 +34,13 @@ from .tessellation import Box
 EIGENVALUE_TOL = 1e-9       # largest negative embedding eigenvalue that is clipped to 0
 DEFAULT_POINT_CAP = 4096    # default dense-factorization size limit
 CHOLESKY_JITTER = 1e-10     # one-shot diagonal jitter on factorization failure, with a warning
-_MAX_PAD = 8                # padding factors tried: 2, 4, 8
+_MAX_PAD = 8                # an indefinite embedding torus doubles up to 8x the grid per axis
+# lag / ell beyond which the squared-exponential kernel is below float eps
+_KERNEL_REACH = math.sqrt(-2.0 * math.log(np.finfo(float).eps))
 
 
 class EmbeddingNotNonnegativeDefiniteError(RuntimeError):
-    """Raised when the circulant embedding stays indefinite at maximum padding."""
+    """Raised when the circulant embedding stays indefinite on the largest torus."""
 
 
 class CovarianceNotPositiveDefiniteError(RuntimeError):
@@ -114,7 +122,7 @@ def _check_eigenvalues(lam: np.ndarray) -> np.ndarray | None:
 
     Negative values no larger in magnitude than EIGENVALUE_TOL are rounding
     noise and are set to 0; anything below that must not be truncated
-    silently, so the caller pads further or raises.
+    silently, so the caller grows the torus or raises.
     """
     lam_min = float(lam.min())
     if lam_min < -EIGENVALUE_TOL:
@@ -124,42 +132,85 @@ def _check_eigenvalues(lam: np.ndarray) -> np.ndarray | None:
     return lam
 
 
+def _smooth_size(m: int) -> int:
+    """Smallest integer >= m with no prime factor above 5 (a fast FFT length).
+
+    Computed here rather than taken from an FFT library's table of fast
+    lengths, which may change between versions: the torus size fixes the
+    replicate streams.
+    """
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+def _torus_size(n: int, length_scale: float, spacing: float) -> int:
+    """Nodes per axis of the smallest exact embedding torus for n grid nodes.
+
+    On a torus of m >= n - 1 + reach nodes, where beyond ``reach`` lags the
+    kernel is below float eps, a lag k < n wraps to min(k, m - k); the two
+    differ only when both are at least ``reach``, so the wrapped kernel is the
+    model covariance to within eps at every lag of the grid.  m is that bound
+    rounded up to a 5-smooth size, capped at 2n: a torus of 2n nodes wraps no
+    lag of the grid at all, and is the size used whenever the window is not
+    wide relative to the length scale.
+    """
+    target = n - 1 + math.ceil(length_scale * _KERNEL_REACH / spacing)
+    return min(2 * n, _smooth_size(min(target, 2 * n)))
+
+
+def _wrapped_axis_covariance(m: int, length_scale: float, spacing: float) -> np.ndarray:
+    """The kernel at the minimal-image lags min(k, m - k), k = 0..m-1, of a
+    torus axis of m nodes."""
+    k = np.arange(m)
+    wrapped = np.minimum(k, m - k) * spacing
+    return np.exp(-0.5 * wrapped**2 / (length_scale * length_scale))
+
+
 @lru_cache(maxsize=16)
 def _embedding_spectrum(length_scale: float, spacing: float, shape: tuple) -> tuple:
     """Square roots of the circulant-embedding eigenvalues for a grid shape.
 
-    The covariance is wrapped onto a torus with per-axis size pad * (grid
-    size); padding starts at 2x and doubles until the eigenvalues are
-    nonnegative (the squared-exponential spectrum is strictly positive, so 2x
-    always suffices in practice).  The squared-exponential kernel is a
-    product over axes, so the eigenvalues, the FFT of the wrapped kernel, are
-    the outer product of one 1D FFT per axis.
+    Each axis of n nodes starts on the torus of ``_torus_size`` nodes, the
+    smallest on which the wrapped kernel is the model covariance at every lag
+    of the grid.  While some eigenvalue is negative beyond rounding
+    (``_check_eigenvalues``), every axis doubles, up to _MAX_PAD times its
+    grid size.  A torus on which the kernel decays below eps before it wraps
+    is nonnegative definite to rounding, as the squared-exponential spectrum
+    is strictly positive; a 2x torus of a window only a few length scales
+    wide may need to grow.  The kernel is a product over axes, so the eigenvalues, the FFT
+    of the wrapped kernel, are the outer product of one 1D FFT per axis.
     """
-    pad = 2
+    dims = tuple(_torus_size(n, length_scale, spacing) for n in shape)
+    tried = []
     while True:
-        dims = tuple(pad * s for s in shape)
+        tried.append(dims)
         lam = np.ones(())
         for m in dims:
-            k = np.arange(m)
-            wrapped = np.minimum(k, m - k) * spacing
-            axis_cov = np.exp(-0.5 * wrapped**2 / (length_scale * length_scale))
+            axis_cov = _wrapped_axis_covariance(m, length_scale, spacing)
             lam = np.multiply.outer(lam, np.fft.fft(axis_cov).real)
         lam = _check_eigenvalues(lam)
         if lam is not None:
             return np.sqrt(lam, out=lam), dims
-        if pad >= _MAX_PAD:
+        if all(m >= _MAX_PAD * n for m, n in zip(dims, shape)):
             raise EmbeddingNotNonnegativeDefiniteError(
-                f"circulant embedding not nonnegative definite at padding {pad}x "
-                f"(grid {shape}, spacing {spacing}, length scale {length_scale})"
+                "circulant embedding not nonnegative definite on the tori "
+                f"{', '.join(map(str, tried))} (grid {shape}, spacing {spacing}, "
+                f"length scale {length_scale})"
             )
-        pad *= 2
+        dims = tuple(min(2 * m, _MAX_PAD * n) for m, n in zip(dims, shape))
 
 
 def _pruned_ifftn(spectral: np.ndarray, shape: tuple) -> np.ndarray:
     """``np.fft.ifftn(spectral)`` cut to its leading ``shape`` block, bit for bit.
 
     Like ``ifftn`` it transforms the last axis first, but it cuts each axis
-    to its ``shape`` length before transforming the next, so the padded rows
+    to its ``shape`` length before transforming the next, so the torus rows
     that are never read are never transformed.  Every remaining line is the
     same 1D transform as in ``ifftn``.  ``spectral`` is overwritten.
     """

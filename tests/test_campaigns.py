@@ -172,6 +172,62 @@ class TestValidation:
             run_campaign(tiny("volume-check", family="hexagonal"))
 
 
+# a 16^2 torus (half_width 2, delta 0.5) at 48 B per point, for one thread
+_ONE_SMALL_DRAW = 16 * 16 * 48
+
+
+class TestGridMemoryPreflight:
+    @pytest.mark.parametrize("kind", campaigns.KINDS)
+    def test_default_configs_admitted(self, kind):
+        validate_config(default_config(kind))
+
+    def test_threads_multiply_the_draw(self, monkeypatch):
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: _ONE_SMALL_DRAW)
+        validate_config(tiny("bias-sweep", threads=1))
+        with pytest.raises(ConfigError, match="physical memory"):
+            validate_config(tiny("bias-sweep", threads=2))
+
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            ("bias-sweep", dict(deltas=(0.5, 0.25))),
+            ("volume-check", dict(half_width=4.0)),
+            ("clt", dict(windows=(8, 16), deltas=(0.5,))),
+        ],
+    )
+    def test_largest_torus_refused(self, monkeypatch, kind, overrides):
+        # each config's largest grid has more than 16^2 torus points
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: _ONE_SMALL_DRAW)
+        with pytest.raises(ConfigError, match="physical memory"):
+            validate_config(tiny(kind, **overrides))
+
+    @pytest.mark.parametrize("family", ["hexagonal", "voronoi"])
+    def test_point_families_not_priced_as_grids(self, monkeypatch, family):
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: 1)
+        validate_config(tiny("bias-sweep", family=family))
+
+    def test_big_config_refused_before_any_draw(self, monkeypatch):
+        # a 2187^3 torus needs about 500 GB per thread; only its size is computed
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(campaigns, "_embedding_spectrum", _must_not_run)
+        monkeypatch.setattr(campaigns, "sample_gaussian_grid", _must_not_run)
+        cfg = tiny("bias-sweep", d=3, half_width=64.0, deltas=(0.0625,))
+        with pytest.raises(ConfigError, match="2187\\^3 torus points"):
+            run_campaign(cfg)
+
+    def test_cli_exit_code_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: _ONE_SMALL_DRAW)
+        argv = ["bias-sweep", "--config", str(_write_cfg(tmp_path, "half_width = 2.0\n")),
+                "--delta", "0.5", "--reps", "2", "--threads", "2"]
+        assert cli.main(argv) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert cli.main(argv[:-2]) == 0
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called for a config the preflight should refuse")
+
+
 class TestHashing:
     def test_hash_ignores_execution_fields(self):
         a = tiny("bias-sweep", threads=1, out="x.csv")
@@ -373,7 +429,9 @@ class TestGoldenDigests:
     A change that alters a replicate stream or a reduction by accident shows
     here, not only in a hand comparison.  The hexagonal and Voronoi families
     are left out: they draw through a dense Cholesky factor, whose last bits
-    depend on the LAPACK build.
+    depend on the LAPACK build.  The last case is the one whose embedding
+    torus is smaller than twice the grid (48^2 for a 32^2 grid); every other
+    lattice case draws on a 2x torus or larger.
     """
 
     @pytest.mark.parametrize(
@@ -399,6 +457,7 @@ class TestGoldenDigests:
             ),
             ("crossing", {}, "10a386cc4479efea"),
             ("crofton-demo", {}, "eef452d2c8d71590"),
+            ("bias-sweep", dict(half_width=8.0, deltas=(0.5,), reps=5), "86325557ed94b750"),
         ],
     )
     def test_output_digest(self, kind, overrides, digest):
@@ -555,6 +614,22 @@ class TestCli:
         code = cli.main(["crossing", "--reps", "2"])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_indefinite_embedding_exits_three(self, tmp_path, monkeypatch, capsys):
+        # every torus is reported indefinite: the 8^2 grid tries 16^2, 32^2
+        # and 64^2, then the campaign stops with the numeric-failure code
+        monkeypatch.setattr(sampling, "_check_eigenvalues", lambda lam: None)
+        sampling._embedding_spectrum.cache_clear()
+        try:
+            code = cli.main(
+                ["bias-sweep", "--delta", "0.5", "--reps", "2",
+                 "--config", str(_write_cfg(tmp_path, "half_width = 2.0\n"))]
+            )
+        finally:
+            sampling._embedding_spectrum.cache_clear()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "(16, 16), (32, 32), (64, 64)" in err
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

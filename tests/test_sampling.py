@@ -5,6 +5,8 @@ statistic under test, so a correct implementation fails any single check with
 probability well under 1e-3.
 """
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -15,11 +17,14 @@ from excursionkit.densities import CovarianceModel
 from excursionkit.sampling import (
     DEFAULT_POINT_CAP,
     CovarianceNotPositiveDefiniteError,
+    EmbeddingNotNonnegativeDefiniteError,
     GridSpec,
     PointCapacityError,
     _check_eigenvalues,
     _embedding_spectrum,
     _pruned_ifftn,
+    _torus_size,
+    _wrapped_axis_covariance,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -88,6 +93,22 @@ class TestGaussianGrid:
         expected = MODEL.covariance((coords[:, None] - coords[None, :]) ** 2)
         assert np.max(np.abs(emp - expected)) < 4.5 / np.sqrt(reps)
 
+    def test_exact_covariance_on_truncated_torus(self):
+        # 40 nodes at spacing 0.5 sit on a 60-node torus, less than 2x the
+        # grid: lags 31..39 wrap, yet every lag keeps the model covariance
+        g = GridSpec(1, 20, 0.5)
+        assert _embedding_spectrum(1.0, 0.5, g.shape)[1] == (60,)
+        reps = 3000
+        draws = np.stack([sample_gaussian_grid(MODEL, g, 20_000 + s)[0] for s in range(reps)])
+        emp = draws.T @ draws / reps
+        n = g.shape[0]
+        lags = np.arange(n)
+        # mean of the empirical covariance over the pairs at each lag, the
+        # longest (one pair, nodes 0 and 39) included
+        emp_lag = np.array([np.diagonal(emp, k).mean() for k in lags])
+        expected = MODEL.covariance((lags * g.spacing) ** 2)
+        assert np.max(np.abs(emp_lag - expected)) < 4.5 / np.sqrt(reps)
+
     def test_halves_are_uncorrelated(self):
         # real and imaginary parts of one complex-noise embedding are
         # independent: every entry of their cross-covariance is 0
@@ -137,12 +158,19 @@ class TestGaussianGrid:
         assert c0 == pytest.approx(c1, abs=0.01)
 
 
+def _next_5_smooth(m):
+    """Smallest 2^a 3^b 5^c >= m, by enumeration (exact for m up to 2^40)."""
+    exponents = itertools.product(range(41), range(26), range(18))
+    return min(size for size in (2**a * 3**b * 5**c for a, b, c in exponents) if size >= m)
+
+
 def _fftn_spectrum_reference(length_scale, spacing, shape):
     """The embedding spectrum as one n-D FFT of the wrapped kernel, with the
-    same padding rule as ``_embedding_spectrum``."""
-    pad = 2
+    same torus rule as ``_embedding_spectrum``: per axis the smallest 5-smooth
+    size of at least n - 1 + ceil(ell sqrt(-2 ln eps) / delta), at most 2n."""
+    reach = math.ceil(length_scale * math.sqrt(-2.0 * math.log(np.finfo(float).eps)) / spacing)
+    dims = tuple(min(2 * n, _next_5_smooth(n - 1 + reach)) for n in shape)
     while True:
-        dims = tuple(pad * s for s in shape)
         sq = np.zeros(())
         for axis, m in enumerate(dims):
             k = np.arange(m)
@@ -152,7 +180,7 @@ def _fftn_spectrum_reference(length_scale, spacing, shape):
         lam = _check_eigenvalues(np.fft.fftn(np.exp(-0.5 * sq / length_scale**2)).real)
         if lam is not None:
             return np.sqrt(lam), dims
-        pad *= 2
+        dims = tuple(min(2 * m, 8 * n) for m, n in zip(dims, shape))
 
 
 class TestEmbeddingSpectrum:
@@ -164,6 +192,8 @@ class TestEmbeddingSpectrum:
             (1.0, 0.5, (9,)),
             (1.0, 0.5, (6, 10)),
             (1.0, 0.5, (4, 6, 8)),
+            (1.0, 0.5, (40, 6)),
+            (0.5, 0.25, (32, 32, 4)),
         ],
     )
     def test_per_axis_spectrum_matches_fftn_reference(self, length_scale, spacing, shape):
@@ -182,8 +212,41 @@ class TestEmbeddingSpectrum:
         assert np.all(sqrt_lam >= 0.0)
 
     def test_large_torus_needs_no_extra_padding(self):
+        # n - 1 + 17 lags = 48 nodes, a 5-smooth size below 2n = 64
         _, dims = _embedding_spectrum(1.0, 0.5, (32, 32))
-        assert dims == (64, 64)
+        assert dims == (48, 48)
+
+    def test_3d_acceptance_grid_keeps_2x_torus(self):
+        # 63 + 68 lags round up to 135 > 128, so the 2x torus stays
+        assert _embedding_spectrum(1.0, 0.125, (64,) * 3)[1] == (128,) * 3
+
+    @pytest.mark.parametrize("length_scale", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("spacing", [0.5, 0.3, 0.125, 0.0625])
+    @pytest.mark.parametrize("n", [3, 17, 40, 64, 256, 1000])
+    def test_wrapped_kernel_is_model_covariance_within_eps(self, n, spacing, length_scale):
+        m = _torus_size(n, length_scale, spacing)
+        assert m <= 2 * n
+        assert m == 2 * n or _next_5_smooth(m) == m
+        wrapped = _wrapped_axis_covariance(m, length_scale, spacing)[:n]
+        model = CovarianceModel(length_scale).covariance((np.arange(n) * spacing) ** 2)
+        assert np.max(np.abs(wrapped - model)) <= np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "shape,tried", [((3,), [(6,), (12,), (24,)]), ((40,), [(60,), (120,), (240,), (320,)])]
+    )
+    def test_indefinite_embedding_raises_at_8x(self, monkeypatch, shape, tried):
+        # every torus tried is reported indefinite: the torus doubles until
+        # it reaches 8x the grid, and the error names each one
+        seen = []
+        monkeypatch.setattr(sampling, "_check_eigenvalues", lambda lam: seen.append(lam.shape))
+        _embedding_spectrum.cache_clear()
+        try:
+            with pytest.raises(EmbeddingNotNonnegativeDefiniteError) as exc:
+                _embedding_spectrum(1.0, 0.5, shape)
+        finally:
+            _embedding_spectrum.cache_clear()
+        assert seen == tried
+        assert ", ".join(map(str, tried)) in str(exc.value)
 
     def test_eigenvalue_clipping(self):
         lam = np.array([1.0, -1e-12, 0.5])
@@ -196,11 +259,15 @@ class TestEmbeddingSpectrum:
 
 class TestPrunedIfft:
     @pytest.mark.parametrize(
-        "shape,pad", [((5,), 2), ((6, 6), 2), ((4, 6), 2), ((3, 5, 4), 2), ((4, 4, 4), 4)]
+        "shape,pad",
+        [
+            ((5,), 2), ((6, 6), 2), ((4, 6), 2), ((3, 5, 4), 2), ((4, 4, 4), 4),
+            ((40,), 1.5), ((32, 32), 1.5),
+        ],
     )
     def test_equals_block_of_ifftn_bitwise(self, shape, pad):
-        rng = np.random.default_rng(len(shape) * 10 + pad)
-        dims = tuple(pad * s for s in shape)
+        rng = np.random.default_rng(round(len(shape) * 10 + pad))
+        dims = tuple(round(pad * s) for s in shape)
         spectral = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
         expected = np.fft.ifftn(spectral)[tuple(slice(0, s) for s in shape)]
         got = _pruned_ifftn(spectral.copy(), shape)
