@@ -30,7 +30,6 @@ from .tessellation import (
 )
 from .sampling import (
     CovarianceNotPositiveDefiniteError,
-    EmbeddingNotNonnegativeDefiniteError,
     GridSpec,
     PointCapacityError,
     covariance_factor,
@@ -76,7 +75,6 @@ __all__ = [
     "CovarianceModel",
     "CovarianceNotPositiveDefiniteError",
     "CroftonEstimate",
-    "EmbeddingNotNonnegativeDefiniteError",
     "FacetSet",
     "GridSpec",
     "Honeycomb",

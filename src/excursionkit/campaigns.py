@@ -4,15 +4,16 @@ Each campaign maps a sweep parameter (cell size, crossing lag, window size,
 shape) to replicate statistics.  Replicate seeds are derived from
 (base seed, sweep index, replicate index) through a SeedSequence hash, so any
 replicate can run on any thread at any time and the aggregated output is byte
-identical regardless of the thread count.  Lattice fields come two per FFT:
-replicate r of sweep step s is half r % 2 (real, imaginary) of the grid draw
-keyed (base seed, s, r // 2).
+identical regardless of the thread count.  Lattice fields come two per grid
+draw: replicate r of sweep step s is half r % 2 of the grid draw keyed
+(base seed, s, r // 2).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,8 +31,7 @@ from .densities import (
 )
 from .sampling import (
     GridSpec,
-    _embedding_spectrum,
-    _torus_size,
+    _axis_factor,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -56,11 +56,6 @@ MODELS = ("gaussian", "chi-square")
 # fields that do not influence the computed numbers and are therefore
 # excluded from the config hash echoed on every output row
 _NON_SEMANTIC_FIELDS = ("threads", "out", "summary")
-
-# transient memory of one grid draw per torus point: the two noise arrays
-# (2 x 8 B), the complex spectrum (16 B) and the complex inverse FFT (16 B)
-_GRID_BYTES_PER_TORUS_POINT = 48
-
 
 class ConfigError(ValueError):
     """Invalid campaign configuration (bad key, value, or combination)."""
@@ -214,7 +209,7 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
     if cfg.kind in ("bias-sweep", "volume-check") and cfg.family == "hypercubic":
         for delta in cfg.deltas:
             _lattice_half_extent(cfg.half_width, delta)
-    _check_grid_memory(cfg)
+    _check_memory(cfg)
     if cfg.kind == "crossing" and cfg.n_pairs < cfg.reps:
         raise ConfigError("n_pairs must be at least the replicate count")
     if cfg.kind == "crofton-demo":
@@ -245,28 +240,89 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_grid_memory(cfg: CampaignConfig) -> None:
-    """Refuse a lattice campaign whose concurrent grid draws cannot fit in
-    physical memory: each worker thread holds one draw on the largest
-    embedding torus."""
-    if cfg.kind == "clt":
-        axes = [(2 * w, cfg.deltas[0]) for w in cfg.windows]
-    elif cfg.kind in ("bias-sweep", "volume-check") and cfg.family == "hypercubic":
-        deltas = cfg.deltas if cfg.kind == "bias-sweep" else cfg.deltas[:1]
-        axes = [(2 * _lattice_half_extent(cfg.half_width, delta), delta) for delta in deltas]
-    else:
-        return
+def _check_memory(cfg: CampaignConfig) -> None:
+    """Refuse a campaign whose concurrent draws cannot fit in physical memory:
+    each worker thread holds one draw of the largest size in the sweep."""
     memory = _physical_memory()
     if memory is None:
         return
-    m = max(_torus_size(n, cfg.ell, delta) for n, delta in axes)
-    need = m**cfg.d * _GRID_BYTES_PER_TORUS_POINT * cfg.threads
-    if need > memory:
+    need, what = _draw_memory(cfg, memory // cfg.threads)
+    if need * cfg.threads > memory:
         raise ConfigError(
-            f"grid draws need about {need / 2**30:.1f} GiB of memory ({m}^{cfg.d} torus "
-            f"points x {_GRID_BYTES_PER_TORUS_POINT} B x threads = {cfg.threads}), more than "
-            f"the {memory / 2**30:.1f} GiB of physical memory"
+            f"field draws need about {need * cfg.threads / 2**30:.1f} GiB of memory ({what} "
+            f"x threads = {cfg.threads}), more than the {memory / 2**30:.1f} GiB of "
+            "physical memory"
         )
+
+
+def _row_axes(cfg: CampaignConfig) -> list:
+    """(nodes, spacing) of the grid axis each sweep row draws on; empty for
+    the kinds and families that draw no grid."""
+    if cfg.kind == "clt":
+        return [(2 * w, cfg.deltas[0]) for w in cfg.windows]
+    if cfg.family != "hypercubic":
+        return []
+    if cfg.kind == "bias-sweep":
+        return [(2 * _lattice_half_extent(cfg.half_width, dl), dl) for dl in cfg.deltas]
+    if cfg.kind == "volume-check":
+        delta = cfg.deltas[0]
+        return [(2 * _lattice_half_extent(cfg.half_width, delta), delta)] * len(cfg.levels)
+    return []
+
+
+def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
+    """Bytes one worker holds for the largest draw of ``cfg``, and what they are.
+
+    A grid draw of n^d nodes holds, at 8 B each, the two n^d fields, the
+    2 r^d noise and the 2 r^(d-j) n^j values of each of its d - 1 partial
+    contractions, r being the rank of the axis factor.  The factor is only
+    computed once the two fields alone fit in ``budget``.  A draw at
+    scattered points holds the dense n x n factor: n is at most the number
+    of whole hexagons in the window, and for Voronoi clouds the expected
+    number of cells meeting the window, 1 + m^2 + 8 m / pi for a window m
+    cells wide (the Steiner formula with the mean Poisson-Voronoi cell
+    perimeter 4 / sqrt(rate)).
+    """
+    d, side = cfg.d, 2.0 * cfg.half_width
+    if cfg.kind == "bias-sweep" and cfg.family == "hexagonal":
+        delta = min(cfg.deltas)
+        n = math.floor(side * side / (1.5 * math.sqrt(3.0) * delta * delta))
+        return 8 * n * n, f"{n}^2 dense factor entries x 8 B"
+    if cfg.kind == "bias-sweep" and cfg.family == "voronoi":
+        m = side / min(cfg.deltas)
+        n = math.ceil(1.0 + m * m + 8.0 * m / math.pi)
+        return 8 * n * n, f"{n}^2 dense factor entries x 8 B"
+    axes = _row_axes(cfg)
+    if not axes:
+        return 0, ""
+    n, delta = max(axes)
+    need = 16 * n**d
+    if need > budget:
+        return need, f"{n}^{d} grid points x 2 fields x 8 B"
+    rank = _axis_factor(n, delta, cfg.ell).shape[1]
+    need = 16 * sum(rank ** (d - j) * n**j for j in range(d + 1))
+    return need, f"{n}^{d} grid points and rank {rank}: fields, noise and contractions x 8 B"
+
+
+def _provenance(cfg: CampaignConfig, config_hash: str) -> dict:
+    """What produced a run: package, numpy, scipy and BLAS builds, threads,
+    seed and config hash.  Lattice draws multiply by BLAS, so their last bits
+    depend on its build."""
+    import scipy
+
+    from . import __version__
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    keys = ("name", "version", "openblas configuration")
+    return {
+        "excursionkit": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {k: v for k, v in blas.items() if k in keys},
+        "threads": cfg.threads,
+        "seed": cfg.seed,
+        "config_hash": config_hash,
+    }
 
 
 @dataclass(eq=False)
@@ -277,6 +333,7 @@ class McCampaignResult:
     config: CampaignConfig
     config_hash: str
     wall_clock_s: float
+    health: list
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -296,6 +353,8 @@ class McCampaignResult:
             "config_hash": self.config_hash,
             "wall_clock_s": self.wall_clock_s,
             "rows": self.rows,
+            "health": self.health,
+            "provenance": _provenance(self.config, self.config_hash),
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=str)
@@ -349,11 +408,14 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
     ``reduce(value, results)`` giving the row and the named raw columns, and
     ``paired``.  A task is one replicate, or with ``paired`` the two
     replicates 2t and 2t + 1 of one grid draw; an odd count drops the last.
+    Each row also gets numeric-health counters, written to the JSON summary
+    only: the rank of the axis factor its grid draws use.
     """
     cfg = validate_config(cfg)
     start = time.perf_counter()
     column, values, replicates, reduce, paired = _SPECS[cfg.kind](cfg)
-    rows, raw = [], []
+    axes = _row_axes(cfg)
+    rows, raw, health = [], [], []
     for si, value in enumerate(values):
         tasks = (cfg.reps + 1) // 2 if paired else cfg.reps
         # no name holds the task function, so what it closes over (a
@@ -363,6 +425,9 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
             results = [r for pair in results for r in pair][: cfg.reps]
         row, raw_columns = reduce(value, results)
         rows.append({column: value, **row, "reps": cfg.reps})
+        health.append(
+            {"axis_rank": _axis_factor(*axes[si], cfg.ell).shape[1]} if axes else {}
+        )
         for rep, entries in enumerate(zip(*raw_columns.values())):
             named = dict(zip(raw_columns, map(float, entries)))
             raw.append({column: value, "replicate": rep, **named})
@@ -373,6 +438,7 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
         config=cfg,
         config_hash=cfg.config_hash(),
         wall_clock_s=time.perf_counter() - start,
+        health=health,
     )
 
 
@@ -385,11 +451,11 @@ def _reference_surface_density(cfg: CampaignConfig) -> float:
 
 def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, si, estimate):
     """Task function of row si on a grid: task t draws once, keyed
-    (seed, si, t), and returns ``estimate`` of the real and the imaginary
+    (seed, si, t), and returns ``estimate`` of its first and its second
     half, replicates 2t and 2t + 1."""
     # computed here, in the calling thread, so that pool threads share one
-    # spectrum instead of racing to fill the cache with copies of it
-    _embedding_spectrum(model.length_scale, grid.spacing, grid.shape)
+    # axis factor instead of racing to fill the cache with copies of it
+    _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
 
     def task(t):
         key = _rep_seed(cfg.seed, si, t)

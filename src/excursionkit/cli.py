@@ -1,7 +1,7 @@
 """Command line front end for the Monte Carlo campaigns.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when a numeric
-routine fails (non-definite covariance or embedding).
+routine fails (a dense covariance that is not positive definite).
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ from .campaigns import (
     default_config,
     run_campaign,
 )
-from .sampling import (
-    CovarianceNotPositiveDefiniteError,
-    EmbeddingNotNonnegativeDefiniteError,
-    PointCapacityError,
-)
+from .sampling import CovarianceNotPositiveDefiniteError, PointCapacityError
 
 _KIND_HELP = {
     "bias-sweep": "surface-estimate ratios over shrinking honeycomb cells",
@@ -108,7 +104,7 @@ def main(argv=None) -> int:
     except (ConfigError, PointCapacityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (EmbeddingNotNonnegativeDefiniteError, CovarianceNotPositiveDefiniteError) as exc:
+    except CovarianceNotPositiveDefiniteError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     if cfg.out:

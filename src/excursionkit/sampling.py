@@ -1,24 +1,25 @@
 """Random-field and point-process samplers with counter-based seeding.
 
-Gaussian fields on regular grids are drawn exactly by circulant embedding
-(FFT on a torus that contains the grid).  Each axis of n nodes starts on the
-smallest torus on which the wrapped kernel still equals the model covariance
-at every lag the grid uses, to within machine epsilon: n - 1 nodes plus the
-reach of the kernel, rounded up to a 5-smooth FFT size, at most 2n.  It
-grows only if its embedding is indefinite.  One draw fills the torus
-spectrum with complex white noise, so the real and the imaginary part of its
-inverse FFT are two independent exact fields (Wood & Chan 1994; Dietrich &
-Newsam 1997); ``sample_gaussian_grid`` returns both as plain value arrays.
-Scattered locations use a dense Cholesky factor of the covariance matrix and
-give one value array.  All samplers are pure functions of (model, locations,
-seed): the RNG is a Philox counter generator keyed by the seed, so
-replicates can run on any number of threads in any order and still reproduce
-bit for bit.
+Gaussian fields on regular grids are drawn from a low-rank factor of the
+covariance.  The squared-exponential kernel is a product over axes, so the
+grid covariance is the Kronecker product of one kernel matrix per axis.  Each
+axis matrix is factored by pivoted Cholesky, C ~ A A^T with A of n x r, until
+no residual variance exceeds FACTOR_TOL (Harbrecht, Peters & Schneider
+2012).  The rank r follows the window width in length scales, not the node
+count n: 27 or 28 for 64 or 128 nodes on a window 8 length scales wide,
+47 or 48 for 64 to 256 nodes on one 16 wide, 215 on one 80 wide.  One draw
+multiplies every axis of a (2, r, ..., r) block of white noise by A: the
+two slices are two independent fields, which ``sample_gaussian_grid``
+returns as plain value arrays.  Scattered locations use a dense Cholesky
+factor of the covariance matrix and give one value array.  All samplers are
+pure functions of (model, locations, seed): the RNG is a Philox counter
+generator keyed by the seed, so replicates can run on any number of threads
+in any order and still reproduce bit for bit.  Grid draws multiply through BLAS, so their last bits depend on
+the BLAS build, though not on its thread count.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,16 +32,9 @@ from scipy.spatial.distance import cdist
 from .densities import CovarianceModel
 from .tessellation import Box
 
-EIGENVALUE_TOL = 1e-9       # largest negative embedding eigenvalue that is clipped to 0
+FACTOR_TOL = 1e-13          # largest residual variance left by an axis factor
 DEFAULT_POINT_CAP = 4096    # default dense-factorization size limit
 CHOLESKY_JITTER = 1e-10     # one-shot diagonal jitter on factorization failure, with a warning
-_MAX_PAD = 8                # an indefinite embedding torus doubles up to 8x the grid per axis
-# lag / ell beyond which the squared-exponential kernel is below float eps
-_KERNEL_REACH = math.sqrt(-2.0 * math.log(np.finfo(float).eps))
-
-
-class EmbeddingNotNonnegativeDefiniteError(RuntimeError):
-    """Raised when the circulant embedding stays indefinite on the largest torus."""
 
 
 class CovarianceNotPositiveDefiniteError(RuntimeError):
@@ -117,118 +111,50 @@ def _flat_key(seed, *extra) -> tuple:
     return tuple(int(s) for s in head) + tuple(int(e) for e in extra)
 
 
-def _check_eigenvalues(lam: np.ndarray) -> np.ndarray | None:
-    """Clip tiny negative embedding eigenvalues; None signals real indefiniteness.
-
-    Negative values no larger in magnitude than EIGENVALUE_TOL are rounding
-    noise and are set to 0; anything below that must not be truncated
-    silently, so the caller grows the torus or raises.
-    """
-    lam_min = float(lam.min())
-    if lam_min < -EIGENVALUE_TOL:
-        return None
-    if lam_min < 0.0:
-        lam = np.where(lam < 0.0, 0.0, lam)
-    return lam
-
-
-def _smooth_size(m: int) -> int:
-    """Smallest integer >= m with no prime factor above 5 (a fast FFT length).
-
-    Computed here rather than taken from an FFT library's table of fast
-    lengths, which may change between versions: the torus size fixes the
-    replicate streams.
-    """
-    while True:
-        rest = m
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return m
-        m += 1
-
-
-def _torus_size(n: int, length_scale: float, spacing: float) -> int:
-    """Nodes per axis of the smallest exact embedding torus for n grid nodes.
-
-    On a torus of m >= n - 1 + reach nodes, where beyond ``reach`` lags the
-    kernel is below float eps, a lag k < n wraps to min(k, m - k); the two
-    differ only when both are at least ``reach``, so the wrapped kernel is the
-    model covariance to within eps at every lag of the grid.  m is that bound
-    rounded up to a 5-smooth size, capped at 2n: a torus of 2n nodes wraps no
-    lag of the grid at all, and is the size used whenever the window is not
-    wide relative to the length scale.
-    """
-    target = n - 1 + math.ceil(length_scale * _KERNEL_REACH / spacing)
-    return min(2 * n, _smooth_size(min(target, 2 * n)))
-
-
-def _wrapped_axis_covariance(m: int, length_scale: float, spacing: float) -> np.ndarray:
-    """The kernel at the minimal-image lags min(k, m - k), k = 0..m-1, of a
-    torus axis of m nodes."""
-    k = np.arange(m)
-    wrapped = np.minimum(k, m - k) * spacing
-    return np.exp(-0.5 * wrapped**2 / (length_scale * length_scale))
-
-
 @lru_cache(maxsize=16)
-def _embedding_spectrum(length_scale: float, spacing: float, shape: tuple) -> tuple:
-    """Square roots of the circulant-embedding eigenvalues for a grid shape.
+def _axis_factor(n: int, spacing: float, length_scale: float) -> np.ndarray:
+    """Low-rank factor A (n x r) of the kernel matrix of one grid axis.
 
-    Each axis of n nodes starts on the torus of ``_torus_size`` nodes, the
-    smallest on which the wrapped kernel is the model covariance at every lag
-    of the grid.  While some eigenvalue is negative beyond rounding
-    (``_check_eigenvalues``), every axis doubles, up to _MAX_PAD times its
-    grid size.  A torus on which the kernel decays below eps before it wraps
-    is nonnegative definite to rounding, as the squared-exponential spectrum
-    is strictly positive; a 2x torus of a window only a few length scales
-    wide may need to grow.  The kernel is a product over axes, so the eigenvalues, the FFT
-    of the wrapped kernel, are the outer product of one 1D FFT per axis.
+    The matrix C_ij = exp(-(spacing (i - j))^2 / (2 length_scale^2)) is
+    factored by pivoted Cholesky: each step takes the node of largest
+    residual variance as pivot, computes the kernel column there and
+    subtracts its projection on the columns found so far.  It stops once no
+    residual variance exceeds FACTOR_TOL; the residual C - A A^T is positive
+    semidefinite, so none of its entries does either.  Only kernel columns
+    are evaluated, never the n x n matrix, and the arithmetic is elementwise
+    numpy with no BLAS call, so the factor has the same bits at any BLAS
+    thread count.  The result is cached and read-only.
     """
-    dims = tuple(_torus_size(n, length_scale, spacing) for n in shape)
-    tried = []
-    while True:
-        tried.append(dims)
-        lam = np.ones(())
-        for m in dims:
-            axis_cov = _wrapped_axis_covariance(m, length_scale, spacing)
-            lam = np.multiply.outer(lam, np.fft.fft(axis_cov).real)
-        lam = _check_eigenvalues(lam)
-        if lam is not None:
-            return np.sqrt(lam, out=lam), dims
-        if all(m >= _MAX_PAD * n for m, n in zip(dims, shape)):
-            raise EmbeddingNotNonnegativeDefiniteError(
-                "circulant embedding not nonnegative definite on the tori "
-                f"{', '.join(map(str, tried))} (grid {shape}, spacing {spacing}, "
-                f"length scale {length_scale})"
-            )
-        dims = tuple(min(2 * m, _MAX_PAD * n) for m, n in zip(dims, shape))
-
-
-def _pruned_ifftn(spectral: np.ndarray, shape: tuple) -> np.ndarray:
-    """``np.fft.ifftn(spectral)`` cut to its leading ``shape`` block, bit for bit.
-
-    Like ``ifftn`` it transforms the last axis first, but it cuts each axis
-    to its ``shape`` length before transforming the next, so the torus rows
-    that are never read are never transformed.  Every remaining line is the
-    same 1D transform as in ``ifftn``.  ``spectral`` is overwritten.
-    """
-    z = np.fft.ifft(spectral, axis=-1, out=spectral)
-    for axis in reversed(range(z.ndim)):
-        z = z[(slice(None),) * axis + (slice(0, shape[axis]),)]
-        if axis:
-            z = np.fft.ifft(z, axis=axis - 1)
-    return z
+    x = (spacing / length_scale) * np.arange(n)
+    residual = np.ones(n)
+    rows = np.empty((min(n, 32), n))  # row k is column k of A; grows by doubling
+    k = 0
+    while k < n:
+        p = int(np.argmax(residual))
+        if residual[p] <= FACTOR_TOL:
+            break
+        if k == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty((min(k, n - k), n))])
+        col = np.exp(-0.5 * (x - x[p]) ** 2)
+        col -= np.einsum("kn,k->n", rows[:k], rows[:k, p])
+        col /= np.sqrt(residual[p])
+        rows[k] = col
+        residual -= col * col
+        k += 1
+    factor = np.ascontiguousarray(rows[:k].T)
+    factor.setflags(write=False)
+    return factor
 
 
 def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> tuple:
     """Draw two independent zero-mean unit-variance Gaussian fields at the grid nodes.
 
-    The draw is exact: the covariance of each returned array equals the
-    model covariance at every pair of nodes, up to floating-point rounding.
-    One draw is one complex inverse FFT whose real and imaginary parts are
-    the two fields.
+    The covariance of each returned array is the model covariance at every
+    pair of nodes to within d x FACTOR_TOL, as each axis factor is exact to
+    within FACTOR_TOL and every kernel value is at most 1.  One draw takes a
+    (2, r, ..., r) block of standard normals and multiplies each of its d
+    noise axes by the axis factor A; the two fields are the two slices of
+    the result.
 
     Parameters
     ----------
@@ -240,18 +166,19 @@ def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> tuple:
     Returns
     -------
     tuple of two ndarray
-        The (real, imaginary) halves, each of length ``grid.n_nodes`` in the
-        row-major node order of ``grid.nodes()``.
+        The two fields, each of length ``grid.n_nodes`` in the row-major node
+        order of ``grid.nodes()``.
     """
-    sqrt_lam, dims = _embedding_spectrum(model.length_scale, grid.spacing, grid.shape)
-    noise = _rng(seed).standard_normal((2,) + dims)
-    spectral = np.empty(dims, dtype=complex)
-    np.multiply(sqrt_lam, noise[0], out=spectral.real)
-    np.multiply(sqrt_lam, noise[1], out=spectral.imag)
-    del noise
-    z = _pruned_ifftn(spectral, grid.shape)
-    z *= np.sqrt(float(np.prod(dims)))
-    return np.ascontiguousarray(z.real).reshape(-1), np.ascontiguousarray(z.imag).reshape(-1)
+    n = grid.shape[0]
+    factor = _axis_factor(n, grid.spacing, model.length_scale)
+    z = _rng(seed).standard_normal((2,) + (factor.shape[1],) * grid.d)
+    # contract the leading noise axis with A and append the n result nodes
+    # last, d times, so the axes come back in order
+    for _ in range(grid.d):
+        rest = z.shape[2:]
+        z = np.matmul(z.reshape(2, z.shape[1], -1).transpose(0, 2, 1), factor.T)
+        z = z.reshape((2,) + rest + (n,))
+    return z[0].reshape(-1), z[1].reshape(-1)
 
 
 def covariance_factor(
@@ -363,8 +290,8 @@ def sample_chi_square(
     (seed, component) through the SeedSequence hash, so the draw is
     reproducible and component order is immaterial.  On a grid each
     component is one ``sample_gaussian_grid`` draw whose two halves are
-    independent, and two fields are returned: one sums the real halves, the
-    other the imaginary halves of the same k draws.
+    independent, and two fields are returned: one sums the first halves, the
+    other the second halves of the same k draws.
 
     Parameters
     ----------
@@ -372,7 +299,7 @@ def sample_chi_square(
     k : int
         Degrees of freedom, at least 1.
     locations : GridSpec or array_like
-        Grid (FFT path) or scattered points (Cholesky path).
+        Grid (axis-factor path) or scattered points (Cholesky path).
     seed : int
     max_points : int
         Cap for the scattered-point path.
@@ -383,18 +310,18 @@ def sample_chi_square(
     Returns
     -------
     tuple of two ndarray or ndarray
-        On a grid the (real-half, imaginary-half) fields, in the node order
+        On a grid the (first-half, second-half) fields, in the node order
         of ``locations.nodes()``; on scattered points one (n,) array.
     """
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
     if isinstance(locations, GridSpec):
-        real, imag = np.zeros((2, locations.n_nodes))
+        first, second = np.zeros((2, locations.n_nodes))
         for comp in range(k):
-            re, im = sample_gaussian_grid(model, locations, _flat_key(seed, comp))
-            real += re * re
-            imag += im * im
-        return real, imag
+            a, b = sample_gaussian_grid(model, locations, _flat_key(seed, comp))
+            first += a * a
+            second += b * b
+        return first, second
     pts = np.atleast_2d(np.asarray(locations, dtype=float))
     factor = _point_factor(model, pts, max_points, factor)
     values = np.zeros(pts.shape[0])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -96,24 +97,34 @@ class Honeycomb:
 
     Args:
         d: ambient dimension.
-        cells: list of (m_i, 2) CCW vertex arrays for the 2D families (a
-            Voronoi region is clipped to the guard box where it crosses it,
-            and is (0, 2) when wholly outside), or None for the implicit
-            hypercubic lattice.
         ref_points: (n, d) reference point of each cell.
         cell_volumes: (n,) sigma_d measure of each cell (not clipped to the window).
         facets: all positive-measure shared facets, indexed by global cell id.
         window: the observation window T.
         window_areas: (n,) sigma_d(P intersect T) per cell.
+        verts, counts: for the 2D families, the CCW vertices of every cell
+            as one flat (N, 2) array, cell i being the next ``counts[i]``
+            rows (a Voronoi region is clipped to the guard box where it
+            crosses it, and has no rows when wholly outside); None for the
+            implicit hypercubic lattice.
     """
 
     d: int
-    cells: list | None
     ref_points: np.ndarray
     cell_volumes: np.ndarray
     facets: FacetSet
     window: Box
     window_areas: np.ndarray
+    verts: np.ndarray | None = None
+    counts: np.ndarray | None = None
+
+    @cached_property
+    def cells(self) -> list | None:
+        """Per-cell (m_i, 2) views of ``verts``, split on first read; None
+        for the hypercubic lattice."""
+        if self.verts is None:
+            return None
+        return np.split(self.verts, np.cumsum(self.counts)[:-1])
 
 
 @dataclass(eq=False)
@@ -279,7 +290,6 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
     facets = FacetSet(a=a, b=b, measure=measure, endpoints=endpoints)
     parent = Honeycomb(
         d=d,
-        cells=None,
         ref_points=ref_points,
         cell_volumes=np.full(ref_points.shape[0], delta**d),
         facets=facets,
@@ -563,12 +573,13 @@ def _polygon_honeycomb(verts, counts, ref_points, facets, window: Box, duplicate
         window_areas[i] = _shoelace_area(clip_polygon_to_box(verts[starts[i] : stops[i]], window))
     parent = Honeycomb(
         d=2,
-        cells=np.split(verts, stops[:-1]),
         ref_points=ref_points,
         cell_volumes=cell_volumes,
         facets=facets,
         window=window,
         window_areas=window_areas,
+        verts=verts,
+        counts=counts,
     )
     return _windowed(parent, inside, duplicates_merged)
 

@@ -1,13 +1,19 @@
+import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import excursionkit
 from excursionkit import campaigns, cli, sampling
 from excursionkit.campaigns import (
     CampaignConfig,
@@ -18,7 +24,7 @@ from excursionkit.campaigns import (
     run_campaign,
     validate_config,
 )
-from excursionkit.densities import CovarianceModel
+from excursionkit.densities import CovarianceModel, gaussian_surface_density
 from excursionkit.estimators import (
     clipped_surface_estimate,
     exceedance_indicator,
@@ -26,7 +32,7 @@ from excursionkit.estimators import (
     volume_estimate,
 )
 from excursionkit.sampling import (
-    EmbeddingNotNonnegativeDefiniteError,
+    CovarianceNotPositiveDefiniteError,
     GridSpec,
     sample_gaussian_grid,
     sample_gaussian_points,
@@ -172,8 +178,9 @@ class TestValidation:
             run_campaign(tiny("volume-check", family="hexagonal"))
 
 
-# a 16^2 torus (half_width 2, delta 0.5) at 48 B per point, for one thread
-_ONE_SMALL_DRAW = 16 * 16 * 48
+# an 8^2 grid (half_width 2, delta 0.5) of full axis rank 8, for one thread:
+# the noise, one partial contraction and the fields, each 2 x 8^2 values of 8 B
+_ONE_SMALL_DRAW = 3 * 2 * 8**2 * 8
 
 
 class TestGridMemoryPreflight:
@@ -195,24 +202,51 @@ class TestGridMemoryPreflight:
             ("clt", dict(windows=(8, 16), deltas=(0.5,))),
         ],
     )
-    def test_largest_torus_refused(self, monkeypatch, kind, overrides):
-        # each config's largest grid has more than 16^2 torus points
+    def test_largest_grid_refused(self, monkeypatch, kind, overrides):
+        # each config's largest grid has more than 8^2 points
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: _ONE_SMALL_DRAW)
         with pytest.raises(ConfigError, match="physical memory"):
             validate_config(tiny(kind, **overrides))
 
-    @pytest.mark.parametrize("family", ["hexagonal", "voronoi"])
-    def test_point_families_not_priced_as_grids(self, monkeypatch, family):
-        monkeypatch.setattr(campaigns, "_physical_memory", lambda: 1)
-        validate_config(tiny("bias-sweep", family=family))
+    @pytest.mark.parametrize(
+        "family, cells",
+        [
+            # [-2, 2]^2 holds at most 16 / (1.5 sqrt(3) 0.5^2) = 24.6 whole hexagons
+            ("hexagonal", 24),
+            # 1 + 8^2 + 8 * 8 / pi = 85.4 Voronoi cells expected to meet [-2, 2]^2
+            ("voronoi", 86),
+        ],
+    )
+    def test_point_families_priced_by_dense_factor(self, monkeypatch, family, cells):
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: 8 * cells**2)
+        cfg = tiny("bias-sweep", family=family, deltas=(0.5, 1.0))
+        validate_config(replace(cfg, threads=1))
+        with pytest.raises(ConfigError, match=f"{cells}\\^2 dense factor entries"):
+            validate_config(replace(cfg, threads=2))
+
+    def test_point_counts_bound_the_cells_drawn(self):
+        # the hexagonal price bounds the inside cells; the Voronoi price is
+        # the mean meeting count of the campaign's clouds
+        window = Box(np.full(2, -2.0), np.full(2, 2.0))
+        assert hexagonal_honeycomb(0.5, window).n_inside <= 24
+        unit_box = Box(np.full(2, -5.5), np.full(2, 5.5))
+        meeting = [
+            voronoi_honeycomb_2d(
+                0.5 * sample_poisson_process(1.0, unit_box, (77, k)), window, 0.75
+            ).meeting_index.size
+            for k in range(40)
+        ]
+        se = np.std(meeting, ddof=1) / np.sqrt(len(meeting))
+        assert abs(np.mean(meeting) - (1 + 64 + 64 / math.pi)) < 4 * se
 
     def test_big_config_refused_before_any_draw(self, monkeypatch):
-        # a 2187^3 torus needs about 500 GB per thread; only its size is computed
+        # a 2048^3 grid needs about 128 GiB for its two fields alone; only
+        # its size is computed, not the axis factor
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: 8 * 2**30)
-        monkeypatch.setattr(campaigns, "_embedding_spectrum", _must_not_run)
+        monkeypatch.setattr(campaigns, "_axis_factor", _must_not_run)
         monkeypatch.setattr(campaigns, "sample_gaussian_grid", _must_not_run)
         cfg = tiny("bias-sweep", d=3, half_width=64.0, deltas=(0.0625,))
-        with pytest.raises(ConfigError, match="2187\\^3 torus points"):
+        with pytest.raises(ConfigError, match="2048\\^3 grid points"):
             run_campaign(cfg)
 
     def test_cli_exit_code_two(self, tmp_path, monkeypatch, capsys):
@@ -300,25 +334,23 @@ class TestDeterminism:
         assert len(odd.raw) == 5 * len(odd.rows)
         assert odd.raw == [r for r in even.raw if r["replicate"] < 5]
 
-    def test_lattice_spectrum_once_per_grid_shape(self, monkeypatch):
-        # a slow uncached spectrum: pool threads that each computed it on
-        # their first replicate would overlap here and count twice
+    def test_lattice_factor_once_per_grid_axis(self, monkeypatch):
+        # a slow factor: pool threads that each computed it on their first
+        # replicate would overlap here and count twice
         calls = []
-        real = sampling._check_eigenvalues
+        build = sampling._axis_factor.__wrapped__
 
-        def slow(lam):
-            calls.append(lam.shape)
+        def slow(n, spacing, length_scale):
+            calls.append(n)
             time.sleep(0.05)
-            return real(lam)
+            return build(n, spacing, length_scale)
 
-        monkeypatch.setattr(sampling, "_check_eigenvalues", slow)
-        sampling._embedding_spectrum.cache_clear()
-        try:
-            cfg = tiny("bias-sweep", half_width=4.0, deltas=(0.5, 0.25), reps=8, threads=2)
-            run_campaign(cfg)
-        finally:
-            sampling._embedding_spectrum.cache_clear()
-        assert calls == [(32, 32), (64, 64)]
+        cached = functools.lru_cache(maxsize=16)(slow)
+        monkeypatch.setattr(sampling, "_axis_factor", cached)
+        monkeypatch.setattr(campaigns, "_axis_factor", cached)
+        cfg = tiny("bias-sweep", half_width=4.0, deltas=(0.5, 0.25), reps=8, threads=2)
+        run_campaign(cfg)
+        assert sorted(calls) == [16, 32]
 
     def test_csv_byte_identical_across_threads(self, tmp_path):
         p1, p4 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -347,6 +379,103 @@ class TestDeterminism:
         assert data["config_hash"] == res.config_hash
         assert "threads" not in data["config"]
         assert len(data["rows"]) == 1
+
+    @pytest.mark.parametrize(
+        "kind, overrides, axes",
+        [
+            ("bias-sweep", dict(half_width=4.0, deltas=(0.5, 0.25)), [(16, 0.5), (32, 0.25)]),
+            ("clt", dict(windows=(4, 8), deltas=(0.5,)), [(8, 0.5), (16, 0.5)]),
+            ("volume-check", dict(levels=(0.0, 1.0)), [(8, 0.5), (8, 0.5)]),
+            ("crossing", {}, [None] * 2),
+            ("bias-sweep", dict(family="hexagonal", deltas=(0.4,), reps=2), [None]),
+        ],
+    )
+    def test_json_health_and_provenance(self, tmp_path, kind, overrides, axes):
+        res = run_campaign(tiny(kind, threads=2, seed=11, **overrides))
+        csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
+        res.write_json(json_path)
+        res.write_csv(csv_path)
+        data = json.loads(json_path.read_text())
+        ranks = [a and sampling._axis_factor(*a, 1.0).shape[1] for a in axes]
+        assert [h.get("axis_rank") for h in data["health"]] == ranks
+        prov = data["provenance"]
+        assert prov["excursionkit"] == excursionkit.__version__
+        assert prov["numpy"] == np.__version__ and prov["scipy"] == scipy.__version__
+        assert prov["blas"]["name"] and "version" in prov["blas"]
+        assert (prov["threads"], prov["seed"], prov["config_hash"]) == (2, 11, res.config_hash)
+        # the counters and the provenance stay out of the CSV
+        assert csv_path.read_text() == _csv_text(res.rows, res.config_hash)
+        assert "axis_rank" not in csv_path.read_text()
+
+
+class TestBlasThreadDeterminism:
+    """Lattice draws multiply through BLAS: the CSV bytes must not depend on
+    its thread count, nor on the campaign's."""
+
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            ("bias-sweep", "half_width = 8\ndeltas = 0.125, 0.0625\n"),
+            ("bias-sweep", "d = 3\nhalf_width = 2\ndeltas = 0.25, 0.125\n"),
+            ("clt", "windows = 40, 80, 160\n"),
+        ],
+    )
+    def test_csv_bytes_identical(self, tmp_path, kind, config):
+        cfg_path = _write_cfg(tmp_path, config)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = {}
+        for blas_threads in ("1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"blas{blas_threads}-threads{threads}.csv"
+                env = dict(
+                    os.environ,
+                    OPENBLAS_NUM_THREADS=blas_threads,
+                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                )
+                subprocess.run(
+                    [sys.executable, "-m", "excursionkit.cli", kind, "--config", str(cfg_path),
+                     "--reps", "6", "--seed", "5", "--threads", threads, "--out", str(out)],
+                    env=env, check=True, capture_output=True, timeout=300,
+                )
+                outputs[out.name] = out.read_bytes()
+        assert len(set(outputs.values())) == 1, sorted(outputs)
+
+
+def _lattice_expectation(d, half_width, delta, ell=1.0):
+    """Exact mean of a lattice bias-sweep ratio at u = 0.
+
+    Each of the d (2N - 1) (2N)^(d - 1) facets of measure delta^(d - 1) is
+    crossed with probability arccos(rho) / pi, rho = exp(-delta^2 / (2 ell^2))
+    being the correlation of its two nodes; the ratio divides by the window
+    volume (2 half_width)^d and the analytic surface density.
+    """
+    n = round(half_width / delta)
+    facets = d * (2 * n - 1) * (2 * n) ** (d - 1)
+    rho = math.exp(-0.5 * delta * delta / (ell * ell))
+    crossed = facets * delta ** (d - 1) * math.acos(rho) / math.pi
+    return crossed / ((2 * half_width) ** d * gaussian_surface_density(0.0, 1.0 / ell**2, d))
+
+
+class TestLatticeExpectation:
+    """Campaign means against the exact conditional expectation of the
+    lattice, a sharper reference than the acceptance bands."""
+
+    def test_default_2d_sweep(self):
+        res = run_campaign(replace(default_config("bias-sweep"), seed=31_337, threads=2))
+        assert [row["delta"] for row in res.rows] == [0.5, 0.25, 0.125, 0.0625]
+        for row in res.rows:
+            exact = _lattice_expectation(2, 8.0, row["delta"])
+            assert abs(row["mean_ratio"] - exact) <= 4.0 * row["stderr_ratio"], (row, exact)
+
+    def test_3d_acceptance_config(self):
+        cfg = replace(
+            default_config("bias-sweep"),
+            d=3, half_width=4.0, deltas=(0.125,), reps=100, seed=31_338, threads=2,
+        )
+        (row,) = run_campaign(cfg).rows
+        exact = _lattice_expectation(3, 4.0, 0.125)
+        assert exact == pytest.approx(1.47464, abs=5e-6)
+        assert abs(row["mean_ratio"] - exact) <= 4.0 * row["stderr_ratio"], (row, exact)
 
 
 @pytest.fixture
@@ -429,35 +558,38 @@ class TestGoldenDigests:
     A change that alters a replicate stream or a reduction by accident shows
     here, not only in a hand comparison.  The hexagonal and Voronoi families
     are left out: they draw through a dense Cholesky factor, whose last bits
-    depend on the LAPACK build.  The last case is the one whose embedding
-    torus is smaller than twice the grid (48^2 for a 32^2 grid); every other
-    lattice case draws on a 2x torus or larger.
+    depend on the LAPACK build.  The lattice cases multiply their noise by
+    the axis factors through BLAS, so their digests depend on the BLAS build,
+    as the Voronoi honeycomb digests depend on the Qhull build; they are the
+    same at any BLAS thread count.  The axis factors are full rank at
+    spacing 0.5 and of lower rank than their node count for the 16- and
+    32-node axes at spacing 0.25.
     """
 
     @pytest.mark.parametrize(
         "kind, overrides, digest",
         [
-            ("bias-sweep", dict(deltas=(0.5, 0.25), reps=5), "c5df5d38714eed9a"),
+            ("bias-sweep", dict(deltas=(0.5, 0.25), reps=5), "e5013a0768ded425"),
             (
                 "bias-sweep",
                 dict(deltas=(0.5, 0.25), reps=5, model="chi-square", k=3, u=2.0),
-                "64a2750970d92c13",
+                "5bb829b934f794ea",
             ),
             (
                 "bias-sweep",
                 dict(d=3, half_width=1.0, deltas=(0.5, 0.25), reps=3),
-                "4ced00a7ed6e15d1",
+                "332526516b67c4be",
             ),
-            ("clt", dict(u=0.3), "9d3353f46ad330ba"),
-            ("volume-check", dict(levels=(0.0, 1.0), reps=5), "152b2a7c2a4943d7"),
+            ("clt", dict(u=0.3), "b71d56795562447d"),
+            ("volume-check", dict(levels=(0.0, 1.0), reps=5), "ccb2a8350bc92f41"),
             (
                 "volume-check",
                 dict(levels=(1.0, 2.5), reps=5, model="chi-square"),
-                "d386ecf1309bca89",
+                "803729f594c936c4",
             ),
             ("crossing", {}, "10a386cc4479efea"),
             ("crofton-demo", {}, "eef452d2c8d71590"),
-            ("bias-sweep", dict(half_width=8.0, deltas=(0.5,), reps=5), "86325557ed94b750"),
+            ("bias-sweep", dict(half_width=8.0, deltas=(0.5,), reps=5), "d6baae1a869f7461"),
         ],
     )
     def test_output_digest(self, kind, overrides, digest):
@@ -608,28 +740,12 @@ class TestCli:
 
     def test_numeric_failure_exit_code(self, monkeypatch, capsys):
         def boom(cfg):
-            raise EmbeddingNotNonnegativeDefiniteError("spectrum went negative")
+            raise CovarianceNotPositiveDefiniteError("factor failed after jitter")
 
         monkeypatch.setattr(cli, "run_campaign", boom)
         code = cli.main(["crossing", "--reps", "2"])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
-
-    def test_indefinite_embedding_exits_three(self, tmp_path, monkeypatch, capsys):
-        # every torus is reported indefinite: the 8^2 grid tries 16^2, 32^2
-        # and 64^2, then the campaign stops with the numeric-failure code
-        monkeypatch.setattr(sampling, "_check_eigenvalues", lambda lam: None)
-        sampling._embedding_spectrum.cache_clear()
-        try:
-            code = cli.main(
-                ["bias-sweep", "--delta", "0.5", "--reps", "2",
-                 "--config", str(_write_cfg(tmp_path, "half_width = 2.0\n"))]
-            )
-        finally:
-            sampling._embedding_spectrum.cache_clear()
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "numeric failure" in err and "(16, 16), (32, 32), (64, 64)" in err
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

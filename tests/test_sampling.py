@@ -5,8 +5,7 @@ statistic under test, so a correct implementation fails any single check with
 probability well under 1e-3.
 """
 
-import itertools
-import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,15 +15,11 @@ from excursionkit import sampling
 from excursionkit.densities import CovarianceModel
 from excursionkit.sampling import (
     DEFAULT_POINT_CAP,
+    FACTOR_TOL,
     CovarianceNotPositiveDefiniteError,
-    EmbeddingNotNonnegativeDefiniteError,
     GridSpec,
     PointCapacityError,
-    _check_eigenvalues,
-    _embedding_spectrum,
-    _pruned_ifftn,
-    _torus_size,
-    _wrapped_axis_covariance,
+    _axis_factor,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -73,8 +68,8 @@ class TestGaussianGrid:
         assert not np.array_equal(a, c)
 
     def test_exact_covariance_small_grid(self):
-        # circulant embedding is exact, so the empirical covariance of a tiny
-        # 1D grid must match the model within plain Monte Carlo error
+        # the draw is exact, so the empirical covariance of a tiny 1D grid
+        # must match the model within plain Monte Carlo error
         g = GridSpec(1, 4, 0.5)
         reps = 3000
         draws = np.stack([sample_gaussian_grid(MODEL, g, s)[0] for s in range(reps)])
@@ -93,25 +88,25 @@ class TestGaussianGrid:
         expected = MODEL.covariance((coords[:, None] - coords[None, :]) ** 2)
         assert np.max(np.abs(emp - expected)) < 4.5 / np.sqrt(reps)
 
-    def test_exact_covariance_on_truncated_torus(self):
-        # 40 nodes at spacing 0.5 sit on a 60-node torus, less than 2x the
-        # grid: lags 31..39 wrap, yet every lag keeps the model covariance
-        g = GridSpec(1, 20, 0.5)
-        assert _embedding_spectrum(1.0, 0.5, g.shape)[1] == (60,)
+    def test_exact_covariance_at_every_lag_of_a_low_rank_axis(self):
+        # 128 nodes at spacing 0.125 take a factor of rank 47, far below n;
+        # every lag, the longest included, keeps the model covariance
+        g = GridSpec(1, 64, 0.125)
+        assert _axis_factor(128, 0.125, 1.0).shape[1] < 64
         reps = 3000
         draws = np.stack([sample_gaussian_grid(MODEL, g, 20_000 + s)[0] for s in range(reps)])
         emp = draws.T @ draws / reps
         n = g.shape[0]
         lags = np.arange(n)
         # mean of the empirical covariance over the pairs at each lag, the
-        # longest (one pair, nodes 0 and 39) included
+        # longest (one pair, nodes 0 and 127) included
         emp_lag = np.array([np.diagonal(emp, k).mean() for k in lags])
         expected = MODEL.covariance((lags * g.spacing) ** 2)
         assert np.max(np.abs(emp_lag - expected)) < 4.5 / np.sqrt(reps)
 
     def test_halves_are_uncorrelated(self):
-        # real and imaginary parts of one complex-noise embedding are
-        # independent: every entry of their cross-covariance is 0
+        # the two halves of one draw contract independent noise blocks:
+        # every entry of their cross-covariance is 0
         g = GridSpec(1, 4, 0.5)
         reps = 3000
         pairs = [sample_gaussian_grid(MODEL, g, 10_000 + s) for s in range(reps)]
@@ -158,121 +153,64 @@ class TestGaussianGrid:
         assert c0 == pytest.approx(c1, abs=0.01)
 
 
-def _next_5_smooth(m):
-    """Smallest 2^a 3^b 5^c >= m, by enumeration (exact for m up to 2^40)."""
-    exponents = itertools.product(range(41), range(26), range(18))
-    return min(size for size in (2**a * 3**b * 5**c for a, b, c in exponents) if size >= m)
+def _kernel_matrix(n, spacing, length_scale):
+    lags = spacing * np.arange(n)
+    return CovarianceModel(length_scale).covariance((lags[:, None] - lags[None, :]) ** 2)
 
 
-def _fftn_spectrum_reference(length_scale, spacing, shape):
-    """The embedding spectrum as one n-D FFT of the wrapped kernel, with the
-    same torus rule as ``_embedding_spectrum``: per axis the smallest 5-smooth
-    size of at least n - 1 + ceil(ell sqrt(-2 ln eps) / delta), at most 2n."""
-    reach = math.ceil(length_scale * math.sqrt(-2.0 * math.log(np.finfo(float).eps)) / spacing)
-    dims = tuple(min(2 * n, _next_5_smooth(n - 1 + reach)) for n in shape)
-    while True:
-        sq = np.zeros(())
-        for axis, m in enumerate(dims):
-            k = np.arange(m)
-            ax_shape = [1] * len(dims)
-            ax_shape[axis] = m
-            sq = sq + ((np.minimum(k, m - k) * spacing) ** 2).reshape(ax_shape)
-        lam = _check_eigenvalues(np.fft.fftn(np.exp(-0.5 * sq / length_scale**2)).real)
-        if lam is not None:
-            return np.sqrt(lam), dims
-        dims = tuple(min(2 * m, 8 * n) for m, n in zip(dims, shape))
-
-
-class TestEmbeddingSpectrum:
+class TestAxisFactor:
     @pytest.mark.parametrize(
-        "length_scale,spacing,shape",
+        "n,spacing,length_scale,full_rank",
         [
-            (1.0, 0.25, (8, 8)),
-            (1.0, 0.5, (32, 32)),
-            (1.0, 0.5, (9,)),
-            (1.0, 0.5, (6, 10)),
-            (1.0, 0.5, (4, 6, 8)),
-            (1.0, 0.5, (40, 6)),
-            (0.5, 0.25, (32, 32, 4)),
+            (1, 0.5, 1.0, True),
+            (8, 0.5, 1.0, True),  # spacing >= ell / 2: every node is needed
+            (48, 0.5, 1.0, True),
+            (40, 1.5, 2.5, True),
+            (16, 1.0, 1.0, True),
+            (64, 0.125, 1.0, False),  # the 3D acceptance axis
+            (256, 0.0625, 1.0, False),  # the 2D acceptance axis
+            (320, 0.1, 1.0, False),  # the widest default clt window
+            (400, 0.02, 0.3, False),
+            (1280, 0.0625, 1.0, False),  # a window 80 length scales wide
         ],
     )
-    def test_per_axis_spectrum_matches_fftn_reference(self, length_scale, spacing, shape):
-        sqrt_lam, dims = _embedding_spectrum(length_scale, spacing, shape)
-        ref, ref_dims = _fftn_spectrum_reference(length_scale, spacing, shape)
-        assert dims == ref_dims
-        # compared as eigenvalues: the square root magnifies rounding near 0
-        assert np.allclose(sqrt_lam**2, ref**2, rtol=1e-12, atol=1e-12)
-
-    def test_spectrum_nonnegative_and_shape(self):
-        sqrt_lam, dims = _embedding_spectrum(1.0, 0.25, (8, 8))
-        # padding doubles until the minimal-image embedding is nonnegative
-        # definite; the exact factor depends on the torus truncation error
-        assert all(m % s == 0 and m >= 2 * s for m, s in zip(dims, (8, 8)))
-        assert sqrt_lam.shape == dims
-        assert np.all(sqrt_lam >= 0.0)
-
-    def test_large_torus_needs_no_extra_padding(self):
-        # n - 1 + 17 lags = 48 nodes, a 5-smooth size below 2n = 64
-        _, dims = _embedding_spectrum(1.0, 0.5, (32, 32))
-        assert dims == (48, 48)
-
-    def test_3d_acceptance_grid_keeps_2x_torus(self):
-        # 63 + 68 lags round up to 135 > 128, so the 2x torus stays
-        assert _embedding_spectrum(1.0, 0.125, (64,) * 3)[1] == (128,) * 3
+    def test_factor_reproduces_axis_kernel(self, n, spacing, length_scale, full_rank):
+        factor = _axis_factor(n, spacing, length_scale)
+        rank = factor.shape[1]
+        assert factor.shape == (n, rank) and rank <= n
+        assert (rank == n) == full_rank
+        error = factor @ factor.T - _kernel_matrix(n, spacing, length_scale)
+        assert np.max(np.abs(error)) <= FACTOR_TOL
 
     @pytest.mark.parametrize("length_scale", [0.3, 1.0, 2.5])
     @pytest.mark.parametrize("spacing", [0.5, 0.3, 0.125, 0.0625])
     @pytest.mark.parametrize("n", [3, 17, 40, 64, 256, 1000])
-    def test_wrapped_kernel_is_model_covariance_within_eps(self, n, spacing, length_scale):
-        m = _torus_size(n, length_scale, spacing)
-        assert m <= 2 * n
-        assert m == 2 * n or _next_5_smooth(m) == m
-        wrapped = _wrapped_axis_covariance(m, length_scale, spacing)[:n]
-        model = CovarianceModel(length_scale).covariance((np.arange(n) * spacing) ** 2)
-        assert np.max(np.abs(wrapped - model)) <= np.finfo(float).eps
+    def test_factor_is_model_covariance_within_tol(self, n, spacing, length_scale):
+        factor = _axis_factor.__wrapped__(n, spacing, length_scale)  # uncached
+        assert factor.shape[0] == n and factor.shape[1] <= n
+        error = factor @ factor.T - _kernel_matrix(n, spacing, length_scale)
+        assert np.max(np.abs(error)) <= FACTOR_TOL
 
-    @pytest.mark.parametrize(
-        "shape,tried", [((3,), [(6,), (12,), (24,)]), ((40,), [(60,), (120,), (240,), (320,)])]
-    )
-    def test_indefinite_embedding_raises_at_8x(self, monkeypatch, shape, tried):
-        # every torus tried is reported indefinite: the torus doubles until
-        # it reaches 8x the grid, and the error names each one
-        seen = []
-        monkeypatch.setattr(sampling, "_check_eigenvalues", lambda lam: seen.append(lam.shape))
-        _embedding_spectrum.cache_clear()
+    def test_rank_set_by_window_width_not_node_count(self):
+        # 8 length scales wide: the same rank to within a few columns at 4x the nodes
+        ranks = [_axis_factor(n, 8.0 / n, 1.0).shape[1] for n in (64, 128, 256)]
+        assert max(ranks) - min(ranks) <= 3 and max(ranks) < 64
+
+    def test_never_forms_the_axis_matrix(self):
+        n = 1280
+        tracemalloc.start()
         try:
-            with pytest.raises(EmbeddingNotNonnegativeDefiniteError) as exc:
-                _embedding_spectrum(1.0, 0.5, shape)
+            _axis_factor.__wrapped__(n, 0.0625, 1.0)  # uncached: every allocation counts
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            _embedding_spectrum.cache_clear()
-        assert seen == tried
-        assert ", ".join(map(str, tried)) in str(exc.value)
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 2
 
-    def test_eigenvalue_clipping(self):
-        lam = np.array([1.0, -1e-12, 0.5])
-        out = _check_eigenvalues(lam)
-        assert out is not None and out[1] == 0.0
-
-    def test_eigenvalue_rejection(self):
-        assert _check_eigenvalues(np.array([1.0, -1e-3])) is None
-
-
-class TestPrunedIfft:
-    @pytest.mark.parametrize(
-        "shape,pad",
-        [
-            ((5,), 2), ((6, 6), 2), ((4, 6), 2), ((3, 5, 4), 2), ((4, 4, 4), 4),
-            ((40,), 1.5), ((32, 32), 1.5),
-        ],
-    )
-    def test_equals_block_of_ifftn_bitwise(self, shape, pad):
-        rng = np.random.default_rng(round(len(shape) * 10 + pad))
-        dims = tuple(round(pad * s) for s in shape)
-        spectral = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-        expected = np.fft.ifftn(spectral)[tuple(slice(0, s) for s in shape)]
-        got = _pruned_ifftn(spectral.copy(), shape)
-        assert got.shape == shape
-        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+    def test_cached_and_read_only(self):
+        factor = _axis_factor(64, 0.125, 1.0)
+        assert _axis_factor(64, 0.125, 1.0) is factor
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
 
 
 class TestGaussianPoints:

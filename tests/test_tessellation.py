@@ -413,6 +413,29 @@ class TestHoneycombDigests:
         assert _table_digest(voronoi_honeycomb_2d(pts, self.WINDOW, guard)) == digest
 
 
+class TestLazyCells:
+    WINDOW = Box(np.full(2, -2.0), np.full(2, 2.0))
+
+    @pytest.mark.parametrize("family", ["hexagonal", "voronoi"])
+    def test_cells_split_from_the_flat_array_on_first_read(self, family):
+        if family == "hexagonal":
+            wh = hexagonal_honeycomb(0.25, self.WINDOW)
+        else:
+            pts = sample_poisson_process(16.0, self.WINDOW.expanded(0.375), 3)
+            wh = voronoi_honeycomb_2d(pts, self.WINDOW, 0.375)
+        parent = wh.parent
+        assert "cells" not in vars(parent)  # the build leaves them unsplit
+        cells = parent.cells
+        assert parent.cells is cells
+        assert [len(c) for c in cells] == parent.counts.tolist()
+        assert all(np.shares_memory(c, parent.verts) for c in cells if len(c))
+        assert np.concatenate(cells).tobytes() == parent.verts.tobytes()
+
+    def test_lattice_has_no_vertex_array(self):
+        parent = hypercubic_honeycomb(0.5, 2, 2).parent
+        assert parent.verts is None and parent.cells is None
+
+
 class TestPoissonVoronoiFacetDensity:
     def test_clipped_facet_length_per_area_is_two_sqrt_rate(self):
         # The edge length per unit area of a rate-lambda Poisson-Voronoi
