@@ -29,9 +29,7 @@ from .tessellation import (
     voronoi_honeycomb_2d,
 )
 from .sampling import (
-    CovarianceNotPositiveDefiniteError,
     GridSpec,
-    PointCapacityError,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -73,14 +71,12 @@ __all__ = [
     "CampaignConfig",
     "ConfigError",
     "CovarianceModel",
-    "CovarianceNotPositiveDefiniteError",
     "CroftonEstimate",
     "FacetSet",
     "GridSpec",
     "Honeycomb",
     "LevelPolyline",
     "McCampaignResult",
-    "PointCapacityError",
     "WindowedHoneycomb",
     "beta_d",
     "bias_factor",

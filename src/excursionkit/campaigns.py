@@ -83,7 +83,6 @@ class CampaignConfig:
     square_side: float = 1.0
     bounding_radius: float = 1.5
     guard: float = 1.5
-    point_cap: int = 32768
     seed: int = 20260823
     threads: int = 1
     out: str | None = None
@@ -275,23 +274,36 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
 
     A grid draw of n^d nodes holds, at 8 B each, the two n^d fields, the
     2 r^d noise and the 2 r^(d-j) n^j values of each of its d - 1 partial
-    contractions, r being the rank of the axis factor.  The factor is only
-    computed once the two fields alone fit in ``budget``.  A draw at
-    scattered points holds the dense n x n factor: n is at most the number
-    of whole hexagons in the window, and for Voronoi clouds the expected
-    number of cells meeting the window, 1 + m^2 + 8 m / pi for a window m
-    cells wide (the Steiner formula with the mean Poisson-Voronoi cell
-    perimeter 4 / sqrt(rate)).
+    contractions, r being the rank of the axis factor.  A draw at n
+    scattered points holds the n values, the n x d points, the d axis
+    factors and one n x r partial product (or, while factoring, the factor
+    loop's row buffer): 8 B x n (1 + d + (d + 1) r).
+    Here n is at most the number of whole hexagons in the window, and for
+    Voronoi clouds the expected number of cells meeting the window,
+    1 + m^2 + 8 m / pi for a window m cells wide (the Steiner formula with
+    the mean Poisson-Voronoi cell perimeter 4 / sqrt(rate)).  r is the rank
+    of a grid axis across the extent of the points (the window, plus the
+    guard margin for Voronoi generators) at the finest cell size, or at
+    1/16 of a length scale where that is finer: a coarser grid has fewer
+    nodes than a dense cloud has rank.  The rank is only computed once the
+    rank-free part of the draw fits in ``budget``.
     """
     d, side = cfg.d, 2.0 * cfg.half_width
-    if cfg.kind == "bias-sweep" and cfg.family == "hexagonal":
+    if cfg.kind == "bias-sweep" and cfg.family != "hypercubic":
         delta = min(cfg.deltas)
-        n = math.floor(side * side / (1.5 * math.sqrt(3.0) * delta * delta))
-        return 8 * n * n, f"{n}^2 dense factor entries x 8 B"
-    if cfg.kind == "bias-sweep" and cfg.family == "voronoi":
-        m = side / min(cfg.deltas)
-        n = math.ceil(1.0 + m * m + 8.0 * m / math.pi)
-        return 8 * n * n, f"{n}^2 dense factor entries x 8 B"
+        if cfg.family == "hexagonal":
+            n = math.floor(side * side / (1.5 * math.sqrt(3.0) * delta * delta))
+        else:
+            m = side / delta
+            n = math.ceil(1.0 + m * m + 8.0 * m / math.pi)
+            side += 2.0 * cfg.guard * delta
+        need = 8 * n * (1 + d)
+        if need > budget:
+            return need, f"{n} points x (1 + {d}) x 8 B"
+        spacing = min(delta, cfg.ell / 16.0)
+        rank = _axis_factor(math.ceil(side / spacing) + 1, spacing, cfg.ell).shape[1]
+        need = 8 * n * (1 + d + (d + 1) * rank)
+        return need, f"{n} points and rank {rank}: values, points, factors and product x 8 B"
     axes = _row_axes(cfg)
     if not axes:
         return 0, ""
@@ -482,12 +494,8 @@ def _lattice_volume(values: np.ndarray, grid: GridSpec, u: float) -> float:
 
 def _point_values(cfg: CampaignConfig, model: CovarianceModel, points, seed_key, factor=None):
     if cfg.model == "gaussian":
-        return sample_gaussian_points(
-            model, points, seed_key, max_points=cfg.point_cap, factor=factor
-        )
-    return sample_chi_square(
-        model, cfg.k, points, seed_key, max_points=cfg.point_cap, factor=factor
-    )
+        return sample_gaussian_points(model, points, seed_key, factor=factor)
+    return sample_chi_square(model, cfg.k, points, seed_key, factor=factor)
 
 
 def _bias_spec(cfg: CampaignConfig):
@@ -495,12 +503,15 @@ def _bias_spec(cfg: CampaignConfig):
     analytic surface density; the mean ratio approaches 2d/beta_d from below.
 
     The hypercubic family uses the fast lattice path and the hexagonal family
-    ``surface_estimate`` (inside cells only, divided by the window volume),
-    with one covariance factor per cell size.  The Voronoi family uses
-    ``clipped_surface_estimate``: the field is drawn at the generators of
-    every cell meeting the window and facets count with their length clipped
-    to it, so the edge band of partly covered cells is not lost.  Each
-    Voronoi replicate has its own cloud and so its own factor.
+    ``surface_estimate`` (inside cells only, divided by the window volume).
+    Both 2D point families draw from per-axis factors of the cell centres'
+    coordinates (``covariance_factor``).  The hexagonal cells are the same in
+    every replicate of a cell size, so their factors are computed once per
+    row, in the calling thread, and shared read-only.  The Voronoi family
+    uses ``clipped_surface_estimate``: the field is drawn at the generators
+    of every cell meeting the window and facets count with their length
+    clipped to it, so the edge band of partly covered cells is not lost.
+    Each Voronoi replicate has its own cloud and so its own factors.
     """
     model = CovarianceModel(cfg.ell)
     denom = _reference_surface_density(cfg)
@@ -516,9 +527,9 @@ def _bias_spec(cfg: CampaignConfig):
         elif cfg.family == "hexagonal":
             wh = hexagonal_honeycomb(delta, window)
             refs = wh.ref_points_inside
-            # the cells are the same for every replicate of the row, so is the
-            # covariance: factor it once here; the replicates only read it
-            factor = covariance_factor(model, refs, cfg.point_cap)
+            # the cells are the same for every replicate of the row, so are
+            # the axis factors: compute them once here; the replicates only read them
+            factor = covariance_factor(model, refs)
 
             def one(rep):
                 values = _point_values(cfg, model, refs, _rep_seed(cfg.seed, si, rep), factor)

@@ -1,7 +1,7 @@
 """Command line front end for the Monte Carlo campaigns.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when a numeric
-routine fails (a dense covariance that is not positive definite).
+Exit codes: 0 on success, 2 for configuration problems (among them a
+campaign whose draws would not fit in physical memory).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .campaigns import (
     default_config,
     run_campaign,
 )
-from .sampling import CovarianceNotPositiveDefiniteError, PointCapacityError
 
 _KIND_HELP = {
     "bias-sweep": "surface-estimate ratios over shrinking honeycomb cells",
@@ -101,12 +100,9 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         result = run_campaign(cfg)
-    except (ConfigError, PointCapacityError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CovarianceNotPositiveDefiniteError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     if cfg.out:
         result.write_csv(cfg.out)
     if cfg.summary:

@@ -1,48 +1,36 @@
 """Random-field and point-process samplers with counter-based seeding.
 
-Gaussian fields on regular grids are drawn from a low-rank factor of the
-covariance.  The squared-exponential kernel is a product over axes, so the
-grid covariance is the Kronecker product of one kernel matrix per axis.  Each
-axis matrix is factored by pivoted Cholesky, C ~ A A^T with A of n x r, until
-no residual variance exceeds FACTOR_TOL (Harbrecht, Peters & Schneider
-2012).  The rank r follows the window width in length scales, not the node
-count n: 27 or 28 for 64 or 128 nodes on a window 8 length scales wide,
-47 or 48 for 64 to 256 nodes on one 16 wide, 215 on one 80 wide.  One draw
-multiplies every axis of a (2, r, ..., r) block of white noise by A: the
-two slices are two independent fields, which ``sample_gaussian_grid``
-returns as plain value arrays.  Scattered locations use a dense Cholesky
-factor of the covariance matrix and give one value array.  All samplers are
+Gaussian fields are drawn from a low-rank factor of the covariance.  The
+squared-exponential kernel is a product over axes, so the covariance is the
+elementwise product of one kernel matrix per coordinate, on a grid and at
+scattered points alike.  Each such matrix is factored by pivoted Cholesky,
+C ~ A A^T with A of n x r, until no residual variance exceeds FACTOR_TOL
+(Harbrecht, Peters & Schneider 2012).  The rank r follows the extent of the
+coordinates in length scales, not the point count n: 27 or 28 for 64 or 128
+nodes on a window 8 length scales wide, 47 or 48 for 64 to 256 nodes on one
+16 wide, 215 on one 80 wide.  On a grid, one draw multiplies every axis of a
+(2, r, ..., r) block of white noise by the axis factor: the two slices are
+two independent fields, which ``sample_gaussian_grid`` returns as plain
+value arrays.  At scattered points, point i takes row i of every axis factor
+and one (r_1, ..., r_d) noise block gives one value array.  All samplers are
 pure functions of (model, locations, seed): the RNG is a Philox counter
 generator keyed by the seed, so replicates can run on any number of threads
-in any order and still reproduce bit for bit.  Grid draws multiply through BLAS, so their last bits depend on
-the BLAS build, though not on its thread count.
+in any order and still reproduce bit for bit.  Draws multiply through BLAS,
+so their last bits depend on the BLAS build, though not on its thread count.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky as _scipy_cholesky
-from scipy.linalg import LinAlgError
-from scipy.spatial.distance import cdist
 
 from .densities import CovarianceModel
 from .tessellation import Box
 
 FACTOR_TOL = 1e-13          # largest residual variance left by an axis factor
-DEFAULT_POINT_CAP = 4096    # default dense-factorization size limit
-CHOLESKY_JITTER = 1e-10     # one-shot diagonal jitter on factorization failure, with a warning
-
-
-class CovarianceNotPositiveDefiniteError(RuntimeError):
-    """Raised when the dense covariance cannot be factorized even after jitter."""
-
-
-class PointCapacityError(ValueError):
-    """Raised when a scattered-point draw exceeds the dense-factorization cap."""
 
 
 @dataclass(frozen=True)
@@ -111,37 +99,49 @@ def _flat_key(seed, *extra) -> tuple:
     return tuple(int(s) for s in head) + tuple(int(e) for e in extra)
 
 
-@lru_cache(maxsize=16)
-def _axis_factor(n: int, spacing: float, length_scale: float) -> np.ndarray:
-    """Low-rank factor A (n x r) of the kernel matrix of one grid axis.
+def _pivoted_factor(x: np.ndarray) -> np.ndarray:
+    """Low-rank factor of the kernel matrix C_ij = exp(-(x_i - x_j)^2 / 2),
+    returned transposed: R (r x n) with C ~ R^T R.
 
-    The matrix C_ij = exp(-(spacing (i - j))^2 / (2 length_scale^2)) is
-    factored by pivoted Cholesky: each step takes the node of largest
-    residual variance as pivot, computes the kernel column there and
-    subtracts its projection on the columns found so far.  It stops once no
-    residual variance exceeds FACTOR_TOL; the residual C - A A^T is positive
-    semidefinite, so none of its entries does either.  Only kernel columns
-    are evaluated, never the n x n matrix, and the arithmetic is elementwise
-    numpy with no BLAS call, so the factor has the same bits at any BLAS
-    thread count.  The result is cached and read-only.
+    ``x`` holds n coordinates in length scales, in any order and with any
+    repeats.  The matrix is factored by pivoted Cholesky: each step takes the
+    point of largest residual variance as pivot, computes the kernel column
+    there and subtracts its projection on the columns found so far.  It stops
+    once no residual variance exceeds FACTOR_TOL; the residual C - R^T R is
+    positive semidefinite, so none of its entries does either.  Only kernel
+    columns are evaluated, never the n x n matrix, and the arithmetic is
+    elementwise numpy with no BLAS call, so the factor has the same bits at
+    any BLAS thread count.  The row buffer grows and shrinks in place, so it
+    never holds more than r + 15 rows.  The result is read-only.
     """
-    x = (spacing / length_scale) * np.arange(n)
+    n = x.size
     residual = np.ones(n)
-    rows = np.empty((min(n, 32), n))  # row k is column k of A; grows by doubling
+    rows = np.empty((min(n, 16), n))  # row k is column k of the factor
     k = 0
     while k < n:
         p = int(np.argmax(residual))
         if residual[p] <= FACTOR_TOL:
             break
         if k == rows.shape[0]:
-            rows = np.concatenate([rows, np.empty((min(k, n - k), n))])
+            rows.resize((min(k + 16, n), n))
         col = np.exp(-0.5 * (x - x[p]) ** 2)
         col -= np.einsum("kn,k->n", rows[:k], rows[:k, p])
         col /= np.sqrt(residual[p])
         rows[k] = col
         residual -= col * col
         k += 1
-    factor = np.ascontiguousarray(rows[:k].T)
+    rows.resize((k, n))
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=16)
+def _axis_factor(n: int, spacing: float, length_scale: float) -> np.ndarray:
+    """Low-rank factor A (n x r) of the kernel matrix of one grid axis,
+    C_ij = exp(-(spacing (i - j))^2 / (2 length_scale^2)), with
+    max|A A^T - C| <= FACTOR_TOL: the transpose of ``_pivoted_factor`` of the
+    scaled node coordinates.  The result is cached and read-only."""
+    factor = np.ascontiguousarray(_pivoted_factor((spacing / length_scale) * np.arange(n)).T)
     factor.setflags(write=False)
     return factor
 
@@ -181,89 +181,72 @@ def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> tuple:
     return z[0].reshape(-1), z[1].reshape(-1)
 
 
-def covariance_factor(
-    model: CovarianceModel, points, max_points: int = DEFAULT_POINT_CAP
-) -> np.ndarray:
-    """Lower Cholesky factor of the model covariance at scattered points.
+def covariance_factor(model: CovarianceModel, points) -> tuple:
+    """Per-axis low-rank factors of the model covariance at scattered points.
 
-    A factor depends only on (model, points), so a point set drawn many
-    times is factored once and each draw is a matrix-vector product.  When
-    the plain factorization fails, CHOLESKY_JITTER is added to the diagonal
-    once and a RuntimeWarning is emitted.
+    The squared-exponential kernel is a product over axes, so the covariance
+    of n points is the elementwise product of d kernel matrices, one per
+    coordinate.  The matrix of coordinate a is factored by
+    ``_pivoted_factor`` to R_a (r_a x n); every entry of the elementwise
+    product of the d approximations R_a^T R_a is within
+    (1 + FACTOR_TOL)^d - 1 of the covariance.  A factor depends only on
+    (model, points), so a point set drawn many times is factored once.
 
     Parameters
     ----------
     model : CovarianceModel
     points : array_like
-        (n, d) locations with n <= max_points.
-    max_points : int
-        Dense-factorization size cap.
+        (n, d) locations.
 
     Returns
     -------
-    ndarray
-        (n, n) lower-triangular L with L @ L.T equal to the covariance.
+    tuple of ndarray
+        The d read-only transposed factors R_a, each with n columns.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    if n > max_points:
-        raise PointCapacityError(
-            f"{n} points exceed the dense-factorization cap of {max_points}"
-        )
-    if n == 0:
-        return np.empty((0, 0))
-    cov = model.covariance(cdist(points, points, "sqeuclidean"))
-    try:
-        return _scipy_cholesky(cov, lower=True, check_finite=False)
-    except LinAlgError:
-        # a fixed text: the default filter reports it once per call site, not per factor
-        warnings.warn(
-            f"covariance not numerically positive definite; added {CHOLESKY_JITTER:g} "
-            "to its diagonal",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        cov[np.diag_indices_from(cov)] += CHOLESKY_JITTER
-        try:
-            return _scipy_cholesky(cov, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise CovarianceNotPositiveDefiniteError(
-                f"covariance of {n} points not positive definite after jitter"
-            ) from exc
+    return tuple(_pivoted_factor(x / model.length_scale) for x in points.T)
 
 
-def _draw(factor: np.ndarray, seed_key) -> np.ndarray:
-    return factor @ _rng(seed_key).standard_normal(factor.shape[0])
+def _draw(factors: tuple, seed_key) -> np.ndarray:
+    """f_i = sum over j of R_1[j_1, i] ... R_d[j_d, i] E[j_1, ..., j_d] for an
+    (r_1, ..., r_d) block E of standard normals: one matmul contracts the
+    first noise axis, then one columnwise product per remaining axis."""
+    ranks = tuple(factor.shape[0] for factor in factors)
+    e = _rng(seed_key).standard_normal(ranks)
+    z = e.reshape(ranks[0], math.prod(ranks[1:])).T @ factors[0]
+    z = z.reshape(ranks[1:] + (factors[0].shape[1],))
+    for factor in factors[1:]:
+        z = np.einsum("ji,j...i->...i", factor, z)
+    return z
 
 
-def _point_factor(model, points, max_points, factor) -> np.ndarray:
-    """The given factor after a shape check, or a fresh one."""
+def _point_factor(model, points, factor) -> tuple:
+    """The given per-axis factors after a shape check, or fresh ones."""
     if factor is None:
-        return covariance_factor(model, points, max_points)
-    n = points.shape[0]
-    if factor.shape != (n, n):
-        raise ValueError(f"factor of shape {factor.shape} does not match {n} points")
+        return covariance_factor(model, points)
+    n, d = points.shape
+    columns = [axis.shape[1] for axis in factor]
+    if columns != [n] * d:
+        raise ValueError(f"factors of {columns} columns do not match {n} points in {d} dimensions")
     return factor
 
 
 def sample_gaussian_points(
-    model: CovarianceModel,
-    points,
-    seed: int,
-    max_points: int = DEFAULT_POINT_CAP,
-    factor: np.ndarray | None = None,
+    model: CovarianceModel, points, seed: int, factor: tuple | None = None
 ) -> np.ndarray:
-    """Exact Gaussian draw at scattered locations via dense Cholesky.
+    """Gaussian draw at scattered locations from per-axis low-rank factors.
+
+    The covariance of the draw is the model covariance at every pair of
+    points to within (1 + FACTOR_TOL)^d - 1; no n x n matrix is formed, and
+    a draw costs n r^d for axis ranks r.
 
     Parameters
     ----------
     model : CovarianceModel
     points : array_like
-        (n, d) sample locations with n <= max_points.
+        (n, d) sample locations.
     seed : int
-    max_points : int
-        Dense-factorization size cap; raise it explicitly for larger clouds.
-    factor : ndarray, optional
+    factor : tuple of ndarray, optional
         ``covariance_factor(model, points)``, to reuse one factor across
         draws; computed here when omitted.
 
@@ -273,7 +256,7 @@ def sample_gaussian_points(
         (n,) values in the order of ``points``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _draw(_point_factor(model, points, max_points, factor), seed)
+    return _draw(_point_factor(model, points, factor), seed)
 
 
 def sample_chi_square(
@@ -281,8 +264,7 @@ def sample_chi_square(
     k: int,
     locations,
     seed: int,
-    max_points: int = DEFAULT_POINT_CAP,
-    factor: np.ndarray | None = None,
+    factor: tuple | None = None,
 ):
     """Chi-square field with k degrees of freedom: sum of k squared Gaussian draws.
 
@@ -299,11 +281,9 @@ def sample_chi_square(
     k : int
         Degrees of freedom, at least 1.
     locations : GridSpec or array_like
-        Grid (axis-factor path) or scattered points (Cholesky path).
+        Grid or scattered points.
     seed : int
-    max_points : int
-        Cap for the scattered-point path.
-    factor : ndarray, optional
+    factor : tuple of ndarray, optional
         Precomputed ``covariance_factor`` for scattered points.  All k
         components are drawn from one factor either way.
 
@@ -323,7 +303,7 @@ def sample_chi_square(
             second += b * b
         return first, second
     pts = np.atleast_2d(np.asarray(locations, dtype=float))
-    factor = _point_factor(model, pts, max_points, factor)
+    factor = _point_factor(model, pts, factor)
     values = np.zeros(pts.shape[0])
     for comp in range(k):
         g = _draw(factor, _flat_key(seed, comp))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from excursionkit.estimators import (
     volume_estimate,
 )
 from excursionkit.sampling import (
-    CovarianceNotPositiveDefiniteError,
     GridSpec,
     sample_gaussian_grid,
     sample_gaussian_points,
@@ -209,20 +209,70 @@ class TestGridMemoryPreflight:
             validate_config(tiny(kind, **overrides))
 
     @pytest.mark.parametrize(
-        "family, cells",
+        "family, cells, rank",
         [
-            # [-2, 2]^2 holds at most 16 / (1.5 sqrt(3) 0.5^2) = 24.6 whole hexagons
-            ("hexagonal", 24),
-            # 1 + 8^2 + 8 * 8 / pi = 85.4 Voronoi cells expected to meet [-2, 2]^2
-            ("voronoi", 86),
+            # [-2, 2]^2 holds at most 16 / (1.5 sqrt(3) 0.5^2) = 24.6 whole
+            # hexagons; a 65-node axis at spacing 1/16 across the 4-wide
+            # window has rank 17
+            ("hexagonal", 24, 17),
+            # 1 + 8^2 + 8 * 8 / pi = 85.4 Voronoi cells expected to meet
+            # [-2, 2]^2; their generators span the window plus the guard
+            # margin 1.5 x 0.5 on each side, 89 nodes of rank 21
+            ("voronoi", 86, 21),
         ],
     )
-    def test_point_families_priced_by_dense_factor(self, monkeypatch, family, cells):
-        monkeypatch.setattr(campaigns, "_physical_memory", lambda: 8 * cells**2)
+    def test_point_families_priced_by_linear_draw(self, monkeypatch, family, cells, rank):
+        price = 8 * cells * (1 + 2 + 3 * rank)
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: price)
         cfg = tiny("bias-sweep", family=family, deltas=(0.5, 1.0))
         validate_config(replace(cfg, threads=1))
-        with pytest.raises(ConfigError, match=f"{cells}\\^2 dense factor entries"):
+        with pytest.raises(ConfigError, match=f"{cells} points and rank {rank}"):
             validate_config(replace(cfg, threads=2))
+
+    def test_point_family_rank_only_priced_when_points_fit(self, monkeypatch):
+        # 66,189 Voronoi cells expected on the default window at delta 1/16:
+        # with 1 MiB of memory their values and points alone are refused
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: 2**20)
+        monkeypatch.setattr(campaigns, "_axis_factor", _must_not_run)
+        cfg = replace(default_config("bias-sweep"), family="voronoi")
+        with pytest.raises(ConfigError, match="66189 points x \\(1 \\+ 2\\)"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "family, priced_points",
+        [
+            ("hexagonal", 98),  # floor(16 / (1.5 sqrt(3) 0.25^2))
+            ("voronoi", 298),  # ceil(1 + 16^2 + 8 * 16 / pi)
+        ],
+    )
+    def test_point_price_bounds_the_draw(self, family, priced_points):
+        # the per-point price of the preflight bounds what one draw, its
+        # factors included, allocates at every point count drawn
+        cfg = validate_config(tiny("bias-sweep", family=family, deltas=(0.25,)))
+        price, what = campaigns._draw_memory(cfg, 2**40)
+        assert what.startswith(f"{priced_points} points")
+        per_point = price / priced_points
+        window = Box(np.full(2, -2.0), np.full(2, 2.0))
+        if family == "hexagonal":
+            clouds = [hexagonal_honeycomb(0.25, window).ref_points_inside]
+        else:
+            unit_box = Box(np.full(2, -9.5), np.full(2, 9.5))
+            clouds = [
+                voronoi_honeycomb_2d(
+                    0.25 * sample_poisson_process(1.0, unit_box, (cfg.seed, 0, rep, 0)),
+                    window,
+                    0.375,
+                ).ref_points_meeting
+                for rep in range(4)
+            ]
+        for points in clouds:
+            tracemalloc.start()
+            try:
+                sample_gaussian_points(CovarianceModel(1.0), points, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= per_point * points.shape[0], (peak, points.shape[0], what)
 
     def test_point_counts_bound_the_cells_drawn(self):
         # the hexagonal price bounds the inside cells; the Voronoi price is
@@ -409,8 +459,9 @@ class TestDeterminism:
 
 
 class TestBlasThreadDeterminism:
-    """Lattice draws multiply through BLAS: the CSV bytes must not depend on
-    its thread count, nor on the campaign's."""
+    """Every field draw multiplies through BLAS, on lattices and at the
+    hexagonal and Voronoi cell centres: the CSV bytes must not depend on its
+    thread count, nor on the campaign's."""
 
     @pytest.mark.parametrize(
         "kind, config",
@@ -418,6 +469,8 @@ class TestBlasThreadDeterminism:
             ("bias-sweep", "half_width = 8\ndeltas = 0.125, 0.0625\n"),
             ("bias-sweep", "d = 3\nhalf_width = 2\ndeltas = 0.25, 0.125\n"),
             ("clt", "windows = 40, 80, 160\n"),
+            ("bias-sweep", "family = hexagonal\nhalf_width = 4\ndeltas = 0.25, 0.125\n"),
+            ("bias-sweep", "family = voronoi\nhalf_width = 2\ndeltas = 0.25, 0.125\n"),
         ],
     )
     def test_csv_bytes_identical(self, tmp_path, kind, config):
@@ -476,6 +529,68 @@ class TestLatticeExpectation:
         exact = _lattice_expectation(3, 4.0, 0.125)
         assert exact == pytest.approx(1.47464, abs=5e-6)
         assert abs(row["mean_ratio"] - exact) <= 4.0 * row["stderr_ratio"], (row, exact)
+
+
+def _facet_expectation(facets, refs, window_volume, ell=1.0):
+    """Exact mean of a 2D surface-estimate ratio at u = 0, given the cells.
+
+    The facet between the cells of reference points x_a and x_b is crossed
+    with probability arccos(rho) / pi, rho = exp(-|x_a - x_b|^2 / (2 ell^2))
+    being the correlation of the field there, so the expected estimate is
+    sum_f |f| arccos(rho_f) / pi / |T|; the ratio divides it by the analytic
+    surface density.
+    """
+    lag2 = np.sum((refs[facets.b] - refs[facets.a]) ** 2, axis=1)
+    rho = np.exp(-0.5 * lag2 / (ell * ell))
+    crossed = np.sum(facets.measure * np.arccos(rho)) / math.pi
+    return crossed / (window_volume * gaussian_surface_density(0.0, 1.0 / ell**2, 2))
+
+
+class TestPointFamilyExpectation:
+    """Hexagonal and Voronoi campaign means against the exact conditional
+    expectation of their own cells: a check of the per-axis factor draw at
+    scattered points that is sharper than the acceptance band."""
+
+    def test_hexagonal_sweep(self):
+        cfg = replace(
+            default_config("bias-sweep"),
+            family="hexagonal", half_width=4.0, deltas=(0.25, 0.125), seed=51_101, threads=2,
+        )
+        res = run_campaign(cfg)
+        window = Box(np.full(2, -4.0), np.full(2, 4.0))
+        for row in res.rows:
+            wh = hexagonal_honeycomb(row["delta"], window)
+            exact = _facet_expectation(wh.interior_facets, wh.ref_points_inside, wh.window.volume)
+            assert abs(row["mean_ratio"] - exact) <= 4.0 * row["stderr_ratio"], (row, exact)
+        assert exact == pytest.approx(1.1300, abs=5e-5)  # the inside-only value at delta 0.125
+
+    def test_voronoi_sweep(self):
+        # each replicate has its own cloud and so its own expectation: the
+        # mean of ratio - expectation over the replicates must be 0 to within
+        # 4 of its standard errors
+        cfg = replace(
+            default_config("bias-sweep"),
+            family="voronoi", half_width=4.0, deltas=(0.25, 0.125), reps=40, seed=51_102,
+            threads=2,
+        )
+        res = run_campaign(cfg)
+        window = Box(np.full(2, -4.0), np.full(2, 4.0))
+        for si, delta in enumerate(cfg.deltas):
+            unit_half = cfg.half_width / delta + cfg.guard
+            unit_box = Box(np.full(2, -unit_half), np.full(2, unit_half))
+            gaps = []
+            for raw in (r for r in res.raw if r["delta"] == delta):
+                pts = delta * sample_poisson_process(
+                    1.0, unit_box, (cfg.seed, si, raw["replicate"], 0)
+                )
+                wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
+                exact = _facet_expectation(
+                    wh.clipped_facets(), wh.ref_points_meeting, wh.window.volume
+                )
+                gaps.append(raw["ratio"] - exact)
+            assert len(gaps) == cfg.reps
+            mean, se = np.mean(gaps), np.std(gaps, ddof=1) / math.sqrt(len(gaps))
+            assert abs(mean) <= 4.0 * se, (delta, mean, se)
 
 
 @pytest.fixture
@@ -556,40 +671,51 @@ class TestGoldenDigests:
     """Fixed-seed output pinned as a digest of the summary and raw CSV text.
 
     A change that alters a replicate stream or a reduction by accident shows
-    here, not only in a hand comparison.  The hexagonal and Voronoi families
-    are left out: they draw through a dense Cholesky factor, whose last bits
-    depend on the LAPACK build.  The lattice cases multiply their noise by
-    the axis factors through BLAS, so their digests depend on the BLAS build,
-    as the Voronoi honeycomb digests depend on the Qhull build; they are the
-    same at any BLAS thread count.  The axis factors are full rank at
-    spacing 0.5 and of lower rank than their node count for the 16- and
-    32-node axes at spacing 0.25.
+    here, not only in a hand comparison.  Every family is pinned: lattice
+    draws and the draws at hexagonal and Voronoi cell centres all multiply
+    their noise by pivoted-Cholesky axis factors through BLAS, so their
+    digests depend on the BLAS build (the same at any BLAS thread count), and
+    the Voronoi ones also on the Qhull build, as the Voronoi honeycomb
+    digests do.  The lattice axis factors are full rank at spacing 0.5 and of
+    lower rank than their node count for the 16- and 32-node axes at
+    spacing 0.25.
     """
 
     @pytest.mark.parametrize(
         "kind, overrides, digest",
         [
-            ("bias-sweep", dict(deltas=(0.5, 0.25), reps=5), "e5013a0768ded425"),
+            ("bias-sweep", dict(deltas=(0.5, 0.25), reps=5), "f8009c74f8e51a9b"),
             (
                 "bias-sweep",
                 dict(deltas=(0.5, 0.25), reps=5, model="chi-square", k=3, u=2.0),
-                "5bb829b934f794ea",
+                "cb363bebcf9508e6",
             ),
             (
                 "bias-sweep",
                 dict(d=3, half_width=1.0, deltas=(0.5, 0.25), reps=3),
-                "332526516b67c4be",
+                "f3fb6f781e9fd542",
             ),
-            ("clt", dict(u=0.3), "b71d56795562447d"),
-            ("volume-check", dict(levels=(0.0, 1.0), reps=5), "ccb2a8350bc92f41"),
+            ("clt", dict(u=0.3), "3ddd1b966c52a528"),
+            ("volume-check", dict(levels=(0.0, 1.0), reps=5), "9fe6af964ea45921"),
             (
                 "volume-check",
                 dict(levels=(1.0, 2.5), reps=5, model="chi-square"),
-                "803729f594c936c4",
+                "80321985854720e3",
             ),
-            ("crossing", {}, "10a386cc4479efea"),
-            ("crofton-demo", {}, "eef452d2c8d71590"),
-            ("bias-sweep", dict(half_width=8.0, deltas=(0.5,), reps=5), "d6baae1a869f7461"),
+            ("crossing", {}, "9fc2c55dd3b90b47"),
+            ("crofton-demo", {}, "307207bfa19804d8"),
+            ("bias-sweep", dict(half_width=8.0, deltas=(0.5,), reps=5), "889a112957cf325c"),
+            (
+                "bias-sweep",
+                dict(family="hexagonal", deltas=(0.5, 0.25), reps=5),
+                "4feb1135672e57d2",
+            ),
+            (
+                "bias-sweep",
+                dict(family="hexagonal", deltas=(0.5, 0.25), reps=3, model="chi-square", k=3, u=2.0),
+                "c6c3024ec64166f4",
+            ),
+            ("bias-sweep", dict(family="voronoi", deltas=(0.5, 0.25), reps=4), "6b365bb58287dd4d"),
         ],
     )
     def test_output_digest(self, kind, overrides, digest):
@@ -738,14 +864,13 @@ class TestCli:
         assert cli.main(["crofton-demo", "--reps", "2", "--config", str(cfg_path)]) == 0
         assert len(calls) == 1
 
-    def test_numeric_failure_exit_code(self, monkeypatch, capsys):
-        def boom(cfg):
-            raise CovarianceNotPositiveDefiniteError("factor failed after jitter")
-
-        monkeypatch.setattr(cli, "run_campaign", boom)
-        code = cli.main(["crossing", "--reps", "2"])
-        assert code == 3
-        assert "numeric failure" in capsys.readouterr().err
+    def test_removed_point_cap_key_refused(self, tmp_path, capsys):
+        # the dense-factor cap is gone; a config that still sets it is refused
+        code = cli.main(
+            ["bias-sweep", "--config", str(_write_cfg(tmp_path, "point_cap = 4096\n"))]
+        )
+        assert code == 2
+        assert "unknown key 'point_cap'" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

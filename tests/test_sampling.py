@@ -5,8 +5,8 @@ statistic under test, so a correct implementation fails any single check with
 probability well under 1e-3.
 """
 
+import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -14,19 +14,17 @@ import pytest
 from excursionkit import sampling
 from excursionkit.densities import CovarianceModel
 from excursionkit.sampling import (
-    DEFAULT_POINT_CAP,
     FACTOR_TOL,
-    CovarianceNotPositiveDefiniteError,
     GridSpec,
-    PointCapacityError,
     _axis_factor,
+    _pivoted_factor,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
     sample_gaussian_points,
     sample_poisson_process,
 )
-from excursionkit.tessellation import Box
+from excursionkit.tessellation import Box, hexagonal_honeycomb, voronoi_honeycomb_2d
 
 MODEL = CovarianceModel(1.0)
 
@@ -213,10 +211,68 @@ class TestAxisFactor:
             factor[0, 0] = 0.0
 
 
+def _point_covariance(points, length_scale=1.0):
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    return CovarianceModel(length_scale).covariance(d2)
+
+
+def _hexagon_centres():
+    return hexagonal_honeycomb(0.25, Box(np.full(2, -4.0), np.full(2, 4.0))).ref_points_inside
+
+
+def _voronoi_generators():
+    window = Box(np.full(2, -2.0), np.full(2, 2.0))
+    unit_box = Box(np.full(2, -9.5), np.full(2, 9.5))
+    pts = 0.25 * sample_poisson_process(1.0, unit_box, (12, 0))
+    return voronoi_honeycomb_2d(pts, window, 0.375).ref_points_meeting
+
+
+class TestPointFactor:
+    @pytest.mark.parametrize(
+        "name, points, length_scale",
+        [
+            # 367 hexagon centres on 21 distinct x and 91 distinct y values
+            ("hexagonal", _hexagon_centres(), 1.0),
+            ("voronoi", _voronoi_generators(), 1.0),
+            ("voronoi-short-scale", _voronoi_generators(), 0.4),
+            ("3d", np.random.default_rng(21).uniform(-3.0, 3.0, (300, 3)), 1.0),
+            ("one point", np.array([[0.3, -1.2]]), 1.0),
+            ("no points", np.empty((0, 2)), 1.0),
+            # coordinates further apart than the length scale: every axis full rank
+            ("full rank", np.array([[0.0, 0.0], [3.0, 1.5], [6.0, 3.0], [9.0, 4.5]]), 1.0),
+        ],
+    )
+    def test_product_of_axis_factors_is_the_covariance(self, name, points, length_scale):
+        model = CovarianceModel(length_scale)
+        n, d = points.shape
+        factors = covariance_factor(model, points)
+        assert len(factors) == d
+        product = np.ones((n, n))
+        for r in factors:
+            assert r.shape[1] == n and r.shape[0] <= n
+            assert not r.flags.writeable
+            product *= r.T @ r
+        error = product - _point_covariance(points, length_scale)
+        assert np.max(np.abs(error), initial=0.0) <= (1.0 + FACTOR_TOL) ** d - 1.0
+        if name == "full rank":
+            assert [r.shape[0] for r in factors] == [n] * d
+
+    def test_repeated_coordinates_add_no_rank(self):
+        # 367 centres, but x takes 21 distinct values: that axis has rank 21
+        points = _hexagon_centres()
+        for x, r in zip(points.T, covariance_factor(MODEL, points)):
+            assert r.shape[0] <= np.unique(x).size
+
+    def test_axis_factor_is_the_transposed_pivoted_factor(self):
+        factor = _axis_factor(64, 0.125, 1.0)
+        assert np.array_equal(factor, _pivoted_factor(0.125 * np.arange(64)).T)
+        assert factor.flags.c_contiguous
+
+
 class TestGaussianPoints:
     def test_matches_grid_distribution(self):
-        # same covariance model through the dense route: check variance and a
-        # short-lag correlation against closed forms
+        # same covariance model through the point route: check variance and
+        # a short-lag correlation against closed forms
         pts = np.stack([np.zeros(40), 0.25 * np.arange(40)], axis=1)
         reps = 400
         draws = np.stack(
@@ -227,21 +283,35 @@ class TestGaussianPoints:
         assert var == pytest.approx(1.0, abs=0.08)
         assert lag == pytest.approx(np.exp(-0.5 * 0.25**2), abs=0.01)
 
+    def test_exact_covariance_at_scattered_points(self):
+        # 8 points in the plane, some closer than the length scale and some
+        # several apart: the empirical covariance matches the model within
+        # plain Monte Carlo error
+        pts = np.random.default_rng(22).uniform(-2.0, 2.0, (8, 2))
+        reps = 3000
+        draws = np.stack([sample_gaussian_points(MODEL, pts, (23, s)) for s in range(reps)])
+        emp = draws.T @ draws / reps
+        assert np.max(np.abs(emp - _point_covariance(pts))) < 4.5 / np.sqrt(reps)
+
     def test_deterministic(self):
         pts = np.random.default_rng(0).random((30, 2))
         a = sample_gaussian_points(MODEL, pts, 9)
         b = sample_gaussian_points(MODEL, pts, 9)
         assert np.array_equal(a, b)
 
-    def test_point_cap(self):
-        pts = np.zeros((DEFAULT_POINT_CAP + 1, 2))
-        with pytest.raises(PointCapacityError):
-            sample_gaussian_points(MODEL, pts, 0)
-
-    def test_cap_can_be_raised(self):
-        pts = np.random.default_rng(1).random((40, 2)) * 10
-        out = sample_gaussian_points(MODEL, pts, 0, max_points=40)
-        assert out.shape == (40,)
+    def test_large_cloud_needs_no_cap(self):
+        # far beyond the 4,096 points the dense factor was capped at, and
+        # without any n x n array: the draw allocates a few n x r arrays
+        n = 6000
+        pts = np.random.default_rng(1).uniform(-4.0, 4.0, (n, 2))
+        tracemalloc.start()
+        try:
+            out = sample_gaussian_points(MODEL, pts, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n,) and np.all(np.isfinite(out))
+        assert peak < 8 * n * n / 20
 
     def test_empty_points(self):
         out = sample_gaussian_points(MODEL, np.empty((0, 2)), 0)
@@ -257,46 +327,20 @@ class TestGaussianPoints:
 
     def test_factor_shape_checked(self):
         pts = np.random.default_rng(3).random((6, 2))
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match="do not match"):
             sample_gaussian_points(MODEL, pts, 0, factor=covariance_factor(MODEL, pts[:5]))
+        with pytest.raises(ValueError, match="do not match"):
+            sample_gaussian_points(MODEL, pts, 0, factor=covariance_factor(MODEL, pts)[:1])
+        with pytest.raises(ValueError, match="do not match"):
+            sample_chi_square(MODEL, 2, pts, 0, factor=covariance_factor(MODEL, pts[:, :1]))
 
     def test_factor_reproduces_covariance(self):
         pts = np.random.default_rng(4).random((20, 2)) * 3
-        factor = covariance_factor(MODEL, pts)
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        assert np.allclose(factor @ factor.T, MODEL.covariance(d2), atol=1e-12)
-        assert np.array_equal(factor, np.tril(factor))
-
-
-class TestCholeskyJitter:
-    # two coincident points: the covariance [[1, 1], [1, 1]] is singular and
-    # factors only once the diagonal jitter is added
-    TWIN = np.zeros((2, 2))
-
-    def test_jitter_warns(self):
-        with pytest.warns(RuntimeWarning, match="not numerically positive definite"):
-            factor = covariance_factor(MODEL, self.TWIN)
-        assert np.all(np.isfinite(factor))
-
-    def test_jitter_warns_once_per_factor(self):
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            sample_chi_square(MODEL, 3, self.TWIN, 1)
-        assert [w.category for w in rec] == [RuntimeWarning]
-
-    def test_no_warning_when_plain_factor_succeeds(self):
-        pts = np.random.default_rng(5).random((30, 2)) * 10
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            covariance_factor(MODEL, pts)
-
-    def test_failure_after_jitter_raises(self):
-        class Indefinite:  # eigenvalue -1, far beyond the jitter
-            def covariance(self, sq_dist):
-                return np.array([[1.0, 2.0], [2.0, 1.0]])
-
-        with pytest.warns(RuntimeWarning), pytest.raises(CovarianceNotPositiveDefiniteError):
-            covariance_factor(Indefinite(), self.TWIN)
+        rx, ry = covariance_factor(MODEL, pts)
+        assert np.allclose((rx.T @ rx) * (ry.T @ ry), _point_covariance(pts), rtol=0, atol=1e-12)
+        # each factor is that of one coordinate, on the length scale
+        scaled = covariance_factor(CovarianceModel(2.0), 2.0 * pts)
+        assert np.array_equal(scaled[0], rx) and np.array_equal(scaled[1], ry)
 
 
 class TestChiSquare:

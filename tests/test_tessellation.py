@@ -394,9 +394,10 @@ def _table_digest(wh):
 
 
 class TestHoneycombDigests:
-    """Fixed honeycombs pinned bit for bit, since the campaign digests leave
-    out the families that draw through a dense Cholesky factor.  The Voronoi
-    digests also depend on the Qhull build that scipy ships with."""
+    """Fixed honeycombs pinned bit for bit, apart from the field draws that
+    the campaign digests add on top of them, so a change to a builder shows
+    here first.  The Voronoi digests also depend on the Qhull build that
+    scipy ships with."""
 
     WINDOW = Box(np.full(2, -4.0), np.full(2, 4.0))
 
