@@ -184,6 +184,8 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
         raise ConfigError(f"thread count must be >= 1, got {cfg.threads}")
     if cfg.half_width <= 0:
         raise ConfigError(f"window half width must be positive, got {cfg.half_width}")
+    if cfg.guard < 0:
+        raise ConfigError(f"guard margin must be nonnegative, got {cfg.guard}")
     for name in ("deltas", "qs", "levels"):
         if not getattr(cfg, name):
             raise ConfigError(f"{name} must be nonempty")
@@ -208,6 +210,13 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
     if cfg.kind in ("bias-sweep", "volume-check") and cfg.family == "hypercubic":
         for delta in cfg.deltas:
             _lattice_half_extent(cfg.half_width, delta)
+    sweep = cfg.kind == "bias-sweep"
+    if sweep and cfg.family != "hypercubic" and cfg.deltas[0] >= 2 * cfg.half_width:
+        raise ConfigError(
+            f"cell size {cfg.deltas[0]} must be below the window side {2 * cfg.half_width}"
+        )
+    if sweep and cfg.model == "chi-square" and cfg.u <= 0:
+        raise ConfigError(f"a chi-square bias sweep needs a positive level u, got {cfg.u}")
     _check_memory(cfg)
     if cfg.kind == "crossing" and cfg.n_pairs < cfg.reps:
         raise ConfigError("n_pairs must be at least the replicate count")
@@ -218,6 +227,14 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
             raise ConfigError("n_lines must be at least the replicate count")
         if cfg.shape not in ("circle", "square", "both"):
             raise ConfigError(f"unknown crofton shape {cfg.shape!r}")
+        # every line that hits a shape must meet the ball of lines
+        radii = {"circle": cfg.circle_radius, "square": cfg.square_side / math.sqrt(2.0)}
+        for name in radii if cfg.shape == "both" else (cfg.shape,):
+            if not 0 < radii[name] <= cfg.bounding_radius:
+                raise ConfigError(
+                    f"the {name} (circumradius {radii[name]:.6g}) must have a positive size "
+                    f"and fit in the ball of lines (bounding_radius {cfg.bounding_radius:.6g})"
+                )
     return cfg
 
 

@@ -14,7 +14,8 @@ paper's estimators operate on; facets between two such cells are "interior".
 The plus-sampling view (``WindowedHoneycomb.clipped_facets``) instead keeps
 every cell that meets the window and clips facet lengths to it.  Both 2D
 families pass their cells to one builder as a flat CCW vertex array plus a
-vertex count per cell.
+vertex count per cell, and clip all cells to a box in one array pass
+(``clip_cells_to_box``), with no loop over cells.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ class Honeycomb:
         window_areas: (n,) sigma_d(P intersect T) per cell.
         verts, counts: for the 2D families, the CCW vertices of every cell
             as one flat (N, 2) array, cell i being the next ``counts[i]``
-            rows (a Voronoi region is clipped to the guard box where it
-            crosses it, and has no rows when wholly outside); None for the
-            implicit hypercubic lattice.
+            rows (Voronoi regions are clipped to the guard box by
+            ``clip_cells_to_box``, so a region wholly outside it has no
+            rows); None for the implicit hypercubic lattice.
     """
 
     d: int
@@ -372,9 +373,10 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     """Voronoi tessellation of a 2D generator cloud, clipped to a guard box.
 
     The diagram is one ``scipy.spatial.Voronoi`` call on the generators plus
-    four far sentinel points, which bound every generator's region; cells
-    that cross the guard box (window expanded by ``guard``) are clipped to
-    it.  Generators are the reference points.  Each facet is the Voronoi
+    four far sentinel points, which bound every generator's region; all
+    regions are then clipped to the guard box (window expanded by ``guard``)
+    in one array pass, which leaves the regions inside it unchanged.
+    Generators are the reference points.  Each facet is the Voronoi
     ridge between two generators a < b, clipped to the guard box, so it is
     orthogonal to their difference by construction; rows are sorted by
     (a, b), and facets shorter than ``MIN_FACET_FRACTION`` of the longest
@@ -454,60 +456,67 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     cell = np.repeat(np.arange(n), counts)
     pos = np.arange(stops[-1]) - (stops - counts)[cell]
     first = (np.cumsum(sizes) - sizes)[region][cell]
-    v = vor.vertices[flat[first + pos]]
-    w = vor.vertices[flat[first + (pos + 1) % counts[cell]]]
-    twice_area = np.bincount(cell, v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0], minlength=n)
+    twice_area = _twice_signed_areas(vor.vertices[flat[first + pos]], counts)
     # Qhull lists regions in either orientation; reverse the clockwise ones
     pos = np.where(twice_area[cell] < 0, counts[cell] - 1 - pos, pos)
-    verts = vor.vertices[flat[first + pos]]
-    crosses = np.flatnonzero(np.bincount(cell, ~guard_box.contains(v), minlength=n))
-    if crosses.size:
-        cells = np.split(verts, stops[:-1])
-        for i in crosses:
-            cells[i] = clip_polygon_to_box(cells[i], guard_box)
-        counts = np.fromiter(map(len, cells), np.int64, n)
-        verts = np.concatenate(cells)
+    verts, counts = clip_cells_to_box(vor.vertices[flat[first + pos]], counts, guard_box)
 
     return _polygon_honeycomb(verts, counts, points, facets, window, duplicates_merged=merged)
-
-
-def _clip_half_plane(verts, normal_vec, offset):
-    """Clip a convex polygon (list of vertices) against {x : normal_vec . x <= offset}."""
-    vals = [float(v @ normal_vec) - offset for v in verts]
-    ins = [val <= CONTAINMENT_TOL for val in vals]
-    out = []
-    for k in range(len(verts)):
-        if ins[k - 1] != ins[k]:
-            t = vals[k - 1] / (vals[k - 1] - vals[k])
-            out.append(verts[k - 1] + t * (verts[k] - verts[k - 1]))
-        if ins[k]:
-            out.append(verts[k])
-    return out if len(out) >= 3 else []
 
 
 # ---------------------------------------------------------------------------
 # shared geometry helpers
 # ---------------------------------------------------------------------------
 
-def _shoelace_area(verts) -> float:
-    v = np.asarray(verts)
-    if v.ndim != 2 or v.shape[0] < 3:
-        return 0.0
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - y * np.roll(x, -1))))
+def clip_cells_to_box(verts: np.ndarray, counts: np.ndarray, box: Box):
+    """Intersection of every convex CCW cell of a flat vertex array with a 2D box.
 
-
-def clip_polygon_to_box(verts, box: Box):
-    """Intersection of a convex CCW polygon with an axis-aligned 2D box."""
-    v = [np.asarray(p, dtype=float) for p in verts]
+    Cell i is the run of ``counts[i]`` rows of the (N, 2) array ``verts``.
+    Sutherland-Hodgman clipping (Sutherland & Hodgman, "Reentrant polygon
+    clipping", CACM 1974) runs on all cells at once, one box side at a time:
+    each vertex emits the crossing point of the edge that ends at it, then
+    itself if it is inside that side (with slack ``CONTAINMENT_TOL``).  A
+    cell left with fewer than 3 vertices after a side is emptied, and a cell
+    inside the box comes back bit for bit.  Returns the clipped (M, 2)
+    vertex array and the (n,) vertex count of each cell.
+    """
     for sign, axis in ((1.0, 0), (1.0, 1), (-1.0, 0), (-1.0, 1)):
-        nrm = np.zeros(2)
-        nrm[axis] = sign
-        offset = box.hi[axis] if sign > 0 else -box.lo[axis]
-        v = _clip_half_plane(v, nrm, float(offset))
-        if not v:
-            return np.empty((0, 2))
-    return np.asarray(v)
+        vals = sign * verts[:, axis] - (box.hi[axis] if sign > 0 else -box.lo[axis])
+        ins = vals <= CONTAINMENT_TOL
+        # predecessor of each vertex around its own cell
+        stops = np.cumsum(counts)
+        nonempty = counts > 0
+        prev = np.arange(-1, verts.shape[0] - 1)
+        prev[(stops - counts)[nonempty]] = stops[nonempty] - 1
+        cross = ins != ins[prev]
+        k = np.flatnonzero(cross)
+        j = prev[k]
+        # t only on crossing edges, where vals[j] - vals[k] cannot be 0
+        t = vals[j] / (vals[j] - vals[k])
+        emit = cross.astype(np.int64) + ins
+        first = np.cumsum(emit) - emit
+        out = np.empty((int(emit.sum()), 2))
+        out[first[k]] = verts[j] + t[:, None] * (verts[k] - verts[j])
+        out[first[ins] + cross[ins]] = verts[ins]
+        out_cell = np.repeat(np.repeat(np.arange(counts.size), counts), emit)
+        counts = np.bincount(out_cell, minlength=counts.size)
+        short = counts < 3
+        verts = out[~short[out_cell]]
+        counts[short] = 0
+    return verts, counts
+
+
+def _twice_signed_areas(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each cell of a flat vertex array (positive
+    for CCW cells): shoelace terms summed in vertex order."""
+    stops = np.cumsum(counts)
+    # successor of each vertex around its own cell
+    nxt = np.arange(1, verts.shape[0] + 1)
+    nonempty = counts > 0
+    nxt[stops[nonempty] - 1] = (stops - counts)[nonempty]
+    x, y = verts[:, 0], verts[:, 1]
+    cell = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(cell, x * y[nxt] - y * x[nxt], minlength=counts.size)
 
 
 def clip_segments_to_box(endpoints: np.ndarray, box: Box) -> np.ndarray:
@@ -536,41 +545,18 @@ def _polygon_honeycomb(verts, counts, ref_points, facets, window: Box, duplicate
     """Windowed honeycomb of 2D convex cells: areas, window clip and inside view.
 
     Cell i is the CCW run of ``counts[i]`` rows of the flat (N, 2) vertex
-    array ``verts``, in cell order; a count of 0 is an empty cell.  Areas and
-    bounding boxes come from one pass over the array.  A cell wholly inside
-    the window keeps its own vertices and area, and a cell beyond the
-    window's clipping slack has area 0; only the cells straddling the window
-    boundary are clipped polygon by polygon.
+    array ``verts``, in cell order; a count of 0 is an empty cell.  Every
+    cell is clipped to the window in one array pass (``clip_cells_to_box``),
+    and cell and window areas are shoelace sums in vertex order, so a cell
+    inside the window has its own area as window area, bit for bit.
     """
     n = counts.size
-    stops = np.cumsum(counts)
-    starts = stops - counts
-    cell = np.repeat(np.arange(n), counts)
-    # successor of each vertex around its own cell
-    nxt = np.arange(1, verts.shape[0] + 1)
-    nonempty = counts > 0
-    nxt[stops[nonempty] - 1] = starts[nonempty]
-    x, y = verts[:, 0], verts[:, 1]
-    cell_volumes = 0.5 * np.abs(np.bincount(cell, x * y[nxt] - y * x[nxt], minlength=n))
-    # reduceat gives verts[start] for an empty run and cannot start at N, so
-    # only the nonempty runs are reduced
-    lo = np.full((n, 2), np.inf)
-    hi = np.full((n, 2), -np.inf)
-    lo[nonempty] = np.minimum.reduceat(verts, starts[nonempty], axis=0)
-    hi[nonempty] = np.maximum.reduceat(verts, starts[nonempty], axis=0)
-    polygon = counts >= 3
-    inside = polygon & np.all(
-        (lo >= window.lo - CONTAINMENT_TOL) & (hi <= window.hi + CONTAINMENT_TOL), axis=1
+    cell_volumes = 0.5 * np.abs(_twice_signed_areas(verts, counts))
+    window_areas = 0.5 * np.abs(_twice_signed_areas(*clip_cells_to_box(verts, counts, window)))
+    outside = np.bincount(
+        np.repeat(np.arange(n), counts), ~window.contains(verts, tol=CONTAINMENT_TOL), minlength=n
     )
-    within = polygon & np.all((lo >= window.lo) & (hi <= window.hi), axis=1)
-    # clipping interpolates vertices, whose rounding stays far below this margin
-    margin = CONTAINMENT_TOL + 1e-9 * np.maximum(np.maximum(-lo, hi).max(axis=1), 1.0)
-    beyond = np.any(
-        (hi < window.lo - margin[:, None]) | (lo > window.hi + margin[:, None]), axis=1
-    )
-    window_areas = np.where(within, cell_volumes, 0.0)
-    for i in np.flatnonzero(polygon & ~within & ~beyond):
-        window_areas[i] = _shoelace_area(clip_polygon_to_box(verts[starts[i] : stops[i]], window))
+    inside = (counts >= 3) & (outside == 0)
     parent = Honeycomb(
         d=2,
         ref_points=ref_points,

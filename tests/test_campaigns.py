@@ -872,6 +872,30 @@ class TestCli:
         assert code == 2
         assert "unknown key 'point_cap'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("bias-sweep", "model = chi-square\n", "chi-square bias sweep needs a positive level u"),
+            ("bias-sweep", "family = voronoi\nguard = -1\n", "guard margin must be nonnegative"),
+            ("bias-sweep", "family = hexagonal\nhalf_width = 2\ndeltas = 4.0\n",
+             "cell size 4.0 must be below the window side 4.0"),
+            ("bias-sweep", "family = voronoi\nhalf_width = 0.5\ndeltas = 4.0\nguard = 0.1\n",
+             "cell size 4.0 must be below the window side 1.0"),
+            ("crofton-demo", "bounding_radius = 0.5\n",
+             "the circle (circumradius 1) must have a positive size and fit in the ball of "
+             "lines (bounding_radius 0.5)"),
+            ("crofton-demo", "bounding_radius = -1\n", "(bounding_radius -1)"),
+            ("crofton-demo", "shape = square\nsquare_side = 3\n",
+             "the square (circumradius 2.12132)"),
+            ("crofton-demo", "shape = circle\ncircle_radius = 0\n", "the circle (circumradius 0)"),
+        ],
+    )
+    def test_unvalidated_input_refused(self, tmp_path, capsys, kind, text, message):
+        # each of these used to end in a traceback or a wrong number
+        code = cli.main([kind, "--reps", "2", "--config", str(_write_cfg(tmp_path, text))])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["not-a-campaign"])

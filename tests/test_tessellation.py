@@ -4,7 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay, cKDTree
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull, Delaunay, cKDTree
 
 from excursionkit.sampling import sample_poisson_process
 from excursionkit.tessellation import (
@@ -12,8 +13,7 @@ from excursionkit.tessellation import (
     MIN_FACET_FRACTION,
     Box,
     FacetSet,
-    _shoelace_area,
-    clip_polygon_to_box,
+    clip_cells_to_box,
     clip_segments_to_box,
     facet_normality_violation,
     hexagonal_honeycomb,
@@ -165,6 +165,47 @@ class TestHexagonal:
         assert 0.5 < wh.coverage_ratio < 1.0
 
 
+def _clip_half_plane(verts, normal_vec, offset):
+    """Clip a convex polygon (list of vertices) against {x : normal_vec . x <= offset}."""
+    vals = [float(v @ normal_vec) - offset for v in verts]
+    ins = [val <= CONTAINMENT_TOL for val in vals]
+    out = []
+    for k in range(len(verts)):
+        if ins[k - 1] != ins[k]:
+            t = vals[k - 1] / (vals[k - 1] - vals[k])
+            out.append(verts[k - 1] + t * (verts[k] - verts[k - 1]))
+        if ins[k]:
+            out.append(verts[k])
+    return out if len(out) >= 3 else []
+
+
+def clip_polygon_to_box(verts, box):
+    """Intersection of a convex CCW polygon with an axis-aligned 2D box, one
+    polygon and one box side at a time: the reference for ``clip_cells_to_box``."""
+    v = [np.asarray(p, dtype=float) for p in verts]
+    for sign, axis in ((1.0, 0), (1.0, 1), (-1.0, 0), (-1.0, 1)):
+        nrm = np.zeros(2)
+        nrm[axis] = sign
+        offset = box.hi[axis] if sign > 0 else -box.lo[axis]
+        v = _clip_half_plane(v, nrm, float(offset))
+        if not v:
+            return np.empty((0, 2))
+    return np.asarray(v)
+
+
+def _shoelace_area(verts) -> float:
+    """Polygon area with the shoelace terms summed in vertex order, as the
+    builders' per-cell ``np.bincount`` sums them."""
+    v = np.asarray(verts)
+    if v.ndim != 2 or v.shape[0] < 3:
+        return 0.0
+    x, y = v[:, 0], v[:, 1]
+    total = 0.0
+    for term in x * np.roll(y, -1) - y * np.roll(x, -1):
+        total += term
+    return 0.5 * abs(float(total))
+
+
 def _loop_window_stats(cells, window):
     """Inside mask and clipped areas, one polygon at a time."""
     inside = np.zeros(len(cells), dtype=bool)
@@ -280,15 +321,11 @@ class TestHexagonalMatchesLoopReference:
         pts = sample_poisson_process(4.0, Box(np.full(2, -3.0), np.full(2, 3.0)), 5)
         window = Box(np.full(2, -2.0), np.full(2, 2.0))
         wh = voronoi_honeycomb_2d(pts, window, guard=1.0)
-        inside, areas = _loop_window_stats(wh.parent.cells, window)
+        cells = wh.parent.cells
+        inside, areas = _loop_window_stats(cells, window)
         assert _same_bits(wh.inside, inside)
-        # the areas of the cells within the window are one-pass sums, in
-        # another order than the reference's; straddling cells are clipped
-        # and summed as in the reference
-        within = np.array([len(c) > 0 and np.all(window.contains(c)) for c in wh.parent.cells])
-        assert _same_bits(wh.parent.window_areas[~within], areas[~within])
-        side = float(np.max(window.expanded(1.0).side_lengths))
-        assert np.allclose(wh.parent.window_areas, areas, rtol=0, atol=1e-12 * side**2)
+        assert _same_bits(wh.parent.window_areas, areas)
+        assert _same_bits(wh.parent.cell_volumes, np.array([_shoelace_area(c) for c in cells]))
 
     def test_voronoi_empty_cells_window_stats_equal_to_loop(self):
         # two far generators whose regions the guard box clips away to no
@@ -303,8 +340,8 @@ class TestHexagonalMatchesLoopReference:
         inside, areas = _loop_window_stats(cells, window)
         assert _same_bits(wh.inside, inside)
         assert _same_bits(wh.meeting_index, np.flatnonzero(areas > 0))
-        side = float(np.max(window.expanded(guard).side_lengths))
-        assert np.allclose(wh.parent.window_areas, areas, rtol=0, atol=1e-12 * side**2)
+        assert _same_bits(wh.parent.window_areas, areas)
+        assert _same_bits(wh.parent.cell_volumes, np.array([_shoelace_area(c) for c in cells]))
         assert np.sum(wh.parent.window_areas) == pytest.approx(window.volume, rel=1e-12)
 
 
@@ -614,15 +651,80 @@ class TestVoronoiClouds:
             voronoi_honeycomb_2d(np.array([[0.2, 0.2], [0.8, 0.8]]), window, guard=-0.5)
 
 
+def _assert_clip_equals_loop(cells, box):
+    """``clip_cells_to_box`` on all cells at once equals the per-polygon loop
+    on each cell, bit for bit; returns the clipped cells."""
+    counts = np.array([len(c) for c in cells], dtype=np.int64)
+    verts, out_counts = clip_cells_to_box(np.concatenate(cells), counts, box)
+    assert out_counts.shape == counts.shape and out_counts.sum() == verts.shape[0]
+    clipped = np.split(verts, np.cumsum(out_counts)[:-1])
+    for got, cell in zip(clipped, cells):
+        assert _same_bits(got, clip_polygon_to_box(cell, box).reshape(-1, 2))
+    return clipped
+
+
+class TestClipCellsToBox:
+    BOX = Box(np.zeros(2), np.ones(2))
+
+    def test_case_table_matches_loop(self):
+        cases = [
+            # triangle whose hypotenuse x + y = 4 misses the box: the full square
+            np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]),
+            np.array([[0.25, 0.25], [0.75, 0.25], [0.5, 0.75]]),  # wholly inside
+            np.empty((0, 2)),  # empty cell in the middle
+            np.array([[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]),  # across a corner
+            np.array([[2.0, 2.0], [3.0, 2.0], [3.0, 3.0], [2.0, 3.0]]),  # wholly outside
+            np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]]),  # touches side x = 1
+            # beyond side x = 1 by less than CONTAINMENT_TOL: inside
+            np.array([[0.5, 0.5], [1.0 + 5e-13, 0.5], [0.5, 0.9]]),
+            # two vertices inside side x = 1 empty the cell before side y = 1
+            # would turn them into three
+            np.array([[0.5, 0.5], [0.5, 1.5]]),
+            np.empty((0, 2)),  # empty cell at the end
+        ]
+        clipped = _assert_clip_equals_loop(cases, self.BOX)
+        assert _shoelace_area(clipped[0]) == pytest.approx(1.0)
+        assert _same_bits(clipped[1], cases[1])  # an inside cell comes back unchanged
+        assert _shoelace_area(clipped[3]) == pytest.approx(0.25)
+        assert [len(clipped[i]) for i in (2, 4, 7, 8)] == [0, 0, 0, 0]
+        assert _shoelace_area(clipped[5]) == 0.0
+        assert _same_bits(clipped[6], cases[6])
+
+    def test_empty_input(self):
+        verts, counts = clip_cells_to_box(np.empty((0, 2)), np.empty(0, dtype=np.int64), self.BOX)
+        assert verts.shape == (0, 2) and counts.shape == (0,)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=-2.0, max_value=2.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_convex_polygons_match_loop(self, seed, n_cells, scale, x0, y0, w, h, shift):
+        # convex hulls of random points, scaled and shifted by up to two box
+        # sides from the box centre, so some miss the box and some cover it
+        rng = np.random.default_rng(seed)
+        box = Box(np.array([x0, y0]), np.array([x0 + w, y0 + h]))
+        centre = box.lo + (0.5 + shift) * box.side_lengths
+        cells = []
+        for _ in range(n_cells):
+            pts = centre + scale * rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 12)), 2))
+            cells.append(pts[ConvexHull(pts).vertices])  # CCW in 2D
+        clipped = _assert_clip_equals_loop(cells, box)
+        for got, cell in zip(clipped, cells):
+            area = _shoelace_area(got)
+            # shoelace rounding grows with the coordinates' magnitude
+            slack = 1e-12 * len(got) * float(np.max(np.abs(cell))) ** 2
+            assert area <= _shoelace_area(cell) + slack
+            assert area <= box.volume + slack
+
+
 class TestPolygonHelpers:
-    def test_clip_to_box(self):
-        tri = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-        clipped = clip_polygon_to_box(tri, Box(np.zeros(2), np.ones(2)))
-        # unit square corner cut by the line x + y = 4 stays the full square
-        from excursionkit.tessellation import _shoelace_area
-
-        assert _shoelace_area(clipped) == pytest.approx(1.0)
-
     def test_clip_segments_to_box(self):
         box = Box(np.full(2, -1.0), np.full(2, 1.0))
         segs = np.array(
