@@ -20,6 +20,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
+# the bare package only, for its version in the provenance block: it loads no
+# scipy subpackage, and importing it with this module keeps its cost out of
+# the campaign call that writes the summary
+import scipy
 
 from .densities import (
     CovarianceModel,
@@ -52,6 +56,10 @@ from .crofton import circle_shape, crofton_measure_mc, square_shape
 KINDS = ("bias-sweep", "crossing", "clt", "crofton-demo", "volume-check")
 FAMILIES = ("hypercubic", "hexagonal", "voronoi")
 MODELS = ("gaussian", "chi-square")
+
+# fewest expected generators a Voronoi bias sweep accepts at its coarsest cell
+# size; a cloud of fewer than 2 has no diagram
+MIN_VORONOI_GENERATORS = 16
 
 # fields that do not influence the computed numbers and are therefore
 # excluded from the config hash echoed on every output row
@@ -215,6 +223,15 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
         raise ConfigError(
             f"cell size {cfg.deltas[0]} must be below the window side {2 * cfg.half_width}"
         )
+    if sweep and cfg.family == "voronoi":
+        # a unit-rate cloud on the guard box, in units of the coarsest cell
+        generators = (2.0 * (cfg.half_width / cfg.deltas[0] + cfg.guard)) ** 2
+        if generators < MIN_VORONOI_GENERATORS:
+            raise ConfigError(
+                f"a Voronoi cloud at cell size {cfg.deltas[0]} holds about {generators:.3g} "
+                f"generators, fewer than {MIN_VORONOI_GENERATORS}: use smaller cells, a wider "
+                "window or a wider guard"
+            )
     if sweep and cfg.model == "chi-square" and cfg.u <= 0:
         raise ConfigError(f"a chi-square bias sweep needs a positive level u, got {cfg.u}")
     _check_memory(cfg)
@@ -337,8 +354,6 @@ def _provenance(cfg: CampaignConfig, config_hash: str) -> dict:
     """What produced a run: package, numpy, scipy and BLAS builds, threads,
     seed and config hash.  Lattice draws multiply by BLAS, so their last bits
     depend on its build."""
-    import scipy
-
     from . import __version__
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -558,7 +573,10 @@ def _bias_spec(cfg: CampaignConfig):
                 unit_box = Box(np.full(2, -unit_half), np.full(2, unit_half))
                 pts = delta * sample_poisson_process(1.0, unit_box, _rep_seed(cfg.seed, si, rep, 0))
                 if pts.shape[0] < 2:
-                    return 0.0
+                    raise ConfigError(
+                        f"the Voronoi cloud of replicate {rep} at cell size {delta} holds "
+                        f"{pts.shape[0]} generator(s), fewer than the 2 a diagram needs"
+                    )
                 wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
                 values = _point_values(
                     cfg, model, wh.ref_points_meeting, _rep_seed(cfg.seed, si, rep, 1)

@@ -10,10 +10,10 @@ of the lattice surface estimator in 2D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .sampling import GridSpec, _rng
 
@@ -81,7 +81,7 @@ def crofton_measure_mc(shape, d: int, n_lines: int, bounding_radius: float, seed
     # the direction average cancels the sphere area; the offset-disk volume
     # times the dimensional constant sqrt(pi)*Gamma((d+1)/2)/Gamma(d/2)
     # collapses to pi^(d/2) * R^(d-1) / Gamma(d/2)
-    factor = np.pi ** (d / 2.0) * bounding_radius ** (d - 1) / special.gamma(d / 2.0)
+    factor = np.pi ** (d / 2.0) * bounding_radius ** (d - 1) / math.gamma(d / 2.0)
     mean = float(counts.mean())
     sd = float(counts.std(ddof=1)) if n_lines > 1 else 0.0
     return CroftonEstimate(

@@ -11,10 +11,10 @@ All functions are pure and safe to call from any thread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 def beta_d(d: int) -> float:
@@ -32,12 +32,19 @@ def beta_d(d: int) -> float:
     Returns
     -------
     float
-        beta_1 = 2, beta_2 = pi, beta_3 = 4, ...
+        beta_1 = 2, beta_2 = pi, beta_3 = 4, ...  The gamma ratio is a ratio
+        of integers for odd d = 2m + 1, 2 * 4**m / C(2m, m), and pi times one
+        for even d = 2m, 2 * pi * m * C(2m, m) / 4**m.  Dividing the exact
+        integers rounds once, so beta_d is correctly rounded for odd d and is
+        2 * math.pi times a correctly rounded ratio for even d:
+        beta_2 == math.pi and beta_3 == 4.0.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    # log-gamma keeps relative error ~1e-15 for any reasonable d
-    return 2.0 * np.sqrt(np.pi) * np.exp(special.gammaln((d + 1) / 2.0) - special.gammaln(d / 2.0))
+    m, odd = divmod(d, 2)
+    if odd:
+        return 2 * 4**m / math.comb(2 * m, m)
+    return 2.0 * math.pi * (m * math.comb(2 * m, m) / 4**m)
 
 
 def bias_factor(d: int) -> float:
@@ -51,7 +58,7 @@ def gaussian_volume_density(u: float) -> float:
     Uses the complementary error function rather than 1 - cdf so that deep
     tails do not cancel.
     """
-    return 0.5 * special.erfc(u / np.sqrt(2.0))
+    return 0.5 * math.erfc(u / math.sqrt(2.0))
 
 
 def gaussian_surface_density(u: float, lam: float, d: int) -> float:
@@ -70,23 +77,42 @@ def gaussian_surface_density(u: float, lam: float, d: int) -> float:
     Returns
     -------
     float
-        sqrt(lam/pi) * exp(-u**2/2) * Gamma((d+1)/2) / Gamma(d/2).
+        sqrt(lam/pi) * exp(-u**2/2) * Gamma((d+1)/2) / Gamma(d/2), computed
+        as sqrt(lam) * exp(-u**2/2) * beta_d / (2*pi): 1/2 exactly at
+        d = 2, u = 0, lam = 1.
     """
     if lam <= 0:
         raise ValueError(f"second spectral moment must be positive, got {lam}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    gamma_ratio = np.exp(special.gammaln((d + 1) / 2.0) - special.gammaln(d / 2.0))
-    return np.sqrt(lam / np.pi) * np.exp(-0.5 * u * u) * gamma_ratio
+    return beta_d(d) / (2.0 * math.pi) * math.sqrt(lam) * math.exp(-0.5 * u * u)
 
 
 def chisq_volume_density(u: float, k: int) -> float:
-    """Volume density of a chi-square field with k degrees of freedom: P(chi2_k >= u)."""
+    """Volume density of a chi-square field with k degrees of freedom: P(chi2_k >= u).
+
+    For integer k the survival function is a finite series in x = u/2:
+    exp(-x) * sum_{j < k/2} x**j / j! for even k, and
+    erfc(sqrt(x)) + exp(-x) * sum_{j < (k-1)/2} x**(j+1/2) / Gamma(j+3/2)
+    for odd k.  Each sum has k // 2 positive terms, summed by recurrence
+    with exp(-x) folded into the first, so none overflows.
+    """
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
     if u <= 0:
         return 1.0
-    return float(special.chdtrc(k, u))
+    x = 0.5 * u
+    if k % 2:
+        root = math.sqrt(x)
+        head, term, a = math.erfc(root), math.exp(-x) * root / math.gamma(1.5), 1.5
+    else:
+        head, term, a = 0.0, math.exp(-x), 1.0
+    tail = 0.0
+    for _ in range(k // 2):
+        tail += term
+        term *= x / a
+        a += 1.0
+    return head + tail
 
 
 def chisq_surface_density(u: float, lam: float, d: int, k: int) -> float:
@@ -110,14 +136,14 @@ def chisq_surface_density(u: float, lam: float, d: int, k: int) -> float:
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
     log_val = (
-        0.5 * np.log(lam)
-        + 0.5 * (k - 1) * np.log(u / 2.0)
+        0.5 * math.log(lam)
+        + 0.5 * (k - 1) * math.log(u / 2.0)
         - 0.5 * u
-        + special.gammaln((d + 1) / 2.0)
-        - special.gammaln(k / 2.0)
-        - special.gammaln(d / 2.0)
+        + math.lgamma((d + 1) / 2.0)
+        - math.lgamma(k / 2.0)
+        - math.lgamma(d / 2.0)
     )
-    return float(np.exp(log_val))
+    return math.exp(log_val)
 
 
 def gaussian_l1_limit(u: float, lam: float, d: int) -> float:

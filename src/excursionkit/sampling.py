@@ -26,6 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# imported at module level so that the first draw of a campaign does not pay
+# for numpy's lazy import of its random subpackage
+from numpy.random import Generator, Philox, SeedSequence
 
 from .densities import CovarianceModel
 from .tessellation import Box
@@ -89,8 +92,8 @@ class GridSpec:
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _rng(seed_key) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
+def _rng(seed_key) -> Generator:
+    return Generator(Philox(SeedSequence(seed_key)))
 
 
 def _flat_key(seed, *extra) -> tuple:

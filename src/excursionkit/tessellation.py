@@ -26,7 +26,6 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import Voronoi, cKDTree
 
 # geometric tolerances, in the spatial units of the tessellation
 DUPLICATE_TOL = 1e-12     # generators closer than this are merged
@@ -403,6 +402,11 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     Raises:
         ValueError: fewer than 2 distinct generators, or a non-2D window.
     """
+    # imported here: loading scipy.spatial (and the scipy.linalg it pulls in)
+    # would cost every CLI call more than a lattice campaign, and only this
+    # builder needs it
+    from scipy.spatial import Voronoi, cKDTree
+
     if window.d != 2:
         raise ValueError("voronoi construction is 2D only")
     if guard < 0:

@@ -684,16 +684,16 @@ class TestGoldenDigests:
     @pytest.mark.parametrize(
         "kind, overrides, digest",
         [
-            ("bias-sweep", dict(deltas=(0.5, 0.25), reps=5), "f8009c74f8e51a9b"),
+            ("bias-sweep", dict(deltas=(0.5, 0.25), reps=5), "8f5ac0dee61849a2"),
             (
                 "bias-sweep",
                 dict(deltas=(0.5, 0.25), reps=5, model="chi-square", k=3, u=2.0),
-                "cb363bebcf9508e6",
+                "5a122d2168e6d498",
             ),
             (
                 "bias-sweep",
                 dict(d=3, half_width=1.0, deltas=(0.5, 0.25), reps=3),
-                "f3fb6f781e9fd542",
+                "69645c9188452bd7",
             ),
             ("clt", dict(u=0.3), "3ddd1b966c52a528"),
             ("volume-check", dict(levels=(0.0, 1.0), reps=5), "9fe6af964ea45921"),
@@ -702,20 +702,20 @@ class TestGoldenDigests:
                 dict(levels=(1.0, 2.5), reps=5, model="chi-square"),
                 "80321985854720e3",
             ),
-            ("crossing", {}, "9fc2c55dd3b90b47"),
+            ("crossing", {}, "7725b6a347405886"),
             ("crofton-demo", {}, "307207bfa19804d8"),
-            ("bias-sweep", dict(half_width=8.0, deltas=(0.5,), reps=5), "889a112957cf325c"),
+            ("bias-sweep", dict(half_width=8.0, deltas=(0.5,), reps=5), "60fadaec2aaa2746"),
             (
                 "bias-sweep",
                 dict(family="hexagonal", deltas=(0.5, 0.25), reps=5),
-                "4feb1135672e57d2",
+                "247293fb385ad993",
             ),
             (
                 "bias-sweep",
                 dict(family="hexagonal", deltas=(0.5, 0.25), reps=3, model="chi-square", k=3, u=2.0),
-                "c6c3024ec64166f4",
+                "18684f05c5d864d9",
             ),
-            ("bias-sweep", dict(family="voronoi", deltas=(0.5, 0.25), reps=4), "6b365bb58287dd4d"),
+            ("bias-sweep", dict(family="voronoi", deltas=(0.5, 0.25), reps=4), "2279b6fdc8134e61"),
         ],
     )
     def test_output_digest(self, kind, overrides, digest):
@@ -895,6 +895,26 @@ class TestCli:
         code = cli.main([kind, "--reps", "2", "--config", str(_write_cfg(tmp_path, text))])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_voronoi_cloud_too_small_refused(self, tmp_path, capsys):
+        # (2 * (0.5 / 0.9 + 0))^2 = 1.23 expected generators: most replicates
+        # would have no diagram, and none may enter mean_ratio as a zero
+        text = "family = voronoi\nhalf_width = 0.5\ndeltas = 0.9\nguard = 0\n"
+        code = cli.main(["bias-sweep", "--reps", "8", "--config", str(_write_cfg(tmp_path, text))])
+        assert code == 2
+        assert "cell size 0.9 holds about 1.23 generators, fewer than 16" in capsys.readouterr().err
+
+    def test_voronoi_replicate_without_diagram_refused(self, tmp_path, monkeypatch, capsys):
+        # a cloud of fewer than 2 generators is rare at 16 expected, but it
+        # stops the run with the cell size and cloud size rather than scoring 0
+        monkeypatch.setattr(
+            campaigns, "sample_poisson_process", lambda rate, box, key: np.zeros((1, 2))
+        )
+        text = "family = voronoi\nhalf_width = 2\ndeltas = 0.5\n"
+        code = cli.main(["bias-sweep", "--reps", "2", "--config", str(_write_cfg(tmp_path, text))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "at cell size 0.5 holds 1 generator(s), fewer than the 2 a diagram needs" in err
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

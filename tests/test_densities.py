@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from excursionkit.densities import (
     CovarianceModel,
@@ -163,6 +164,60 @@ class TestL1Limit:
         assert gaussian_l1_limit(u, lam, d) == pytest.approx(
             bias_factor(d) * gaussian_surface_density(u, lam, d), rel=1e-12
         )
+
+
+class TestAgainstScipy:
+    """The package computes its scalar densities with the math module, so
+    that importing it loads no scipy subpackage; their scipy.special forms
+    are the reference here."""
+
+    LEVELS = np.concatenate([np.geomspace(1e-6, 1e-3, 7), np.linspace(1e-3, 60.0, 241)])
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_chisq_volume_matches_chdtrc(self, k):
+        for u in self.LEVELS:
+            assert chisq_volume_density(float(u), k) == pytest.approx(
+                special.chdtrc(k, u), rel=1e-13
+            )
+
+    def test_beta_matches_log_gamma_route(self):
+        for d in range(1, 201):
+            log_ratio = special.gammaln((d + 1) / 2.0) - special.gammaln(d / 2.0)
+            ref = 2.0 * np.sqrt(np.pi) * np.exp(log_ratio)
+            assert beta_d(d) == pytest.approx(ref, rel=1e-12)
+
+    def test_beta_exact_in_low_dimensions(self):
+        assert beta_d(1) == 2.0
+        assert beta_d(2) == math.pi
+        assert beta_d(3) == 4.0
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_gaussian_surface_matches_gamma_ratio(self, d):
+        gamma_ratio = np.exp(special.gammaln((d + 1) / 2.0) - special.gammaln(d / 2.0))
+        for u in np.linspace(-6.0, 6.0, 25):
+            for lam in (0.01, 1.0, 50.0):
+                ref = np.sqrt(lam / np.pi) * np.exp(-0.5 * u * u) * gamma_ratio
+                assert gaussian_surface_density(float(u), lam, d) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_chisq_surface_matches_log_gamma_form(self, d):
+        for k in range(1, 31):
+            for u in np.linspace(0.05, 60.0, 25):
+                for lam in (0.1, 1.0, 10.0):
+                    ref = np.exp(
+                        0.5 * np.log(lam) + 0.5 * (k - 1) * np.log(u / 2.0) - 0.5 * u
+                        + special.gammaln((d + 1) / 2.0) - special.gammaln(k / 2.0)
+                        - special.gammaln(d / 2.0)
+                    )
+                    assert chisq_surface_density(float(u), lam, d, k) == pytest.approx(
+                        ref, rel=1e-13
+                    )
+
+    def test_gaussian_volume_matches_erfc(self):
+        for u in np.linspace(-8.0, 8.0, 161):
+            assert gaussian_volume_density(float(u)) == pytest.approx(
+                0.5 * special.erfc(u / np.sqrt(2.0)), rel=1e-13
+            )
 
 
 class TestCovarianceModel:

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import subprocess
@@ -25,9 +26,8 @@ def test_public_names_imported_from_submodules_are_exported():
     assert sorted(imported - set(excursionkit.__all__)) == []
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only the clt reduction needs it
-    code = "import sys, excursionkit.cli; print('scipy.stats' in sys.modules)"
+def _run_python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports the package from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -35,4 +35,48 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, env=env, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+_SCIPY_MODULES = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_cli_import_loads_no_scipy_subpackage():
+    # scipy.special, .spatial, .linalg and .stats each cost a CLI call more
+    # than the whole campaign: the CLI import loads what bare scipy loads
+    bare = _run_python(f"import numpy, scipy; {_SCIPY_MODULES}")
+    cli = _run_python(f"import excursionkit.cli; {_SCIPY_MODULES}")
+    assert cli == bare
+    loaded = ast.literal_eval(cli)
+    for name in ("scipy.special", "scipy.spatial", "scipy.linalg", "scipy.stats"):
+        assert name not in loaded
+
+
+def test_cli_main_imports_nothing_on_lattice_and_hexagonal_sweeps(tmp_path):
+    # a module first imported inside cli.main is paid for in the campaign's
+    # own time; numpy.random and the scipy that the provenance block reports
+    # are the easy ones to leave to the first call
+    configs = {
+        "hypercubic": "half_width = 1\ndeltas = 0.5, 0.25\n",
+        "hexagonal": "family = hexagonal\nhalf_width = 2\ndeltas = 0.5\n",
+    }
+    calls = []
+    for family, text in configs.items():
+        path = tmp_path / f"{family}.cfg"
+        path.write_text(text)
+        out, summary = tmp_path / f"{family}.csv", tmp_path / f"{family}.json"
+        calls.append(
+            ["bias-sweep", "--config", str(path), "--reps", "3", "--threads", "2",
+             "--out", str(out), "--summary", str(summary)]
+        )
+    code = (
+        "import contextlib, io, sys\n"
+        "import excursionkit.cli as cli\n"
+        f"for argv in {calls!r}:\n"
+        "    before = set(sys.modules)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    print(argv[2], sorted(set(sys.modules) - before))\n"
+    )
+    lines = _run_python(code).splitlines()
+    assert lines == [f"{argv[2]} []" for argv in calls]
