@@ -22,7 +22,6 @@ from .tessellation import (
     FacetSet,
     Honeycomb,
     WindowedHoneycomb,
-    facet_normality_violation,
     hexagonal_honeycomb,
     hypercubic_honeycomb,
     pyramid_identity_sum,
@@ -91,7 +90,6 @@ __all__ = [
     "default_config",
     "exceedance_indicator",
     "extract_level_polyline_2d",
-    "facet_normality_violation",
     "gaussian_l1_limit",
     "gaussian_surface_density",
     "gaussian_volume_density",

@@ -142,33 +142,19 @@ def sphere_l1_average(d: int) -> float:
     so it serves as an independent check of the identity
     average * beta_d == 2d.
 
-    d = 1 is the two-point sphere {-1, +1}; d = 2 and d = 3 integrate over
-    angles directly; higher d uses the coordinate reduction
-    E||r||_1 = d * E|r_1| with the single-coordinate marginal in angular form.
+    d = 1 is the two-point sphere {-1, +1}.  Every d >= 2 uses the coordinate
+    reduction E||r||_1 = d * E|r_1|, with the single-coordinate marginal in
+    angular form: E|r_1| is the ratio of the integrals of
+    cos(phi) sin(phi)^(d-2) and sin(phi)^(d-2) over [0, pi/2].
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if d == 1:
         return 1.0
-    theta, w = _gauss_quarter_period()
-    if d == 2:
-        quarter = float(np.sum(w * (np.cos(theta) + np.sin(theta))))
-        return 2.0 * quarter / np.pi
-    if d == 3:
-        phi, wp = theta, w
-        sin_p, cos_p = np.sin(phi), np.cos(phi)
-        inner_t = float(np.sum(w * (np.cos(theta) + np.sin(theta))))
-        # integrate (sin(phi) * (|cos| + |sin|)(theta) + cos(phi)) * sin(phi)
-        # over one octant and use symmetry: average = 2 * I / pi
-        octant = float(
-            np.sum(wp * sin_p * sin_p) * inner_t
-            + np.sum(wp * cos_p * sin_p) * float(np.sum(w))
-        )
-        return 2.0 * octant / np.pi
-    phi, wp = theta, w
+    phi, w = _gauss_quarter_period()
     sin_pow = np.sin(phi) ** (d - 2)
-    numer = float(np.sum(wp * np.cos(phi) * sin_pow))
-    denom = float(np.sum(wp * sin_pow))
+    numer = float(np.sum(w * np.cos(phi) * sin_pow))
+    denom = float(np.sum(w * sin_pow))
     return d * numer / denom
 
 

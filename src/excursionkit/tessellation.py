@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -79,7 +78,8 @@ class FacetSet:
         a: integer cell index of the first cell of each facet.
         b: integer cell index of the second cell.
         measure: sigma_{d-1} measure of each facet (length in 2D).
-        endpoints: (n, 2, 2) segment endpoints for 2D facets, or None.
+        endpoints: (n, 2, 2) segment endpoints for the 2D point families;
+            None for the lattice, whose cells tile the window.
     """
 
     a: np.ndarray
@@ -118,14 +118,6 @@ class Honeycomb:
     verts: np.ndarray | None = None
     counts: np.ndarray | None = None
 
-    @cached_property
-    def cells(self) -> list | None:
-        """Per-cell (m_i, 2) views of ``verts``, split on first read; None
-        for the hypercubic lattice."""
-        if self.verts is None:
-            return None
-        return np.split(self.verts, np.cumsum(self.counts)[:-1])
-
 
 @dataclass(eq=False)
 class WindowedHoneycomb:
@@ -142,8 +134,6 @@ class WindowedHoneycomb:
     parent: Honeycomb
     inside: np.ndarray
     interior_facets: FacetSet
-    coverage_ratio: float
-    duplicates_merged: int = 0
     inside_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -209,8 +199,8 @@ class WindowedHoneycomb:
         )
 
 
-def _windowed(parent: Honeycomb, inside: np.ndarray, duplicates_merged: int = 0):
-    """Interior view of the cells marked ``inside``: local facet table, coverage."""
+def _windowed(parent: Honeycomb, inside: np.ndarray):
+    """Interior view of the cells marked ``inside``: the local facet table."""
     local = np.cumsum(inside) - 1
     f = parent.facets
     mask = inside[f.a] & inside[f.b]
@@ -220,14 +210,7 @@ def _windowed(parent: Honeycomb, inside: np.ndarray, duplicates_merged: int = 0)
         measure=f.measure[mask],
         endpoints=None if f.endpoints is None else f.endpoints[mask],
     )
-    coverage = float(np.sum(parent.cell_volumes[inside]) / parent.window.volume)
-    return WindowedHoneycomb(
-        parent=parent,
-        inside=inside,
-        interior_facets=interior,
-        coverage_ratio=coverage,
-        duplicates_merged=duplicates_merged,
-    )
+    return WindowedHoneycomb(parent=parent, inside=inside, interior_facets=interior)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +232,7 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         d: dimension, at least 2.
 
     Returns:
-        WindowedHoneycomb with every cell inside and coverage exactly 1.
+        WindowedHoneycomb with every cell inside.
     """
     if delta <= 0:
         raise ValueError(f"spacing must be positive, got {delta}")
@@ -277,17 +260,8 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         b_parts.append(ids[tuple(sl_hi)].reshape(-1))
     a = np.concatenate(a_parts)
     b = np.concatenate(b_parts)
-    measure = np.full(a.size, delta ** (d - 1))
-
-    endpoints = None
-    if d == 2:
-        # shared face of cells i and i+e_axis: for axis 0 it is the segment
-        # x = ref_a_x + delta, y in [ref_a_y, ref_a_y + delta]; symmetric for axis 1
-        step = np.repeat([[delta, 0.0], [0.0, delta]], [a_parts[0].size, a_parts[1].size], axis=0)
-        start = ref_points[a] + step
-        endpoints = np.stack([start, start + step[:, ::-1]], axis=1)
-
-    facets = FacetSet(a=a, b=b, measure=measure, endpoints=endpoints)
+    # no facet endpoints: the cells tile T, so no facet needs clipping to it
+    facets = FacetSet(a=a, b=b, measure=np.full(a.size, delta ** (d - 1)))
     parent = Honeycomb(
         d=d,
         ref_points=ref_points,
@@ -296,9 +270,7 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         window=window,
         window_areas=np.full(ref_points.shape[0], delta**d),
     )
-    wh = _windowed(parent, np.ones(ref_points.shape[0], dtype=bool))
-    wh.coverage_ratio = 1.0  # lattice cells tile T by construction
-    return wh
+    return _windowed(parent, np.ones(ref_points.shape[0], dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +368,9 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
         guard: nonnegative guard margin; 0 clips the diagram exactly to the window.
 
     Returns:
-        WindowedHoneycomb. Duplicate generators closer than 1e-12 are merged
-        and counted in ``duplicates_merged``.
+        WindowedHoneycomb whose reference points are the generators, in
+        input order.  Of two generators closer than ``DUPLICATE_TOL`` the
+        later one is dropped, with a warning that counts the dropped ones.
 
     Raises:
         ValueError: fewer than 2 distinct generators, or a non-2D window.
@@ -415,7 +388,6 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
 
-    merged = 0
     if points.shape[0] >= 2:
         pairs = cKDTree(points).query_pairs(DUPLICATE_TOL, output_type="ndarray")
         if pairs.size:
@@ -465,7 +437,7 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     pos = np.where(twice_area[cell] < 0, counts[cell] - 1 - pos, pos)
     verts, counts = clip_cells_to_box(vor.vertices[flat[first + pos]], counts, guard_box)
 
-    return _polygon_honeycomb(verts, counts, points, facets, window, duplicates_merged=merged)
+    return _polygon_honeycomb(verts, counts, points, facets, window)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +517,7 @@ def clip_segments_to_box(endpoints: np.ndarray, box: Box) -> np.ndarray:
     return np.stack([p0 + t0[:, None] * step, p0 + t1[:, None] * step], axis=1)
 
 
-def _polygon_honeycomb(verts, counts, ref_points, facets, window: Box, duplicates_merged=0):
+def _polygon_honeycomb(verts, counts, ref_points, facets, window: Box):
     """Windowed honeycomb of 2D convex cells: areas, window clip and inside view.
 
     Cell i is the CCW run of ``counts[i]`` rows of the flat (N, 2) vertex
@@ -571,7 +543,7 @@ def _polygon_honeycomb(verts, counts, ref_points, facets, window: Box, duplicate
         verts=verts,
         counts=counts,
     )
-    return _windowed(parent, inside, duplicates_merged)
+    return _windowed(parent, inside)
 
 
 def pyramid_identity_sum(wh: WindowedHoneycomb) -> float:
@@ -588,20 +560,3 @@ def pyramid_identity_sum(wh: WindowedHoneycomb) -> float:
     dist = np.linalg.norm(refs[f.b] - refs[f.a], axis=1)
     return float(2.0 * np.sum(f.measure * dist))
 
-
-def facet_normality_violation(wh: WindowedHoneycomb) -> float:
-    """Max |cos angle| between interior facet directions and reference differences.
-
-    Returns 0 for honeycombs without explicit facet endpoints (the lattice
-    family, whose facets are axis-aligned by construction).
-    """
-    f = wh.interior_facets
-    if f.endpoints is None or len(f) == 0:
-        return 0.0
-    tangent = f.endpoints[:, 1] - f.endpoints[:, 0]
-    t_norm = np.linalg.norm(tangent, axis=1)
-    refs = wh.ref_points_inside
-    diff = refs[f.b] - refs[f.a]
-    d_norm = np.linalg.norm(diff, axis=1)
-    dots = np.abs(np.sum(tangent * diff, axis=1))
-    return float(np.max(dots / (t_norm * d_norm)))

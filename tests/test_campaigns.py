@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -224,7 +225,9 @@ class TestGridMemoryPreflight:
     def test_point_families_priced_by_linear_draw(self, monkeypatch, family, cells, rank):
         price = 8 * cells * (1 + 2 + 3 * rank)
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: price)
-        cfg = tiny("bias-sweep", family=family, deltas=(0.5, 1.0))
+        # the finest row sets the price; 0.8 = half_width / 2.5 is the
+        # coarsest hexagonal cell size the window admits
+        cfg = tiny("bias-sweep", family=family, deltas=(0.5, 0.8))
         validate_config(replace(cfg, threads=1))
         with pytest.raises(ConfigError, match=f"{cells} points and rank {rank}"):
             validate_config(replace(cfg, threads=2))
@@ -789,6 +792,17 @@ class TestCampaignOutputs:
             assert row["var_volume_scaled"] > 0.0
             assert math.isfinite(row["skew_surface"])
 
+    def test_clt_moments_of_a_constant_column_are_nan_without_warning(self):
+        # at u = -40 every volume is 1 and every surface 0: the moments are
+        # undefined, and no precision-loss warning may reach the run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_campaign(tiny("clt", u=-40.0))
+        for row in res.rows:
+            assert row["mean_volume"] == 1.0 and row["mean_surface"] == 0.0
+            for name in ("skew_volume", "kurt_volume", "skew_surface", "kurt_surface"):
+                assert math.isnan(row[name]), name
+
     def test_crofton_shapes(self):
         res = run_campaign(tiny("crofton-demo"))
         assert {r["shape"] for r in res.rows} == {"circle", "square"}
@@ -879,6 +893,11 @@ class TestCli:
             ("bias-sweep", "family = voronoi\nguard = -1\n", "guard margin must be nonnegative"),
             ("bias-sweep", "family = hexagonal\nhalf_width = 2\ndeltas = 4.0\n",
              "cell size 4.0 must be below the window side 4.0"),
+            # one whole hexagon inside [-1, 1]^2 and no facet between two inside
+            # cells: every replicate would score 0
+            ("bias-sweep", "family = hexagonal\nhalf_width = 1\ndeltas = 0.5\n",
+             "half width 1.0 has no facet between two inside cells at cell size 0.5: use "
+             "cells of at most 0.4"),
             ("bias-sweep", "family = voronoi\nhalf_width = 0.5\ndeltas = 4.0\nguard = 0.1\n",
              "cell size 4.0 must be below the window side 1.0"),
             ("crofton-demo", "bounding_radius = 0.5\n",
@@ -903,6 +922,16 @@ class TestCli:
         code = cli.main(["bias-sweep", "--reps", "8", "--config", str(_write_cfg(tmp_path, text))])
         assert code == 2
         assert "cell size 0.9 holds about 1.23 generators, fewer than 16" in capsys.readouterr().err
+
+    def test_hexagonal_window_at_the_facet_threshold_runs(self, tmp_path):
+        # 2.5 cells per half width is the fewest that give interior facets (6 here)
+        text = "family = hexagonal\nhalf_width = 2.5\ndeltas = 1.0\n"
+        out = tmp_path / "rows.csv"
+        argv = ["bias-sweep", "--reps", "4", "--out", str(out),
+                "--config", str(_write_cfg(tmp_path, text))]
+        assert cli.main(argv) == 0
+        header, row = out.read_text().splitlines()
+        assert float(row.split(",")[header.split(",").index("mean_ratio")]) > 0.0
 
     def test_voronoi_replicate_without_diagram_refused(self, tmp_path, monkeypatch, capsys):
         # a cloud of fewer than 2 generators is rare at 16 expected, but it

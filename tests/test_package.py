@@ -54,19 +54,21 @@ def test_cli_import_loads_no_scipy_subpackage():
 
 def test_cli_main_imports_nothing_on_lattice_and_hexagonal_sweeps(tmp_path):
     # a module first imported inside cli.main is paid for in the campaign's
-    # own time; numpy.random and the scipy that the provenance block reports
-    # are the easy ones to leave to the first call
+    # own time; numpy.random, the scipy that the provenance block reports and
+    # a scipy.stats for the clt moments are the easy ones to leave to the
+    # first call
     configs = {
-        "hypercubic": "half_width = 1\ndeltas = 0.5, 0.25\n",
-        "hexagonal": "family = hexagonal\nhalf_width = 2\ndeltas = 0.5\n",
+        "hypercubic": ("bias-sweep", "half_width = 1\ndeltas = 0.5, 0.25\n", "3"),
+        "hexagonal": ("bias-sweep", "family = hexagonal\nhalf_width = 2\ndeltas = 0.5\n", "3"),
+        "clt": ("clt", "windows = 8, 16\ndeltas = 0.25\n", "4"),
     }
     calls = []
-    for family, text in configs.items():
-        path = tmp_path / f"{family}.cfg"
+    for name, (kind, text, reps) in configs.items():
+        path = tmp_path / f"{name}.cfg"
         path.write_text(text)
-        out, summary = tmp_path / f"{family}.csv", tmp_path / f"{family}.json"
+        out, summary = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
         calls.append(
-            ["bias-sweep", "--config", str(path), "--reps", "3", "--threads", "2",
+            [kind, "--config", str(path), "--reps", reps, "--threads", "2",
              "--out", str(out), "--summary", str(summary)]
         )
     code = (
