@@ -36,6 +36,7 @@ from .densities import (
 from .sampling import (
     GridSpec,
     _axis_factor,
+    _flat_key,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -97,15 +98,12 @@ class CampaignConfig:
     summary: str | None = None
 
     def config_hash(self) -> str:
-        payload = {
-            k: v for k, v in asdict(self).items() if k not in _NON_SEMANTIC_FIELDS
-        }
-        blob = json.dumps(payload, sort_keys=True, default=str).encode()
+        blob = json.dumps(_semantic(self), sort_keys=True, default=str).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-_FLOAT_TUPLE_KEYS = {"deltas", "qs", "levels"}
-_INT_TUPLE_KEYS = {"windows"}
+def _semantic(cfg: CampaignConfig) -> dict:
+    return {k: v for k, v in asdict(cfg).items() if k not in _NON_SEMANTIC_FIELDS}
 
 
 def default_config(kind: str) -> CampaignConfig:
@@ -117,9 +115,7 @@ def default_config(kind: str) -> CampaignConfig:
         cfg = replace(cfg, half_width=4.0, deltas=(0.25,))
     elif kind == "clt":
         cfg = replace(cfg, deltas=(0.1,), reps=500)
-    elif kind == "crossing":
-        cfg = replace(cfg, reps=20)
-    elif kind == "crofton-demo":
+    elif kind in ("crossing", "crofton-demo"):
         cfg = replace(cfg, reps=20)
     return cfg
 
@@ -155,17 +151,13 @@ def apply_config_file(cfg: CampaignConfig, path) -> CampaignConfig:
 
 
 def _parse_value(key, value, path, lineno):
+    """``value`` in the type of the key's default; a tuple key takes
+    comma-separated entries of its default's element type."""
+    current = getattr(CampaignConfig(kind="bias-sweep"), key)
     try:
-        if key in _FLOAT_TUPLE_KEYS:
-            return tuple(float(v) for v in value.split(","))
-        if key in _INT_TUPLE_KEYS:
-            return tuple(int(v) for v in value.split(","))
-        current = getattr(CampaignConfig(kind="bias-sweep"), key)
-        if isinstance(current, int):
-            return int(value)
-        if isinstance(current, float):
-            return float(value)
-        return value
+        if isinstance(current, tuple):
+            return tuple(type(current[0])(v) for v in value.split(","))
+        return type(current)(value) if isinstance(current, (int, float)) else value
     except ValueError as exc:
         raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
 
@@ -174,14 +166,21 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
     """Normalize sweep ordering and reject inconsistent configurations."""
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown campaign kind {cfg.kind!r}")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        entries = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
     if cfg.d < 2:
         raise ConfigError(f"dimension must be >= 2, got {cfg.d}")
     if cfg.family not in FAMILIES:
         raise ConfigError(f"unknown honeycomb family {cfg.family!r}")
     if cfg.model not in MODELS:
         raise ConfigError(f"unknown model {cfg.model!r}")
-    if cfg.ell <= 0:
-        raise ConfigError(f"length scale must be positive, got {cfg.ell}")
+    if cfg.ell <= 0 or not 0 < cfg.ell * cfg.ell < math.inf:
+        raise ConfigError(
+            f"length scale must be positive with a finite nonzero square, got {cfg.ell}"
+        )
     if cfg.k < 1:
         raise ConfigError(f"chi-square degrees must be >= 1, got {cfg.k}")
     if cfg.reps < 2:
@@ -242,6 +241,11 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
             )
     if sweep and cfg.model == "chi-square" and cfg.u <= 0:
         raise ConfigError(f"a chi-square bias sweep needs a positive level u, got {cfg.u}")
+    if sweep and not 0 < _reference_surface_density(cfg) < math.inf:
+        raise ConfigError(
+            f"the {cfg.model} surface density at u = {cfg.u} (ell = {cfg.ell}) is not a positive "
+            "finite float: every ratio would divide by it"
+        )
     _check_memory(cfg)
     if cfg.kind == "crossing" and cfg.n_pairs < cfg.reps:
         raise ConfigError("n_pairs must be at least the replicate count")
@@ -397,11 +401,7 @@ class McCampaignResult:
     def write_json(self, path) -> None:
         payload = {
             "kind": self.kind,
-            "config": {
-                k: v
-                for k, v in asdict(self.config).items()
-                if k not in _NON_SEMANTIC_FIELDS
-            },
+            "config": _semantic(self.config),
             "config_hash": self.config_hash,
             "wall_clock_s": self.wall_clock_s,
             "rows": self.rows,
@@ -424,17 +424,11 @@ def _fmt(value) -> str:
 
 
 def _csv_text(rows, config_hash) -> str:
-    if not rows:
-        return "config_hash\n"
     names = list(rows[0].keys()) + ["config_hash"]
     lines = [",".join(names)]
     for row in rows:
         lines.append(",".join([_fmt(row[k]) for k in rows[0].keys()] + [config_hash]))
     return "\n".join(lines) + "\n"
-
-
-def _rep_seed(base: int, *indices) -> tuple:
-    return (int(base),) + tuple(int(i) for i in indices)
 
 
 def _parallel(fn, count: int, threads: int) -> list:
@@ -501,6 +495,15 @@ def _reference_surface_density(cfg: CampaignConfig) -> float:
     return chisq_surface_density(cfg.u, lam, cfg.d, cfg.k)
 
 
+def _field(cfg: CampaignConfig, model: CovarianceModel, where, key, factor=None):
+    """The config's field at ``where``: two value arrays on a grid, one at points."""
+    if cfg.model == "chi-square":
+        return sample_chi_square(model, cfg.k, where, key, factor=factor)
+    if isinstance(where, GridSpec):
+        return sample_gaussian_grid(model, where, key)
+    return sample_gaussian_points(model, where, key, factor=factor)
+
+
 def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, si, estimate):
     """Task function of row si on a grid: task t draws once, keyed
     (seed, si, t), and returns ``estimate`` of its first and its second
@@ -508,16 +511,9 @@ def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec
     # computed here, in the calling thread, so that pool threads share one
     # axis factor instead of racing to fill the cache with copies of it
     _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
-
-    def task(t):
-        key = _rep_seed(cfg.seed, si, t)
-        if cfg.model == "gaussian":
-            halves = sample_gaussian_grid(model, grid, key)
-        else:
-            halves = sample_chi_square(model, cfg.k, grid, key)
-        return [estimate(half) for half in halves]
-
-    return task
+    return lambda t: [
+        estimate(half) for half in _field(cfg, model, grid, _flat_key(cfg.seed, si, t))
+    ]
 
 
 def _lattice_volume(values: np.ndarray, grid: GridSpec, u: float) -> float:
@@ -530,12 +526,6 @@ def _lattice_volume(values: np.ndarray, grid: GridSpec, u: float) -> float:
     """
     count = np.count_nonzero(values >= u)
     return float(np.sum(np.full(count, grid.spacing**grid.d)) / grid.window_volume)
-
-
-def _point_values(cfg: CampaignConfig, model: CovarianceModel, points, seed_key, factor=None):
-    if cfg.model == "gaussian":
-        return sample_gaussian_points(model, points, seed_key, factor=factor)
-    return sample_chi_square(model, cfg.k, points, seed_key, factor=factor)
 
 
 def _bias_spec(cfg: CampaignConfig):
@@ -572,23 +562,21 @@ def _bias_spec(cfg: CampaignConfig):
             factor = covariance_factor(model, refs)
 
             def one(rep):
-                values = _point_values(cfg, model, refs, _rep_seed(cfg.seed, si, rep), factor)
+                values = _field(cfg, model, refs, _flat_key(cfg.seed, si, rep), factor)
                 return surface_estimate(wh, exceedance_indicator(values, cfg.u))
 
         else:  # voronoi: fresh unit-rate cloud per replicate, scaled by delta
             def one(rep):
                 unit_half = cfg.half_width / delta + cfg.guard
                 unit_box = Box(np.full(2, -unit_half), np.full(2, unit_half))
-                pts = delta * sample_poisson_process(1.0, unit_box, _rep_seed(cfg.seed, si, rep, 0))
+                pts = delta * sample_poisson_process(1.0, unit_box, _flat_key(cfg.seed, si, rep, 0))
                 if pts.shape[0] < 2:
                     raise ConfigError(
                         f"the Voronoi cloud of replicate {rep} at cell size {delta} holds "
                         f"{pts.shape[0]} generator(s), fewer than the 2 a diagram needs"
                     )
                 wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
-                values = _point_values(
-                    cfg, model, wh.ref_points_meeting, _rep_seed(cfg.seed, si, rep, 1)
-                )
+                values = _field(cfg, model, wh.ref_points_meeting, _flat_key(cfg.seed, si, rep, 1))
                 return clipped_surface_estimate(wh, exceedance_indicator(values, cfg.u))
 
         return one
@@ -621,7 +609,7 @@ def _crossing_spec(cfg: CampaignConfig):
 
     def replicates(qi, q):
         return lambda rep: crossing_frequency(
-            model, cfg.u, q, batch, _rep_seed(cfg.seed, qi, rep)
+            model, cfg.u, q, batch, _flat_key(cfg.seed, qi, rep)
         )
 
     def reduce(q, freqs):
@@ -710,7 +698,7 @@ def _crofton_spec(cfg: CampaignConfig):
     def replicates(si, name):
         oracle = shapes[name][1]
         return lambda rep: crofton_measure_mc(
-            oracle, 2, batch, cfg.bounding_radius, _rep_seed(cfg.seed, si, rep)
+            oracle, 2, batch, cfg.bounding_radius, _flat_key(cfg.seed, si, rep)
         ).value
 
     def reduce(name, values):

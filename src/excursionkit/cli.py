@@ -7,6 +7,7 @@ campaign whose draws would not fit in physical memory).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -27,6 +28,17 @@ _KIND_HELP = {
     "volume-check": "lattice volume estimates against the analytic density",
 }
 
+# (flag, config field, type, metavar, help); on a tuple field a flag sets one entry
+_FLAGS = (
+    ("--dim", "d", int, "D", "ambient dimension"),
+    ("--delta", "deltas", float, "DELTA", "single cell size (replaces the default sweep)"),
+    ("--reps", "reps", int, "R", "replicates per sweep value"),
+    ("--seed", "seed", int, "SEED", "base seed"),
+    ("--threads", "threads", int, "N", "worker threads"),
+    ("--out", "out", str, "CSV", "write summary rows to this CSV file"),
+    ("--summary", "summary", str, "JSON", "write config + rows as JSON"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -37,18 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in KINDS:
         p = sub.add_parser(kind, help=_KIND_HELP[kind])
         p.add_argument("--config", metavar="FILE", help="key=value configuration file")
-        p.add_argument("--dim", type=int, metavar="D", help="ambient dimension")
-        p.add_argument(
-            "--delta",
-            type=float,
-            metavar="DELTA",
-            help="single cell size (replaces the default sweep)",
-        )
-        p.add_argument("--reps", type=int, metavar="R", help="replicates per sweep value")
-        p.add_argument("--seed", type=int, metavar="SEED", help="base seed")
-        p.add_argument("--threads", type=int, metavar="N", help="worker threads")
-        p.add_argument("--out", metavar="CSV", help="write summary rows to this CSV file")
-        p.add_argument("--summary", metavar="JSON", help="write config + rows as JSON")
+        for flag, key, kind_of, metavar, text in _FLAGS:
+            p.add_argument(flag, dest=key, type=kind_of, metavar=metavar, help=text)
     return parser
 
 
@@ -58,29 +60,14 @@ def config_from_args(args: argparse.Namespace) -> CampaignConfig:
     if args.config:
         cfg = apply_config_file(cfg, args.config)
     overrides = {}
-    if args.dim is not None:
-        overrides["d"] = args.dim
-    if args.delta is not None:
-        overrides["deltas"] = (args.delta,)
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.summary is not None:
-        overrides["summary"] = args.summary
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    for _, key, _, _, _ in _FLAGS:
+        value = getattr(args, key)
+        if value is not None:
+            overrides[key] = (value,) if isinstance(getattr(cfg, key), tuple) else value
+    return replace(cfg, **overrides)
 
 
 def _print_rows(rows, stream) -> None:
-    if not rows:
-        print("(no rows)", file=stream)
-        return
     names = list(rows[0].keys())
     table = [names] + [
         [
@@ -99,6 +86,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
+        for path in filter(None, (cfg.out, cfg.summary)):
+            # checked before any replicate runs, so that no result is lost to a bad path
+            folder = os.path.dirname(os.path.abspath(path))
+            writable = os.access(path if os.path.exists(path) else folder, os.W_OK)
+            if os.path.isdir(path) or not os.path.isdir(folder) or not writable:
+                raise ConfigError(f"cannot write output file {path}: not a writable path")
         result = run_campaign(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -116,9 +109,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -68,8 +68,6 @@ def clipped_surface_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
 
 def _crossing_density(f: FacetSet, flags: np.ndarray, window_volume: float) -> float:
     """Summed measure of the facets whose two cells disagree, over |T|."""
-    if len(f) == 0:
-        return 0.0
     crossing = flags[f.a] != flags[f.b]
     return float(np.sum(f.measure[crossing]) / window_volume)
 

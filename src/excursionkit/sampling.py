@@ -225,6 +225,7 @@ def _draw(factors: tuple, seed_key) -> np.ndarray:
 
 def _point_factor(model, points, factor) -> tuple:
     """The given per-axis factors after a shape check, or fresh ones."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     if factor is None:
         return covariance_factor(model, points)
     n, d = points.shape
@@ -258,7 +259,6 @@ def sample_gaussian_points(
     ndarray
         (n,) values in the order of ``points``.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     return _draw(_point_factor(model, points, factor), seed)
 
 
@@ -298,31 +298,29 @@ def sample_chi_square(
     """
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
-    if isinstance(locations, GridSpec):
-        first, second = np.zeros((2, locations.n_nodes))
-        for comp in range(k):
-            a, b = sample_gaussian_grid(model, locations, _flat_key(seed, comp))
-            first += a * a
-            second += b * b
-        return first, second
-    pts = np.atleast_2d(np.asarray(locations, dtype=float))
-    factor = _point_factor(model, pts, factor)
-    values = np.zeros(pts.shape[0])
+    grid = isinstance(locations, GridSpec)
+    if grid:
+        sums = np.zeros((2, locations.n_nodes))
+        draw = lambda key: sample_gaussian_grid(model, locations, key)
+    else:
+        factor = _point_factor(model, locations, factor)
+        sums = np.zeros((1, factor[0].shape[1]))
+        draw = lambda key: (_draw(factor, key),)
     for comp in range(k):
-        g = _draw(factor, _flat_key(seed, comp))
-        values += g * g
-    return values
+        for total, g in zip(sums, draw(_flat_key(seed, comp))):
+            total += g * g
+    return (sums[0], sums[1]) if grid else sums[0]
 
 
-def sample_poisson_process(rate: float, box, seed: int) -> np.ndarray:
+def sample_poisson_process(rate: float, box: Box, seed: int) -> np.ndarray:
     """Homogeneous Poisson point process in an axis-aligned box.
 
     Parameters
     ----------
     rate : float
         Nonnegative intensity per unit volume.
-    box : Box or array_like
-        Either a Box or a (2, d) array [[lo...], [hi...]].
+    box : Box
+        The region; a Box has positive side lengths, so positive volume.
     seed : int
 
     Returns
@@ -332,15 +330,8 @@ def sample_poisson_process(rate: float, box, seed: int) -> np.ndarray:
     """
     if rate < 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
-    if isinstance(box, Box):
-        lo, hi = box.lo, box.hi
-    else:
-        arr = np.asarray(box, dtype=float)
-        lo, hi = arr[0], arr[1]
-    d = lo.size
-    volume = float(np.prod(np.maximum(hi - lo, 0.0)))
-    if volume == 0.0 or rate == 0.0:
-        return np.empty((0, d))
+    if rate == 0.0:
+        return np.empty((0, box.d))
     rng = _rng(_flat_key(seed, 0x9E3779B9))  # fixed stream tag keeps counts and positions coupled
-    count = int(rng.poisson(rate * volume))
-    return lo + (hi - lo) * rng.random((count, d))
+    count = int(rng.poisson(rate * box.volume))
+    return box.lo + box.side_lengths * rng.random((count, box.d))

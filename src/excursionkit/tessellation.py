@@ -189,27 +189,24 @@ class WindowedHoneycomb:
             endpoints, measure = endpoints.copy(), measure.copy()
             endpoints[edge] = clip_segments_to_box(endpoints[edge], parent.window)
             measure[edge] = np.linalg.norm(endpoints[edge, 1] - endpoints[edge, 0], axis=1)
-        keep = mask & (measure > 0)
-        local = np.cumsum(meets) - 1
-        return FacetSet(
-            a=local[f.a[keep]],
-            b=local[f.b[keep]],
-            measure=measure[keep],
-            endpoints=None if endpoints is None else endpoints[keep],
-        )
+        return _restrict(f, meets, mask & (measure > 0), measure, endpoints)
+
+
+def _restrict(facets: FacetSet, cells, keep, measure, endpoints) -> FacetSet:
+    """Rows ``keep`` of a facet table, cell ids renumbered among the cells marked ``cells``."""
+    local = np.cumsum(cells) - 1
+    return FacetSet(
+        a=local[facets.a[keep]],
+        b=local[facets.b[keep]],
+        measure=measure[keep],
+        endpoints=None if endpoints is None else endpoints[keep],
+    )
 
 
 def _windowed(parent: Honeycomb, inside: np.ndarray):
     """Interior view of the cells marked ``inside``: the local facet table."""
-    local = np.cumsum(inside) - 1
     f = parent.facets
-    mask = inside[f.a] & inside[f.b]
-    interior = FacetSet(
-        a=local[f.a[mask]],
-        b=local[f.b[mask]],
-        measure=f.measure[mask],
-        endpoints=None if f.endpoints is None else f.endpoints[mask],
-    )
+    interior = _restrict(f, inside, inside[f.a] & inside[f.b], f.measure, f.endpoints)
     return WindowedHoneycomb(parent=parent, inside=inside, interior_facets=interior)
 
 
@@ -554,8 +551,6 @@ def pyramid_identity_sum(wh: WindowedHoneycomb) -> float:
     surface estimator's limiting constant.
     """
     f = wh.interior_facets
-    if len(f) == 0:
-        return 0.0
     refs = wh.ref_points_inside
     dist = np.linalg.norm(refs[f.b] - refs[f.a], axis=1)
     return float(2.0 * np.sum(f.measure * dist))

@@ -907,6 +907,22 @@ class TestCli:
             ("crofton-demo", "shape = square\nsquare_side = 3\n",
              "the square (circumradius 2.12132)"),
             ("crofton-demo", "shape = circle\ncircle_radius = 0\n", "the circle (circumradius 0)"),
+            # non-finite values, which used to print nan ratios or end in a traceback
+            ("bias-sweep", "u = nan\n", "u must be finite, got nan"),
+            ("bias-sweep", "ell = inf\n", "ell must be finite, got inf"),
+            ("bias-sweep", "half_width = inf\n", "half_width must be finite, got inf"),
+            ("bias-sweep", "deltas = 0.5, nan\n", "deltas must be finite, got (0.5, nan)"),
+            ("bias-sweep", "family = voronoi\nguard = nan\n", "guard must be finite, got nan"),
+            ("crossing", "qs = 0.4, inf\n", "qs must be finite, got (0.4, inf)"),
+            # exp(-u^2 / 2) underflows: every ratio would be nan
+            ("bias-sweep", "u = 40\n", "gaussian surface density at u = 40.0 (ell = 1.0) is not a "
+             "positive finite float"),
+            ("bias-sweep", "model = chi-square\nu = 3000\n",
+             "chi-square surface density at u = 3000.0 (ell = 1.0) is not a positive finite float"),
+            # 1 / ell^2 overflows: every ratio would be 0
+            ("bias-sweep", "ell = 1e-160\n", "(ell = 1e-160) is not a positive finite float"),
+            # ell^2 overflows: the spectral moment 1 / ell^2 would be 0
+            ("bias-sweep", "ell = 1e200\n", "positive with a finite nonzero square, got 1e+200"),
         ],
     )
     def test_unvalidated_input_refused(self, tmp_path, capsys, kind, text, message):
@@ -945,6 +961,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "at cell size 0.5 holds 1 generator(s), fewer than the 2 a diagram needs" in err
 
+    @pytest.mark.parametrize(
+        "flag, name", [("--out", "rows.csv"), ("--summary", "run.json"), ("--out", ".")]
+    )
+    def test_unwritable_output_refused_before_any_replicate(
+        self, tmp_path, monkeypatch, capsys, flag, name
+    ):
+        # the path used to fail only after the whole campaign had run
+        monkeypatch.setattr(campaigns, "sample_gaussian_grid", _no_draw)
+        path = str(tmp_path / "missing" / name) if name != "." else str(tmp_path)
+        assert cli.main(["bias-sweep", "--reps", "2", flag, path]) == 2
+        assert f"cannot write output file {path}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dim_flag_runs_a_3d_lattice(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        argv = ["bias-sweep", "--dim", "3", "--delta", "0.5", "--reps", "2", "--out", str(out),
+                "--config", str(_write_cfg(tmp_path, "half_width = 1\n"))]
+        assert cli.main(argv) == 0
+        header, row = out.read_text().splitlines()
+        target = float(row.split(",")[header.split(",").index("target_bias")])
+        assert target == pytest.approx(1.5)
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["not-a-campaign"])
@@ -955,6 +993,10 @@ class TestCli:
         text = parser.format_help()
         for kind in ("bias-sweep", "crossing", "clt", "crofton-demo", "volume-check"):
             assert kind in text
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a replicate ran")
 
 
 def _write_cfg(tmp_path, text):

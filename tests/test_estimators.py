@@ -17,7 +17,12 @@ from excursionkit.estimators import (
     volume_estimate,
 )
 from excursionkit.sampling import GridSpec, sample_gaussian_grid, sample_poisson_process
-from excursionkit.tessellation import Box, hypercubic_honeycomb, voronoi_honeycomb_2d
+from excursionkit.tessellation import (
+    Box,
+    hypercubic_honeycomb,
+    pyramid_identity_sum,
+    voronoi_honeycomb_2d,
+)
 
 MODEL = CovarianceModel(1.0)
 
@@ -141,6 +146,10 @@ class TestClippedSurface:
         window = Box(np.full(2, -1.0), np.full(2, 1.0))
         wh = voronoi_honeycomb_2d(np.array([[-0.5, 0.0], [0.5, 0.0]]), window, guard=1.0)
         assert wh.n_inside == 0
+        # an empty interior facet table sums to 0 on the general path
+        assert len(wh.interior_facets) == 0
+        assert surface_estimate(wh, np.zeros(0, dtype=bool)) == 0.0
+        assert pyramid_identity_sum(wh) == 0.0
         f = wh.clipped_facets()
         assert f.measure.tolist() == [2.0]
         assert np.allclose(f.endpoints[0, :, 0], 0.0)

@@ -438,12 +438,5 @@ class TestPoissonProcess:
     def test_degenerate_cases(self):
         box = Box(np.zeros(2), np.ones(2))
         assert sample_poisson_process(0.0, box, 0).shape == (0, 2)
-        # zero-volume region through the raw-array form (Box requires
-        # positive sides)
-        assert sample_poisson_process(5.0, [[0.0, 0.0], [1.0, 0.0]], 0).shape == (0, 2)
         with pytest.raises(ValueError):
             sample_poisson_process(-1.0, box, 0)
-
-    def test_array_box_accepted(self):
-        pts = sample_poisson_process(50.0, [[0.0, 0.0], [2.0, 2.0]], 3)
-        assert pts.shape[1] == 2 and np.all(pts >= 0.0) and np.all(pts <= 2.0)
