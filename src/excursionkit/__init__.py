@@ -20,6 +20,7 @@ from .densities import (
 from .tessellation import (
     Box,
     FacetSet,
+    GridSpec,
     Honeycomb,
     WindowedHoneycomb,
     hexagonal_honeycomb,
@@ -28,7 +29,6 @@ from .tessellation import (
     voronoi_honeycomb_2d,
 )
 from .sampling import (
-    GridSpec,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,

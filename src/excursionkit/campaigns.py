@@ -28,13 +28,13 @@ import scipy
 from .densities import (
     CovarianceModel,
     beta_d,
+    bias_factor,
     chisq_surface_density,
     chisq_volume_density,
     gaussian_surface_density,
     gaussian_volume_density,
 )
 from .sampling import (
-    GridSpec,
     _axis_factor,
     _flat_key,
     covariance_factor,
@@ -43,7 +43,7 @@ from .sampling import (
     sample_gaussian_points,
     sample_poisson_process,
 )
-from .tessellation import Box, hexagonal_honeycomb, voronoi_honeycomb_2d
+from .tessellation import Box, GridSpec, hexagonal_honeycomb, voronoi_honeycomb_2d
 from .estimators import (
     clipped_surface_estimate,
     corrected_surface,
@@ -198,25 +198,27 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
             raise ConfigError(f"{name} must be nonempty")
     if min(cfg.deltas) <= 0 or min(cfg.qs) <= 0:
         raise ConfigError("sweep values must be strictly positive")
-    if len(set(cfg.deltas)) != len(cfg.deltas) or len(set(cfg.qs)) != len(cfg.qs):
-        raise ConfigError("sweep values must be distinct")
     if not cfg.windows or min(cfg.windows) < 1:
         raise ConfigError("window list must contain positive lattice half extents")
+    for name in ("deltas", "qs", "windows", "levels"):
+        values = getattr(cfg, name)
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{name} must be distinct, got {values}")
     cfg = replace(
         cfg,
         deltas=tuple(sorted(cfg.deltas, reverse=True)),
         qs=tuple(sorted(cfg.qs, reverse=True)),
-        windows=tuple(sorted(set(cfg.windows))),
+        windows=tuple(sorted(cfg.windows)),
     )
     if cfg.family in ("voronoi", "hexagonal") and cfg.d != 2:
         raise ConfigError(f"the {cfg.family} family is only available in dimension 2")
     if cfg.kind in ("volume-check", "clt") and cfg.family != "hypercubic":
         raise ConfigError(f"the {cfg.kind} campaign runs on the hypercubic family only")
+    if cfg.kind in ("volume-check", "clt") and len(cfg.deltas) != 1:
+        raise ConfigError(f"the {cfg.kind} campaign takes one cell size, got deltas = {cfg.deltas}")
     if cfg.kind == "crossing" and cfg.model != "gaussian":
         raise ConfigError("the crossing campaign supports the gaussian model only")
-    if cfg.kind in ("bias-sweep", "volume-check") and cfg.family == "hypercubic":
-        for delta in cfg.deltas:
-            _lattice_half_extent(cfg.half_width, delta)
+    _row_grids(cfg)  # refuses a lattice spacing that does not divide the half width
     sweep = cfg.kind == "bias-sweep"
     if sweep and cfg.family != "hypercubic" and cfg.deltas[0] >= 2 * cfg.half_width:
         raise ConfigError(
@@ -300,19 +302,15 @@ def _check_memory(cfg: CampaignConfig) -> None:
         )
 
 
-def _row_axes(cfg: CampaignConfig) -> list:
-    """(nodes, spacing) of the grid axis each sweep row draws on; empty for
-    the kinds and families that draw no grid."""
+def _row_grids(cfg: CampaignConfig) -> list:
+    """The lattice each sweep row draws on; empty for the kinds and families
+    that draw no grid."""
     if cfg.kind == "clt":
-        return [(2 * w, cfg.deltas[0]) for w in cfg.windows]
-    if cfg.family != "hypercubic":
+        return [GridSpec(cfg.d, int(w), cfg.deltas[0]) for w in cfg.windows]
+    if cfg.family != "hypercubic" or cfg.kind not in ("bias-sweep", "volume-check"):
         return []
-    if cfg.kind == "bias-sweep":
-        return [(2 * _lattice_half_extent(cfg.half_width, dl), dl) for dl in cfg.deltas]
-    if cfg.kind == "volume-check":
-        delta = cfg.deltas[0]
-        return [(2 * _lattice_half_extent(cfg.half_width, delta), delta)] * len(cfg.levels)
-    return []
+    grids = [GridSpec(cfg.d, _lattice_half_extent(cfg.half_width, dl), dl) for dl in cfg.deltas]
+    return grids if cfg.kind == "bias-sweep" else grids * len(cfg.levels)
 
 
 def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
@@ -350,14 +348,15 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
         rank = _axis_factor(math.ceil(side / spacing) + 1, spacing, cfg.ell).shape[1]
         need = 8 * n * (1 + d + (d + 1) * rank)
         return need, f"{n} points and rank {rank}: values, points, factors and product x 8 B"
-    axes = _row_axes(cfg)
-    if not axes:
+    grids = _row_grids(cfg)
+    if not grids:
         return 0, ""
-    n, delta = max(axes)
+    grid = max(grids, key=lambda g: g.half_extent)
+    n = grid.shape[0]
     need = 16 * n**d
     if need > budget:
         return need, f"{n}^{d} grid points x 2 fields x 8 B"
-    rank = _axis_factor(n, delta, cfg.ell).shape[1]
+    rank = _axis_factor(n, grid.spacing, cfg.ell).shape[1]
     need = 16 * sum(rank ** (d - j) * n**j for j in range(d + 1))
     return need, f"{n}^{d} grid points and rank {rank}: fields, noise and contractions x 8 B"
 
@@ -450,29 +449,31 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
     replicates run through ``_parallel`` and are reduced to one summary row,
     and the replicate results become the raw rows.  The spec of the kind
     (``_SPECS``) returns the sweep column name, the sweep values,
-    ``replicates(si, value)`` giving the per-task function of row si,
-    ``reduce(value, results)`` giving the row and the named raw columns, and
-    ``paired``.  A task is one replicate, or with ``paired`` the two
+    ``replicates(si, value)`` giving the per-task function of row si, and
+    ``reduce(value, results)`` giving the row and the named raw columns.  A
+    task is one replicate, or on rows with a grid (``_row_grids``) the two
     replicates 2t and 2t + 1 of one grid draw; an odd count drops the last.
     Each row also gets numeric-health counters, written to the JSON summary
     only: the rank of the axis factor its grid draws use.
     """
     cfg = validate_config(cfg)
     start = time.perf_counter()
-    column, values, replicates, reduce, paired = _SPECS[cfg.kind](cfg)
-    axes = _row_axes(cfg)
+    column, values, replicates, reduce = _SPECS[cfg.kind](cfg)
+    grids = _row_grids(cfg)
     rows, raw, health = [], [], []
     for si, value in enumerate(values):
-        tasks = (cfg.reps + 1) // 2 if paired else cfg.reps
+        tasks = (cfg.reps + 1) // 2 if grids else cfg.reps
         # no name holds the task function, so what it closes over (a
         # covariance factor, say) is freed before the next row builds its own
         results = _parallel(replicates(si, value), tasks, cfg.threads)
-        if paired:
+        if grids:
             results = [r for pair in results for r in pair][: cfg.reps]
         row, raw_columns = reduce(value, results)
         rows.append({column: value, **row, "reps": cfg.reps})
         health.append(
-            {"axis_rank": _axis_factor(*axes[si], cfg.ell).shape[1]} if axes else {}
+            {"axis_rank": _axis_factor(grids[si].shape[0], grids[si].spacing, cfg.ell).shape[1]}
+            if grids
+            else {}
         )
         for rep, entries in enumerate(zip(*raw_columns.values())):
             named = dict(zip(raw_columns, map(float, entries)))
@@ -489,7 +490,7 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
 
 
 def _reference_surface_density(cfg: CampaignConfig) -> float:
-    lam = 1.0 / (cfg.ell * cfg.ell)
+    lam = CovarianceModel(cfg.ell).second_spectral_moment
     if cfg.model == "gaussian":
         return gaussian_surface_density(cfg.u, lam, cfg.d)
     return chisq_surface_density(cfg.u, lam, cfg.d, cfg.k)
@@ -546,10 +547,11 @@ def _bias_spec(cfg: CampaignConfig):
     model = CovarianceModel(cfg.ell)
     denom = _reference_surface_density(cfg)
     window = Box(np.full(cfg.d, -cfg.half_width), np.full(cfg.d, cfg.half_width))
+    grids = _row_grids(cfg)
 
     def replicates(si, delta):
         if cfg.family == "hypercubic":
-            grid = GridSpec(cfg.d, _lattice_half_extent(cfg.half_width, delta), delta)
+            grid = grids[si]
             return _grid_replicates(
                 cfg, model, grid, si, lambda values: hypercubic_surface_fast(values, grid, cfg.u)
             )
@@ -593,11 +595,11 @@ def _bias_spec(cfg: CampaignConfig):
             "mean_ratio_corrected": mean_corr,
             "stderr_ratio_corrected": se_corr,
             "mean_surface_raw": float(surfaces.mean()),
-            "target_bias": 2.0 * cfg.d / beta_d(cfg.d),
+            "target_bias": bias_factor(cfg.d),
         }
         return row, {"surface_raw": surfaces, "ratio": ratios}
 
-    return "delta", cfg.deltas, replicates, reduce, cfg.family == "hypercubic"
+    return "delta", cfg.deltas, replicates, reduce
 
 
 def _crossing_spec(cfg: CampaignConfig):
@@ -626,17 +628,18 @@ def _crossing_spec(cfg: CampaignConfig):
         }
         return row, {"p_hat": freqs, "estimate": estimates}
 
-    return "q", cfg.qs, replicates, reduce, False
+    return "q", cfg.qs, replicates, reduce
 
 
 def _clt_spec(cfg: CampaignConfig):
     """Window sweep of the (volume, surface) estimator pair: scaled variances,
     scaled covariance, and standardized skewness/kurtosis per window."""
     model = CovarianceModel(cfg.ell)
-    delta = cfg.deltas[0]
+    grids = _row_grids(cfg)
+    sigma_ts = {grid.half_extent: grid.window_volume for grid in grids}
 
     def replicates(wi, half_extent):
-        grid = GridSpec(cfg.d, half_extent, delta)
+        grid = grids[wi]
         return _grid_replicates(
             cfg,
             model,
@@ -651,7 +654,7 @@ def _clt_spec(cfg: CampaignConfig):
     def reduce(half_extent, pairs):
         pairs = np.array(pairs)
         vol, surf = pairs[:, 0], pairs[:, 1]
-        sigma_t = GridSpec(cfg.d, half_extent, delta).window_volume
+        sigma_t = sigma_ts[half_extent]
         row = {
             "sigma_T": sigma_t,
             "mean_volume": float(vol.mean()),
@@ -664,7 +667,7 @@ def _clt_spec(cfg: CampaignConfig):
         row["skew_surface"], row["kurt_surface"] = _skew_kurtosis(surf)
         return row, {"volume": vol, "surface_raw": surf}
 
-    return "window_half_extent", tuple(int(w) for w in cfg.windows), replicates, reduce, True
+    return "window_half_extent", tuple(grid.half_extent for grid in grids), replicates, reduce
 
 
 def _skew_kurtosis(x: np.ndarray) -> tuple:
@@ -715,17 +718,17 @@ def _crofton_spec(cfg: CampaignConfig):
         }
         return row, {"estimate": values}
 
-    return "shape", tuple(shapes), replicates, reduce, False
+    return "shape", tuple(shapes), replicates, reduce
 
 
 def _volume_spec(cfg: CampaignConfig):
     """Mean lattice volume estimates (``_lattice_volume``) against the analytic
     volume density."""
     model = CovarianceModel(cfg.ell)
-    delta = cfg.deltas[0]
-    grid = GridSpec(cfg.d, _lattice_half_extent(cfg.half_width, delta), delta)
+    grids = _row_grids(cfg)
 
     def replicates(ui, u):
+        grid = grids[ui]
         return _grid_replicates(
             cfg, model, grid, ui, lambda values: _lattice_volume(values, grid, u)
         )
@@ -738,7 +741,7 @@ def _volume_spec(cfg: CampaignConfig):
         row = {"mean_volume": mean, "stderr": se, "target": target, "abs_error": abs(mean - target)}
         return row, {"volume": vols}
 
-    return "u", cfg.levels, replicates, reduce, True
+    return "u", cfg.levels, replicates, reduce
 
 
 _SPECS = {

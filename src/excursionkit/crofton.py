@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import GridSpec, _rng
+from .sampling import _rng
+from .tessellation import GridSpec
 
 _CHUNK = 200_000       # lines evaluated per vectorized batch
 _GAUSS_NODES = 96      # Gauss-Legendre nodes; overkill for these analytic integrands

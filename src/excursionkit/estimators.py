@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .densities import CovarianceModel, beta_d
-from .sampling import GridSpec, _rng
-from .tessellation import FacetSet, WindowedHoneycomb
+from .sampling import _rng
+from .tessellation import FacetSet, GridSpec, WindowedHoneycomb
 
 
 def exceedance_indicator(values: np.ndarray, u: float) -> np.ndarray:

@@ -22,7 +22,6 @@ so their last bits depend on the BLAS build, though not on its thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,65 +30,9 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .densities import CovarianceModel
-from .tessellation import Box
+from .tessellation import Box, GridSpec
 
 FACTOR_TOL = 1e-13          # largest residual variance left by an axis factor
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Regular lattice of (2N)^d nodes delta*i, i in [-N, N-1]^d.
-
-    The nodes are the cell reference corners of the matching hypercubic
-    honeycomb on T = [-delta*N, delta*N]^d, in row-major order.
-
-    Parameters
-    ----------
-    d : int
-        Dimension.
-    half_extent : int
-        N, nodes per half-axis.
-    spacing : float
-        Lattice spacing delta.
-    """
-
-    d: int
-    half_extent: int
-    spacing: float
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.half_extent < 1:
-            raise ValueError(f"half extent must be >= 1, got {self.half_extent}")
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-
-    @property
-    def shape(self) -> tuple:
-        return (2 * self.half_extent,) * self.d
-
-    @property
-    def n_nodes(self) -> int:
-        return (2 * self.half_extent) ** self.d
-
-    @property
-    def axis_coords(self) -> np.ndarray:
-        return self.spacing * np.arange(-self.half_extent, self.half_extent, dtype=float)
-
-    @property
-    def window(self) -> Box:
-        half = self.spacing * self.half_extent
-        return Box(np.full(self.d, -half), np.full(self.d, half))
-
-    @property
-    def window_volume(self) -> float:
-        return self.window.volume
-
-    def nodes(self) -> np.ndarray:
-        """All node locations as an (n_nodes, d) array in row-major order."""
-        mesh = np.meshgrid(*([self.axis_coords] * self.d), indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 def _rng(seed_key) -> Generator:

@@ -5,7 +5,8 @@ by closed convex polytopes, each carrying a reference point, such that every
 shared facet is orthogonal to the difference of the two reference points.
 Three families are built here:
 
-* hypercubic lattices in any dimension d >= 2 (implicit cell geometry),
+* hypercubic lattices in any dimension d >= 2 (implicit cell geometry on
+  the nodes of a ``GridSpec``, the lattice the grid samplers draw on),
 * regular hexagonal tilings in 2D,
 * Voronoi diagrams of arbitrary 2D generator clouds (``scipy.spatial.Voronoi``).
 
@@ -66,6 +67,62 @@ class Box:
         """Boolean mask of points inside the closed box, with outward slack tol."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Regular lattice of (2N)^d nodes delta*i, i in [-N, N-1]^d.
+
+    The nodes are the cell reference corners of the hypercubic honeycomb on
+    T = [-delta*N, delta*N]^d (``hypercubic_honeycomb``), in row-major order.
+
+    Parameters
+    ----------
+    d : int
+        Dimension.
+    half_extent : int
+        N, nodes per half-axis.
+    spacing : float
+        Lattice spacing delta.
+    """
+
+    d: int
+    half_extent: int
+    spacing: float
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        if self.half_extent < 1:
+            raise ValueError(f"half extent must be >= 1, got {self.half_extent}")
+        if self.spacing <= 0:
+            raise ValueError(f"spacing must be positive, got {self.spacing}")
+
+    @property
+    def shape(self) -> tuple:
+        return (2 * self.half_extent,) * self.d
+
+    @property
+    def n_nodes(self) -> int:
+        return (2 * self.half_extent) ** self.d
+
+    @property
+    def axis_coords(self) -> np.ndarray:
+        return self.spacing * np.arange(-self.half_extent, self.half_extent, dtype=float)
+
+    @property
+    def window(self) -> Box:
+        half = self.spacing * self.half_extent
+        return Box(np.full(self.d, -half), np.full(self.d, half))
+
+    @property
+    def window_volume(self) -> float:
+        return self.window.volume
+
+    def nodes(self) -> np.ndarray:
+        """All node locations as an (n_nodes, d) array in row-major order."""
+        mesh = np.meshgrid(*([self.axis_coords] * self.d), indexing="ij")
+        return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 @dataclass(eq=False)
@@ -218,10 +275,10 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
     """Cubic lattice of spacing delta covering T = [-delta*N, delta*N]^d.
 
     Cells are the cubes delta*i + [0, delta]^d for i in [-N, N-1]^d, each
-    referenced by its corner delta*i, so the reference-point ordering matches
-    the row-major node ordering of a sampling grid with the same shape.  Cell
-    vertex lists are not materialized; facet geometry is generated by index
-    arithmetic.
+    referenced by its corner delta*i: the window and the reference points
+    are those of ``GridSpec(d, N, delta)``, so the cells are in its row-major
+    node order.  Cell vertex lists are not materialized; facet geometry is
+    generated by index arithmetic.
 
     Args:
         delta: positive lattice spacing.
@@ -231,22 +288,13 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
     Returns:
         WindowedHoneycomb with every cell inside.
     """
-    if delta <= 0:
-        raise ValueError(f"spacing must be positive, got {delta}")
-    if half_extent < 1:
-        raise ValueError(f"half extent must be >= 1, got {half_extent}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+    grid = GridSpec(d, half_extent, delta)
     n_side = 2 * half_extent
-    shape = (n_side,) * d
-    half = delta * half_extent
-    window = Box(np.full(d, -half), np.full(d, half))
+    ref_points = grid.nodes()
 
-    axes = [delta * np.arange(-half_extent, half_extent, dtype=float) for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ref_points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-    ids = np.arange(n_side**d, dtype=np.int64).reshape(shape)
+    ids = np.arange(grid.n_nodes, dtype=np.int64).reshape(grid.shape)
     a_parts, b_parts = [], []
     for axis in range(d):
         sl_lo = [slice(None)] * d
@@ -264,7 +312,7 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         ref_points=ref_points,
         cell_volumes=np.full(ref_points.shape[0], delta**d),
         facets=facets,
-        window=window,
+        window=grid.window,
         window_areas=np.full(ref_points.shape[0], delta**d),
     )
     return _windowed(parent, np.ones(ref_points.shape[0], dtype=bool))

@@ -130,6 +130,9 @@ class TestValidation:
             (dict(family="voronoi", d=3), "voronoi"),
             (dict(family="hexagonal", d=3), "hexagonal"),
             (dict(deltas=(0.3,)), "divide"),
+            # duplicates used to be merged (windows) or printed twice (levels)
+            (dict(windows=(8, 8, 4)), "windows must be distinct, got \\(8, 8, 4\\)"),
+            (dict(levels=(1.0, 1.0)), "levels must be distinct, got \\(1.0, 1.0\\)"),
         ],
     )
     def test_rejections(self, overrides, match):
@@ -177,6 +180,53 @@ class TestValidation:
     def test_volume_check_hypercubic_only(self):
         with pytest.raises(ConfigError, match="hypercubic"):
             run_campaign(tiny("volume-check", family="hexagonal"))
+
+
+class TestRowGrids:
+    """``_row_grids`` names the lattice of every row, and every grid draw of
+    a run is on the lattice of its row."""
+
+    @pytest.mark.parametrize(
+        "kind, overrides, grids",
+        [
+            ("bias-sweep", dict(deltas=(0.25, 0.5)),
+             [GridSpec(2, 4, 0.5), GridSpec(2, 8, 0.25)]),
+            ("clt", dict(windows=(8, 4)), [GridSpec(2, 4, 0.25), GridSpec(2, 8, 0.25)]),
+            ("volume-check", dict(levels=(0.0, 1.0)), [GridSpec(2, 4, 0.5)] * 2),
+        ],
+    )
+    def test_draws_are_on_the_row_grids(self, monkeypatch, kind, overrides, grids):
+        drawn = {}
+        real = campaigns.sample_gaussian_grid
+
+        def recording(model, grid, key):
+            drawn.setdefault(key[1], []).append(grid)  # key = (seed, row, task)
+            return real(model, grid, key)
+
+        monkeypatch.setattr(campaigns, "sample_gaussian_grid", recording)
+        cfg = validate_config(tiny(kind, **overrides))
+        assert campaigns._row_grids(cfg) == grids
+        run_campaign(cfg)
+        # one draw per pair of replicates, each on its row's grid
+        tasks = (cfg.reps + 1) // 2
+        assert drawn == {si: [grid] * tasks for si, grid in enumerate(grids)}
+
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            ("bias-sweep", dict(family="hexagonal", deltas=(0.5, 0.4))),
+            ("bias-sweep", dict(family="voronoi")),
+            ("crossing", {}),
+        ],
+    )
+    def test_point_families_and_crossing_draw_no_grid(self, monkeypatch, kind, overrides):
+        def refuse(*args):
+            raise AssertionError("no grid draw expected")
+
+        monkeypatch.setattr(campaigns, "sample_gaussian_grid", refuse)
+        cfg = validate_config(tiny(kind, **overrides))
+        assert campaigns._row_grids(cfg) == []
+        run_campaign(cfg)
 
 
 # an 8^2 grid (half_width 2, delta 0.5) of full axis rank 8, for one thread:
@@ -923,6 +973,14 @@ class TestCli:
             ("bias-sweep", "ell = 1e-160\n", "(ell = 1e-160) is not a positive finite float"),
             # ell^2 overflows: the spectral moment 1 / ell^2 would be 0
             ("bias-sweep", "ell = 1e200\n", "positive with a finite nonzero square, got 1e+200"),
+            # only the largest cell size used to run, the others were dropped
+            ("clt", "deltas = 0.1, 0.05\n",
+             "the clt campaign takes one cell size, got deltas = (0.1, 0.05)"),
+            ("volume-check", "deltas = 0.25, 0.5\n",
+             "the volume-check campaign takes one cell size, got deltas = (0.5, 0.25)"),
+            # duplicates used to be merged (windows) or printed twice (levels)
+            ("clt", "windows = 8, 8, 4\n", "windows must be distinct, got (8, 8, 4)"),
+            ("volume-check", "levels = 1.0, 1.0\n", "levels must be distinct, got (1.0, 1.0)"),
         ],
     )
     def test_unvalidated_input_refused(self, tmp_path, capsys, kind, text, message):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull, Delaunay, cKDTree
 
+from excursionkit import sampling
 from excursionkit.sampling import sample_poisson_process
 from excursionkit.tessellation import (
     CONTAINMENT_TOL,
     MIN_FACET_FRACTION,
     Box,
     FacetSet,
+    GridSpec,
     clip_cells_to_box,
     clip_segments_to_box,
     hexagonal_honeycomb,
@@ -145,10 +147,21 @@ class TestHypercubic:
         assert parent.facets.endpoints is None
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="spacing must be positive"):
             hypercubic_honeycomb(0.0, 2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="half extent must be >= 1"):
             hypercubic_honeycomb(0.5, 0, 2)
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            hypercubic_honeycomb(0.5, 2, 1)
+
+    def test_window_and_cells_are_the_grid_nodes(self):
+        # the samplers and the honeycomb share one lattice class
+        assert sampling.GridSpec is GridSpec
+        grid = GridSpec(3, 2, 0.5)
+        parent = hypercubic_honeycomb(0.5, 2, 3).parent
+        assert np.array_equal(parent.ref_points, grid.nodes())
+        assert np.array_equal(parent.window.lo, grid.window.lo)
+        assert np.array_equal(parent.window.hi, grid.window.hi)
 
 
 class TestHexagonal:
