@@ -36,7 +36,9 @@ from .densities import (
 )
 from .sampling import (
     _axis_factor,
+    _blas_threads,
     _flat_key,
+    _one_blas_thread,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -362,19 +364,23 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
 
 
 def _provenance(cfg: CampaignConfig, config_hash: str) -> dict:
-    """What produced a run: package, numpy, scipy and BLAS builds, threads,
-    seed and config hash.  Lattice draws multiply by BLAS, so their last bits
-    depend on its build."""
+    """What produced a run: package, numpy, scipy and BLAS builds, campaign
+    and BLAS threads, seed and config hash.  Lattice draws multiply by BLAS,
+    so their last bits depend on its build."""
     from . import __version__
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     keys = ("name", "version", "openblas configuration")
+    blas_threads = _blas_threads()
     return {
         "excursionkit": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": {k: v for k, v in blas.items() if k in keys},
         "threads": cfg.threads,
+        "blas_threads": blas_threads,
+        # the pool caps BLAS at 1 thread per worker where it can
+        "blas_threads_in_pool": 1 if cfg.threads > 1 and blas_threads is not None else None,
         "seed": cfg.seed,
         "config_hash": config_hash,
     }
@@ -431,9 +437,13 @@ def _csv_text(rows, config_hash) -> str:
 
 
 def _parallel(fn, count: int, threads: int) -> list:
+    """[fn(0), ..., fn(count - 1)], on a pool of ``threads`` workers when
+    more than one.  Each worker then calls BLAS single-threaded, so that the
+    workers' matrix products do not spawn BLAS threads of their own beyond
+    the cores; each product's bits do not depend on the BLAS thread count."""
     if threads <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with _one_blas_thread, ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))
 
 

@@ -16,12 +16,16 @@ and one (r_1, ..., r_d) noise block gives one value array.  All samplers are
 pure functions of (model, locations, seed): the RNG is a Philox counter
 generator keyed by the seed, so replicates can run on any number of threads
 in any order and still reproduce bit for bit.  Draws multiply through BLAS,
-so their last bits depend on the BLAS build, though not on its thread count.
+so their last bits depend on the BLAS build, though not on its thread count;
+``_one_blas_thread`` holds OpenBLAS at one thread while a pool of threads
+draws, so that each worker does not start BLAS threads of its own.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -58,7 +62,10 @@ def _pivoted_factor(x: np.ndarray) -> np.ndarray:
     columns are evaluated, never the n x n matrix, and the arithmetic is
     elementwise numpy with no BLAS call, so the factor has the same bits at
     any BLAS thread count.  The row buffer grows and shrinks in place, so it
-    never holds more than r + 15 rows.  The result is read-only.
+    never holds more than r + 15 rows.  The resize skips numpy's reference
+    check, which a profiler or tracer trips by holding the frame's locals;
+    no view of the buffer outlives the statement that makes it.  The result
+    is read-only.
     """
     n = x.size
     residual = np.ones(n)
@@ -69,14 +76,14 @@ def _pivoted_factor(x: np.ndarray) -> np.ndarray:
         if residual[p] <= FACTOR_TOL:
             break
         if k == rows.shape[0]:
-            rows.resize((min(k + 16, n), n))
+            rows.resize((min(k + 16, n), n), refcheck=False)
         col = np.exp(-0.5 * (x - x[p]) ** 2)
         col -= np.einsum("kn,k->n", rows[:k], rows[:k, p])
         col /= np.sqrt(residual[p])
         rows[k] = col
         residual -= col * col
         k += 1
-    rows.resize((k, n))
+    rows.resize((k, n), refcheck=False)
     rows.setflags(write=False)
     return rows
 
@@ -278,3 +285,75 @@ def sample_poisson_process(rate: float, box: Box, seed: int) -> np.ndarray:
     rng = _rng(_flat_key(seed, 0x9E3779B9))  # fixed stream tag keeps counts and positions coupled
     count = int(rng.poisson(rate * box.volume))
     return box.lo + box.side_lengths * rng.random((count, box.d))
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy links: the
+# scipy-openblas wheel, a 64-bit-integer build, a plain build
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=1)
+def _blas_control() -> tuple | None:
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None
+    where no OpenBLAS with a known symbol is loaded (MKL, Accelerate, or a
+    platform without /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Current BLAS thread count, or None where it cannot be read."""
+    control = _blas_control()
+    return control[0]() if control else None
+
+
+class _OneBlasThread:
+    """Context manager keeping BLAS single-threaded while any caller is
+    inside it, as a campaign's worker pool is.  The BLAS thread count is
+    process-wide, so the first caller in saves it and the last one out
+    restores it: pools running side by side in other threads do not restore
+    over each other's cap.  Without a thread-count control it does nothing."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open = 0
+        self._saved = None
+
+    def __enter__(self):
+        control = _blas_control()
+        if control:
+            with self._lock:
+                if self._open == 0:
+                    self._saved = control[0]()
+                    control[1](1)
+                self._open += 1
+
+    def __exit__(self, *exc_info):
+        control = _blas_control()
+        if control:
+            with self._lock:
+                self._open -= 1
+                if self._open == 0:
+                    control[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()

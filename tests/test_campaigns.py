@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -506,6 +507,13 @@ class TestDeterminism:
         assert prov["numpy"] == np.__version__ and prov["scipy"] == scipy.__version__
         assert prov["blas"]["name"] and "version" in prov["blas"]
         assert (prov["threads"], prov["seed"], prov["config_hash"]) == (2, 11, res.config_hash)
+        # the process default, and the cap the two-thread pool put on BLAS
+        assert prov["blas_threads"] == sampling._blas_threads()
+        capped = sampling._blas_control() is not None
+        assert prov["blas_threads_in_pool"] == (1 if capped else None)
+        assert (prov["blas_threads"] is None) == (not capped)
+        one_thread = replace(res.config, threads=1)
+        assert campaigns._provenance(one_thread, res.config_hash)["blas_threads_in_pool"] is None
         # the counters and the provenance stay out of the CSV
         assert csv_path.read_text() == _csv_text(res.rows, res.config_hash)
         assert "axis_rank" not in csv_path.read_text()
@@ -545,6 +553,101 @@ class TestBlasThreadDeterminism:
                 )
                 outputs[out.name] = out.read_bytes()
         assert len(set(outputs.values())) == 1, sorted(outputs)
+
+
+class TestPoolBlasCap:
+    """Pool workers call BLAS single-threaded; the caller's count comes back."""
+
+    @pytest.fixture
+    def control(self):
+        control = sampling._blas_control()
+        if control is None:
+            pytest.skip("the loaded BLAS exposes no thread-count control")
+        get, set_ = control
+        before = get()
+        set_(2)
+        try:
+            if get() != 2:
+                pytest.skip("the BLAS does not accept a count of 2 threads here")
+            yield control
+        finally:
+            set_(before)
+
+    def test_workers_see_one_blas_thread(self, control):
+        seen = campaigns._parallel(lambda i: sampling._blas_threads(), 4, 2)
+        assert seen == [1] * 4
+        assert sampling._blas_threads() == 2
+
+    def test_count_restored_when_a_task_raises(self, control):
+        def task(i):
+            if i == 2:
+                raise ValueError("task 2 failed")
+            return i
+
+        with pytest.raises(ValueError, match="task 2 failed"):
+            campaigns._parallel(task, 4, 2)
+        assert sampling._blas_threads() == 2
+
+    def test_overlapping_pools_keep_the_cap_until_the_last_closes(self, control):
+        # pool A opens first and closes first, while pool B is still running:
+        # B's workers must keep the cap, and B must not restore A's 1
+        a_running, b_running, a_closed = threading.Event(), threading.Event(), threading.Event()
+
+        def a_task(i):
+            a_running.set()
+            assert b_running.wait(timeout=30)
+            return sampling._blas_threads()
+
+        def b_task(i):
+            b_running.set()
+            assert a_closed.wait(timeout=30)
+            return sampling._blas_threads()
+
+        def run_a():
+            seen["a"] = campaigns._parallel(a_task, 2, 2)
+            a_closed.set()
+
+        seen = {}
+        a = threading.Thread(target=run_a)
+        a.start()
+        assert a_running.wait(timeout=30)
+        seen["b"] = campaigns._parallel(b_task, 2, 2)
+        a.join(timeout=30)
+        assert not a.is_alive()
+        assert seen == {"a": [1, 1], "b": [1, 1]}
+        assert sampling._blas_threads() == 2
+
+    def test_one_thread_leaves_blas_alone(self, control):
+        assert campaigns._parallel(lambda i: sampling._blas_threads(), 3, 1) == [2] * 3
+
+    def test_without_a_control_the_pool_runs_uncapped(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_blas_control", lambda: None)
+        assert campaigns._parallel(lambda i: i * i, 4, 2) == [0, 1, 4, 9]
+        prov = campaigns._provenance(tiny("bias-sweep", threads=2), "0" * 12)
+        assert prov["blas_threads"] is None and prov["blas_threads_in_pool"] is None
+
+
+class TestUnderProfiler:
+    """The axis factor and a lattice campaign give the same bits while a
+    profiler (cProfile, coverage, a debugger) is attached to the thread."""
+
+    def _factor_and_campaign(self):
+        sampling._axis_factor.cache_clear()
+        factor = sampling._pivoted_factor(0.125 * np.arange(128))
+        res = run_campaign(tiny("bias-sweep", half_width=4.0, deltas=(0.25,), reps=4, threads=2))
+        return factor, res
+
+    def test_same_bits_under_sys_setprofile(self):
+        factor, res = self._factor_and_campaign()
+        sys.setprofile(lambda *args: None)
+        try:
+            profiled_factor, profiled = self._factor_and_campaign()
+        finally:
+            sys.setprofile(None)
+        # the rank exceeds the 16-row initial buffer, so the buffer grew
+        assert factor.shape[0] > 16
+        assert np.array_equal(profiled_factor, factor)
+        assert profiled.rows == res.rows and profiled.raw == res.raw
 
 
 def _lattice_expectation(d, half_width, delta, ell=1.0):
