@@ -47,6 +47,7 @@ from .sampling import (
 )
 from .tessellation import Box, GridSpec, hexagonal_honeycomb, voronoi_honeycomb_2d
 from .estimators import (
+    _lattice_volume,
     clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
@@ -134,7 +135,7 @@ def apply_config_file(cfg: CampaignConfig, path) -> CampaignConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     valid = {f.name: f for f in fields(CampaignConfig)}
-    updates = {}
+    updates, set_on = {}, {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -148,6 +149,9 @@ def apply_config_file(cfg: CampaignConfig, path) -> CampaignConfig:
             raise ConfigError(f"{path}:{lineno}: the campaign kind is set by the subcommand")
         if key not in valid:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         updates[key] = _parse_value(key, value, path, lineno)
     return replace(cfg, **updates)
 
@@ -235,8 +239,7 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
             f"{cfg.half_width / 2.5:.6g}"
         )
     if sweep and cfg.family == "voronoi":
-        # a unit-rate cloud on the guard box, in units of the coarsest cell
-        generators = (2.0 * (cfg.half_width / cfg.deltas[0] + cfg.guard)) ** 2
+        generators = _voronoi_box(cfg, cfg.deltas[0]).volume  # at unit rate
         if generators < MIN_VORONOI_GENERATORS:
             raise ConfigError(
                 f"a Voronoi cloud at cell size {cfg.deltas[0]} holds about {generators:.3g} "
@@ -281,6 +284,13 @@ def _lattice_half_extent(half_width: float, delta: float) -> int:
     return int(n_int)
 
 
+def _voronoi_box(cfg: CampaignConfig, delta: float) -> Box:
+    """The box a Voronoi replicate fills with a unit-rate cloud before scaling
+    it by the cell size ``delta``: the window plus the guard margin, in cells."""
+    half = cfg.half_width / delta + cfg.guard
+    return Box(np.full(2, -half), np.full(2, half))
+
+
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where the platform does not say."""
     try:
@@ -322,8 +332,10 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     2 r^d noise and the 2 r^(d-j) n^j values of each of its d - 1 partial
     contractions, r being the rank of the axis factor.  A draw at n
     scattered points holds the n values, the n x d points, the d axis
-    factors and one n x r partial product (or, while factoring, the factor
-    loop's row buffer): 8 B x n (1 + d + (d + 1) r).
+    factors and one partial product of n columns and up to r + 1 rows each
+    (the pivot order of scattered coordinates can take one column more than
+    a grid's), and while factoring the row buffer of the factor loop, which
+    grows 16 rows at a time: 8 B x n (1 + d + (d + 1) (r + 1) + 16).
     Here n is at most the number of whole hexagons in the window, and for
     Voronoi clouds the expected number of cells meeting the window,
     1 + m^2 + 8 m / pi for a window m cells wide (the Steiner formula with
@@ -342,14 +354,16 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
         else:
             m = side / delta
             n = math.ceil(1.0 + m * m + 8.0 * m / math.pi)
-            side += 2.0 * cfg.guard * delta
+            side = delta * float(_voronoi_box(cfg, delta).side_lengths[0])
         need = 8 * n * (1 + d)
         if need > budget:
             return need, f"{n} points x (1 + {d}) x 8 B"
         spacing = min(delta, cfg.ell / 16.0)
         rank = _axis_factor(math.ceil(side / spacing) + 1, spacing, cfg.ell).shape[1]
-        need = 8 * n * (1 + d + (d + 1) * rank)
-        return need, f"{n} points and rank {rank}: values, points, factors and product x 8 B"
+        need = 8 * n * (1 + d + (d + 1) * (rank + 1) + 16)
+        return need, (
+            f"{n} points and rank {rank}: values, points, factors, product and factor buffer x 8 B"
+        )
     grids = _row_grids(cfg)
     if not grids:
         return 0, ""
@@ -527,18 +541,6 @@ def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec
     ]
 
 
-def _lattice_volume(values: np.ndarray, grid: GridSpec, u: float) -> float:
-    """Volume of the exceeding lattice cells over |T|.
-
-    Summed as a multiset of equal cell volumes, like
-    ``hypercubic_surface_fast`` sums facets, it equals ``volume_estimate`` on
-    the lattice honeycomb bit for bit without building one.  The shorter
-    count / n_nodes can differ from it in the last bit.
-    """
-    count = np.count_nonzero(values >= u)
-    return float(np.sum(np.full(count, grid.spacing**grid.d)) / grid.window_volume)
-
-
 def _bias_spec(cfg: CampaignConfig):
     """Replicated surface estimates over shrinking cells, as ratios to the
     analytic surface density; the mean ratio approaches 2d/beta_d from below.
@@ -578,9 +580,9 @@ def _bias_spec(cfg: CampaignConfig):
                 return surface_estimate(wh, exceedance_indicator(values, cfg.u))
 
         else:  # voronoi: fresh unit-rate cloud per replicate, scaled by delta
+            unit_box = _voronoi_box(cfg, delta)
+
             def one(rep):
-                unit_half = cfg.half_width / delta + cfg.guard
-                unit_box = Box(np.full(2, -unit_half), np.full(2, unit_half))
                 pts = delta * sample_poisson_process(1.0, unit_box, _flat_key(cfg.seed, si, rep, 0))
                 if pts.shape[0] < 2:
                     raise ConfigError(

@@ -92,43 +92,33 @@ def crofton_measure_mc(shape, d: int, n_lines: int, bounding_radius: float, seed
     )
 
 
-def circle_shape(radius: float, center=(0.0, 0.0)):
-    """Intersection-count oracle for a circle boundary in 2D."""
+def _convex_boundary(center, half_width):
+    """Intersection-count oracle for the boundary of a convex shape.
+
+    A line through v with unit direction s crosses the boundary twice when
+    its distance |w x s| to the center (w = center - v) is below
+    ``half_width(s)``, the shape's half-width across the line, and misses
+    it otherwise; tangent lines, a null set, count as misses.
+    """
     c = np.asarray(center, dtype=float)
 
     def count(s, v):
         w = c - v
-        along = np.sum(w * s, axis=1)
-        dist_sq = np.sum(w * w, axis=1) - along * along
-        return np.where(dist_sq < radius * radius, 2, 0)
+        dist = np.abs(w[:, 0] * s[:, 1] - w[:, 1] * s[:, 0])
+        return np.where(dist < half_width(s), 2, 0)
 
     return count
+
+
+def circle_shape(radius: float, center=(0.0, 0.0)):
+    """Intersection-count oracle for a circle boundary in 2D."""
+    return _convex_boundary(center, lambda s: radius)
 
 
 def square_shape(side: float, center=(0.0, 0.0)):
-    """Intersection-count oracle for the boundary of an axis-aligned square."""
-    c = np.asarray(center, dtype=float)
-    h = 0.5 * side
-    corners = c + h * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-    edges = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
-
-    def count(s, v):
-        total = np.zeros(s.shape[0], dtype=np.int64)
-        for p, q in edges:
-            e = q - p
-            w = p - v
-            denom = e[0] * s[:, 1] - e[1] * s[:, 0]
-            ok = np.abs(denom) > 1e-15
-            r = np.where(
-                ok,
-                (s[:, 0] * w[:, 1] - s[:, 1] * w[:, 0]) / np.where(ok, denom, 1.0),
-                -1.0,
-            )
-            # half-open [0, 1) so that a corner hit is counted once
-            total += ((r >= 0.0) & (r < 1.0) & ok).astype(np.int64)
-        return total
-
-    return count
+    """Intersection-count oracle for the boundary of an axis-aligned square:
+    its half-width across direction s is (side / 2)(|s_x| + |s_y|)."""
+    return _convex_boundary(center, lambda s: 0.5 * side * (np.abs(s[:, 0]) + np.abs(s[:, 1])))
 
 
 def _gauss_quarter_period():
@@ -179,22 +169,16 @@ class LevelPolyline:
         return float(np.sum(self.lengths))
 
 
-# segment endpoints per marching-squares case, as pairs of edge names;
-# saddle cases 5 and 10 are resolved by the cell-center average at runtime
-_CASE_SEGMENTS = {
-    1: [("L", "B")],
-    2: [("B", "R")],
-    3: [("L", "R")],
-    4: [("R", "T")],
-    6: [("B", "T")],
-    7: [("L", "T")],
-    8: [("T", "L")],
-    9: [("B", "T")],
-    11: [("R", "T")],
-    12: [("L", "R")],
-    13: [("B", "R")],
-    14: [("L", "B")],
-}
+# marching-squares segments, in output order: (case, whether the cell-center
+# average is at or above the level or None where that does not matter, the
+# two edges the segment joins); it splits the saddle cases 5 and 10
+_MARCHING_SQUARES = (
+    (1, None, "LB"), (2, None, "BR"), (3, None, "LR"), (4, None, "RT"),
+    (6, None, "BT"), (7, None, "LT"), (8, None, "TL"), (9, None, "BT"),
+    (11, None, "RT"), (12, None, "LR"), (13, None, "BR"), (14, None, "LB"),
+    (5, True, "BR"), (5, True, "TL"), (5, False, "LB"), (5, False, "RT"),
+    (10, True, "LB"), (10, True, "RT"), (10, False, "BR"), (10, False, "TL"),
+)
 
 
 def extract_level_polyline_2d(values: np.ndarray, grid: GridSpec, u: float) -> LevelPolyline:
@@ -239,36 +223,15 @@ def extract_level_polyline_2d(values: np.ndarray, grid: GridSpec, u: float) -> L
             "R": np.stack(np.broadcast_arrays(x1 + 0.0 * fa, y0 + delta * (u - fb) / (fc - fb)), axis=-1),
         }
 
+    center_in = (fa + fb + fc + fd) * 0.25 >= u
     seg_parts = []
-    for case_id, pairs in _CASE_SEGMENTS.items():
+    for case_id, center, (e1, e2) in _MARCHING_SQUARES:
         mask = case == case_id
-        if not np.any(mask):
-            continue
-        for e1, e2 in pairs:
-            seg_parts.append(np.stack([edge_points[e1][mask], edge_points[e2][mask]], axis=1))
-
-    saddle_cells = 0
-    for case_id in (5, 10):
-        mask = case == case_id
-        if not np.any(mask):
-            continue
-        saddle_cells += int(np.count_nonzero(mask))
-        center_in = (fa + fb + fc + fd) * 0.25 >= u
-        if case_id == 5:
-            first, second = [("B", "R"), ("T", "L")], [("L", "B"), ("R", "T")]
-        else:
-            first, second = [("L", "B"), ("R", "T")], [("B", "R"), ("T", "L")]
-        for sub, pairs in ((mask & center_in, first), (mask & ~center_in, second)):
-            if not np.any(sub):
-                continue
-            for e1, e2 in pairs:
-                seg_parts.append(np.stack([edge_points[e1][sub], edge_points[e2][sub]], axis=1))
-
-    if not seg_parts:
-        return LevelPolyline(
-            segments=np.empty((0, 2, 2)), normals=np.empty((0, 2)), saddle_cells=saddle_cells
-        )
+        if center is not None:
+            mask &= center_in == center
+        seg_parts.append(np.stack([edge_points[e1][mask], edge_points[e2][mask]], axis=1))
     segments = np.concatenate(seg_parts, axis=0)
+    saddle_cells = int(np.count_nonzero((case == 5) | (case == 10)))
 
     gx, gy = np.gradient(vals, delta)
     mid = 0.5 * (segments[:, 0] + segments[:, 1])
@@ -302,7 +265,5 @@ def l1_weighted_length(polyline: LevelPolyline) -> float:
     Dividing by the window volume gives the L1-weighted level-length density
     that the lattice surface estimator approaches as the spacing shrinks.
     """
-    if polyline.segments.shape[0] == 0:
-        return 0.0
     l1 = np.abs(polyline.normals).sum(axis=1)
     return float(np.sum(polyline.lengths * l1))

@@ -97,10 +97,23 @@ def hypercubic_surface_fast(values: np.ndarray, grid: GridSpec, u: float) -> flo
         lo[axis] = slice(0, -1)
         hi[axis] = slice(1, None)
         crossings += int(np.count_nonzero(flags[tuple(lo)] != flags[tuple(hi)]))
-    # summed as a multiset of equal facet measures so the reduction is
-    # bit-identical to the facet-table route of surface_estimate
-    total = float(np.sum(np.full(crossings, grid.spacing ** (grid.d - 1))))
-    return total / grid.window_volume
+    return _lattice_sum(crossings, grid.spacing ** (grid.d - 1), grid)
+
+
+def _lattice_volume(values: np.ndarray, grid: GridSpec, u: float) -> float:
+    """Volume of the exceeding lattice cells over |T|.  Equals
+    ``volume_estimate`` on the lattice honeycomb exactly, without building one."""
+    return _lattice_sum(np.count_nonzero(values >= u), grid.spacing**grid.d, grid)
+
+
+def _lattice_sum(count: int, measure: float, grid: GridSpec) -> float:
+    """``count`` equal cell or facet measures summed, over |T|.
+
+    Summed as a multiset, not as count * measure, so that the reduction is
+    bit-identical to the cell- and facet-table routes of ``volume_estimate``
+    and ``surface_estimate``; count * measure can differ in the last bit.
+    """
+    return float(np.sum(np.full(count, measure)) / grid.window_volume)
 
 
 def crossing_frequency(

@@ -45,6 +45,8 @@ class Box:
         self.hi = np.asarray(self.hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("box corners must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ValueError("box corners must be finite")
         if np.any(self.hi <= self.lo):
             raise ValueError("box must have positive side lengths")
 
@@ -181,20 +183,23 @@ class WindowedHoneycomb:
     """A honeycomb together with its window-interior view.
 
     ``inside`` marks cells entirely contained in the closed window;
-    ``interior_facets`` keeps only facets between two inside cells, with cell
-    indices remapped to positions in the inside-cell ordering (the ordering
-    of the field values and exceedance flags).  ``meeting_index`` and
-    ``clipped_facets`` give the window-clipped view over every cell with
-    positive area in the window.
+    ``interior_facets``, built from it, keeps only facets between two inside
+    cells, with cell indices remapped to positions in the inside-cell
+    ordering (the ordering of the field values and exceedance flags).
+    ``meeting_index`` and ``clipped_facets`` give the window-clipped view
+    over every cell with positive area in the window.
     """
 
     parent: Honeycomb
     inside: np.ndarray
-    interior_facets: FacetSet
+    interior_facets: FacetSet = field(init=False)
     inside_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.inside_index = np.flatnonzero(self.inside)
+        f = self.parent.facets
+        interior = self.inside[f.a] & self.inside[f.b]
+        self.interior_facets = _restrict(f, self.inside, interior, f.measure, f.endpoints)
 
     @property
     def d(self) -> int:
@@ -260,13 +265,6 @@ def _restrict(facets: FacetSet, cells, keep, measure, endpoints) -> FacetSet:
     )
 
 
-def _windowed(parent: Honeycomb, inside: np.ndarray):
-    """Interior view of the cells marked ``inside``: the local facet table."""
-    f = parent.facets
-    interior = _restrict(f, inside, inside[f.a] & inside[f.b], f.measure, f.endpoints)
-    return WindowedHoneycomb(parent=parent, inside=inside, interior_facets=interior)
-
-
 # ---------------------------------------------------------------------------
 # hypercubic lattice
 # ---------------------------------------------------------------------------
@@ -315,7 +313,7 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         window=grid.window,
         window_areas=np.full(ref_points.shape[0], delta**d),
     )
-    return _windowed(parent, np.ones(ref_points.shape[0], dtype=bool))
+    return WindowedHoneycomb(parent, np.ones(ref_points.shape[0], dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +586,7 @@ def _polygon_honeycomb(verts, counts, ref_points, facets, window: Box):
         verts=verts,
         counts=counts,
     )
-    return _windowed(parent, inside)
+    return WindowedHoneycomb(parent, inside)
 
 
 def pyramid_identity_sum(wh: WindowedHoneycomb) -> float:

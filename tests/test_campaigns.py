@@ -106,6 +106,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="key=value"):
             apply_config_file(default_config("bias-sweep"), path)
 
+    @pytest.mark.parametrize("second", ["deltas = 0.25", "half-width = 4"])
+    def test_repeated_key_rejected(self, tmp_path, second):
+        # the second spelling of a key is the same key; neither value may silently win
+        path = tmp_path / "c.cfg"
+        first = second.replace("-", "_").split("=")[0] + "= 0.5"
+        path.write_text(f"{first}\n# comment\n{second}\n")
+        key = second.split("=")[0].strip().replace("-", "_")
+        with pytest.raises(ConfigError, match=f"c.cfg:3: key '{key}' is already set on line 1"):
+            apply_config_file(default_config("bias-sweep"), path)
+
 
 class TestValidation:
     def test_sweeps_normalized_descending(self):
@@ -274,7 +284,7 @@ class TestGridMemoryPreflight:
         ],
     )
     def test_point_families_priced_by_linear_draw(self, monkeypatch, family, cells, rank):
-        price = 8 * cells * (1 + 2 + 3 * rank)
+        price = 8 * cells * (1 + 2 + 3 * (rank + 1) + 16)
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: price)
         # the finest row sets the price; 0.8 = half_width / 2.5 is the
         # coarsest hexagonal cell size the window admits
@@ -293,22 +303,28 @@ class TestGridMemoryPreflight:
             validate_config(cfg)
 
     @pytest.mark.parametrize(
-        "family, priced_points",
+        "family, half_width, delta, priced_points",
         [
-            ("hexagonal", 98),  # floor(16 / (1.5 sqrt(3) 0.25^2))
-            ("voronoi", 298),  # ceil(1 + 16^2 + 8 * 16 / pi)
+            ("hexagonal", 2.0, 0.25, 98),  # floor(16 / (1.5 sqrt(3) 0.25^2))
+            # 821 whole hexagons, whose axis factors have ranks 21 and 22
+            # against the priced grid rank 21
+            ("hexagonal", 3.0, 0.125, 886),  # floor(36 / (1.5 sqrt(3) 0.125^2))
+            ("voronoi", 2.0, 0.25, 298),  # ceil(1 + 16^2 + 8 * 16 / pi)
         ],
+        ids=["hexagonal-98", "hexagonal-886", "voronoi-298"],
     )
-    def test_point_price_bounds_the_draw(self, family, priced_points):
+    def test_point_price_bounds_the_draw(self, family, half_width, delta, priced_points):
         # the per-point price of the preflight bounds what one draw, its
         # factors included, allocates at every point count drawn
-        cfg = validate_config(tiny("bias-sweep", family=family, deltas=(0.25,)))
+        cfg = validate_config(
+            tiny("bias-sweep", family=family, half_width=half_width, deltas=(delta,))
+        )
         price, what = campaigns._draw_memory(cfg, 2**40)
         assert what.startswith(f"{priced_points} points")
         per_point = price / priced_points
-        window = Box(np.full(2, -2.0), np.full(2, 2.0))
+        window = Box(np.full(2, -half_width), np.full(2, half_width))
         if family == "hexagonal":
-            clouds = [hexagonal_honeycomb(0.25, window).ref_points_inside]
+            clouds = [hexagonal_honeycomb(delta, window).ref_points_inside]
         else:
             unit_box = Box(np.full(2, -9.5), np.full(2, 9.5))
             clouds = [

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from excursionkit.campaigns import default_config, run_campaign
 from excursionkit.densities import CovarianceModel, beta_d
 from excursionkit.estimators import (
+    _lattice_volume,
     clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
@@ -85,9 +86,11 @@ class TestFastEqualsGeneric:
             wh = hypercubic_honeycomb(delta, n, d)
             values = rng.standard_normal(grid.n_nodes)
             u = float(rng.standard_normal())
-            generic = surface_estimate(wh, exceedance_indicator(values, u))
+            flags = exceedance_indicator(values, u)
+            generic = surface_estimate(wh, flags)
             fast = hypercubic_surface_fast(values, grid, u)
             assert fast == generic  # bitwise, not approx
+            assert _lattice_volume(values, grid, u) == volume_estimate(wh, flags)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

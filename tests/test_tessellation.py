@@ -75,6 +75,14 @@ class TestBox:
         with pytest.raises(ValueError):
             Box(np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("corner", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_corners(self, corner):
+        # a NaN corner passes the hi <= lo test; an infinite one gives an infinite volume
+        with pytest.raises(ValueError, match="finite"):
+            Box([0.0, 0.0], [corner, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Box([corner, 0.0], [1.0, 1.0])
+
 
 class TestHypercubic:
     def test_two_by_two_counts(self):
