@@ -44,13 +44,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="excursionkit",
         description="Monte Carlo studies of excursion-set volume and surface estimators.",
+        # keeps the one-line-per-kind layout of the CAMPAIGN help
+        formatter_class=argparse.RawTextHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="kind", required=True, metavar="CAMPAIGN")
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=_KIND_HELP[kind])
-        p.add_argument("--config", metavar="FILE", help="key=value configuration file")
-        for flag, key, kind_of, metavar, text in _FLAGS:
-            p.add_argument(flag, dest=key, type=kind_of, metavar=metavar, help=text)
+    parser.add_argument(
+        "kind",
+        metavar="CAMPAIGN",
+        choices=KINDS,
+        help="\n".join(f"{kind:<13} {_KIND_HELP[kind]}" for kind in KINDS),
+    )
+    parser.add_argument("--config", metavar="FILE", help="key=value configuration file")
+    for flag, key, kind_of, metavar, text in _FLAGS:
+        parser.add_argument(flag, dest=key, type=kind_of, metavar=metavar, help=text)
     return parser
 
 

@@ -15,14 +15,16 @@ paper's estimators operate on; facets between two such cells are "interior".
 The plus-sampling view (``WindowedHoneycomb.clipped_facets``) instead keeps
 every cell that meets the window and clips facet lengths to it.  Both 2D
 families pass their cells to one builder as a flat CCW vertex array plus a
-vertex count per cell, and clip all cells to a box in one array pass
-(``clip_cells_to_box``), with no loop over cells.
+vertex count per cell, and clip the cells a box cuts in one array pass
+(``clip_cells_to_box``), with no loop over cells; the cells wholly inside
+the box pass through unchanged.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -117,8 +119,9 @@ class GridSpec:
         half = self.spacing * self.half_extent
         return Box(np.full(self.d, -half), np.full(self.d, half))
 
-    @property
+    @cached_property
     def window_volume(self) -> float:
+        # cached: each lattice estimate divides by it (``estimators._lattice_sum``)
         return self.window.volume
 
     def nodes(self) -> np.ndarray:
@@ -487,20 +490,57 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
 # shared geometry helpers
 # ---------------------------------------------------------------------------
 
+_SIDES = ((1.0, 0), (1.0, 1), (-1.0, 0), (-1.0, 1))  # box sides as (sign, axis)
+
+
+def _side_values(verts: np.ndarray, box: Box, sign: float, axis: int) -> np.ndarray:
+    """Signed distance of each vertex beyond one box side (<= 0 inside it)."""
+    return sign * verts[:, axis] - (box.hi[axis] if sign > 0 else -box.lo[axis])
+
+
 def clip_cells_to_box(verts: np.ndarray, counts: np.ndarray, box: Box):
     """Intersection of every convex CCW cell of a flat vertex array with a 2D box.
 
     Cell i is the run of ``counts[i]`` rows of the (N, 2) array ``verts``.
-    Sutherland-Hodgman clipping (Sutherland & Hodgman, "Reentrant polygon
-    clipping", CACM 1974) runs on all cells at once, one box side at a time:
-    each vertex emits the crossing point of the edge that ends at it, then
-    itself if it is inside that side (with slack ``CONTAINMENT_TOL``).  A
-    cell left with fewer than 3 vertices after a side is emptied, and a cell
-    inside the box comes back bit for bit.  Returns the clipped (M, 2)
-    vertex array and the (n,) vertex count of each cell.
+    A cell of at least 3 vertices that all pass the four side tests comes
+    back bit for bit; only the others are clipped (``_clip_cut_cells``), and
+    cell order is kept.  Returns the clipped (M, 2) vertex array and the
+    (n,) vertex count of each cell.
     """
-    for sign, axis in ((1.0, 0), (1.0, 1), (-1.0, 0), (-1.0, 1)):
-        vals = sign * verts[:, axis] - (box.hi[axis] if sign > 0 else -box.lo[axis])
+    uncut, cut_verts, cut_counts = _clip_cut_cells(verts, counts, box)
+    out_counts = np.array(counts, dtype=np.int64)
+    out_counts[~uncut] = cut_counts
+    # both row sets are in cell order, so each fills its own output rows in turn
+    kept = np.repeat(uncut, out_counts)
+    out = np.empty((kept.size, 2))
+    out[kept] = verts[np.repeat(uncut, counts)]
+    out[~kept] = cut_verts
+    return out, out_counts
+
+
+def _clip_cut_cells(verts: np.ndarray, counts: np.ndarray, box: Box):
+    """Split the cells of a flat vertex array into those a box leaves
+    unchanged and the clipped rest.
+
+    A cell is unchanged when it has at least 3 vertices and each of them
+    passes all four side tests of the clip below; those are the cells it
+    would return bit for bit.  The others are clipped by Sutherland-Hodgman
+    (Sutherland & Hodgman, "Reentrant polygon clipping", CACM 1974), on all
+    of them at once, one box side at a time: each vertex emits the crossing
+    point of the edge that ends at it, then itself if it is inside that side
+    (with slack ``CONTAINMENT_TOL``), and a cell left with fewer than 3
+    vertices after a side is emptied.  Returns the (n,) mask of the
+    unchanged cells and the clipped vertices and counts of the others, in
+    cell order.
+    """
+    passes = np.ones(verts.shape[0], dtype=bool)
+    for sign, axis in _SIDES:
+        passes &= _side_values(verts, box, sign, axis) <= CONTAINMENT_TOL
+    uncut = counts >= 3
+    uncut[np.repeat(np.arange(counts.size), counts)[~passes]] = False
+    verts, counts = verts[~np.repeat(uncut, counts)], counts[~uncut]
+    for sign, axis in _SIDES:
+        vals = _side_values(verts, box, sign, axis)
         ins = vals <= CONTAINMENT_TOL
         # predecessor of each vertex around its own cell
         stops = np.cumsum(counts)
@@ -522,7 +562,7 @@ def clip_cells_to_box(verts: np.ndarray, counts: np.ndarray, box: Box):
         short = counts < 3
         verts = out[~short[out_cell]]
         counts[short] = 0
-    return verts, counts
+    return uncut, verts, counts
 
 
 def _twice_signed_areas(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -564,14 +604,17 @@ def _polygon_honeycomb(verts, counts, ref_points, facets, window: Box):
     """Windowed honeycomb of 2D convex cells: areas, window clip and inside view.
 
     Cell i is the CCW run of ``counts[i]`` rows of the flat (N, 2) vertex
-    array ``verts``, in cell order; a count of 0 is an empty cell.  Every
-    cell is clipped to the window in one array pass (``clip_cells_to_box``),
-    and cell and window areas are shoelace sums in vertex order, so a cell
-    inside the window has its own area as window area, bit for bit.
+    array ``verts``, in cell order; a count of 0 is an empty cell.  Cell
+    and window areas are shoelace sums in vertex order.  A cell the window
+    leaves unchanged has its own area as window area, which is what
+    ``clip_cells_to_box`` would give bit for bit; only the cells the window
+    cuts are clipped, in one array pass.
     """
     n = counts.size
     cell_volumes = 0.5 * np.abs(_twice_signed_areas(verts, counts))
-    window_areas = 0.5 * np.abs(_twice_signed_areas(*clip_cells_to_box(verts, counts, window)))
+    uncut, cut_verts, cut_counts = _clip_cut_cells(verts, counts, window)
+    window_areas = cell_volumes.copy()
+    window_areas[~uncut] = 0.5 * np.abs(_twice_signed_areas(cut_verts, cut_counts))
     outside = np.bincount(
         np.repeat(np.arange(n), counts), ~window.contains(verts, tol=CONTAINMENT_TOL), minlength=n
     )

@@ -1165,6 +1165,15 @@ class TestCli:
             cli.main(["not-a-campaign"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("kind", cli.KINDS)
+    def test_kind_help_lists_kinds_and_flags(self, kind, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([kind, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for name in cli.KINDS + ("--config",) + tuple(flag for flag, *_ in cli._FLAGS):
+            assert name in text
+
     def test_parser_lists_all_kinds(self):
         parser = cli.build_parser()
         text = parser.format_help()

@@ -475,6 +475,16 @@ def _table_digest(wh):
     return h.hexdigest()[:16]
 
 
+def _geometry_digest(wh):
+    """Digest of a 2D honeycomb's cells: areas, window areas and the flat
+    vertex array with its per-cell counts."""
+    p = wh.parent
+    h = hashlib.sha256()
+    for x in (p.cell_volumes, p.window_areas, p.verts, p.counts):
+        h.update(np.ascontiguousarray(x).tobytes())
+    return h.hexdigest()[:16]
+
+
 class TestHoneycombDigests:
     """Fixed honeycombs pinned bit for bit, apart from the field draws that
     the campaign digests add on top of them, so a change to a builder shows
@@ -491,9 +501,22 @@ class TestHoneycombDigests:
 
     @pytest.mark.parametrize("seed, digest", [(1, "28d73be115a399f7"), (2, "6030ea4022c65f58")])
     def test_voronoi(self, seed, digest):
+        assert _table_digest(self._voronoi(seed)) == digest
+
+    @pytest.mark.parametrize(
+        "delta, digest", [(0.25, "507295d34bfea735"), (0.125, "b731a68e0b58fc8d")]
+    )
+    def test_hexagonal_geometry(self, delta, digest):
+        assert _geometry_digest(hexagonal_honeycomb(delta, self.WINDOW)) == digest
+
+    @pytest.mark.parametrize("seed, digest", [(1, "2b48eb73b5fe9fb4"), (2, "48fe2f841a25b4c9")])
+    def test_voronoi_geometry(self, seed, digest):
+        assert _geometry_digest(self._voronoi(seed)) == digest
+
+    def _voronoi(self, seed):
         guard = 0.375
         pts = sample_poisson_process(16.0, self.WINDOW.expanded(guard), seed)
-        assert _table_digest(voronoi_honeycomb_2d(pts, self.WINDOW, guard)) == digest
+        return voronoi_honeycomb_2d(pts, self.WINDOW, guard)
 
 
 class TestPoissonVoronoiFacetDensity:
@@ -702,15 +725,28 @@ class TestClipCellsToBox:
             # two vertices inside side x = 1 empty the cell before side y = 1
             # would turn them into three
             np.array([[0.5, 0.5], [0.5, 1.5]]),
+            # beyond side x = 1 by just more than CONTAINMENT_TOL: clipped
+            np.array([[0.5, 0.5], [1.0 + 4e-12, 0.5], [0.5, 0.9]]),
+            # beyond side y = 0 by exactly CONTAINMENT_TOL: unchanged
+            np.array([[0.25, -CONTAINMENT_TOL], [0.75, 0.25], [0.5, 0.75]]),
+            # at x = 1 + CONTAINMENT_TOL, which rounds to 1.0000889e-12 beyond
+            # side x = 1: Box.contains(tol=CONTAINMENT_TOL) keeps it inside,
+            # the side test does not, so the cell is clipped
+            np.array([[0.5, 0.5], [1.0 + CONTAINMENT_TOL, 0.5], [0.5, 0.9]]),
+            np.array([[0.5, 0.5]]),  # one vertex inside the box: emptied
+            np.array([[0.25, 0.5], [0.75, 0.5]]),  # two vertices inside: emptied
             np.empty((0, 2)),  # empty cell at the end
         ]
         clipped = _assert_clip_equals_loop(cases, self.BOX)
         assert _shoelace_area(clipped[0]) == pytest.approx(1.0)
         assert _same_bits(clipped[1], cases[1])  # an inside cell comes back unchanged
         assert _shoelace_area(clipped[3]) == pytest.approx(0.25)
-        assert [len(clipped[i]) for i in (2, 4, 7, 8)] == [0, 0, 0, 0]
+        assert [len(clipped[i]) for i in (2, 4, 7, 11, 12, 13)] == [0] * 6
         assert _shoelace_area(clipped[5]) == 0.0
         assert _same_bits(clipped[6], cases[6])
+        assert _same_bits(clipped[9], cases[9])
+        assert [len(clipped[i]) for i in (8, 10)] == [4, 4]  # the far vertex cut in two
+        assert np.all(self.BOX.contains(cases[10], tol=CONTAINMENT_TOL))
 
     def test_empty_input(self):
         verts, counts = clip_cells_to_box(np.empty((0, 2)), np.empty(0, dtype=np.int64), self.BOX)
