@@ -6,7 +6,8 @@ shape) to replicate statistics.  Replicate seeds are derived from
 replicate can run on any thread at any time and the aggregated output is byte
 identical regardless of the thread count.  Lattice fields come two per grid
 draw: replicate r of sweep step s is half r % 2 of the grid draw keyed
-(base seed, s, r // 2).
+(base seed, s, r // 2), and a task estimates the first half before it reads
+the second.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ MIN_VORONOI_GENERATORS = 16
 
 # fields that do not influence the computed numbers and are therefore
 # excluded from the config hash echoed on every output row
-_NON_SEMANTIC_FIELDS = ("threads", "out", "summary")
+_NON_SEMANTIC_FIELDS = ("threads", "out", "summary", "raw")
 
 class ConfigError(ValueError):
     """Invalid campaign configuration (bad key, value, or combination)."""
@@ -99,6 +100,7 @@ class CampaignConfig:
     threads: int = 1
     out: str | None = None
     summary: str | None = None
+    raw: str | None = None
 
     def config_hash(self) -> str:
         blob = json.dumps(_semantic(self), sort_keys=True, default=str).encode()
@@ -328,9 +330,11 @@ def _row_grids(cfg: CampaignConfig) -> list:
 def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     """Bytes one worker holds for the largest draw of ``cfg``, and what they are.
 
-    A grid draw of n^d nodes holds, at 8 B each, the two n^d fields, the
-    2 r^d noise and the 2 r^(d-j) n^j values of each of its d - 1 partial
-    contractions, r being the rank of the axis factor.  A draw at n
+    A grid task of n^d nodes holds, at 8 B each, the 2 r^d noise of its
+    draw, r being the rank of the axis factor, and one field at a time: at
+    most the last partial contraction, r n^(d-1) values, and the n^d field
+    it makes, 8 B x (2 r^d + r n^(d-1) + n^d); then the estimator's two
+    boolean masks add 2 n^d B.  A draw at n
     scattered points holds the n values, the n x d points, the d axis
     factors and one partial product of n columns and up to r + 1 rows each
     (the pivot order of scattered coordinates can take one column more than
@@ -369,12 +373,14 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
         return 0, ""
     grid = max(grids, key=lambda g: g.half_extent)
     n = grid.shape[0]
-    need = 16 * n**d
+    need = 10 * n**d
     if need > budget:
-        return need, f"{n}^{d} grid points x 2 fields x 8 B"
+        return need, f"{n}^{d} grid points x (one field x 8 B + masks x 2 B)"
     rank = _axis_factor(n, grid.spacing, cfg.ell).shape[1]
-    need = 16 * sum(rank ** (d - j) * n**j for j in range(d + 1))
-    return need, f"{n}^{d} grid points and rank {rank}: fields, noise and contractions x 8 B"
+    need = 8 * (2 * rank**d + rank * n ** (d - 1) + n**d) + 2 * n**d
+    return need, (
+        f"{n}^{d} grid points and rank {rank}: noise, contraction and field x 8 B + masks x 2 B"
+    )
 
 
 def _provenance(cfg: CampaignConfig, config_hash: str) -> dict:
@@ -393,8 +399,8 @@ def _provenance(cfg: CampaignConfig, config_hash: str) -> dict:
         "blas": {k: v for k, v in blas.items() if k in keys},
         "threads": cfg.threads,
         "blas_threads": blas_threads,
-        # the pool caps BLAS at 1 thread per worker where it can
-        "blas_threads_in_pool": 1 if cfg.threads > 1 and blas_threads is not None else None,
+        # the campaign caps BLAS at 1 thread per worker where it can
+        "blas_threads_in_pool": 1 if blas_threads is not None else None,
         "seed": cfg.seed,
         "config_hash": config_hash,
     }
@@ -452,13 +458,15 @@ def _csv_text(rows, config_hash) -> str:
 
 def _parallel(fn, count: int, threads: int) -> list:
     """[fn(0), ..., fn(count - 1)], on a pool of ``threads`` workers when
-    more than one.  Each worker then calls BLAS single-threaded, so that the
-    workers' matrix products do not spawn BLAS threads of their own beyond
-    the cores; each product's bits do not depend on the BLAS thread count."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with _one_blas_thread, ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    more than one, with BLAS single-threaded throughout: the workers' matrix
+    products spawn no BLAS threads of their own beyond the cores, and no
+    idle BLAS thread falls asleep while an estimate runs between two
+    products.  Each product's bits do not depend on the BLAS thread count."""
+    with _one_blas_thread:
+        if threads <= 1:
+            return [fn(i) for i in range(count)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(count)))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple:
@@ -536,9 +544,15 @@ def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec
     # computed here, in the calling thread, so that pool threads share one
     # axis factor instead of racing to fill the cache with copies of it
     _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
-    return lambda t: [
-        estimate(half) for half in _field(cfg, model, grid, _flat_key(cfg.seed, si, t))
-    ]
+
+    def task(t):
+        draw = _field(cfg, model, grid, _flat_key(cfg.seed, si, t))
+        # no name holds the first field, so it is estimated and freed before
+        # the second is contracted
+        first = estimate(draw[0])
+        return [first, estimate(draw[1])]
+
+    return task
 
 
 def _bias_spec(cfg: CampaignConfig):

@@ -37,6 +37,7 @@ _FLAGS = (
     ("--threads", "threads", int, "N", "worker threads"),
     ("--out", "out", str, "CSV", "write summary rows to this CSV file"),
     ("--summary", "summary", str, "JSON", "write config + rows as JSON"),
+    ("--raw", "raw", str, "CSV", "write every replicate's raw row to this CSV file"),
 )
 
 
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        for path in filter(None, (cfg.out, cfg.summary)):
+        for path in filter(None, (cfg.out, cfg.summary, cfg.raw)):
             # checked before any replicate runs, so that no result is lost to a bad path
             folder = os.path.dirname(os.path.abspath(path))
             writable = os.access(path if os.path.exists(path) else folder, os.W_OK)
@@ -105,6 +106,9 @@ def main(argv=None) -> int:
         result.write_csv(cfg.out)
     if cfg.summary:
         result.write_json(cfg.summary)
+    if cfg.raw:
+        with open(cfg.raw, "w", newline="") as fh:
+            fh.write(result.raw_csv_text())
     _print_rows(result.rows, sys.stdout)
     print(
         f"# {cfg.kind}: {len(result.rows)} rows, hash {result.config_hash}, "

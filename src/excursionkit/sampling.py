@@ -8,24 +8,29 @@ C ~ A A^T with A of n x r, until no residual variance exceeds FACTOR_TOL
 (Harbrecht, Peters & Schneider 2012).  The rank r follows the extent of the
 coordinates in length scales, not the point count n: 27 or 28 for 64 or 128
 nodes on a window 8 length scales wide, 47 or 48 for 64 to 256 nodes on one
-16 wide, 215 on one 80 wide.  On a grid, one draw multiplies every axis of a
-(2, r, ..., r) block of white noise by the axis factor: the two slices are
-two independent fields, which ``sample_gaussian_grid`` returns as plain
-value arrays.  At scattered points, point i takes row i of every axis factor
-and one (r_1, ..., r_d) noise block gives one value array.  All samplers are
-pure functions of (model, locations, seed): the RNG is a Philox counter
-generator keyed by the seed, so replicates can run on any number of threads
-in any order and still reproduce bit for bit.  Draws multiply through BLAS,
-so their last bits depend on the BLAS build, though not on its thread count;
-``_one_blas_thread`` holds OpenBLAS at one thread while a pool of threads
-draws, so that each worker does not start BLAS threads of its own.
+16 wide, 215 on one 80 wide.  On a grid, one draw takes a (2, r, ..., r)
+block of white noise, and each slice of it gives one field once every
+axis of it is multiplied by the axis factor: ``sample_gaussian_grid``
+returns the two fields as a sequence that contracts a slice only when the
+field is read, so a caller that is done with the first field before it
+reads the second never holds both.  At scattered points, point i takes
+row i of every axis factor and one (r_1, ..., r_d) noise block gives one
+value array.  All samplers are pure functions of (model, locations, seed):
+the RNG is a Philox counter generator keyed by the seed, so replicates can
+run on any number of threads in any order and still reproduce bit for bit.
+Draws multiply through BLAS, so their last bits depend on the BLAS build,
+though not on its thread count; ``_one_blas_thread`` holds OpenBLAS at one
+thread while a campaign draws, so that its workers start no BLAS threads of
+their own and none wait, asleep, between two products.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import threading
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -99,15 +104,39 @@ def _axis_factor(n: int, spacing: float, length_scale: float) -> np.ndarray:
     return factor
 
 
-def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> tuple:
+class _GridDraw(Sequence):
+    """The two fields of one grid draw, each contracted from its own slice
+    of the (2, r, ..., r) noise block when it is read: reading a field
+    twice contracts it twice, to the same bits, and holds no field between
+    reads."""
+
+    def __init__(self, noise: np.ndarray, factor: np.ndarray):
+        self._noise = noise
+        self._factor = factor
+
+    def __len__(self) -> int:
+        return 2
+
+    def __getitem__(self, half) -> np.ndarray:
+        z = self._noise[operator.index(half)]  # IndexError past the second field
+        n = self._factor.shape[0]
+        # contract the leading noise axis with A and append the n result
+        # nodes last, d times, so the axes come back in order
+        for _ in range(z.ndim):
+            rest = z.shape[1:]
+            z = np.matmul(z.reshape(z.shape[0], -1).T, self._factor.T).reshape(rest + (n,))
+        return z.reshape(-1)
+
+
+def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> Sequence:
     """Draw two independent zero-mean unit-variance Gaussian fields at the grid nodes.
 
     The covariance of each returned array is the model covariance at every
     pair of nodes to within d x FACTOR_TOL, as each axis factor is exact to
     within FACTOR_TOL and every kernel value is at most 1.  One draw takes a
-    (2, r, ..., r) block of standard normals and multiplies each of its d
-    noise axes by the axis factor A; the two fields are the two slices of
-    the result.
+    (2, r, ..., r) block of standard normals; field h multiplies each of the
+    d noise axes of slice h by the axis factor A.  The product is formed
+    when field h is read, so only the noise is held until then.
 
     Parameters
     ----------
@@ -118,20 +147,13 @@ def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> tuple:
 
     Returns
     -------
-    tuple of two ndarray
+    sequence of two ndarray
         The two fields, each of length ``grid.n_nodes`` in the row-major node
-        order of ``grid.nodes()``.
+        order of ``grid.nodes()``; it unpacks, iterates and indexes like a
+        tuple, in any order and with the same bits.
     """
-    n = grid.shape[0]
-    factor = _axis_factor(n, grid.spacing, model.length_scale)
-    z = _rng(seed).standard_normal((2,) + (factor.shape[1],) * grid.d)
-    # contract the leading noise axis with A and append the n result nodes
-    # last, d times, so the axes come back in order
-    for _ in range(grid.d):
-        rest = z.shape[2:]
-        z = np.matmul(z.reshape(2, z.shape[1], -1).transpose(0, 2, 1), factor.T)
-        z = z.reshape((2,) + rest + (n,))
-    return z[0].reshape(-1), z[1].reshape(-1)
+    factor = _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
+    return _GridDraw(_rng(seed).standard_normal((2,) + (factor.shape[1],) * grid.d), factor)
 
 
 def covariance_factor(model: CovarianceModel, points) -> tuple:
@@ -226,7 +248,8 @@ def sample_chi_square(
     reproducible and component order is immaterial.  On a grid each
     component is one ``sample_gaussian_grid`` draw whose two halves are
     independent, and two fields are returned: one sums the first halves, the
-    other the second halves of the same k draws.
+    other the second halves of the same k draws.  Each half is squared into
+    its sum before the next is contracted.
 
     Parameters
     ----------
@@ -257,8 +280,10 @@ def sample_chi_square(
         sums = np.zeros((1, factor[0].shape[1]))
         draw = lambda key: (_draw(factor, key),)
     for comp in range(k):
-        for total, g in zip(sums, draw(_flat_key(seed, comp))):
-            total += g * g
+        halves = draw(_flat_key(seed, comp))
+        for h, total in enumerate(sums):
+            # no name holds the half, so it is freed before the next is read
+            total += np.square(halves[h])
     return (sums[0], sums[1]) if grid else sums[0]
 
 

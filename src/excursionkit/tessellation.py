@@ -608,17 +608,14 @@ def _polygon_honeycomb(verts, counts, ref_points, facets, window: Box):
     and window areas are shoelace sums in vertex order.  A cell the window
     leaves unchanged has its own area as window area, which is what
     ``clip_cells_to_box`` would give bit for bit; only the cells the window
-    cuts are clipped, in one array pass.
+    cuts are clipped, in one array pass.  The cells the window leaves
+    unchanged are the inside cells, so a cell is inside exactly when its
+    window area is its own area.
     """
-    n = counts.size
     cell_volumes = 0.5 * np.abs(_twice_signed_areas(verts, counts))
-    uncut, cut_verts, cut_counts = _clip_cut_cells(verts, counts, window)
+    inside, cut_verts, cut_counts = _clip_cut_cells(verts, counts, window)
     window_areas = cell_volumes.copy()
-    window_areas[~uncut] = 0.5 * np.abs(_twice_signed_areas(cut_verts, cut_counts))
-    outside = np.bincount(
-        np.repeat(np.arange(n), counts), ~window.contains(verts, tol=CONTAINMENT_TOL), minlength=n
-    )
-    inside = (counts >= 3) & (outside == 0)
+    window_areas[~inside] = 0.5 * np.abs(_twice_signed_areas(cut_verts, cut_counts))
     parent = Honeycomb(
         d=2,
         ref_points=ref_points,

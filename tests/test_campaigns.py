@@ -241,8 +241,9 @@ class TestRowGrids:
 
 
 # an 8^2 grid (half_width 2, delta 0.5) of full axis rank 8, for one thread:
-# the noise, one partial contraction and the fields, each 2 x 8^2 values of 8 B
-_ONE_SMALL_DRAW = 3 * 2 * 8**2 * 8
+# the 2 x 8^2 noise, one 8 x 8 partial contraction and one 8^2 field, each
+# value of 8 B, and the estimator's two 8^2 masks of 1 B
+_ONE_SMALL_DRAW = 8 * (2 * 8**2 + 8 * 8 + 8**2) + 2 * 8**2
 
 
 class TestGridMemoryPreflight:
@@ -343,6 +344,28 @@ class TestGridMemoryPreflight:
             finally:
                 tracemalloc.stop()
             assert peak <= per_point * points.shape[0], (peak, points.shape[0], what)
+
+    @pytest.mark.parametrize(
+        "d, half_width, delta, nodes",
+        [(2, 8.0, 0.0625, 256), (3, 4.0, 0.125, 64)],
+        ids=["256^2", "64^3"],
+    )
+    def test_grid_price_bounds_one_task(self, d, half_width, delta, nodes):
+        # the grid price of the preflight bounds what one task allocates: its
+        # draw and the estimates of both fields, never holding two fields
+        cfg = validate_config(tiny("bias-sweep", d=d, half_width=half_width, deltas=(delta,)))
+        price, what = campaigns._draw_memory(cfg, 2**40)
+        assert what.startswith(f"{nodes}^{d} grid points and rank")
+        _, _, replicates, _ = campaigns._SPECS["bias-sweep"](cfg)
+        task = replicates(0, delta)  # computes the axis factor before the trace
+        tracemalloc.start()
+        try:
+            task(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= price, (peak, what)
+        assert peak < 2 * 8 * nodes**d, peak
 
     def test_point_counts_bound_the_cells_drawn(self):
         # the hexagonal price bounds the inside cells; the Voronoi price is
@@ -523,13 +546,16 @@ class TestDeterminism:
         assert prov["numpy"] == np.__version__ and prov["scipy"] == scipy.__version__
         assert prov["blas"]["name"] and "version" in prov["blas"]
         assert (prov["threads"], prov["seed"], prov["config_hash"]) == (2, 11, res.config_hash)
-        # the process default, and the cap the two-thread pool put on BLAS
+        # the process default, and the cap the campaign put on BLAS at any
+        # thread count
         assert prov["blas_threads"] == sampling._blas_threads()
         capped = sampling._blas_control() is not None
         assert prov["blas_threads_in_pool"] == (1 if capped else None)
         assert (prov["blas_threads"] is None) == (not capped)
         one_thread = replace(res.config, threads=1)
-        assert campaigns._provenance(one_thread, res.config_hash)["blas_threads_in_pool"] is None
+        assert campaigns._provenance(one_thread, res.config_hash)["blas_threads_in_pool"] == (
+            1 if capped else None
+        )
         # the counters and the provenance stay out of the CSV
         assert csv_path.read_text() == _csv_text(res.rows, res.config_hash)
         assert "axis_rank" not in csv_path.read_text()
@@ -572,7 +598,8 @@ class TestBlasThreadDeterminism:
 
 
 class TestPoolBlasCap:
-    """Pool workers call BLAS single-threaded; the caller's count comes back."""
+    """Campaign tasks call BLAS single-threaded, on a pool or in the calling
+    thread; the caller's count comes back."""
 
     @pytest.fixture
     def control(self):
@@ -633,8 +660,9 @@ class TestPoolBlasCap:
         assert seen == {"a": [1, 1], "b": [1, 1]}
         assert sampling._blas_threads() == 2
 
-    def test_one_thread_leaves_blas_alone(self, control):
-        assert campaigns._parallel(lambda i: sampling._blas_threads(), 3, 1) == [2] * 3
+    def test_one_thread_caps_blas_too(self, control):
+        assert campaigns._parallel(lambda i: sampling._blas_threads(), 3, 1) == [1] * 3
+        assert sampling._blas_threads() == 2
 
     def test_without_a_control_the_pool_runs_uncapped(self, monkeypatch):
         monkeypatch.setattr(sampling, "_blas_control", lambda: None)
@@ -1013,6 +1041,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert "q" in captured.out and "hash" in captured.out
 
+    def test_raw_flag_writes_the_raw_rows(self, tmp_path):
+        # --raw writes every replicate's row and moves no byte of the summary CSV
+        cfg_path = _write_cfg(tmp_path, "half_width = 2.0\n")
+        argv = ["bias-sweep", "--delta", "0.5", "--reps", "3", "--config", str(cfg_path)]
+        plain, with_raw, raw = tmp_path / "plain.csv", tmp_path / "rows.csv", tmp_path / "raw.csv"
+        assert cli.main(argv + ["--out", str(plain)]) == 0
+        assert cli.main(argv + ["--out", str(with_raw), "--raw", str(raw)]) == 0
+        assert with_raw.read_bytes() == plain.read_bytes()
+        res = run_campaign(cli.config_from_args(cli.build_parser().parse_args(argv)))
+        assert raw.read_text() == res.raw_csv_text()
+        assert raw.read_text().splitlines()[0].split(",")[:2] == ["delta", "replicate"]
+        assert len(raw.read_text().splitlines()) == 1 + 3
+
     def test_delta_override_replaces_sweep(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = cli.main(
@@ -1139,7 +1180,8 @@ class TestCli:
         assert "at cell size 0.5 holds 1 generator(s), fewer than the 2 a diagram needs" in err
 
     @pytest.mark.parametrize(
-        "flag, name", [("--out", "rows.csv"), ("--summary", "run.json"), ("--out", ".")]
+        "flag, name",
+        [("--out", "rows.csv"), ("--summary", "run.json"), ("--out", "."), ("--raw", "raw.csv")],
     )
     def test_unwritable_output_refused_before_any_replicate(
         self, tmp_path, monkeypatch, capsys, flag, name

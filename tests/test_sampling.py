@@ -65,6 +65,30 @@ class TestGaussianGrid:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_fields_read_in_any_order(self):
+        # each field is contracted from its own noise slice when read: the
+        # second read first, or a field read twice, has the bits of the tuple
+        g = GridSpec(3, 4, 0.5)
+        both = tuple(sample_gaussian_grid(MODEL, g, 7))
+        draw = sample_gaussian_grid(MODEL, g, 7)
+        assert len(draw) == 2
+        second, first = draw[1], draw[0]
+        assert second.tobytes() == both[1].tobytes()
+        assert first.tobytes() == both[0].tobytes()
+        assert draw[-1].tobytes() == draw[1].tobytes() == second.tobytes()
+        with pytest.raises(IndexError):
+            draw[2]
+
+    def test_field_is_the_noise_times_the_axis_factor_on_each_axis(self):
+        # in 2D field h is A E_h A^T for the noise slice E_h
+        g = GridSpec(2, 8, 0.25)
+        factor = sampling._axis_factor(g.shape[0], g.spacing, MODEL.length_scale)
+        noise = sampling._rng(5).standard_normal((2,) + (factor.shape[1],) * 2)
+        draw = sample_gaussian_grid(MODEL, g, 5)
+        for h in (1, 0):
+            expected = factor @ noise[h] @ factor.T
+            assert np.allclose(draw[h].reshape(g.shape), expected, rtol=0, atol=1e-12)
+
     def test_exact_covariance_small_grid(self):
         # the draw is exact, so the empirical covariance of a tiny 1D grid
         # must match the model within plain Monte Carlo error

@@ -259,9 +259,10 @@ def _loop_window_stats(cells, window):
     for i, verts in enumerate(cells):
         if len(verts) < 3:
             continue
+        # the side test of the clip: no vertex beyond a side by more than the tolerance
         inside[i] = bool(
-            np.all(verts >= window.lo - CONTAINMENT_TOL)
-            and np.all(verts <= window.hi + CONTAINMENT_TOL)
+            np.all(window.lo - verts <= CONTAINMENT_TOL)
+            and np.all(verts - window.hi <= CONTAINMENT_TOL)
         )
         clipped = clip_polygon_to_box(verts, window)
         if clipped.shape[0] < 3:
