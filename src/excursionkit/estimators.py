@@ -36,9 +36,19 @@ def volume_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
     normalized by the window volume (not by the covered volume).
 
     ``flags`` holds one flag per inside cell, in ``wh.inside_index`` order.
+    Only the lattice honeycomb carries cell volumes; on a honeycomb that
+    tiles T the estimate is unbiased by sum |C n T| = |T|, so a point-family
+    volume run would show nothing the lattice run does not.
+
+    Raises:
+        ValueError: the honeycomb has no cell volumes, or the flags do not
+            match its inside cells.
     """
+    volumes = wh.parent.cell_volumes
+    if volumes is None:
+        raise ValueError("volume_estimate needs cell volumes, which only the lattice honeycomb has")
     _check_flags(flags, wh.n_inside, "inside cells")
-    return float(np.sum(wh.cell_volumes_inside[flags]) / wh.window.volume)
+    return float(np.sum(volumes[wh.inside_index][flags]) / wh.window.volume)
 
 
 def surface_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
@@ -112,8 +122,10 @@ def _lattice_sum(count: int, measure: float, grid: GridSpec) -> float:
     Summed as a multiset, not as count * measure, so that the reduction is
     bit-identical to the cell- and facet-table routes of ``volume_estimate``
     and ``surface_estimate``; count * measure can differ in the last bit.
+    The multiset is a broadcast view, so no array of ``count`` values is
+    allocated; numpy sums it in the same order, with the same bits.
     """
-    return float(np.sum(np.full(count, measure)) / grid.window_volume)
+    return float(np.sum(np.broadcast_to(np.float64(measure), (count,))) / grid.window_volume)
 
 
 def crossing_frequency(

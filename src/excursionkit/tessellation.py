@@ -13,19 +13,17 @@ Three families are built here:
 Cells whose closure lies inside the observation window are the ones the
 paper's estimators operate on; facets between two such cells are "interior".
 The plus-sampling view (``WindowedHoneycomb.clipped_facets``) instead keeps
-every cell that meets the window and clips facet lengths to it.  Both 2D
-families pass their cells to one builder as a flat CCW vertex array plus a
-vertex count per cell, and clip the cells a box cuts in one array pass
-(``clip_cells_to_box``), with no loop over cells; the cells wholly inside
-the box pass through unchanged.
+every cell that meets the window and clips facet lengths to it.  A 2D
+honeycomb is its facet table: the builders make no cell polygons, and both
+window masks come from the facet endpoints, by one rule for both families
+(``_window_masks``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -155,52 +153,57 @@ class FacetSet:
 
 @dataclass(eq=False)
 class Honeycomb:
-    """Full tessellation of the guard region.
+    """Full tessellation of the guard region, as a facet table.
 
     Args:
         d: ambient dimension.
         ref_points: (n, d) reference point of each cell.
-        cell_volumes: (n,) sigma_d measure of each cell (not clipped to the window).
         facets: all positive-measure shared facets, indexed by global cell id.
         window: the observation window T.
-        window_areas: (n,) sigma_d(P intersect T) per cell.
-        verts, counts: for the 2D families, the CCW vertices of every cell
-            as one flat (N, 2) array, cell i being the next ``counts[i]``
-            rows (Voronoi regions are clipped to the guard box by
-            ``clip_cells_to_box``, so a region wholly outside it has no
-            rows); None for the implicit hypercubic lattice.
+        cell_volumes: (n,) sigma_d measure of each cell, for the hypercubic
+            lattice only (delta^d each); None for the 2D point families,
+            which keep no cell polygons.
     """
 
     d: int
     ref_points: np.ndarray
-    cell_volumes: np.ndarray
     facets: FacetSet
     window: Box
-    window_areas: np.ndarray
-    verts: np.ndarray | None = None
-    counts: np.ndarray | None = None
+    cell_volumes: np.ndarray | None = None
 
 
 @dataclass(eq=False)
 class WindowedHoneycomb:
-    """A honeycomb together with its window-interior view.
+    """A honeycomb together with its window views, read from its facet table.
 
-    ``inside`` marks cells entirely contained in the closed window;
-    ``interior_facets``, built from it, keeps only facets between two inside
-    cells, with cell indices remapped to positions in the inside-cell
-    ordering (the ordering of the field values and exceedance flags).
-    ``meeting_index`` and ``clipped_facets`` give the window-clipped view
-    over every cell with positive area in the window.
+    ``inside`` marks cells entirely contained in the closed window and
+    ``meeting`` the cells with positive area in it; on the lattice, whose
+    facets have no endpoints because its cells tile the window, every cell
+    is both, and on the 2D point families both masks come from the facet
+    endpoints (``_window_masks``).  ``interior_facets``, built from
+    ``inside``, keeps only facets between two inside cells, with cell
+    indices remapped to positions in the inside-cell ordering (the ordering
+    of the field values and exceedance flags).  ``meeting_index`` and
+    ``clipped_facets`` give the window-clipped view over the meeting cells.
     """
 
     parent: Honeycomb
-    inside: np.ndarray
+    inside: np.ndarray = field(init=False)
+    meeting: np.ndarray = field(init=False)
     interior_facets: FacetSet = field(init=False)
     inside_index: np.ndarray = field(init=False)
+    meeting_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        parent = self.parent
+        f = parent.facets
+        if f.endpoints is None:
+            self.inside = self.meeting = np.ones(parent.ref_points.shape[0], dtype=bool)
+        else:
+            self.inside, self.meeting = _window_masks(parent)
         self.inside_index = np.flatnonzero(self.inside)
-        f = self.parent.facets
+        # global ids of the cells with positive area in the window, ascending
+        self.meeting_index = np.flatnonzero(self.meeting)
         interior = self.inside[f.a] & self.inside[f.b]
         self.interior_facets = _restrict(f, self.inside, interior, f.measure, f.endpoints)
 
@@ -221,15 +224,6 @@ class WindowedHoneycomb:
         return self.parent.ref_points[self.inside_index]
 
     @property
-    def cell_volumes_inside(self) -> np.ndarray:
-        return self.parent.cell_volumes[self.inside_index]
-
-    @property
-    def meeting_index(self) -> np.ndarray:
-        """Global ids of the cells with positive area in the window, ascending."""
-        return np.flatnonzero(self.parent.window_areas > 0)
-
-    @property
     def ref_points_meeting(self) -> np.ndarray:
         return self.parent.ref_points[self.meeting_index]
 
@@ -242,19 +236,16 @@ class WindowedHoneycomb:
         dropped.  So when every cell meeting the window is inside it, the
         table equals ``interior_facets``.  Built on each call.
         """
-        parent = self.parent
-        f = parent.facets
-        meets = parent.window_areas > 0
-        mask = meets[f.a] & meets[f.b]
+        f = self.parent.facets
+        mask = self.meeting[f.a] & self.meeting[f.b]
         measure, endpoints = f.measure, f.endpoints
+        # empty on the lattice, whose cells all lie inside the window
         edge = mask & ~(self.inside[f.a] & self.inside[f.b])
         if np.any(edge):
-            if endpoints is None:
-                raise ValueError("window clipping requires explicit 2D facet endpoints")
             endpoints, measure = endpoints.copy(), measure.copy()
-            endpoints[edge] = clip_segments_to_box(endpoints[edge], parent.window)
+            endpoints[edge] = clip_segments_to_box(endpoints[edge], self.window)
             measure[edge] = np.linalg.norm(endpoints[edge, 1] - endpoints[edge, 0], axis=1)
-        return _restrict(f, meets, mask & (measure > 0), measure, endpoints)
+        return _restrict(f, self.meeting, mask & (measure > 0), measure, endpoints)
 
 
 def _restrict(facets: FacetSet, cells, keep, measure, endpoints) -> FacetSet:
@@ -311,12 +302,11 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
     parent = Honeycomb(
         d=d,
         ref_points=ref_points,
-        cell_volumes=np.full(ref_points.shape[0], delta**d),
         facets=facets,
         window=grid.window,
-        window_areas=np.full(ref_points.shape[0], delta**d),
+        cell_volumes=np.full(ref_points.shape[0], delta**d),
     )
-    return WindowedHoneycomb(parent, np.ones(ref_points.shape[0], dtype=bool))
+    return WindowedHoneycomb(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +354,6 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
 
     angles = np.deg2rad(60.0 * np.arange(6))
     hex_offsets = delta * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    cells = centers[:, None, :] + hex_offsets
 
     # (q, r) -> cell id, with a border of -1 so that every neighbor step stays in range
     r_min = int(ri.min())
@@ -375,11 +364,9 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
     nb = ids[qi[:, None] + 1 + steps[:, 0], ri[:, None] - r_min + 1 + steps[:, 1]]
     fa, k = np.nonzero(nb >= 0)
     fb = nb[fa, k]
-    endpoints = np.stack([cells[fa, k], cells[fa, k + 1]], axis=1)
+    endpoints = centers[fa, None] + hex_offsets[np.stack([k, k + 1], axis=1)]
     facets = FacetSet(a=fa, b=fb, measure=np.full(fa.size, delta), endpoints=endpoints)
-    return _polygon_honeycomb(
-        cells.reshape(-1, 2), np.full(centers.shape[0], 6), centers, facets, window
-    )
+    return WindowedHoneycomb(Honeycomb(d=2, ref_points=centers, facets=facets, window=window))
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +377,7 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     """Voronoi tessellation of a 2D generator cloud, clipped to a guard box.
 
     The diagram is one ``scipy.spatial.Voronoi`` call on the generators plus
-    four far sentinel points, which bound every generator's region; all
-    regions are then clipped to the guard box (window expanded by ``guard``)
-    in one array pass, which leaves the regions inside it unchanged.
+    four far sentinel points, which bound every generator's region.
     Generators are the reference points.  Each facet is the Voronoi
     ridge between two generators a < b, clipped to the guard box, so it is
     orthogonal to their difference by construction; rows are sorted by
@@ -469,21 +454,7 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     keep = measure > MIN_FACET_FRACTION * float(np.max(guard_box.side_lengths))
     facets = FacetSet(a=ab[keep, 0], b=ab[keep, 1], measure=measure[keep], endpoints=ends[keep])
 
-    # cells: each generator's region as a run of one flat vertex-id array
-    sizes = np.fromiter(map(len, vor.regions), np.int64, len(vor.regions))
-    flat = np.fromiter(chain.from_iterable(vor.regions), np.int64, int(sizes.sum()))
-    region = vor.point_region[:n]
-    counts = sizes[region]
-    stops = np.cumsum(counts)
-    cell = np.repeat(np.arange(n), counts)
-    pos = np.arange(stops[-1]) - (stops - counts)[cell]
-    first = (np.cumsum(sizes) - sizes)[region][cell]
-    twice_area = _twice_signed_areas(vor.vertices[flat[first + pos]], counts)
-    # Qhull lists regions in either orientation; reverse the clockwise ones
-    pos = np.where(twice_area[cell] < 0, counts[cell] - 1 - pos, pos)
-    verts, counts = clip_cells_to_box(vor.vertices[flat[first + pos]], counts, guard_box)
-
-    return _polygon_honeycomb(verts, counts, points, facets, window)
+    return WindowedHoneycomb(Honeycomb(d=2, ref_points=points, facets=facets, window=window))
 
 
 # ---------------------------------------------------------------------------
@@ -498,55 +469,81 @@ def _side_values(verts: np.ndarray, box: Box, sign: float, axis: int) -> np.ndar
     return sign * verts[:, axis] - (box.hi[axis] if sign > 0 else -box.lo[axis])
 
 
+def _excess(verts: np.ndarray, box: Box) -> np.ndarray:
+    """How far each (N, 2) vertex lies beyond the box: the largest of its
+    four side values (<= 0 inside it)."""
+    return reduce(np.maximum, (_side_values(verts, box, sign, axis) for sign, axis in _SIDES))
+
+
+def _window_masks(parent: Honeycomb):
+    """Inside and meeting masks of the cells of a 2D honeycomb, from its facet table.
+
+    Within the guard region the vertices of a cell are its facet endpoints.
+    So a cell is inside the closed window when it has a facet and no
+    endpoint of its facets lies beyond a side by more than
+    ``CONTAINMENT_TOL``.  A cell meets the window (has positive area in it)
+    when one of its facets reaches into it: the midpoint of the facet's part
+    clipped to the window lies deeper than ``CONTAINMENT_TOL`` inside it.
+    A facet that only touches the window, or runs along a side, makes no
+    cell meet it, also when rounding puts its vertices a few ulps inside.
+    The cell whose reference point is nearest the window centre meets it
+    too: a cell that covers the whole window has no facet in it.
+    """
+    facets, window = parent.facets, parent.window
+    n = parent.ref_points.shape[0]
+    ends = facets.endpoints
+    # how far the farther endpoint of each facet lies beyond the window
+    excess = _excess(ends.reshape(-1, 2), window).reshape(-1, 2)
+    excess = np.maximum(excess[:, 0], excess[:, 1])
+    inside = _cells_with(facets, n, slice(None)) & ~_cells_with(facets, n, excess > CONTAINMENT_TOL)
+    # a facet with both endpoints that deep reaches in whole; only the rest are clipped
+    enters = excess <= -CONTAINMENT_TOL
+    rim = np.flatnonzero(~enters)
+    clipped = clip_segments_to_box(ends[rim], window)
+    enters[rim] = _excess(0.5 * (clipped[:, 0] + clipped[:, 1]), window) <= -CONTAINMENT_TOL
+    meeting = _cells_with(facets, n, enters)
+    centre = 0.5 * (window.lo + window.hi)
+    meeting[np.argmin(np.sum((parent.ref_points - centre) ** 2, axis=1))] = True
+    return inside, meeting
+
+
+def _cells_with(facets: FacetSet, n: int, rows) -> np.ndarray:
+    """(n,) mask of the cells on either side of the facet rows ``rows``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[facets.a[rows]] = True
+    mask[facets.b[rows]] = True
+    return mask
+
+
 def clip_cells_to_box(verts: np.ndarray, counts: np.ndarray, box: Box):
     """Intersection of every convex CCW cell of a flat vertex array with a 2D box.
 
     Cell i is the run of ``counts[i]`` rows of the (N, 2) array ``verts``.
-    A cell of at least 3 vertices that all pass the four side tests comes
-    back bit for bit; only the others are clipped (``_clip_cut_cells``), and
-    cell order is kept.  Returns the clipped (M, 2) vertex array and the
-    (n,) vertex count of each cell.
+    A cell of at least 3 vertices, none of them beyond a side by more than
+    ``CONTAINMENT_TOL`` (``_excess``), comes back bit for bit.  The others
+    are clipped by Sutherland-Hodgman (Sutherland & Hodgman, "Reentrant
+    polygon clipping", CACM 1974), on all of them at once, one box side at a
+    time: each vertex emits the crossing point of the edge that ends at it,
+    then itself if it is inside that side (with slack ``CONTAINMENT_TOL``),
+    and a cell left with fewer than 3 vertices after a side is emptied.  Cell order is kept.  Returns the
+    clipped (M, 2) vertex array and the (n,) vertex count of each cell.
+
+    No builder calls it, since the 2D honeycombs keep no cell polygons; it
+    stays for clipping the ridge polygons of a 3D Voronoi honeycomb
+    (ROADMAP item 6).
     """
-    uncut, cut_verts, cut_counts = _clip_cut_cells(verts, counts, box)
-    out_counts = np.array(counts, dtype=np.int64)
-    out_counts[~uncut] = cut_counts
-    # both row sets are in cell order, so each fills its own output rows in turn
-    kept = np.repeat(uncut, out_counts)
-    out = np.empty((kept.size, 2))
-    out[kept] = verts[np.repeat(uncut, counts)]
-    out[~kept] = cut_verts
-    return out, out_counts
-
-
-def _clip_cut_cells(verts: np.ndarray, counts: np.ndarray, box: Box):
-    """Split the cells of a flat vertex array into those a box leaves
-    unchanged and the clipped rest.
-
-    A cell is unchanged when it has at least 3 vertices and each of them
-    passes all four side tests of the clip below; those are the cells it
-    would return bit for bit.  The others are clipped by Sutherland-Hodgman
-    (Sutherland & Hodgman, "Reentrant polygon clipping", CACM 1974), on all
-    of them at once, one box side at a time: each vertex emits the crossing
-    point of the edge that ends at it, then itself if it is inside that side
-    (with slack ``CONTAINMENT_TOL``), and a cell left with fewer than 3
-    vertices after a side is emptied.  Returns the (n,) mask of the
-    unchanged cells and the clipped vertices and counts of the others, in
-    cell order.
-    """
-    passes = np.ones(verts.shape[0], dtype=bool)
-    for sign, axis in _SIDES:
-        passes &= _side_values(verts, box, sign, axis) <= CONTAINMENT_TOL
     uncut = counts >= 3
-    uncut[np.repeat(np.arange(counts.size), counts)[~passes]] = False
-    verts, counts = verts[~np.repeat(uncut, counts)], counts[~uncut]
+    beyond = _excess(verts, box) > CONTAINMENT_TOL
+    uncut[np.repeat(np.arange(counts.size), counts)[beyond]] = False
+    cut, cut_counts = verts[~np.repeat(uncut, counts)], counts[~uncut]
     for sign, axis in _SIDES:
-        vals = _side_values(verts, box, sign, axis)
+        vals = _side_values(cut, box, sign, axis)
         ins = vals <= CONTAINMENT_TOL
         # predecessor of each vertex around its own cell
-        stops = np.cumsum(counts)
-        nonempty = counts > 0
-        prev = np.arange(-1, verts.shape[0] - 1)
-        prev[(stops - counts)[nonempty]] = stops[nonempty] - 1
+        stops = np.cumsum(cut_counts)
+        nonempty = cut_counts > 0
+        prev = np.arange(-1, cut.shape[0] - 1)
+        prev[(stops - cut_counts)[nonempty]] = stops[nonempty] - 1
         cross = ins != ins[prev]
         k = np.flatnonzero(cross)
         j = prev[k]
@@ -555,27 +552,21 @@ def _clip_cut_cells(verts: np.ndarray, counts: np.ndarray, box: Box):
         emit = cross.astype(np.int64) + ins
         first = np.cumsum(emit) - emit
         out = np.empty((int(emit.sum()), 2))
-        out[first[k]] = verts[j] + t[:, None] * (verts[k] - verts[j])
-        out[first[ins] + cross[ins]] = verts[ins]
-        out_cell = np.repeat(np.repeat(np.arange(counts.size), counts), emit)
-        counts = np.bincount(out_cell, minlength=counts.size)
-        short = counts < 3
-        verts = out[~short[out_cell]]
-        counts[short] = 0
-    return uncut, verts, counts
-
-
-def _twice_signed_areas(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Twice the signed area of each cell of a flat vertex array (positive
-    for CCW cells): shoelace terms summed in vertex order."""
-    stops = np.cumsum(counts)
-    # successor of each vertex around its own cell
-    nxt = np.arange(1, verts.shape[0] + 1)
-    nonempty = counts > 0
-    nxt[stops[nonempty] - 1] = (stops - counts)[nonempty]
-    x, y = verts[:, 0], verts[:, 1]
-    cell = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(cell, x * y[nxt] - y * x[nxt], minlength=counts.size)
+        out[first[k]] = cut[j] + t[:, None] * (cut[k] - cut[j])
+        out[first[ins] + cross[ins]] = cut[ins]
+        out_cell = np.repeat(np.repeat(np.arange(cut_counts.size), cut_counts), emit)
+        cut_counts = np.bincount(out_cell, minlength=cut_counts.size)
+        short = cut_counts < 3
+        cut = out[~short[out_cell]]
+        cut_counts[short] = 0
+    out_counts = np.array(counts, dtype=np.int64)
+    out_counts[~uncut] = cut_counts
+    # both row sets are in cell order, so each fills its own output rows in turn
+    kept = np.repeat(uncut, out_counts)
+    out = np.empty((kept.size, 2))
+    out[kept] = verts[np.repeat(uncut, counts)]
+    out[~kept] = cut
+    return out, out_counts
 
 
 def clip_segments_to_box(endpoints: np.ndarray, box: Box) -> np.ndarray:
@@ -598,35 +589,6 @@ def clip_segments_to_box(endpoints: np.ndarray, box: Box) -> np.ndarray:
     t0 = np.clip(enter.max(axis=1), 0.0, 1.0)
     t1 = np.clip(leave.min(axis=1), t0, 1.0)
     return np.stack([p0 + t0[:, None] * step, p0 + t1[:, None] * step], axis=1)
-
-
-def _polygon_honeycomb(verts, counts, ref_points, facets, window: Box):
-    """Windowed honeycomb of 2D convex cells: areas, window clip and inside view.
-
-    Cell i is the CCW run of ``counts[i]`` rows of the flat (N, 2) vertex
-    array ``verts``, in cell order; a count of 0 is an empty cell.  Cell
-    and window areas are shoelace sums in vertex order.  A cell the window
-    leaves unchanged has its own area as window area, which is what
-    ``clip_cells_to_box`` would give bit for bit; only the cells the window
-    cuts are clipped, in one array pass.  The cells the window leaves
-    unchanged are the inside cells, so a cell is inside exactly when its
-    window area is its own area.
-    """
-    cell_volumes = 0.5 * np.abs(_twice_signed_areas(verts, counts))
-    inside, cut_verts, cut_counts = _clip_cut_cells(verts, counts, window)
-    window_areas = cell_volumes.copy()
-    window_areas[~inside] = 0.5 * np.abs(_twice_signed_areas(cut_verts, cut_counts))
-    parent = Honeycomb(
-        d=2,
-        ref_points=ref_points,
-        cell_volumes=cell_volumes,
-        facets=facets,
-        window=window,
-        window_areas=window_areas,
-        verts=verts,
-        counts=counts,
-    )
-    return WindowedHoneycomb(parent, inside)
 
 
 def pyramid_identity_sum(wh: WindowedHoneycomb) -> float:

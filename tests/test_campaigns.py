@@ -346,18 +346,24 @@ class TestGridMemoryPreflight:
             assert peak <= per_point * points.shape[0], (peak, points.shape[0], what)
 
     @pytest.mark.parametrize(
-        "d, half_width, delta, nodes",
-        [(2, 8.0, 0.0625, 256), (3, 4.0, 0.125, 64)],
-        ids=["256^2", "64^3"],
+        "kind, d, overrides, nodes",
+        [
+            ("bias-sweep", 2, dict(half_width=8.0, deltas=(0.0625,)), 256),
+            ("bias-sweep", 3, dict(half_width=4.0, deltas=(0.125,)), 64),
+            # at u = -3 nearly every cell exceeds, the most the volume sum counts
+            ("volume-check", 2, dict(half_width=8.0, deltas=(0.0625,), levels=(-3.0,)), 256),
+            ("clt", 2, dict(windows=(128,), deltas=(0.0625,)), 256),
+        ],
+        ids=["256^2", "64^3", "volume-check-256^2", "clt-256^2"],
     )
-    def test_grid_price_bounds_one_task(self, d, half_width, delta, nodes):
+    def test_grid_price_bounds_one_task(self, kind, d, overrides, nodes):
         # the grid price of the preflight bounds what one task allocates: its
         # draw and the estimates of both fields, never holding two fields
-        cfg = validate_config(tiny("bias-sweep", d=d, half_width=half_width, deltas=(delta,)))
+        cfg = validate_config(tiny(kind, d=d, **overrides))
         price, what = campaigns._draw_memory(cfg, 2**40)
         assert what.startswith(f"{nodes}^{d} grid points and rank")
-        _, _, replicates, _ = campaigns._SPECS["bias-sweep"](cfg)
-        task = replicates(0, delta)  # computes the axis factor before the trace
+        _, values, replicates, _ = campaigns._SPECS[kind](cfg)
+        task = replicates(0, values[0])  # computes the axis factor before the trace
         tracemalloc.start()
         try:
             task(0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from excursionkit.campaigns import default_config, run_campaign
 from excursionkit.densities import CovarianceModel, beta_d
 from excursionkit.estimators import (
+    _lattice_sum,
     _lattice_volume,
     clipped_surface_estimate,
     corrected_surface,
@@ -61,6 +62,13 @@ class TestHandExamples:
         with pytest.raises(ValueError):
             surface_estimate(wh, np.ones(5, dtype=bool))
 
+    def test_volume_needs_cell_volumes(self):
+        # only the lattice honeycomb carries cell volumes
+        window = Box(np.full(2, -1.0), np.full(2, 1.0))
+        wh = voronoi_honeycomb_2d(np.array([[-0.5, 0.0], [0.5, 0.0]]), window, guard=0.0)
+        with pytest.raises(ValueError, match="cell volumes"):
+            volume_estimate(wh, np.ones(wh.n_inside, dtype=bool))
+
 
 class TestCorrection:
     def test_two_dimensional_factor(self):
@@ -95,6 +103,14 @@ class TestFastEqualsGeneric:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             hypercubic_surface_fast(np.zeros(5), GridSpec(2, 1, 1.0), 0.0)
+
+    # counts on both sides of the 8,192-value ufunc buffer (np.getbufsize())
+    @pytest.mark.parametrize("count", [0, 1, 7, 8191, 8192, 8193, 3 * 8192 + 5, 100_000, 256**2])
+    def test_lattice_sum_has_the_bits_of_the_full_multiset(self, count):
+        grid = GridSpec(2, 128, 0.0625)
+        for measure in (0.0625, 0.0625**2, 0.1, 0.1**2, 1.3**3, 1.0 / 3.0):
+            expected = float(np.sum(np.full(count, measure)) / grid.window_volume)
+            assert _lattice_sum(count, measure, grid) == expected
 
 
 class TestEstimatorProperties:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull, Delaunay, cKDTree
 
 from excursionkit import sampling
+from excursionkit.estimators import clipped_surface_estimate
 from excursionkit.sampling import sample_poisson_process
 from excursionkit.tessellation import (
     CONTAINMENT_TOL,
@@ -22,16 +23,6 @@ from excursionkit.tessellation import (
     pyramid_identity_sum,
     voronoi_honeycomb_2d,
 )
-
-
-def split_cells(parent):
-    """Per-cell (m_i, 2) vertex arrays of a 2D honeycomb's flat ``verts``."""
-    return np.split(parent.verts, np.cumsum(parent.counts)[:-1])
-
-
-def coverage(wh) -> float:
-    """Share of the window covered by the cells inside it."""
-    return float(wh.cell_volumes_inside.sum() / wh.window.volume)
 
 
 def max_facet_normality_cos(wh) -> float:
@@ -89,7 +80,7 @@ class TestHypercubic:
         wh = hypercubic_honeycomb(1.0, 1, 2)
         assert wh.n_inside == 4
         assert wh.interior_facets.measure.size == 4
-        assert coverage(wh) == 1.0
+        assert wh.parent.cell_volumes.sum() == wh.window.volume
         assert wh.window.volume == pytest.approx(4.0)
 
     def test_two_by_two_pyramid(self):
@@ -150,9 +141,12 @@ class TestHypercubic:
         assert np.allclose(gaps, 1.0)
 
     def test_lattice_has_no_vertex_array(self):
-        parent = hypercubic_honeycomb(0.5, 2, 2).parent
-        assert parent.verts is None and parent.counts is None
-        assert parent.facets.endpoints is None
+        # the cells tile the window: no facet endpoints, and every cell is
+        # inside the window and meets it
+        wh = hypercubic_honeycomb(0.5, 2, 2)
+        assert wh.parent.facets.endpoints is None
+        assert wh.n_inside == 16
+        assert np.array_equal(wh.meeting_index, wh.inside_index)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError, match="spacing must be positive"):
@@ -176,9 +170,17 @@ class TestHexagonal:
     WINDOW = Box(np.full(2, -6.0), np.full(2, 6.0))
 
     def test_single_cell_area(self):
+        # the pyramid identity: a cell's area is the sum over its facets of
+        # measure * reference distance / (2 d)
         wh = hexagonal_honeycomb(1.0, self.WINDOW)
+        f = wh.interior_facets
+        refs = wh.ref_points_inside
+        center = np.argmin(np.linalg.norm(refs, axis=1))
+        own = (f.a == center) | (f.b == center)
+        assert np.count_nonzero(own) == 6
+        dist = np.linalg.norm(refs[f.b[own]] - refs[f.a[own]], axis=1)
         # regular hexagon with circumradius 1
-        assert np.allclose(wh.cell_volumes_inside, 1.5 * math.sqrt(3))
+        assert np.sum(f.measure[own] * dist) / 4 == pytest.approx(1.5 * math.sqrt(3), rel=1e-12)
 
     def test_facet_measure_is_side_length(self):
         wh = hexagonal_honeycomb(0.5, self.WINDOW)
@@ -208,7 +210,9 @@ class TestHexagonal:
 
     def test_coverage_below_one(self):
         wh = hexagonal_honeycomb(1.0, self.WINDOW)
-        assert 0.5 < coverage(wh) < 1.0
+        # each inside cell is a regular hexagon of area 1.5 sqrt(3) delta^2
+        coverage = wh.n_inside * 1.5 * math.sqrt(3) / wh.window.volume
+        assert 0.5 < coverage < 1.0
 
 
 def _clip_half_plane(verts, normal_vec, offset):
@@ -253,9 +257,18 @@ def _shoelace_area(verts) -> float:
 
 
 def _loop_window_stats(cells, window):
-    """Inside mask and clipped areas, one polygon at a time."""
+    """Inside and meeting masks, one polygon at a time.
+
+    A cell meets the window when it keeps positive area clipped to the
+    window shrunk by twice ``CONTAINMENT_TOL``: the clip keeps vertices up
+    to ``CONTAINMENT_TOL`` beyond a side, so that box keeps what lies deeper
+    than the tolerance inside the window.  A cell that only touches the
+    window, clipped to the window itself, can leave a rounding sliver of
+    positive area.
+    """
     inside = np.zeros(len(cells), dtype=bool)
-    areas = np.zeros(len(cells))
+    meeting = np.zeros(len(cells), dtype=bool)
+    core = Box(window.lo + 2 * CONTAINMENT_TOL, window.hi - 2 * CONTAINMENT_TOL)
     for i, verts in enumerate(cells):
         if len(verts) < 3:
             continue
@@ -264,11 +277,8 @@ def _loop_window_stats(cells, window):
             np.all(window.lo - verts <= CONTAINMENT_TOL)
             and np.all(verts - window.hi <= CONTAINMENT_TOL)
         )
-        clipped = clip_polygon_to_box(verts, window)
-        if clipped.shape[0] < 3:
-            continue
-        areas[i] = _shoelace_area(clipped)
-    return inside, areas
+        meeting[i] = _shoelace_area(clip_polygon_to_box(verts, core)) > 0
+    return inside, meeting
 
 
 def _loop_hexagonal(delta, window):
@@ -308,7 +318,7 @@ def _loop_hexagonal(delta, window):
         measure=np.full(fa.size, delta),
         endpoints=np.asarray(ends).reshape(-1, 2, 2),
     )
-    inside, areas = _loop_window_stats(cells, window)
+    inside, meeting = _loop_window_stats(cells, window)
     local = np.cumsum(inside) - 1
     keep = inside[fa] & inside[fb]
     interior = FacetSet(
@@ -317,10 +327,8 @@ def _loop_hexagonal(delta, window):
         measure=facets.measure[keep],
         endpoints=facets.endpoints[keep],
     )
-    volumes = np.array([_shoelace_area(v) for v in cells])
     return dict(
-        cells=np.asarray(cells), ref_points=centers, cell_volumes=volumes, inside=inside,
-        window_areas=areas, facets=facets, interior=interior,
+        ref_points=centers, inside=inside, meeting=meeting, facets=facets, interior=interior
     )
 
 
@@ -336,6 +344,35 @@ def _same_facets(f, g):
     )
 
 
+def _random_hexagonal_windows(seed=23, n=12):
+    """Seeded random windows and cell sizes.  In every other one each side
+    passes through a vertex of the tiling, computed as the builder computes
+    it (centre q a1 + r a2, plus a corner offset): a vertical side through a
+    vertex, a horizontal one along an edge, where rounding can leave the
+    cells beyond the side a few ulps inside it."""
+    rng = np.random.default_rng(seed)
+    angles = np.deg2rad(60.0 * np.arange(6))
+    cases = []
+    for i in range(n):
+        delta = float(rng.uniform(0.15, 0.6))
+        lo = rng.uniform(-3.0, 0.0, size=2)
+        hi = lo + rng.uniform(3.0 * delta, 4.0, size=2)
+        if i % 2:
+            a1 = np.array([1.5 * delta, 0.5 * np.sqrt(3.0) * delta])
+            a2 = np.array([0.0, -np.sqrt(3.0) * delta])
+            offsets = delta * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+            def vertex(p):
+                q = np.round(p[0] / a1[0])
+                r = np.round((q * a1[1] - p[1]) / (np.sqrt(3.0) * delta))
+                return q * a1 + r * a2 + offsets[rng.integers(6)]
+
+            lo, hi = vertex(lo), vertex(hi)
+            lo[1], hi[1] = vertex(lo)[1], vertex(hi)[1]
+        cases.append((tuple(lo.tolist()), tuple(hi.tolist()), delta))
+    return cases
+
+
 class TestHexagonalMatchesLoopReference:
     @pytest.mark.parametrize(
         "lo,hi,delta",
@@ -346,31 +383,29 @@ class TestHexagonalMatchesLoopReference:
             ((0.3, -5.1), (2.9, -1.7), 0.15),  # off-centre
             ((1.0, 2.0), (7.0, 3.0), 0.99),  # delta close to the shortest side
             ((-0.5, -0.5), (0.5, 0.5), 0.999),
+            # sides through hexagon vertices: x = 4 is a vertex at delta = 0.5
+            ((-4.0, -4.0), (4.0, 4.0), 0.5),
+            *_random_hexagonal_windows(),
         ],
     )
     def test_bitwise_equal_to_loop_builder(self, lo, hi, delta):
         window = Box(np.array(lo), np.array(hi))
         ref = _loop_hexagonal(delta, window)
         wh = hexagonal_honeycomb(delta, window)
-        parent = wh.parent
-        assert _same_bits(parent.verts, ref["cells"].reshape(-1, 2))
-        assert _same_bits(parent.counts, np.full(len(ref["cells"]), 6))
-        assert _same_bits(parent.ref_points, ref["ref_points"])
-        assert _same_bits(parent.cell_volumes, ref["cell_volumes"])
+        assert _same_bits(wh.parent.ref_points, ref["ref_points"])
         assert _same_bits(wh.inside, ref["inside"])
-        assert _same_bits(parent.window_areas, ref["window_areas"])
-        assert _same_facets(parent.facets, ref["facets"])
+        assert _same_bits(wh.meeting_index, np.flatnonzero(ref["meeting"]))
+        assert _same_facets(wh.parent.facets, ref["facets"])
         assert _same_facets(wh.interior_facets, ref["interior"])
 
     def test_voronoi_window_stats_equal_to_loop(self):
-        pts = sample_poisson_process(4.0, Box(np.full(2, -3.0), np.full(2, 3.0)), 5)
+        guard_box = Box(np.full(2, -3.0), np.full(2, 3.0))
+        pts = sample_poisson_process(4.0, guard_box, 5)
         window = Box(np.full(2, -2.0), np.full(2, 2.0))
         wh = voronoi_honeycomb_2d(pts, window, guard=1.0)
-        cells = split_cells(wh.parent)
-        inside, areas = _loop_window_stats(cells, window)
+        inside, meeting = _loop_window_stats(_half_plane_voronoi(pts, guard_box)[0], window)
         assert _same_bits(wh.inside, inside)
-        assert _same_bits(wh.parent.window_areas, areas)
-        assert _same_bits(wh.parent.cell_volumes, np.array([_shoelace_area(c) for c in cells]))
+        assert _same_bits(wh.meeting_index, np.flatnonzero(meeting))
 
     def test_voronoi_empty_cells_window_stats_equal_to_loop(self):
         # two far generators whose regions the guard box clips away to no
@@ -380,14 +415,12 @@ class TestHexagonalMatchesLoopReference:
         cloud = np.random.default_rng(4).uniform(-1.5, 1.5, size=(40, 2))
         pts = np.vstack([cloud[:20], [[30.0, 0.0]], cloud[20:], [[0.0, -30.0]]])
         wh = voronoi_honeycomb_2d(pts, window, guard)
-        cells = split_cells(wh.parent)
+        cells, _ = _half_plane_voronoi(pts, window.expanded(guard))
         assert len(cells[20]) == 0 and len(cells[-1]) == 0
-        inside, areas = _loop_window_stats(cells, window)
+        inside, meeting = _loop_window_stats(cells, window)
         assert _same_bits(wh.inside, inside)
-        assert _same_bits(wh.meeting_index, np.flatnonzero(areas > 0))
-        assert _same_bits(wh.parent.window_areas, areas)
-        assert _same_bits(wh.parent.cell_volumes, np.array([_shoelace_area(c) for c in cells]))
-        assert np.sum(wh.parent.window_areas) == pytest.approx(window.volume, rel=1e-12)
+        assert _same_bits(wh.meeting_index, np.flatnonzero(meeting))
+        assert not np.any(wh.meeting[[20, -1]])
 
 
 def _clip_labelled(verts, labels, normal_vec, offset, new_label):
@@ -435,33 +468,43 @@ def _half_plane_voronoi(points, guard_box):
 
 
 class TestVoronoiMatchesHalfPlaneReference:
-    @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_same_diagram_as_half_plane_builder(self, seed):
+    @pytest.mark.parametrize(
+        "seed, guard",
+        [
+            pytest.param(21, 0.5, id="21"),
+            pytest.param(22, 0.5, id="22"),
+            pytest.param(23, 0.5, id="23"),
+            # guard 0 clips the diagram to the window, so every cell is inside
+            pytest.param(24, 0.0, id="24-guard-0"),
+            pytest.param(25, 0.0, id="25-guard-0"),
+            pytest.param(26, 0.375, id="26-guard-0.375"),  # the bias-sweep guard of 1.5 cells
+            pytest.param(27, 1.5, id="27-guard-1.5"),
+        ],
+    )
+    def test_same_diagram_as_half_plane_builder(self, seed, guard):
         window = Box(np.full(2, -3.0), np.full(2, 3.0))
-        guard_box = window.expanded(0.5)
+        guard_box = window.expanded(guard)
         pts = sample_poisson_process(16.0, guard_box, seed)
-        wh = voronoi_honeycomb_2d(pts, window, guard=0.5)
+        wh = voronoi_honeycomb_2d(pts, window, guard=guard)
         cells, lengths = _half_plane_voronoi(pts, guard_box)
         scale = float(np.max(guard_box.side_lengths))
         pairs = sorted(k for k, m in lengths.items() if m > MIN_FACET_FRACTION * scale)
         f = wh.parent.facets
         assert list(zip(f.a.tolist(), f.b.tolist())) == pairs  # rows sorted by (a, b)
-        inside, areas = _loop_window_stats(cells, window)
+        inside, meeting = _loop_window_stats(cells, window)
         assert np.array_equal(wh.inside, inside)
-        assert np.array_equal(wh.meeting_index, np.flatnonzero(areas > 0))
+        assert np.array_equal(wh.meeting_index, np.flatnonzero(meeting))
+        if guard == 0:
+            assert wh.inside.all()
         # Voronoi vertices are rounded relative to their coordinates, not to
-        # the facet length, so the tolerance is relative to the guard-box side
-        # (its square for areas): short facets differ by up to ~1e-9 of their
-        # own length, but by less than 1e-13 in absolute terms
+        # the facet length, so the tolerance is relative to the guard-box side:
+        # short facets differ by up to ~1e-9 of their own length, but by less
+        # than 1e-13 in absolute terms
         tol = 1e-12 * scale
         assert np.allclose(f.measure, [lengths[k] for k in pairs], rtol=0, atol=tol)
-        assert np.allclose(wh.parent.window_areas, areas, rtol=0, atol=tol * scale)
-        volumes = [_shoelace_area(c) for c in cells]
-        assert np.allclose(wh.parent.cell_volumes, volumes, rtol=0, atol=tol * scale)
-        # each generator in the guard box lies in its own cell, which needs CCW order
-        built = split_cells(wh.parent)
+        # the reference cells are CCW, and each generator lies in its own cell
         for i in np.flatnonzero(guard_box.contains(pts)):
-            assert polygon_contains_point(built[i], pts[i])
+            assert polygon_contains_point(cells[i], pts[i])
 
 
 def _table_digest(wh):
@@ -476,21 +519,11 @@ def _table_digest(wh):
     return h.hexdigest()[:16]
 
 
-def _geometry_digest(wh):
-    """Digest of a 2D honeycomb's cells: areas, window areas and the flat
-    vertex array with its per-cell counts."""
-    p = wh.parent
-    h = hashlib.sha256()
-    for x in (p.cell_volumes, p.window_areas, p.verts, p.counts):
-        h.update(np.ascontiguousarray(x).tobytes())
-    return h.hexdigest()[:16]
-
-
 class TestHoneycombDigests:
-    """Fixed honeycombs pinned bit for bit, apart from the field draws that
-    the campaign digests add on top of them, so a change to a builder shows
-    here first.  The Voronoi digests also depend on the Qhull build that
-    scipy ships with."""
+    """Fixed honeycombs pinned bit for bit: what the campaigns read from them,
+    apart from the field draws that the campaign digests add on top, so a
+    change to a builder shows here first.  The Voronoi digests also depend
+    on the Qhull build that scipy ships with."""
 
     WINDOW = Box(np.full(2, -4.0), np.full(2, 4.0))
 
@@ -503,16 +536,6 @@ class TestHoneycombDigests:
     @pytest.mark.parametrize("seed, digest", [(1, "28d73be115a399f7"), (2, "6030ea4022c65f58")])
     def test_voronoi(self, seed, digest):
         assert _table_digest(self._voronoi(seed)) == digest
-
-    @pytest.mark.parametrize(
-        "delta, digest", [(0.25, "507295d34bfea735"), (0.125, "b731a68e0b58fc8d")]
-    )
-    def test_hexagonal_geometry(self, delta, digest):
-        assert _geometry_digest(hexagonal_honeycomb(delta, self.WINDOW)) == digest
-
-    @pytest.mark.parametrize("seed, digest", [(1, "2b48eb73b5fe9fb4"), (2, "48fe2f841a25b4c9")])
-    def test_voronoi_geometry(self, seed, digest):
-        assert _geometry_digest(self._voronoi(seed)) == digest
 
     def _voronoi(self, seed):
         guard = 0.375
@@ -559,10 +582,16 @@ class TestVoronoiTwoGenerators:
         assert mid[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_volumes_partition_window(self):
+        # the bisector x = 1/2 spans the window's height, so it splits the
+        # window into two rectangles of area 3, each a cell inside the window
         wh = self.build()
         assert wh.window.volume == pytest.approx(6.0)
-        assert np.sort(wh.cell_volumes_inside).tolist() == pytest.approx([3.0, 3.0])
-        assert coverage(wh) == pytest.approx(1.0, rel=1e-12)
+        assert wh.n_inside == 2 and wh.meeting_index.tolist() == [0, 1]
+        ends = wh.interior_facets.endpoints[0]
+        assert ends[:, 0].tolist() == [0.5, 0.5]
+        assert sorted(ends[:, 1].tolist()) == [-1.0, 1.0]
+        widths = np.array([0.5 - self.WINDOW.lo[0], self.WINDOW.hi[0] - 0.5])
+        assert (2.0 * widths).tolist() == [3.0, 3.0]
 
     def test_crossing_surface_value(self):
         # exceedance on one side only: estimate = facet length / window area
@@ -585,7 +614,6 @@ class TestVoronoiCornerGenerators:
         assert np.allclose(fs.measure, 0.5)
         pairs = {tuple(sorted((int(a), int(b)))) for a, b in zip(fs.a, fs.b)}
         assert (0, 3) not in pairs and (1, 2) not in pairs
-        assert np.allclose(wh.cell_volumes_inside, 0.25)
 
 
 class TestVoronoiClouds:
@@ -598,23 +626,24 @@ class TestVoronoiClouds:
         window = Box(np.full(2, -3.0), np.full(2, 3.0))
         wh = voronoi_honeycomb_2d(pts, window, guard=1.0)
         tree = cKDTree(pts)
-        rng = np.random.default_rng(3)
-        queries = rng.uniform(-2.0, 2.0, size=(200, 2))
-        cells = split_cells(wh.parent)
-        hits = 0
-        for q in queries:
-            for ci, poly in enumerate(cells):
-                if polygon_contains_point(poly, q):
-                    assert tree.query(q)[1] == ci
-                    hits += 1
-                    break
-        assert hits >= 190  # nearly all queries land strictly inside some cell
+        # the two generators nearest a facet's midpoint are its own two, at
+        # one distance
+        f = wh.parent.facets
+        dist, nearest = tree.query(f.endpoints.mean(axis=1), k=2)
+        assert np.array_equal(np.sort(nearest, axis=1), np.stack([f.a, f.b], axis=1))
+        assert np.allclose(dist[:, 0], dist[:, 1], rtol=0, atol=1e-12)
+        # the generator nearest a point of the window owns a cell meeting it
+        queries = np.random.default_rng(3).uniform(-3.0, 3.0, size=(200, 2))
+        assert np.all(wh.meeting[tree.query(queries)[1]])
 
     def test_cells_partition_window(self):
+        # the meeting cells of the reference diagram, clipped to the window, tile it
         pts = self.make_cloud(5)
         window = Box(np.full(2, -3.0), np.full(2, 3.0))
         wh = voronoi_honeycomb_2d(pts, window, guard=1.0)
-        assert np.sum(wh.parent.window_areas) == pytest.approx(window.volume, rel=1e-9)
+        cells, _ = _half_plane_voronoi(pts, window.expanded(1.0))
+        areas = [_shoelace_area(clip_polygon_to_box(cells[i], window)) for i in wh.meeting_index]
+        assert np.sum(areas) == pytest.approx(window.volume, rel=1e-9)
 
     def test_facet_normality(self):
         pts = self.make_cloud(7)
@@ -674,6 +703,10 @@ class TestVoronoiClouds:
         wh = voronoi_honeycomb_2d(pts, window, guard=10.0)
         assert wh.n_inside <= 1
         assert wh.interior_facets.measure.size == 0
+        # the cell of the generator at the centre covers the window: no facet
+        # reaches into it, yet the cell meets it
+        assert wh.meeting_index.tolist() == [0]
+        assert clipped_surface_estimate(wh, np.array([True])) == 0.0
 
     def test_clipped_facets_account_for_all_cell_boundary_in_window(self):
         # each facet piece in T borders two cells, and the rest of the clipped
@@ -682,7 +715,7 @@ class TestVoronoiClouds:
         window = Box(np.full(2, -2.0), np.full(2, 2.0))
         wh = voronoi_honeycomb_2d(pts, window, guard=1.0)
         perimeters = 0.0
-        cells = split_cells(wh.parent)
+        cells, _ = _half_plane_voronoi(pts, window.expanded(1.0))
         for i in wh.meeting_index:
             poly = clip_polygon_to_box(cells[i], window)
             perimeters += np.sum(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1))
