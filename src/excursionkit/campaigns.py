@@ -40,6 +40,7 @@ from .sampling import (
     _blas_threads,
     _flat_key,
     _one_blas_thread,
+    _slab_rows,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -330,11 +331,17 @@ def _row_grids(cfg: CampaignConfig) -> list:
 def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     """Bytes one worker holds for the largest draw of ``cfg``, and what they are.
 
-    A grid task of n^d nodes holds, at 8 B each, the 2 r^d noise of its
-    draw, r being the rank of the axis factor, and one field at a time: at
-    most the last partial contraction, r n^(d-1) values, and the n^d field
-    it makes, 8 B x (2 r^d + r n^(d-1) + n^d); then the estimator's two
-    boolean masks add 2 n^d B.  A draw at n
+    A Gaussian grid task of n^d nodes holds the 2 r^d noise of its draw, r
+    being the rank of the axis factor, and the n^d exceedance flags of one
+    field at a time, 1 B each, which it thresholds one slab of s leading-
+    axis planes at a time (``sampling._slab_rows``, s <= n): while the last
+    axis is contracted, the slab's s n^(d-1) values and the partial
+    contraction they come from, r s n^(d-2) values, each of 8 B; then the
+    estimator adds one n^d boolean mask.  That is
+    8 B x (2 r^d + s n^(d-2) (n + r)) + 2 n^d B, and a d = 2 task of 256^2
+    nodes holds less than its float field would.  A chi-square task holds
+    its two sums of squares, 16 n^d B, and while one draw is made the noise
+    of the one before, another 16 r^d B.  A draw at n
     scattered points holds the n values, the n x d points, the d axis
     factors and one partial product of n columns and up to r + 1 rows each
     (the pivot order of scattered coordinates can take one column more than
@@ -373,13 +380,16 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
         return 0, ""
     grid = max(grids, key=lambda g: g.half_extent)
     n = grid.shape[0]
-    need = 10 * n**d
+    rows = min(_slab_rows(n, d), n)
+    sums = 2 if cfg.model == "chi-square" else 0
+    need = 8 * (sums * n**d + rows * n ** (d - 1)) + 2 * n**d
+    held = "sums, slab" if sums else "slab"
     if need > budget:
-        return need, f"{n}^{d} grid points x (one field x 8 B + masks x 2 B)"
+        return need, f"{n}^{d} grid points x ({held} x 8 B + masks x 2 B)"
     rank = _axis_factor(n, grid.spacing, cfg.ell).shape[1]
-    need = 8 * (2 * rank**d + rank * n ** (d - 1) + n**d) + 2 * n**d
+    need += 8 * ((2 + sums) * rank**d + rows * n ** (d - 2) * rank)
     return need, (
-        f"{n}^{d} grid points and rank {rank}: noise, contraction and field x 8 B + masks x 2 B"
+        f"{n}^{d} grid points and rank {rank}: noise, {held} and contraction x 8 B + masks x 2 B"
     )
 
 
@@ -528,29 +538,30 @@ def _reference_surface_density(cfg: CampaignConfig) -> float:
     return chisq_surface_density(cfg.u, lam, cfg.d, cfg.k)
 
 
-def _field(cfg: CampaignConfig, model: CovarianceModel, where, key, factor=None):
-    """The config's field at ``where``: two value arrays on a grid, one at points."""
+def _field(cfg: CampaignConfig, model: CovarianceModel, points, key, factor=None):
+    """The config's field at scattered points (grid tasks: ``_grid_replicates``)."""
     if cfg.model == "chi-square":
-        return sample_chi_square(model, cfg.k, where, key, factor=factor)
-    if isinstance(where, GridSpec):
-        return sample_gaussian_grid(model, where, key)
-    return sample_gaussian_points(model, where, key, factor=factor)
+        return sample_chi_square(model, cfg.k, points, key, factor=factor)
+    return sample_gaussian_points(model, points, key, factor=factor)
 
 
-def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, si, estimate):
+def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, si, u, estimate):
     """Task function of row si on a grid: task t draws once, keyed
-    (seed, si, t), and returns ``estimate`` of its first and its second
-    half, replicates 2t and 2t + 1."""
+    (seed, si, t), and returns ``estimate`` of the exceedance flags at level
+    ``u`` of its first and its second half, replicates 2t and 2t + 1."""
     # computed here, in the calling thread, so that pool threads share one
     # axis factor instead of racing to fill the cache with copies of it
     _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
 
     def task(t):
-        draw = _field(cfg, model, grid, _flat_key(cfg.seed, si, t))
-        # no name holds the first field, so it is estimated and freed before
-        # the second is contracted
-        first = estimate(draw[0])
-        return [first, estimate(draw[1])]
+        key = _flat_key(cfg.seed, si, t)
+        if cfg.model == "chi-square":
+            return [estimate(total >= u) for total in sample_chi_square(model, cfg.k, grid, key)]
+        draw = sample_gaussian_grid(model, grid, key)
+        # the flags are thresholded slab by slab, so no float field is held;
+        # no name holds the first flags, so they are freed before the second
+        first = estimate(draw.exceeds(0, u))
+        return [first, estimate(draw.exceeds(1, u))]
 
     return task
 
@@ -579,7 +590,7 @@ def _bias_spec(cfg: CampaignConfig):
         if cfg.family == "hypercubic":
             grid = grids[si]
             return _grid_replicates(
-                cfg, model, grid, si, lambda values: hypercubic_surface_fast(values, grid, cfg.u)
+                cfg, model, grid, si, cfg.u, lambda flags: hypercubic_surface_fast(flags, grid, True)
             )
 
         elif cfg.family == "hexagonal":
@@ -671,9 +682,10 @@ def _clt_spec(cfg: CampaignConfig):
             model,
             grid,
             wi,
-            lambda values: (
-                _lattice_volume(values, grid, cfg.u),
-                hypercubic_surface_fast(values, grid, cfg.u),
+            cfg.u,
+            lambda flags: (
+                _lattice_volume(flags, grid, True),
+                hypercubic_surface_fast(flags, grid, True),
             ),
         )
 
@@ -756,7 +768,7 @@ def _volume_spec(cfg: CampaignConfig):
     def replicates(ui, u):
         grid = grids[ui]
         return _grid_replicates(
-            cfg, model, grid, ui, lambda values: _lattice_volume(values, grid, u)
+            cfg, model, grid, ui, u, lambda flags: _lattice_volume(flags, grid, True)
         )
 
     def reduce(u, vols):

@@ -94,12 +94,13 @@ def hypercubic_surface_fast(values: np.ndarray, grid: GridSpec, u: float) -> flo
 
     Computes (delta^(d-1) / sigma_d(T)) * sum over axes and in-grid node pairs
     of |1{X(t) >= u} - 1{X(t + delta e_j) >= u}|.  Equals ``surface_estimate``
-    on the materialized lattice honeycomb exactly.
+    on the materialized lattice honeycomb exactly.  Boolean ``values`` at
+    ``u = True`` are the flags themselves, and are read with no comparison.
     """
-    vals = np.asarray(values)
-    if vals.size != grid.n_nodes:
-        raise ValueError(f"expected {grid.n_nodes} grid values, got {vals.size}")
-    flags = vals.reshape(grid.shape) >= u
+    flags = _node_flags(values, u)
+    if flags.size != grid.n_nodes:
+        raise ValueError(f"expected {grid.n_nodes} grid values, got {flags.size}")
+    flags = flags.reshape(grid.shape)
     crossings = 0
     for axis in range(grid.d):
         lo = [slice(None)] * grid.d
@@ -112,8 +113,16 @@ def hypercubic_surface_fast(values: np.ndarray, grid: GridSpec, u: float) -> flo
 
 def _lattice_volume(values: np.ndarray, grid: GridSpec, u: float) -> float:
     """Volume of the exceeding lattice cells over |T|.  Equals
-    ``volume_estimate`` on the lattice honeycomb exactly, without building one."""
-    return _lattice_sum(np.count_nonzero(values >= u), grid.spacing**grid.d, grid)
+    ``volume_estimate`` on the lattice honeycomb exactly, without building one.
+    Boolean ``values`` at ``u = True`` are the flags themselves."""
+    return _lattice_sum(np.count_nonzero(_node_flags(values, u)), grid.spacing**grid.d, grid)
+
+
+def _node_flags(values, u) -> np.ndarray:
+    """1{values >= u}; boolean values at u = True, for which the comparison
+    is the identity, are returned as they are rather than copied."""
+    values = np.asarray(values)
+    return values if values.dtype == bool and u is True else values >= u
 
 
 def _lattice_sum(count: int, measure: float, grid: GridSpec) -> float:
@@ -122,10 +131,13 @@ def _lattice_sum(count: int, measure: float, grid: GridSpec) -> float:
     Summed as a multiset, not as count * measure, so that the reduction is
     bit-identical to the cell- and facet-table routes of ``volume_estimate``
     and ``surface_estimate``; count * measure can differ in the last bit.
-    The multiset is a broadcast view, so no array of ``count`` values is
-    allocated; numpy sums it in the same order, with the same bits.
+    The multiset is a view of one value with stride 0, so no array of
+    ``count`` values is allocated; numpy sums it in the same order, with the
+    same bits.  The view is made by the ndarray constructor, which costs a
+    few microseconds less per estimate than ``np.broadcast_to``.
     """
-    return float(np.sum(np.broadcast_to(np.float64(measure), (count,))) / grid.window_volume)
+    measures = np.ndarray((count,), buffer=np.array([measure], dtype=float), strides=(0,))
+    return float(np.add.reduce(measures) / grid.window_volume)
 
 
 def crossing_frequency(

@@ -13,15 +13,20 @@ block of white noise, and each slice of it gives one field once every
 axis of it is multiplied by the axis factor: ``sample_gaussian_grid``
 returns the two fields as a sequence that contracts a slice only when the
 field is read, so a caller that is done with the first field before it
-reads the second never holds both.  At scattered points, point i takes
-row i of every axis factor and one (r_1, ..., r_d) noise block gives one
-value array.  All samplers are pure functions of (model, locations, seed):
-the RNG is a Philox counter generator keyed by the seed, so replicates can
-run on any number of threads in any order and still reproduce bit for bit.
-Draws multiply through BLAS, so their last bits depend on the BLAS build,
-though not on its thread count; ``_one_blas_thread`` holds OpenBLAS at one
-thread while a campaign draws, so that its workers start no BLAS threads of
-their own and none wait, asleep, between two products.
+reads the second never holds both.  A field is contracted one slab of
+leading-axis planes at a time, about SLAB_VALUES values, with the bits of
+one whole contraction; a reader that needs only the exceedance flags
+1{X >= u} (``_GridDraw.exceeds``), or the chi-square sum of squares, takes
+them slab by slab and never holds the float field.  At scattered points,
+point i takes row i of every axis factor and one (r_1, ..., r_d) noise
+block gives one value array.  All samplers are pure functions of (model,
+locations, seed): the RNG is a Philox counter generator keyed by the seed,
+so replicates can run on any number of threads in any order and still
+reproduce bit for bit.  Draws multiply through BLAS, so their last bits
+depend on the BLAS build, though not on its thread count;
+``_one_blas_thread`` holds OpenBLAS at one thread while a campaign draws,
+so that its workers start no BLAS threads of their own and none wait,
+asleep, between two products.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .densities import CovarianceModel
 from .tessellation import Box, GridSpec
 
 FACTOR_TOL = 1e-13          # largest residual variance left by an axis factor
+SLAB_VALUES = 2**15         # about as many grid field values contracted at a time
 
 
 def _rng(seed_key) -> Generator:
@@ -104,28 +110,62 @@ def _axis_factor(n: int, spacing: float, length_scale: float) -> np.ndarray:
     return factor
 
 
+def _slab_rows(n: int, d: int) -> int:
+    """Leading-axis planes per slab of an n^d field: the largest power of two
+    of at least 2 whose slab holds at most SLAB_VALUES values, so no slab has
+    1 row (n is even, as every grid's is)."""
+    return 1 << (max(2, SLAB_VALUES // n ** (d - 1)).bit_length() - 1)
+
+
 class _GridDraw(Sequence):
     """The two fields of one grid draw, each contracted from its own slice
-    of the (2, r, ..., r) noise block when it is read: reading a field
-    twice contracts it twice, to the same bits, and holds no field between
-    reads."""
+    of the (2, r, ..., r) noise block when it is read, one slab of leading-
+    axis planes at a time (``_each_slab``).  Reading a field twice contracts
+    it twice, to the same bits, and holds no field between reads; ``exceeds``
+    thresholds a field slab by slab, so it never holds the float field."""
 
     def __init__(self, noise: np.ndarray, factor: np.ndarray):
         self._noise = noise
         self._factor = factor
+        n, d = factor.shape[0], noise.ndim - 1
+        self._plane = n ** (d - 1)  # nodes per leading-axis plane
+        self._rows = _slab_rows(n, d)
 
     def __len__(self) -> int:
         return 2
 
     def __getitem__(self, half) -> np.ndarray:
-        z = self._noise[operator.index(half)]  # IndexError past the second field
-        n = self._factor.shape[0]
-        # contract the leading noise axis with A and append the n result
-        # nodes last, d times, so the axes come back in order
-        for _ in range(z.ndim):
-            rest = z.shape[1:]
-            z = np.matmul(z.reshape(z.shape[0], -1).T, self._factor.T).reshape(rest + (n,))
-        return z.reshape(-1)
+        field = np.empty(self._factor.shape[0] * self._plane)
+        self._each_slab(half, field.__setitem__)
+        return field
+
+    def exceeds(self, half, u: float) -> np.ndarray:
+        """The flags ``self[half] >= u``, with the same bits, from slabs."""
+        flags = np.empty(self._factor.shape[0] * self._plane, dtype=bool)
+        self._each_slab(half, lambda nodes, slab: np.greater_equal(slab, u, out=flags[nodes]))
+        return flags
+
+    def _each_slab(self, half, use) -> None:
+        """Call ``use(nodes, values)`` on each slab of ``_slab_rows`` leading-
+        axis planes of field ``half`` in turn: ``nodes`` is the slice of the
+        row-major node order the slab covers, ``values`` its field values,
+        which ``use`` may overwrite.  A slab contracts the leading noise axis
+        with its rows of A, then each remaining axis with all of A, in the
+        order and with the bits of one contraction of the whole field; a slab
+        of 1 row would go to a matrix-vector product with other bits.  Only
+        the slab ``use`` has is held when the next is contracted."""
+        e = self._noise[operator.index(half)]  # IndexError past the second field
+        factor, rows, plane = self._factor, self._rows, self._plane
+        r = e.shape[0]
+        lead = e.reshape(r, -1).T
+        for lo in range(0, factor.shape[0], rows):
+            z = np.matmul(lead, factor[lo : lo + rows].T)
+            # contract each remaining leading noise axis with A and append
+            # its n nodes last, so the axes come back in order; z stays the
+            # row-major 2D view of the (r, ..., r, rows, n, ..., n) block
+            for _ in range(e.ndim - 1):
+                z = np.matmul(z.reshape(r, -1).T, factor.T)
+            use(slice(lo * plane, lo * plane + z.size), z.reshape(-1))
 
 
 def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> Sequence:
@@ -249,7 +289,8 @@ def sample_chi_square(
     component is one ``sample_gaussian_grid`` draw whose two halves are
     independent, and two fields are returned: one sums the first halves, the
     other the second halves of the same k draws.  Each half is squared into
-    its sum before the next is contracted.
+    its sum slab by slab as it is contracted, so besides the two sums a grid
+    draw holds no float field, only noise and one slab.
 
     Parameters
     ----------
@@ -271,20 +312,21 @@ def sample_chi_square(
     """
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
-    grid = isinstance(locations, GridSpec)
-    if grid:
-        sums = np.zeros((2, locations.n_nodes))
-        draw = lambda key: sample_gaussian_grid(model, locations, key)
-    else:
+    if not isinstance(locations, GridSpec):
         factor = _point_factor(model, locations, factor)
-        sums = np.zeros((1, factor[0].shape[1]))
-        draw = lambda key: (_draw(factor, key),)
+        total = np.zeros(factor[0].shape[1])
+        for comp in range(k):
+            total += np.square(_draw(factor, _flat_key(seed, comp)))
+        return total
+    sums = np.zeros((2, locations.n_nodes))
     for comp in range(k):
-        halves = draw(_flat_key(seed, comp))
+        draw = sample_gaussian_grid(model, locations, _flat_key(seed, comp))
         for h, total in enumerate(sums):
-            # no name holds the half, so it is freed before the next is read
-            total += np.square(halves[h])
-    return (sums[0], sums[1]) if grid else sums[0]
+            # each slab is squared in place into its nodes of the sum
+            draw._each_slab(
+                h, lambda nodes, z: np.add(total[nodes], np.square(z, out=z), out=total[nodes])
+            )
+    return sums[0], sums[1]
 
 
 def sample_poisson_process(rate: float, box: Box, seed: int) -> np.ndarray:

@@ -586,8 +586,10 @@ def clip_segments_to_box(endpoints: np.ndarray, box: Box) -> np.ndarray:
     in_slab = (p0 >= box.lo) & (p0 <= box.hi)
     enter = np.where(flat, np.where(in_slab, -np.inf, np.inf), np.minimum(ta, tb))
     leave = np.where(flat, np.where(in_slab, np.inf, -np.inf), np.maximum(ta, tb))
-    t0 = np.clip(enter.max(axis=1), 0.0, 1.0)
-    t1 = np.clip(leave.min(axis=1), t0, 1.0)
+    # reduced column by column, with the same bits: numpy's axis=1 reduction
+    # runs row by row over the d columns, tens of times slower on 2D facets
+    t0 = np.clip(reduce(np.maximum, enter.T), 0.0, 1.0)
+    t1 = np.clip(reduce(np.minimum, leave.T), t0, 1.0)
     return np.stack([p0 + t0[:, None] * step, p0 + t1[:, None] * step], axis=1)
 
 

@@ -241,8 +241,9 @@ class TestRowGrids:
 
 
 # an 8^2 grid (half_width 2, delta 0.5) of full axis rank 8, for one thread:
-# the 2 x 8^2 noise, one 8 x 8 partial contraction and one 8^2 field, each
-# value of 8 B, and the estimator's two 8^2 masks of 1 B
+# the 2 x 8^2 noise, one 8 x 8 partial contraction and the one slab of all
+# 8 rows it makes, each value of 8 B, and the flags and the estimator's
+# mask, 8^2 of 1 B each
 _ONE_SMALL_DRAW = 8 * (2 * 8**2 + 8 * 8 + 8**2) + 2 * 8**2
 
 
@@ -353,12 +354,34 @@ class TestGridMemoryPreflight:
             # at u = -3 nearly every cell exceeds, the most the volume sum counts
             ("volume-check", 2, dict(half_width=8.0, deltas=(0.0625,), levels=(-3.0,)), 256),
             ("clt", 2, dict(windows=(128,), deltas=(0.0625,)), 256),
+            (
+                "bias-sweep",
+                2,
+                dict(half_width=8.0, deltas=(0.0625,), model="chi-square", k=3, u=2.0),
+                256,
+            ),
+            # every chi-square value is >= 0: every cell exceeds
+            (
+                "volume-check",
+                2,
+                dict(half_width=8.0, deltas=(0.0625,), levels=(0.0,), model="chi-square", k=3),
+                256,
+            ),
         ],
-        ids=["256^2", "64^3", "volume-check-256^2", "clt-256^2"],
+        ids=[
+            "256^2",
+            "64^3",
+            "volume-check-256^2",
+            "clt-256^2",
+            "chi-square-256^2",
+            "chi-square-volume-check-256^2",
+        ],
     )
     def test_grid_price_bounds_one_task(self, kind, d, overrides, nodes):
         # the grid price of the preflight bounds what one task allocates: its
-        # draw and the estimates of both fields, never holding two fields
+        # draw and the estimates of both fields.  A Gaussian task thresholds
+        # its fields slab by slab and holds less than one float field; a
+        # chi-square task holds its two sums and less than one field more
         cfg = validate_config(tiny(kind, d=d, **overrides))
         price, what = campaigns._draw_memory(cfg, 2**40)
         assert what.startswith(f"{nodes}^{d} grid points and rank")
@@ -371,7 +394,8 @@ class TestGridMemoryPreflight:
         finally:
             tracemalloc.stop()
         assert peak <= price, (peak, what)
-        assert peak < 2 * 8 * nodes**d, peak
+        fields = 3 if cfg.model == "chi-square" else 1
+        assert peak < fields * 8 * nodes**d, peak
 
     def test_point_counts_bound_the_cells_drawn(self):
         # the hexagonal price bounds the inside cells; the Voronoi price is

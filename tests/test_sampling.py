@@ -175,6 +175,59 @@ class TestGaussianGrid:
         assert c0 == pytest.approx(c1, abs=0.01)
 
 
+def _one_shot(noise, factor):
+    """The whole field of one noise slice, contracted in one pass: the
+    leading noise axis with A, the n result nodes appended last, d times."""
+    z, n = noise, factor.shape[0]
+    for _ in range(z.ndim):
+        rest = z.shape[1:]
+        z = np.matmul(z.reshape(z.shape[0], -1).T, factor.T).reshape(rest + (n,))
+    return z.reshape(-1)
+
+
+class TestSlabs:
+    """A field contracted slab by slab has the bits of one whole contraction."""
+
+    @pytest.mark.parametrize(
+        "d, half_extent, slab_values, slabs",
+        [
+            (1, 16, sampling.SLAB_VALUES, [32]),
+            (1, 6, 12, [8, 4]),  # rows that do not divide n
+            (2, 6, 10, [2] * 6),  # n^(d-1) = 12 exceeds the slab: 2 rows
+            (2, 6, 100, [8, 4]),
+            (2, 128, sampling.SLAB_VALUES, [128, 128]),
+            (3, 6, 100, [2] * 6),  # n^(d-1) = 144 exceeds the slab: 2 rows
+            (3, 6, 1200, [8, 4]),
+            (3, 32, sampling.SLAB_VALUES, [8] * 8),
+        ],
+    )
+    def test_slabs_have_the_one_shot_bits(self, monkeypatch, d, half_extent, slab_values, slabs):
+        monkeypatch.setattr(sampling, "SLAB_VALUES", slab_values)
+        g = GridSpec(d, half_extent, 0.25)
+        factor = _axis_factor(g.shape[0], g.spacing, MODEL.length_scale)
+        plane = g.shape[0] ** (d - 1)
+        draw = sample_gaussian_grid(MODEL, g, 31)
+        seen = []
+        draw._each_slab(0, lambda nodes, values: seen.append((nodes.stop - nodes.start) // plane))
+        assert seen == slabs
+
+        noise = sampling._rng(31).standard_normal((2,) + (factor.shape[1],) * d)
+        for h in (0, 1):
+            field = _one_shot(noise[h], factor)
+            assert draw[h].tobytes() == field.tobytes()
+            for u in (-0.5, 0.0, 1.0, field[5]):  # field[5] is a tie at node 5
+                assert draw.exceeds(h, u).tobytes() == (field >= u).tobytes()
+                assert np.array_equal(draw.exceeds(h, u), draw[h] >= u)
+
+        sums = np.zeros((2, g.n_nodes))
+        for comp in range(3):
+            noise = sampling._rng((31, comp)).standard_normal((2,) + (factor.shape[1],) * d)
+            for h in (0, 1):
+                sums[h] += np.square(_one_shot(noise[h], factor))
+        chi = sample_chi_square(MODEL, 3, g, 31)
+        assert [x.tobytes() for x in chi] == [x.tobytes() for x in sums]
+
+
 def _kernel_matrix(n, spacing, length_scale):
     lags = spacing * np.arange(n)
     return CovarianceModel(length_scale).covariance((lags[:, None] - lags[None, :]) ** 2)
