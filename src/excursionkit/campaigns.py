@@ -13,18 +13,16 @@ the second.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
-# the bare package only, for its version in the provenance block: it loads no
-# scipy subpackage, and importing it with this module keeps its cost out of
-# the campaign call that writes the summary
-import scipy
 
 from .densities import (
     CovarianceModel,
@@ -393,6 +391,26 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     )
 
 
+def _scipy_version() -> str:
+    """``scipy.__version__`` without importing scipy, which no lattice or
+    hexagonal campaign runs: the ``version = "..."`` line of the installed
+    ``scipy/version.py``, which ``scipy.__version__`` is read from."""
+    if "scipy" in sys.modules:
+        return sys.modules["scipy"].__version__
+    try:
+        folder = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        with open(os.path.join(folder, "version.py")) as fh:
+            line = next(line for line in fh if line.startswith("version = "))
+        value = line[len("version = "):].strip()
+        if len(value) > 2 and value[0] == value[-1] and value[0] in "'\"":
+            return value[1:-1]
+    except (AttributeError, TypeError, IndexError, OSError, StopIteration):
+        pass
+    import scipy  # no readable version file: the version the package reports
+
+    return scipy.__version__
+
+
 def _provenance(cfg: CampaignConfig, config_hash: str) -> dict:
     """What produced a run: package, numpy, scipy and BLAS builds, campaign
     and BLAS threads, seed and config hash.  Lattice draws multiply by BLAS,
@@ -405,7 +423,7 @@ def _provenance(cfg: CampaignConfig, config_hash: str) -> dict:
     return {
         "excursionkit": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "blas": {k: v for k, v in blas.items() if k in keys},
         "threads": cfg.threads,
         "blas_threads": blas_threads,
@@ -467,16 +485,44 @@ def _csv_text(rows, config_hash) -> str:
 
 
 def _parallel(fn, count: int, threads: int) -> list:
-    """[fn(0), ..., fn(count - 1)], on a pool of ``threads`` workers when
+    """[fn(0), ..., fn(count - 1)], on up to ``threads`` worker threads when
     more than one, with BLAS single-threaded throughout: the workers' matrix
     products spawn no BLAS threads of their own beyond the cores, and no
     idle BLAS thread falls asleep while an estimate runs between two
-    products.  Each product's bits do not depend on the BLAS thread count."""
+    products.  Each product's bits do not depend on the BLAS thread count.
+
+    The workers are plain ``threading`` threads taking indices in order, so
+    no pool module is loaded.  Once a task fails no worker starts another,
+    and the exception of the lowest failing index is raised, as
+    ``ThreadPoolExecutor.map`` would raise it."""
     with _one_blas_thread:
         if threads <= 1:
             return [fn(i) for i in range(count)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
+        results = [None] * count
+        errors = {}
+        indices = iter(range(count))
+        lock = threading.Lock()
+
+        def work():
+            while True:
+                with lock:
+                    i = None if errors else next(indices, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(i)
+                except BaseException as exc:
+                    with lock:
+                        errors[i] = exc
+
+        workers = [threading.Thread(target=work) for _ in range(min(threads, count))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        if errors:
+            raise errors[min(errors)]
+        return results
 
 
 def _mean_stderr(values: np.ndarray) -> tuple:

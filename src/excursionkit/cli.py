@@ -7,6 +7,10 @@ campaign whose draws would not fit in physical memory).
 from __future__ import annotations
 
 import argparse
+# argparse's messages go through gettext, whose language lookup imports
+# locale on the first parse; imported here, it is paid with the CLI import
+# and not inside the campaign call
+import locale  # noqa: F401
 import os
 import sys
 from dataclasses import replace

@@ -122,10 +122,16 @@ def chisq_surface_density(u: float, lam: float, d: int, k: int) -> float:
     moment ``lam``.  The level must be strictly positive: the closed form
     diverges as u -> 0 when k = 1, so u <= 0 is treated as a domain error.
 
+    The density is E[|grad Y| | Y = u] p_Y(u).  With Y = sum X_i**2 the
+    gradient is 2 sum X_i grad X_i, which given Y = u is N(0, 4 u lam I):
+    twice the spread of a unit-variance Gaussian field's gradient, times
+    sqrt(u).  At k = 1 this is twice the Gaussian density at sqrt(u), since
+    {X**2 = u} is the two level sets X = sqrt(u) and X = -sqrt(u).
+
     Returns
     -------
     float
-        sqrt(lam) * (u/2)**((k-1)/2) * exp(-u/2) * Gamma((d+1)/2) / (Gamma(k/2)*Gamma(d/2)).
+        2 sqrt(lam) * (u/2)**((k-1)/2) * exp(-u/2) * Gamma((d+1)/2) / (Gamma(k/2)*Gamma(d/2)).
     """
     if u <= 0:
         raise ValueError(f"chi-square level must be positive, got {u}")
@@ -136,7 +142,8 @@ def chisq_surface_density(u: float, lam: float, d: int, k: int) -> float:
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
     log_val = (
-        0.5 * math.log(lam)
+        math.log(2.0)
+        + 0.5 * math.log(lam)
         + 0.5 * (k - 1) * math.log(u / 2.0)
         - 0.5 * u
         + math.lgamma((d + 1) / 2.0)

@@ -122,12 +122,12 @@ class TestChiSquareVolume:
 class TestChiSquareSurface:
     def test_d2_value(self):
         assert chisq_surface_density(2.0, 1.0, 2, 2) == pytest.approx(
-            math.exp(-1.0) * math.sqrt(math.pi) / 2.0, rel=1e-12
+            math.exp(-1.0) * math.sqrt(math.pi), rel=1e-12
         )
 
     def test_d3_value(self):
         assert chisq_surface_density(2.0, 1.0, 3, 2) == pytest.approx(
-            math.exp(-1.0) * 2.0 / math.sqrt(math.pi), rel=1e-12
+            math.exp(-1.0) * 4.0 / math.sqrt(math.pi), rel=1e-12
         )
 
     def test_rejects_nonpositive_level(self):
@@ -143,9 +143,9 @@ class TestChiSquareSurface:
     )
     @settings(max_examples=60, deadline=None)
     def test_one_degree_matches_gaussian_at_root_level(self, u, lam, d):
-        # squaring a Gaussian field maps level sqrt(u) to level u
+        # squaring a Gaussian field maps both levels sqrt(u) and -sqrt(u) to u
         assert chisq_surface_density(u, lam, d, 1) == pytest.approx(
-            gaussian_surface_density(math.sqrt(u), lam, d), rel=1e-12
+            2.0 * gaussian_surface_density(math.sqrt(u), lam, d), rel=1e-12
         )
 
     def test_large_degrees_stay_finite(self):
@@ -205,7 +205,7 @@ class TestAgainstScipy:
             for u in np.linspace(0.05, 60.0, 25):
                 for lam in (0.1, 1.0, 10.0):
                     ref = np.exp(
-                        0.5 * np.log(lam) + 0.5 * (k - 1) * np.log(u / 2.0) - 0.5 * u
+                        np.log(2.0) + 0.5 * np.log(lam) + 0.5 * (k - 1) * np.log(u / 2.0) - 0.5 * u
                         + special.gammaln((d + 1) / 2.0) - special.gammaln(k / 2.0)
                         - special.gammaln(d / 2.0)
                     )

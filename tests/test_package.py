@@ -1,9 +1,12 @@
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import scipy
 
 import excursionkit
 
@@ -38,25 +41,25 @@ def _run_python(code: str) -> str:
     return out.stdout
 
 
-_SCIPY_MODULES = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-
-
 def test_cli_import_loads_no_scipy_subpackage():
-    # scipy.special, .spatial, .linalg and .stats each cost a CLI call more
-    # than the whole campaign: the CLI import loads what bare scipy loads
-    bare = _run_python(f"import numpy, scipy; {_SCIPY_MODULES}")
-    cli = _run_python(f"import excursionkit.cli; {_SCIPY_MODULES}")
-    assert cli == bare
-    loaded = ast.literal_eval(cli)
-    for name in ("scipy.special", "scipy.spatial", "scipy.linalg", "scipy.stats"):
-        assert name not in loaded
+    # scipy (even bare: the provenance reads its version file), and the
+    # concurrent.futures pool with the logging it loads, are each paid by
+    # every CLI call and used by no lattice or hexagonal campaign
+    code = "import sys, excursionkit.cli; print(sorted(sys.modules))"
+    loaded = ast.literal_eval(_run_python(code))
+    assert "excursionkit.campaigns" in loaded
+    unwanted = [
+        name for name in loaded
+        if name.split(".")[0] in ("scipy", "logging") or name.startswith("concurrent.futures")
+    ]
+    assert unwanted == []
 
 
 def test_cli_main_imports_nothing_on_lattice_and_hexagonal_sweeps(tmp_path):
     # a module first imported inside cli.main is paid for in the campaign's
-    # own time; numpy.random, the scipy that the provenance block reports and
-    # a scipy.stats for the clt moments are the easy ones to leave to the
-    # first call
+    # own time; numpy.random, argparse's locale lookup, the scipy whose
+    # version the provenance block reports and a scipy.stats for the clt
+    # moments are the easy ones to leave to the first call
     configs = {
         "hypercubic": ("bias-sweep", "half_width = 1\ndeltas = 0.5, 0.25\n", "3"),
         "hexagonal": ("bias-sweep", "family = hexagonal\nhalf_width = 2\ndeltas = 0.5\n", "3"),
@@ -79,6 +82,11 @@ def test_cli_main_imports_nothing_on_lattice_and_hexagonal_sweeps(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
         "    print(argv[2], sorted(set(sys.modules) - before))\n"
+        "print('scipy' in sys.modules)\n"
     )
     lines = _run_python(code).splitlines()
-    assert lines == [f"{argv[2]} []" for argv in calls]
+    assert lines == [f"{argv[2]} []" for argv in calls] + ["False"]
+    # the provenance reads the version of the scipy that the child never loaded
+    for argv in calls:
+        summary = json.loads(Path(argv[-1]).read_text())
+        assert summary["provenance"]["scipy"] == scipy.__version__
