@@ -65,6 +65,10 @@ MODELS = ("gaussian", "chi-square")
 # size; a cloud of fewer than 2 has no diagram
 MIN_VORONOI_GENERATORS = 16
 
+# bytes a Gaussian draw holds besides its arrays' values: its Philox
+# generator, array headers and draw object (3.3 to 3.7 kB on an 8^2 grid)
+DRAW_OVERHEAD = 8192
+
 # fields that do not influence the computed numbers and are therefore
 # excluded from the config hash echoed on every output row
 _NON_SEMANTIC_FIELDS = ("threads", "out", "summary", "raw")
@@ -337,9 +341,10 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     contraction they come from, r s n^(d-2) values, each of 8 B; then the
     estimator adds one n^d boolean mask.  That is
     8 B x (2 r^d + s n^(d-2) (n + r)) + 2 n^d B, and a d = 2 task of 256^2
-    nodes holds less than its float field would.  A chi-square task holds
-    its two sums of squares, 16 n^d B, and while one draw is made the noise
-    of the one before, another 16 r^d B.  A draw at n
+    nodes holds less than its float field would.  A chi-square task of k
+    degrees holds the noise of all k Gaussian draws, and while it reads a
+    field, the one sum of squares it thresholds: 8 B x (2 k r^d + n^d +
+    s n^(d-2) (n + r)) + 2 n^d B.  A draw at n
     scattered points holds the n values, the n x d points, the d axis
     factors and one partial product of n columns and up to r + 1 rows each
     (the pivot order of scattered coordinates can take one column more than
@@ -353,7 +358,8 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     guard margin for Voronoi generators) at the finest cell size, or at
     1/16 of a length scale where that is finer: a coarser grid has fewer
     nodes than a dense cloud has rank.  The rank is only computed once the
-    rank-free part of the draw fits in ``budget``.
+    rank-free part of the draw fits in ``budget``.  Each Gaussian draw held
+    adds DRAW_OVERHEAD B, which no per-value term bounds on a small draw.
     """
     d, side = cfg.d, 2.0 * cfg.half_width
     if cfg.kind == "bias-sweep" and cfg.family != "hypercubic":
@@ -364,12 +370,12 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
             m = side / delta
             n = math.ceil(1.0 + m * m + 8.0 * m / math.pi)
             side = delta * float(_voronoi_box(cfg, delta).side_lengths[0])
-        need = 8 * n * (1 + d)
+        need = DRAW_OVERHEAD + 8 * n * (1 + d)
         if need > budget:
             return need, f"{n} points x (1 + {d}) x 8 B"
         spacing = min(delta, cfg.ell / 16.0)
         rank = _axis_factor(math.ceil(side / spacing) + 1, spacing, cfg.ell).shape[1]
-        need = 8 * n * (1 + d + (d + 1) * (rank + 1) + 16)
+        need = DRAW_OVERHEAD + 8 * n * (1 + d + (d + 1) * (rank + 1) + 16)
         return need, (
             f"{n} points and rank {rank}: values, points, factors, product and factor buffer x 8 B"
         )
@@ -379,15 +385,15 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     grid = max(grids, key=lambda g: g.half_extent)
     n = grid.shape[0]
     rows = min(_slab_rows(n, d), n)
-    sums = 2 if cfg.model == "chi-square" else 0
-    need = 8 * (sums * n**d + rows * n ** (d - 1)) + 2 * n**d
-    held = "sums, slab" if sums else "slab"
+    draws, sums, floats = (cfg.k, 1, "sum, slab") if cfg.model == "chi-square" else (1, 0, "slab")
+    need = draws * DRAW_OVERHEAD + 8 * (sums * n**d + rows * n ** (d - 1)) + 2 * n**d
     if need > budget:
-        return need, f"{n}^{d} grid points x ({held} x 8 B + masks x 2 B)"
+        return need, f"{n}^{d} grid points x ({floats} x 8 B + masks x 2 B)"
     rank = _axis_factor(n, grid.spacing, cfg.ell).shape[1]
-    need += 8 * ((2 + sums) * rank**d + rows * n ** (d - 2) * rank)
+    need += 8 * (2 * draws * rank**d + rows * n ** (d - 2) * rank)
     return need, (
-        f"{n}^{d} grid points and rank {rank}: noise, {held} and contraction x 8 B + masks x 2 B"
+        f"{n}^{d} grid points and rank {rank}: noise of {draws} draws, {floats} and contraction "
+        "x 8 B + masks x 2 B"
     )
 
 
@@ -584,11 +590,14 @@ def _reference_surface_density(cfg: CampaignConfig) -> float:
     return chisq_surface_density(cfg.u, lam, cfg.d, cfg.k)
 
 
-def _field(cfg: CampaignConfig, model: CovarianceModel, points, key, factor=None):
-    """The config's field at scattered points (grid tasks: ``_grid_replicates``)."""
+def _field(cfg: CampaignConfig, model: CovarianceModel, where, key, factor=None):
+    """The config's field at ``where``: a two-field draw on a grid, one value
+    array at scattered points."""
     if cfg.model == "chi-square":
-        return sample_chi_square(model, cfg.k, points, key, factor=factor)
-    return sample_gaussian_points(model, points, key, factor=factor)
+        return sample_chi_square(model, cfg.k, where, key, factor=factor)
+    if isinstance(where, GridSpec):
+        return sample_gaussian_grid(model, where, key)
+    return sample_gaussian_points(model, where, key, factor=factor)
 
 
 def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, si, u, estimate):
@@ -600,12 +609,10 @@ def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec
     _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
 
     def task(t):
-        key = _flat_key(cfg.seed, si, t)
-        if cfg.model == "chi-square":
-            return [estimate(total >= u) for total in sample_chi_square(model, cfg.k, grid, key)]
-        draw = sample_gaussian_grid(model, grid, key)
-        # the flags are thresholded slab by slab, so no float field is held;
-        # no name holds the first flags, so they are freed before the second
+        draw = _field(cfg, model, grid, _flat_key(cfg.seed, si, t))
+        # a field is read only as its exceedance flags, which a Gaussian draw
+        # thresholds slab by slab; no name holds the first flags, so they are
+        # freed before the second field is read
         first = estimate(draw.exceeds(0, u))
         return [first, estimate(draw.exceeds(1, u))]
 

@@ -16,8 +16,10 @@ field is read, so a caller that is done with the first field before it
 reads the second never holds both.  A field is contracted one slab of
 leading-axis planes at a time, about SLAB_VALUES values, with the bits of
 one whole contraction; a reader that needs only the exceedance flags
-1{X >= u} (``_GridDraw.exceeds``), or the chi-square sum of squares, takes
-them slab by slab and never holds the float field.  At scattered points,
+1{X >= u} (``_GridDraw.exceeds``) takes them slab by slab and never holds
+the float field.  A chi-square grid draw is read the same way: it holds
+the noise of its k Gaussian draws, and field h is the sum of their
+squared fields h, summed slab by slab when it is read.  At scattered points,
 point i takes row i of every axis factor and one (r_1, ..., r_d) noise
 block gives one value array.  All samplers are pure functions of (model,
 locations, seed): the RNG is a Philox counter generator keyed by the seed,
@@ -168,6 +170,33 @@ class _GridDraw(Sequence):
             use(slice(lo * plane, lo * plane + z.size), z.reshape(-1))
 
 
+class _ChiSquareGridDraw(Sequence):
+    """The two fields of one chi-square grid draw: field h sums the squared
+    fields h of k Gaussian grid draws (``_GridDraw``).  It is summed when it
+    is read, one component over the whole field after another, each slab
+    squared into its nodes of the sum, so a reader holds the k noise blocks,
+    one sum and one slab, never a component field."""
+
+    def __init__(self, components: list):
+        self._components = components
+
+    def __len__(self) -> int:
+        return 2
+
+    def __getitem__(self, half) -> np.ndarray:
+        first = self._components[0]
+        total = np.zeros(first._factor.shape[0] * first._plane)
+        for draw in self._components:  # IndexError past the second field
+            draw._each_slab(
+                half, lambda nodes, z: np.add(total[nodes], np.square(z, out=z), out=total[nodes])
+            )
+        return total
+
+    def exceeds(self, half, u: float) -> np.ndarray:
+        """The flags ``self[half] >= u``."""
+        return self[half] >= u
+
+
 def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> Sequence:
     """Draw two independent zero-mean unit-variance Gaussian fields at the grid nodes.
 
@@ -288,9 +317,9 @@ def sample_chi_square(
     reproducible and component order is immaterial.  On a grid each
     component is one ``sample_gaussian_grid`` draw whose two halves are
     independent, and two fields are returned: one sums the first halves, the
-    other the second halves of the same k draws.  Each half is squared into
-    its sum slab by slab as it is contracted, so besides the two sums a grid
-    draw holds no float field, only noise and one slab.
+    other the second halves of the same k draws.  The k draws are made up
+    front and a field is summed only when it is read, so until then only
+    their noise is held.
 
     Parameters
     ----------
@@ -306,9 +335,10 @@ def sample_chi_square(
 
     Returns
     -------
-    tuple of two ndarray or ndarray
+    sequence of two ndarray or ndarray
         On a grid the (first-half, second-half) fields, in the node order
-        of ``locations.nodes()``; on scattered points one (n,) array.
+        of ``locations.nodes()``, read as the draw of ``sample_gaussian_grid``
+        is; on scattered points one (n,) array.
     """
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
@@ -318,15 +348,9 @@ def sample_chi_square(
         for comp in range(k):
             total += np.square(_draw(factor, _flat_key(seed, comp)))
         return total
-    sums = np.zeros((2, locations.n_nodes))
-    for comp in range(k):
-        draw = sample_gaussian_grid(model, locations, _flat_key(seed, comp))
-        for h, total in enumerate(sums):
-            # each slab is squared in place into its nodes of the sum
-            draw._each_slab(
-                h, lambda nodes, z: np.add(total[nodes], np.square(z, out=z), out=total[nodes])
-            )
-    return sums[0], sums[1]
+    return _ChiSquareGridDraw(
+        [sample_gaussian_grid(model, locations, _flat_key(seed, comp)) for comp in range(k)]
+    )
 
 
 def sample_poisson_process(rate: float, box: Box, seed: int) -> np.ndarray:

@@ -241,10 +241,10 @@ class TestRowGrids:
 
 
 # an 8^2 grid (half_width 2, delta 0.5) of full axis rank 8, for one thread:
-# the 2 x 8^2 noise, one 8 x 8 partial contraction and the one slab of all
-# 8 rows it makes, each value of 8 B, and the flags and the estimator's
-# mask, 8^2 of 1 B each
-_ONE_SMALL_DRAW = 8 * (2 * 8**2 + 8 * 8 + 8**2) + 2 * 8**2
+# the fixed overhead of its one draw, the 2 x 8^2 noise, one 8 x 8 partial
+# contraction and the one slab of all 8 rows it makes, each value of 8 B,
+# and the flags and the estimator's mask, 8^2 of 1 B each
+_ONE_SMALL_DRAW = campaigns.DRAW_OVERHEAD + 8 * (2 * 8**2 + 8 * 8 + 8**2) + 2 * 8**2
 
 
 class TestGridMemoryPreflight:
@@ -286,7 +286,7 @@ class TestGridMemoryPreflight:
         ],
     )
     def test_point_families_priced_by_linear_draw(self, monkeypatch, family, cells, rank):
-        price = 8 * cells * (1 + 2 + 3 * (rank + 1) + 16)
+        price = campaigns.DRAW_OVERHEAD + 8 * cells * (1 + 2 + 3 * (rank + 1) + 16)
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: price)
         # the finest row sets the price; 0.8 = half_width / 2.5 is the
         # coarsest hexagonal cell size the window admits
@@ -305,25 +305,29 @@ class TestGridMemoryPreflight:
             validate_config(cfg)
 
     @pytest.mark.parametrize(
-        "family, half_width, delta, priced_points",
+        "family, half_width, delta, overrides, priced_points",
         [
-            ("hexagonal", 2.0, 0.25, 98),  # floor(16 / (1.5 sqrt(3) 0.25^2))
+            ("hexagonal", 2.0, 0.25, {}, 98),  # floor(16 / (1.5 sqrt(3) 0.25^2))
             # 821 whole hexagons, whose axis factors have ranks 21 and 22
             # against the priced grid rank 21
-            ("hexagonal", 3.0, 0.125, 886),  # floor(36 / (1.5 sqrt(3) 0.125^2))
-            ("voronoi", 2.0, 0.25, 298),  # ceil(1 + 16^2 + 8 * 16 / pi)
+            ("hexagonal", 3.0, 0.125, {}, 886),  # floor(36 / (1.5 sqrt(3) 0.125^2))
+            ("voronoi", 2.0, 0.25, {}, 298),  # ceil(1 + 16^2 + 8 * 16 / pi)
+            # 17 whole hexagons, where the fixed overhead outweighs the points
+            ("hexagonal", 1.0, 0.25, dict(ell=4.0), 24),
+            # k draws, each squared into the sum, one at a time
+            ("hexagonal", 2.0, 0.25, dict(model="chi-square", k=3, u=2.0), 98),
         ],
-        ids=["hexagonal-98", "hexagonal-886", "voronoi-298"],
+        ids=["hexagonal-98", "hexagonal-886", "voronoi-298", "hexagonal-17", "chi-square-98"],
     )
-    def test_point_price_bounds_the_draw(self, family, half_width, delta, priced_points):
-        # the per-point price of the preflight bounds what one draw, its
-        # factors included, allocates at every point count drawn
+    def test_point_price_bounds_the_draw(self, family, half_width, delta, overrides, priced_points):
+        # the fixed and per-point price of the preflight bound what one draw,
+        # its factors included, allocates at every point count drawn
         cfg = validate_config(
-            tiny("bias-sweep", family=family, half_width=half_width, deltas=(delta,))
+            tiny("bias-sweep", family=family, half_width=half_width, deltas=(delta,), **overrides)
         )
         price, what = campaigns._draw_memory(cfg, 2**40)
         assert what.startswith(f"{priced_points} points")
-        per_point = price / priced_points
+        per_point = (price - campaigns.DRAW_OVERHEAD) / priced_points
         window = Box(np.full(2, -half_width), np.full(2, half_width))
         if family == "hexagonal":
             clouds = [hexagonal_honeycomb(delta, window).ref_points_inside]
@@ -340,25 +344,27 @@ class TestGridMemoryPreflight:
         for points in clouds:
             tracemalloc.start()
             try:
-                sample_gaussian_points(CovarianceModel(1.0), points, 1)
+                campaigns._field(cfg, CovarianceModel(cfg.ell), points, 1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= per_point * points.shape[0], (peak, points.shape[0], what)
+            bound = campaigns.DRAW_OVERHEAD + per_point * points.shape[0]
+            assert peak <= bound, (peak, points.shape[0], what)
 
     @pytest.mark.parametrize(
-        "kind, d, overrides, nodes",
+        "kind, d, overrides, nodes, fields",
         [
-            ("bias-sweep", 2, dict(half_width=8.0, deltas=(0.0625,)), 256),
-            ("bias-sweep", 3, dict(half_width=4.0, deltas=(0.125,)), 64),
+            ("bias-sweep", 2, dict(half_width=8.0, deltas=(0.0625,)), 256, 1),
+            ("bias-sweep", 3, dict(half_width=4.0, deltas=(0.125,)), 64, 1),
             # at u = -3 nearly every cell exceeds, the most the volume sum counts
-            ("volume-check", 2, dict(half_width=8.0, deltas=(0.0625,), levels=(-3.0,)), 256),
-            ("clt", 2, dict(windows=(128,), deltas=(0.0625,)), 256),
+            ("volume-check", 2, dict(half_width=8.0, deltas=(0.0625,), levels=(-3.0,)), 256, 1),
+            ("clt", 2, dict(windows=(128,), deltas=(0.0625,)), 256, 1),
             (
                 "bias-sweep",
                 2,
                 dict(half_width=8.0, deltas=(0.0625,), model="chi-square", k=3, u=2.0),
                 256,
+                2,
             ),
             # every chi-square value is >= 0: every cell exceeds
             (
@@ -366,7 +372,12 @@ class TestGridMemoryPreflight:
                 2,
                 dict(half_width=8.0, deltas=(0.0625,), levels=(0.0,), model="chi-square", k=3),
                 256,
+                2,
             ),
+            # on grids this small the fixed overhead of a draw outweighs its
+            # fields, so no float-field ceiling applies
+            ("bias-sweep", 2, {}, 8, None),
+            ("bias-sweep", 2, dict(model="chi-square", k=3, u=2.0), 8, None),
         ],
         ids=[
             "256^2",
@@ -375,13 +386,16 @@ class TestGridMemoryPreflight:
             "clt-256^2",
             "chi-square-256^2",
             "chi-square-volume-check-256^2",
+            "8^2",
+            "chi-square-8^2",
         ],
     )
-    def test_grid_price_bounds_one_task(self, kind, d, overrides, nodes):
+    def test_grid_price_bounds_one_task(self, kind, d, overrides, nodes, fields):
         # the grid price of the preflight bounds what one task allocates: its
         # draw and the estimates of both fields.  A Gaussian task thresholds
         # its fields slab by slab and holds less than one float field; a
-        # chi-square task holds its two sums and less than one field more
+        # chi-square task holds the sum of the field it reads and less than
+        # one field more
         cfg = validate_config(tiny(kind, d=d, **overrides))
         price, what = campaigns._draw_memory(cfg, 2**40)
         assert what.startswith(f"{nodes}^{d} grid points and rank")
@@ -394,8 +408,8 @@ class TestGridMemoryPreflight:
         finally:
             tracemalloc.stop()
         assert peak <= price, (peak, what)
-        fields = 3 if cfg.model == "chi-square" else 1
-        assert peak < fields * 8 * nodes**d, peak
+        if fields is not None:
+            assert peak < fields * 8 * nodes**d, peak
 
     def test_point_counts_bound_the_cells_drawn(self):
         # the hexagonal price bounds the inside cells; the Voronoi price is

@@ -225,7 +225,16 @@ class TestSlabs:
             for h in (0, 1):
                 sums[h] += np.square(_one_shot(noise[h], factor))
         chi = sample_chi_square(MODEL, 3, g, 31)
+        assert len(chi) == 2
         assert [x.tobytes() for x in chi] == [x.tobytes() for x in sums]
+        first, second = chi
+        assert (first.tobytes(), second.tobytes()) == (sums[0].tobytes(), sums[1].tobytes())
+        with pytest.raises(IndexError):
+            chi[2]
+        for h in (0, 1):
+            for u in (0.5, 1.0, 3.0, sums[h][5]):  # sums[h][5] is a tie at node 5
+                assert chi.exceeds(h, u).tobytes() == (chi[h] >= u).tobytes()
+                assert chi.exceeds(h, u).tobytes() == (sums[h] >= u).tobytes()
 
 
 def _kernel_matrix(n, spacing, length_scale):
