@@ -253,6 +253,9 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
             )
     if sweep and cfg.model == "chi-square" and cfg.u <= 0:
         raise ConfigError(f"a chi-square bias sweep needs a positive level u, got {cfg.u}")
+    if cfg.kind == "volume-check" and cfg.model == "chi-square" and min(cfg.levels) <= 0:
+        # every chi-square value is >= 0: a level u <= 0 would check nothing
+        raise ConfigError(f"a chi-square volume check needs positive levels, got {cfg.levels}")
     if sweep and not 0 < _reference_surface_density(cfg) < math.inf:
         raise ConfigError(
             f"the {cfg.model} surface density at u = {cfg.u} (ell = {cfg.ell}) is not a positive "
@@ -342,9 +345,10 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     estimator adds one n^d boolean mask.  That is
     8 B x (2 r^d + s n^(d-2) (n + r)) + 2 n^d B, and a d = 2 task of 256^2
     nodes holds less than its float field would.  A chi-square task of k
-    degrees holds the noise of all k Gaussian draws, and while it reads a
-    field, the one sum of squares it thresholds: 8 B x (2 k r^d + n^d +
-    s n^(d-2) (n + r)) + 2 n^d B.  A draw at n
+    degrees holds k noise blocks, and for k >= 2 its slab of squares summed
+    so far besides the slab of the block it adds: 8 B x (2 k r^d +
+    s n^(d-2) (min(k, 2) n + r)) + 2 n^d B, one formula for both models
+    with k = 1 for a Gaussian task.  A draw at n
     scattered points holds the n values, the n x d points, the d axis
     factors and one partial product of n columns and up to r + 1 rows each
     (the pivot order of scattered coordinates can take one column more than
@@ -358,8 +362,9 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     guard margin for Voronoi generators) at the finest cell size, or at
     1/16 of a length scale where that is finer: a coarser grid has fewer
     nodes than a dense cloud has rank.  The rank is only computed once the
-    rank-free part of the draw fits in ``budget``.  Each Gaussian draw held
-    adds DRAW_OVERHEAD B, which no per-value term bounds on a small draw.
+    rank-free part of the draw fits in ``budget``.  Each noise block or
+    point draw held adds DRAW_OVERHEAD B, which no per-value term bounds on
+    a small draw.
     """
     d, side = cfg.d, 2.0 * cfg.half_width
     if cfg.kind == "bias-sweep" and cfg.family != "hypercubic":
@@ -385,14 +390,14 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     grid = max(grids, key=lambda g: g.half_extent)
     n = grid.shape[0]
     rows = min(_slab_rows(n, d), n)
-    draws, sums, floats = (cfg.k, 1, "sum, slab") if cfg.model == "chi-square" else (1, 0, "slab")
-    need = draws * DRAW_OVERHEAD + 8 * (sums * n**d + rows * n ** (d - 1)) + 2 * n**d
+    blocks = cfg.k if cfg.model == "chi-square" else 1
+    need = blocks * DRAW_OVERHEAD + 8 * min(blocks, 2) * rows * n ** (d - 1) + 2 * n**d
     if need > budget:
-        return need, f"{n}^{d} grid points x ({floats} x 8 B + masks x 2 B)"
+        return need, f"{n}^{d} grid points x (slabs x 8 B + masks x 2 B)"
     rank = _axis_factor(n, grid.spacing, cfg.ell).shape[1]
-    need += 8 * (2 * draws * rank**d + rows * n ** (d - 2) * rank)
+    need += 8 * (2 * blocks * rank**d + rows * n ** (d - 2) * rank)
     return need, (
-        f"{n}^{d} grid points and rank {rank}: noise of {draws} draws, {floats} and contraction "
+        f"{n}^{d} grid points and rank {rank}: noise block x {blocks}, slabs and contraction "
         "x 8 B + masks x 2 B"
     )
 

@@ -17,9 +17,10 @@ reads the second never holds both.  A field is contracted one slab of
 leading-axis planes at a time, about SLAB_VALUES values, with the bits of
 one whole contraction; a reader that needs only the exceedance flags
 1{X >= u} (``_GridDraw.exceeds``) takes them slab by slab and never holds
-the float field.  A chi-square grid draw is read the same way: it holds
-the noise of its k Gaussian draws, and field h is the sum of their
-squared fields h, summed slab by slab when it is read.  At scattered points,
+the float field.  A chi-square grid draw of k degrees is one such draw
+with k noise blocks: each slab of its field h is the sum of the squared
+slabs h of the k blocks, so it is thresholded by the same slab loop and
+never held whole either.  At scattered points,
 point i takes row i of every axis factor and one (r_1, ..., r_d) noise
 block gives one value array.  All samplers are pure functions of (model,
 locations, seed): the RNG is a Philox counter generator keyed by the seed,
@@ -120,18 +121,22 @@ def _slab_rows(n: int, d: int) -> int:
 
 
 class _GridDraw(Sequence):
-    """The two fields of one grid draw, each contracted from its own slice
-    of the (2, r, ..., r) noise block when it is read, one slab of leading-
-    axis planes at a time (``_each_slab``).  Reading a field twice contracts
-    it twice, to the same bits, and holds no field between reads; ``exceeds``
-    thresholds a field slab by slab, so it never holds the float field."""
+    """The two fields of one grid draw, each contracted from slice h of the
+    (2, r, ..., r) noise blocks of the draw when it is read, one slab of
+    leading-axis planes at a time (``_each_slab``).  A Gaussian draw has one
+    block, keyed by its seed; a chi-square draw of k degrees has k, keyed in
+    order, and its field h sums the squares of the k fields h.  Reading a
+    field twice contracts it twice, to the same bits, and holds no field
+    between reads; ``exceeds`` thresholds a field slab by slab, so it never
+    holds the float field."""
 
-    def __init__(self, noise: np.ndarray, factor: np.ndarray):
-        self._noise = noise
-        self._factor = factor
-        n, d = factor.shape[0], noise.ndim - 1
-        self._plane = n ** (d - 1)  # nodes per leading-axis plane
-        self._rows = _slab_rows(n, d)
+    def __init__(self, model: CovarianceModel, grid: GridSpec, keys, squared: bool = False):
+        self._factor = _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
+        shape = (2,) + (self._factor.shape[1],) * grid.d
+        self._blocks = [_rng(key).standard_normal(shape) for key in keys]
+        self._squared = squared
+        self._plane = grid.shape[0] ** (grid.d - 1)  # nodes per leading-axis plane
+        self._rows = _slab_rows(grid.shape[0], grid.d)
 
     def __len__(self) -> int:
         return 2
@@ -154,47 +159,28 @@ class _GridDraw(Sequence):
         which ``use`` may overwrite.  A slab contracts the leading noise axis
         with its rows of A, then each remaining axis with all of A, in the
         order and with the bits of one contraction of the whole field; a slab
-        of 1 row would go to a matrix-vector product with other bits.  Only
-        the slab ``use`` has is held when the next is contracted."""
-        e = self._noise[operator.index(half)]  # IndexError past the second field
+        of 1 row would go to a matrix-vector product with other bits.  A
+        squared draw squares each block's slab in place and adds it to the
+        first, in block order.  Only the slab ``use`` has is held when the
+        next is contracted."""
+        half = operator.index(half)
         factor, rows, plane = self._factor, self._rows, self._plane
-        r = e.shape[0]
-        lead = e.reshape(r, -1).T
+        r, d = factor.shape[1], self._blocks[0].ndim - 1
+        # IndexError past the second field
+        leads = [block[half].reshape(r, -1).T for block in self._blocks]
         for lo in range(0, factor.shape[0], rows):
-            z = np.matmul(lead, factor[lo : lo + rows].T)
-            # contract each remaining leading noise axis with A and append
-            # its n nodes last, so the axes come back in order; z stays the
-            # row-major 2D view of the (r, ..., r, rows, n, ..., n) block
-            for _ in range(e.ndim - 1):
-                z = np.matmul(z.reshape(r, -1).T, factor.T)
-            use(slice(lo * plane, lo * plane + z.size), z.reshape(-1))
-
-
-class _ChiSquareGridDraw(Sequence):
-    """The two fields of one chi-square grid draw: field h sums the squared
-    fields h of k Gaussian grid draws (``_GridDraw``).  It is summed when it
-    is read, one component over the whole field after another, each slab
-    squared into its nodes of the sum, so a reader holds the k noise blocks,
-    one sum and one slab, never a component field."""
-
-    def __init__(self, components: list):
-        self._components = components
-
-    def __len__(self) -> int:
-        return 2
-
-    def __getitem__(self, half) -> np.ndarray:
-        first = self._components[0]
-        total = np.zeros(first._factor.shape[0] * first._plane)
-        for draw in self._components:  # IndexError past the second field
-            draw._each_slab(
-                half, lambda nodes, z: np.add(total[nodes], np.square(z, out=z), out=total[nodes])
-            )
-        return total
-
-    def exceeds(self, half, u: float) -> np.ndarray:
-        """The flags ``self[half] >= u``."""
-        return self[half] >= u
+            total = None
+            for lead in leads:
+                z = np.matmul(lead, factor[lo : lo + rows].T)
+                # contract each remaining leading noise axis with A and append
+                # its n nodes last, so the axes come back in order; z stays the
+                # row-major 2D view of the (r, ..., r, rows, n, ..., n) block
+                for _ in range(d - 1):
+                    z = np.matmul(z.reshape(r, -1).T, factor.T)
+                if self._squared:
+                    np.square(z, out=z)
+                total = z if total is None else np.add(total, z, out=total)
+            use(slice(lo * plane, lo * plane + total.size), total.reshape(-1))
 
 
 def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> Sequence:
@@ -221,8 +207,7 @@ def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> Sequen
         order of ``grid.nodes()``; it unpacks, iterates and indexes like a
         tuple, in any order and with the same bits.
     """
-    factor = _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
-    return _GridDraw(_rng(seed).standard_normal((2,) + (factor.shape[1],) * grid.d), factor)
+    return _GridDraw(model, grid, [seed])
 
 
 def covariance_factor(model: CovarianceModel, points) -> tuple:
@@ -314,12 +299,13 @@ def sample_chi_square(
 
     Component fields are independent, with sub-seeds derived from
     (seed, component) through the SeedSequence hash, so the draw is
-    reproducible and component order is immaterial.  On a grid each
-    component is one ``sample_gaussian_grid`` draw whose two halves are
-    independent, and two fields are returned: one sums the first halves, the
-    other the second halves of the same k draws.  The k draws are made up
-    front and a field is summed only when it is read, so until then only
-    their noise is held.
+    reproducible and component order is immaterial.  On a grid component c
+    is the (2, r, ..., r) noise block that ``sample_gaussian_grid`` would
+    draw with the key (seed, c), and two fields are returned: one sums the
+    squared first halves, the other the squared second halves of the k
+    components.  The k blocks are drawn up front; a field is contracted,
+    squared and summed one slab at a time when it is read, so until then
+    only the noise is held, and then one slab sum besides.
 
     Parameters
     ----------
@@ -348,9 +334,7 @@ def sample_chi_square(
         for comp in range(k):
             total += np.square(_draw(factor, _flat_key(seed, comp)))
         return total
-    return _ChiSquareGridDraw(
-        [sample_gaussian_grid(model, locations, _flat_key(seed, comp)) for comp in range(k)]
-    )
+    return _GridDraw(model, locations, [_flat_key(seed, comp) for comp in range(k)], squared=True)
 
 
 def sample_poisson_process(rate: float, box: Box, seed: int) -> np.ndarray:

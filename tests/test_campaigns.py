@@ -366,13 +366,20 @@ class TestGridMemoryPreflight:
                 256,
                 2,
             ),
-            # every chi-square value is >= 0: every cell exceeds
+            # at u = 0.05 nearly every cell exceeds (P = 0.997 at k = 3)
             (
                 "volume-check",
                 2,
-                dict(half_width=8.0, deltas=(0.0625,), levels=(0.0,), model="chi-square", k=3),
+                dict(half_width=8.0, deltas=(0.0625,), levels=(0.05,), model="chi-square", k=3),
                 256,
                 2,
+            ),
+            (
+                "bias-sweep",
+                3,
+                dict(half_width=4.0, deltas=(0.125,), model="chi-square", k=3, u=2.0),
+                64,
+                1,
             ),
             # on grids this small the fixed overhead of a draw outweighs its
             # fields, so no float-field ceiling applies
@@ -386,6 +393,7 @@ class TestGridMemoryPreflight:
             "clt-256^2",
             "chi-square-256^2",
             "chi-square-volume-check-256^2",
+            "chi-square-64^3",
             "8^2",
             "chi-square-8^2",
         ],
@@ -393,9 +401,9 @@ class TestGridMemoryPreflight:
     def test_grid_price_bounds_one_task(self, kind, d, overrides, nodes, fields):
         # the grid price of the preflight bounds what one task allocates: its
         # draw and the estimates of both fields.  A Gaussian task thresholds
-        # its fields slab by slab and holds less than one float field; a
-        # chi-square task holds the sum of the field it reads and less than
-        # one field more
+        # its fields slab by slab and holds less than one float field; so
+        # does a chi-square task, which sums its squared blocks slab by slab,
+        # except at 256^2, where its two slabs are a whole field
         cfg = validate_config(tiny(kind, d=d, **overrides))
         price, what = campaigns._draw_memory(cfg, 2**40)
         assert what.startswith(f"{nodes}^{d} grid points and rank")
@@ -1230,6 +1238,12 @@ class TestCli:
         "kind, text, message",
         [
             ("bias-sweep", "model = chi-square\n", "chi-square bias sweep needs a positive level u"),
+            # every chi-square value is >= 0: the u = 0 row of the default
+            # levels used to read mean_volume 1, stderr 0, target 1
+            ("volume-check", "model = chi-square\n",
+             "chi-square volume check needs positive levels, got (0.0, 1.0)"),
+            ("volume-check", "model = chi-square\nlevels = 2.0, -1.0\n",
+             "chi-square volume check needs positive levels, got (2.0, -1.0)"),
             ("bias-sweep", "family = voronoi\nguard = -1\n", "guard margin must be nonnegative"),
             ("bias-sweep", "family = hexagonal\nhalf_width = 2\ndeltas = 4.0\n",
              "cell size 4.0 must be below the window side 4.0"),

@@ -225,6 +225,9 @@ class TestSlabs:
             for h in (0, 1):
                 sums[h] += np.square(_one_shot(noise[h], factor))
         chi = sample_chi_square(MODEL, 3, g, 31)
+        chi_seen = []
+        chi._each_slab(1, lambda nodes, _: chi_seen.append((nodes.stop - nodes.start) // plane))
+        assert chi_seen == slabs
         assert len(chi) == 2
         assert [x.tobytes() for x in chi] == [x.tobytes() for x in sums]
         first, second = chi
@@ -235,6 +238,11 @@ class TestSlabs:
             for u in (0.5, 1.0, 3.0, sums[h][5]):  # sums[h][5] is a tie at node 5
                 assert chi.exceeds(h, u).tobytes() == (chi[h] >= u).tobytes()
                 assert chi.exceeds(h, u).tobytes() == (sums[h] >= u).tobytes()
+
+        # one degree: the squared Gaussian field of the component's key
+        one, gauss = sample_chi_square(MODEL, 1, g, 31), sample_gaussian_grid(MODEL, g, (31, 0))
+        for h in (0, 1):
+            assert one[h].tobytes() == np.square(gauss[h]).tobytes()
 
 
 def _kernel_matrix(n, spacing, length_scale):
