@@ -47,12 +47,14 @@ from .sampling import (
 )
 from .tessellation import Box, GridSpec, hexagonal_honeycomb, voronoi_honeycomb_2d
 from .estimators import (
-    _lattice_volume,
+    _counted_surface,
+    _counted_volume,
+    _lattice_counts,
     clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
     exceedance_indicator,
-    hypercubic_surface_fast,
+    hypercubic_surface_fast,  # noqa: F401  (bound here for perfbench/worker.py --spans)
     surface_estimate,
 )
 from .crofton import circle_shape, crofton_measure_mc, square_shape
@@ -337,18 +339,18 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     """Bytes one worker holds for the largest draw of ``cfg``, and what they are.
 
     A Gaussian grid task of n^d nodes holds the 2 r^d noise of its draw, r
-    being the rank of the axis factor, and the n^d exceedance flags of one
-    field at a time, 1 B each, which it thresholds one slab of s leading-
-    axis planes at a time (``sampling._slab_rows``, s <= n): while the last
-    axis is contracted, the slab's s n^(d-1) values and the partial
-    contraction they come from, r s n^(d-2) values, each of 8 B; then the
-    estimator adds one n^d boolean mask.  That is
-    8 B x (2 r^d + s n^(d-2) (n + r)) + 2 n^d B, and a d = 2 task of 256^2
-    nodes holds less than its float field would.  A chi-square task of k
-    degrees holds k noise blocks, and for k >= 2 its slab of squares summed
-    so far besides the slab of the block it adds: 8 B x (2 k r^d +
-    s n^(d-2) (min(k, 2) n + r)) + 2 n^d B, one formula for both models
-    with k = 1 for a Gaussian task.  A draw at n
+    being the rank of the axis factor, and reads each field as two counts
+    (``estimators._lattice_counts``), one slab of s leading-axis planes at a
+    time (``sampling._slab_rows``, s <= n): while the last axis is
+    contracted, the slab's s n^(d-1) values and the partial contraction they
+    come from, r s n^(d-2) values, each of 8 B; then the two bool buffers of
+    the counting pass, (s + 1) n^(d-1) flags and s n^(d-1) pair comparisons.
+    That is 8 B x (2 r^d + s n^(d-2) (n + r)) + (2 s + 1) n^(d-1) B, and no
+    term grows with n^d but the noise.  A chi-square task of k degrees holds
+    k noise blocks, and for k >= 2 its slab of squares summed so far besides
+    the slab of the block it adds: 8 B x (2 k r^d + s n^(d-2) (min(k, 2) n +
+    r)) + (2 s + 1) n^(d-1) B, one formula for both models with k = 1 for a
+    Gaussian task.  A draw at n
     scattered points holds the n values, the n x d points, the d axis
     factors and one partial product of n columns and up to r + 1 rows each
     (the pivot order of scattered coordinates can take one column more than
@@ -361,10 +363,11 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     of a grid axis across the extent of the points (the window, plus the
     guard margin for Voronoi generators) at the finest cell size, or at
     1/16 of a length scale where that is finer: a coarser grid has fewer
-    nodes than a dense cloud has rank.  The rank is only computed once the
-    rank-free part of the draw fits in ``budget``.  Each noise block or
-    point draw held adds DRAW_OVERHEAD B, which no per-value term bounds on
-    a small draw.
+    nodes than a dense cloud has rank.  The points are priced first at the
+    axis node count, which bounds that rank, and the axis is factored only
+    when that bound does not fit in ``budget``; a grid's rank only once the
+    rank-free part of its draw fits.  Each noise block or point draw held
+    adds DRAW_OVERHEAD B, which no per-value term bounds on a small draw.
     """
     d, side = cfg.d, 2.0 * cfg.half_width
     if cfg.kind == "bias-sweep" and cfg.family != "hypercubic":
@@ -379,10 +382,17 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
         if need > budget:
             return need, f"{n} points x (1 + {d}) x 8 B"
         spacing = min(delta, cfg.ell / 16.0)
-        rank = _axis_factor(math.ceil(side / spacing) + 1, spacing, cfg.ell).shape[1]
-        need = DRAW_OVERHEAD + 8 * n * (1 + d + (d + 1) * (rank + 1) + 16)
-        return need, (
-            f"{n} points and rank {rank}: values, points, factors, product and factor buffer x 8 B"
+        nodes = math.ceil(side / spacing) + 1
+
+        def price(rank):
+            return DRAW_OVERHEAD + 8 * n * (1 + d + (d + 1) * (rank + 1) + 16)
+
+        rank, what = nodes, f"rank at most {nodes}"
+        if price(rank) > budget:
+            rank = _axis_factor(nodes, spacing, cfg.ell).shape[1]
+            what = f"rank {rank}"
+        return price(rank), (
+            f"{n} points and {what}: values, points, factors, product and factor buffer x 8 B"
         )
     grids = _row_grids(cfg)
     if not grids:
@@ -391,14 +401,14 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     n = grid.shape[0]
     rows = min(_slab_rows(n, d), n)
     blocks = cfg.k if cfg.model == "chi-square" else 1
-    need = blocks * DRAW_OVERHEAD + 8 * min(blocks, 2) * rows * n ** (d - 1) + 2 * n**d
+    need = blocks * DRAW_OVERHEAD + (8 * min(blocks, 2) * rows + 2 * rows + 1) * n ** (d - 1)
     if need > budget:
-        return need, f"{n}^{d} grid points x (slabs x 8 B + masks x 2 B)"
+        return need, f"{n}^{d} grid points x (slabs x 8 B + flag buffers x 1 B)"
     rank = _axis_factor(n, grid.spacing, cfg.ell).shape[1]
     need += 8 * (2 * blocks * rank**d + rows * n ** (d - 2) * rank)
     return need, (
         f"{n}^{d} grid points and rank {rank}: noise block x {blocks}, slabs and contraction "
-        "x 8 B + masks x 2 B"
+        "x 8 B + flag buffers x 1 B"
     )
 
 
@@ -607,19 +617,18 @@ def _field(cfg: CampaignConfig, model: CovarianceModel, where, key, factor=None)
 
 def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, si, u, estimate):
     """Task function of row si on a grid: task t draws once, keyed
-    (seed, si, t), and returns ``estimate`` of the exceedance flags at level
-    ``u`` of its first and its second half, replicates 2t and 2t + 1."""
+    (seed, si, t), and returns ``estimate(exceeding, crossing)`` of the
+    counts at level ``u`` (``_lattice_counts``) of its first and its second
+    half, replicates 2t and 2t + 1."""
     # computed here, in the calling thread, so that pool threads share one
     # axis factor instead of racing to fill the cache with copies of it
     _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
 
     def task(t):
         draw = _field(cfg, model, grid, _flat_key(cfg.seed, si, t))
-        # a field is read only as its exceedance flags, which a Gaussian draw
-        # thresholds slab by slab; no name holds the first flags, so they are
-        # freed before the second field is read
-        first = estimate(draw.exceeds(0, u))
-        return [first, estimate(draw.exceeds(1, u))]
+        # each field is thresholded and counted slab by slab as it is
+        # contracted, so a task never holds a field or its flags
+        return [estimate(*_lattice_counts(draw.slabs(h), u)) for h in (0, 1)]
 
     return task
 
@@ -648,7 +657,7 @@ def _bias_spec(cfg: CampaignConfig):
         if cfg.family == "hypercubic":
             grid = grids[si]
             return _grid_replicates(
-                cfg, model, grid, si, cfg.u, lambda flags: hypercubic_surface_fast(flags, grid, True)
+                cfg, model, grid, si, cfg.u, lambda _, crossing: _counted_surface(crossing, grid)
             )
 
         elif cfg.family == "hexagonal":
@@ -741,9 +750,9 @@ def _clt_spec(cfg: CampaignConfig):
             grid,
             wi,
             cfg.u,
-            lambda flags: (
-                _lattice_volume(flags, grid, True),
-                hypercubic_surface_fast(flags, grid, True),
+            lambda exceeding, crossing: (
+                _counted_volume(exceeding, grid),
+                _counted_surface(crossing, grid),
             ),
         )
 
@@ -818,7 +827,7 @@ def _crofton_spec(cfg: CampaignConfig):
 
 
 def _volume_spec(cfg: CampaignConfig):
-    """Mean lattice volume estimates (``_lattice_volume``) against the analytic
+    """Mean lattice volume estimates (``_counted_volume``) against the analytic
     volume density."""
     model = CovarianceModel(cfg.ell)
     grids = _row_grids(cfg)
@@ -826,7 +835,7 @@ def _volume_spec(cfg: CampaignConfig):
     def replicates(ui, u):
         grid = grids[ui]
         return _grid_replicates(
-            cfg, model, grid, ui, u, lambda flags: _lattice_volume(flags, grid, True)
+            cfg, model, grid, ui, u, lambda exceeding, _: _counted_volume(exceeding, grid)
         )
 
     def reduce(u, vols):

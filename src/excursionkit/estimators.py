@@ -14,6 +14,8 @@ honeycomb and one boolean exceedance flag per cell, ``exceedance_indicator``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .densities import CovarianceModel, beta_d
@@ -95,34 +97,82 @@ def hypercubic_surface_fast(values: np.ndarray, grid: GridSpec, u: float) -> flo
     Computes (delta^(d-1) / sigma_d(T)) * sum over axes and in-grid node pairs
     of |1{X(t) >= u} - 1{X(t + delta e_j) >= u}|.  Equals ``surface_estimate``
     on the materialized lattice honeycomb exactly.  Boolean ``values`` at
-    ``u = True`` are the flags themselves, and are read with no comparison.
+    ``u = True`` are the flags themselves.
     """
-    flags = _node_flags(values, u)
-    if flags.size != grid.n_nodes:
-        raise ValueError(f"expected {grid.n_nodes} grid values, got {flags.size}")
-    flags = flags.reshape(grid.shape)
-    crossings = 0
-    for axis in range(grid.d):
-        lo = [slice(None)] * grid.d
-        hi = [slice(None)] * grid.d
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        crossings += int(np.count_nonzero(flags[tuple(lo)] != flags[tuple(hi)]))
-    return _lattice_sum(crossings, grid.spacing ** (grid.d - 1), grid)
+    return _counted_surface(_lattice_counts([_grid_block(values, grid)], u)[1], grid)
 
 
 def _lattice_volume(values: np.ndarray, grid: GridSpec, u: float) -> float:
     """Volume of the exceeding lattice cells over |T|.  Equals
     ``volume_estimate`` on the lattice honeycomb exactly, without building one.
     Boolean ``values`` at ``u = True`` are the flags themselves."""
-    return _lattice_sum(np.count_nonzero(_node_flags(values, u)), grid.spacing**grid.d, grid)
+    return _counted_volume(_lattice_counts([_grid_block(values, grid)], u)[0], grid)
 
 
-def _node_flags(values, u) -> np.ndarray:
-    """1{values >= u}; boolean values at u = True, for which the comparison
-    is the identity, are returned as they are rather than copied."""
+def _grid_block(values, grid: GridSpec) -> np.ndarray:
+    """Grid values in node order as one slab of all leading-axis planes."""
     values = np.asarray(values)
-    return values if values.dtype == bool and u is True else values >= u
+    if values.size != grid.n_nodes:
+        raise ValueError(f"expected {grid.n_nodes} grid values, got {values.size}")
+    return values.reshape(grid.shape)
+
+
+def _lattice_counts(slabs, u) -> tuple:
+    """(nodes with X >= u, neighbour node pairs whose flags differ) of a
+    lattice field, read from ``slabs``: the field in blocks of whole
+    leading-axis planes, in order, each of shape (rows, n, ..., n), none
+    with more rows than the first.
+
+    These two integers are all that the lattice volume and surface
+    estimates take from a field.  Each slab is thresholded into planes 1 to
+    rows of one bool buffer, reused for every slab, whose plane 0 holds the
+    flags of the last plane of the slab before, so the pairs across a slab
+    boundary count along the leading axis like the pairs within a slab.
+    Before the first slab, plane 0 holds the flags of its first plane, which
+    differ from them nowhere.  The pairs of each axis are compared into a
+    second reused buffer, of rows planes, and counted there.  Each slab is
+    dropped before the next is asked for, so a reader of ``_GridDraw.slabs``
+    holds one slab at a time and never a whole field's flags.
+    """
+    exceeding = crossing = 0
+    buffer = None
+    for slab in slabs:
+        rows = slab.shape[0]
+        if buffer is None:
+            buffer = np.empty((rows + 1,) + slab.shape[1:], dtype=bool)
+            differs = np.empty(rows * math.prod(slab.shape[1:]), dtype=bool)
+            np.greater_equal(slab[:1], u, out=buffer[:1])
+        flags = buffer[: rows + 1]
+        np.greater_equal(slab, u, out=flags[1:])
+        del slab  # freed before the next slab is contracted
+        exceeding += int(np.count_nonzero(flags[1:]))
+        for lo, hi in _neighbour_pairs(flags):
+            diff = differs[: lo.size].reshape(lo.shape)
+            np.not_equal(lo, hi, out=diff)
+            crossing += int(np.count_nonzero(diff))
+        flags[0] = flags[-1]
+    return exceeding, crossing
+
+
+def _neighbour_pairs(flags: np.ndarray) -> list:
+    """(lo, hi) per axis: the views of ``flags`` at the two ends of the
+    axis's neighbour pairs; leading-axis pairs reach back into plane 0, the
+    others lie in planes 1 and up."""
+    pairs = [(flags[:-1], flags[1:])]
+    for axis in range(1, flags.ndim):
+        head = (slice(1, None),) + (slice(None),) * (axis - 1)
+        pairs.append((flags[head + (slice(None, -1),)], flags[head + (slice(1, None),)]))
+    return pairs
+
+
+def _counted_volume(count: int, grid: GridSpec) -> float:
+    """Volume estimate of ``count`` exceeding nodes: their cells over |T|."""
+    return _lattice_sum(count, grid.spacing**grid.d, grid)
+
+
+def _counted_surface(count: int, grid: GridSpec) -> float:
+    """Surface estimate of ``count`` differing neighbour pairs: their facets over |T|."""
+    return _lattice_sum(count, grid.spacing ** (grid.d - 1), grid)
 
 
 def _lattice_sum(count: int, measure: float, grid: GridSpec) -> float:

@@ -15,12 +15,13 @@ returns the two fields as a sequence that contracts a slice only when the
 field is read, so a caller that is done with the first field before it
 reads the second never holds both.  A field is contracted one slab of
 leading-axis planes at a time, about SLAB_VALUES values, with the bits of
-one whole contraction; a reader that needs only the exceedance flags
-1{X >= u} (``_GridDraw.exceeds``) takes them slab by slab and never holds
-the float field.  A chi-square grid draw of k degrees is one such draw
-with k noise blocks: each slab of its field h is the sum of the squared
-slabs h of the k blocks, so it is thresholded by the same slab loop and
-never held whole either.  At scattered points,
+one whole contraction, and ``_GridDraw.slabs`` yields the slabs in turn: a
+reader that needs only counts of the field, as the lattice estimators do
+(``estimators._lattice_counts``), thresholds and counts each slab as it
+comes and never holds the field or its flags.  A chi-square grid draw of k
+degrees is one such draw with k noise blocks: each slab of its field h is
+the sum of the squared slabs h of the k blocks, so it is read by the same
+slab loop and never held whole either.  At scattered points,
 point i takes row i of every axis factor and one (r_1, ..., r_d) noise
 block gives one value array.  All samplers are pure functions of (model,
 locations, seed): the RNG is a Philox counter generator keyed by the seed,
@@ -123,52 +124,47 @@ def _slab_rows(n: int, d: int) -> int:
 class _GridDraw(Sequence):
     """The two fields of one grid draw, each contracted from slice h of the
     (2, r, ..., r) noise blocks of the draw when it is read, one slab of
-    leading-axis planes at a time (``_each_slab``).  A Gaussian draw has one
+    leading-axis planes at a time (``slabs``).  A Gaussian draw has one
     block, keyed by its seed; a chi-square draw of k degrees has k, keyed in
     order, and its field h sums the squares of the k fields h.  Reading a
     field twice contracts it twice, to the same bits, and holds no field
-    between reads; ``exceeds`` thresholds a field slab by slab, so it never
-    holds the float field."""
+    between reads."""
 
     def __init__(self, model: CovarianceModel, grid: GridSpec, keys, squared: bool = False):
         self._factor = _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
         shape = (2,) + (self._factor.shape[1],) * grid.d
         self._blocks = [_rng(key).standard_normal(shape) for key in keys]
         self._squared = squared
-        self._plane = grid.shape[0] ** (grid.d - 1)  # nodes per leading-axis plane
         self._rows = _slab_rows(grid.shape[0], grid.d)
 
     def __len__(self) -> int:
         return 2
 
     def __getitem__(self, half) -> np.ndarray:
-        field = np.empty(self._factor.shape[0] * self._plane)
-        self._each_slab(half, field.__setitem__)
-        return field
+        n, d = self._factor.shape[0], self._blocks[0].ndim - 1
+        field = np.empty((n,) * d)
+        lo = 0
+        for slab in self.slabs(half):
+            field[lo : lo + slab.shape[0]] = slab
+            lo += slab.shape[0]
+        return field.reshape(-1)
 
-    def exceeds(self, half, u: float) -> np.ndarray:
-        """The flags ``self[half] >= u``, with the same bits, from slabs."""
-        flags = np.empty(self._factor.shape[0] * self._plane, dtype=bool)
-        self._each_slab(half, lambda nodes, slab: np.greater_equal(slab, u, out=flags[nodes]))
-        return flags
-
-    def _each_slab(self, half, use) -> None:
-        """Call ``use(nodes, values)`` on each slab of ``_slab_rows`` leading-
-        axis planes of field ``half`` in turn: ``nodes`` is the slice of the
-        row-major node order the slab covers, ``values`` its field values,
-        which ``use`` may overwrite.  A slab contracts the leading noise axis
-        with its rows of A, then each remaining axis with all of A, in the
-        order and with the bits of one contraction of the whole field; a slab
-        of 1 row would go to a matrix-vector product with other bits.  A
-        squared draw squares each block's slab in place and adds it to the
-        first, in block order.  Only the slab ``use`` has is held when the
-        next is contracted."""
+    def slabs(self, half):
+        """Yield field ``half`` in slabs of ``_slab_rows`` leading-axis planes,
+        in order, each of shape (rows, n, ..., n); a reader may overwrite
+        them.  A slab contracts the leading noise axis with its rows of A,
+        then each remaining axis with all of A, in the order and with the
+        bits of one contraction of the whole field; a slab of 1 row would go
+        to a matrix-vector product with other bits.  A squared draw squares
+        each block's slab in place and adds it to the first, in block order.
+        No slab is held here once the next is being contracted, so a reader
+        that drops each slab before it asks for the next holds one at a
+        time.  Raises IndexError past the second field when iterated."""
         half = operator.index(half)
-        factor, rows, plane = self._factor, self._rows, self._plane
-        r, d = factor.shape[1], self._blocks[0].ndim - 1
-        # IndexError past the second field
+        factor, rows = self._factor, self._rows
+        n, r, d = factor.shape[0], factor.shape[1], self._blocks[0].ndim - 1
         leads = [block[half].reshape(r, -1).T for block in self._blocks]
-        for lo in range(0, factor.shape[0], rows):
+        for lo in range(0, n, rows):
             total = None
             for lead in leads:
                 z = np.matmul(lead, factor[lo : lo + rows].T)
@@ -180,7 +176,8 @@ class _GridDraw(Sequence):
                 if self._squared:
                     np.square(z, out=z)
                 total = z if total is None else np.add(total, z, out=total)
-            use(slice(lo * plane, lo * plane + total.size), total.reshape(-1))
+            z = None  # the reader alone holds the slab while the next is contracted
+            yield total.reshape((-1,) + (n,) * (d - 1))
 
 
 def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> Sequence:

@@ -22,7 +22,7 @@ window masks come from the facet endpoints, by one rule for both families
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -185,22 +185,25 @@ class WindowedHoneycomb:
     indices remapped to positions in the inside-cell ordering (the ordering
     of the field values and exceedance flags).  ``meeting_index`` and
     ``clipped_facets`` give the window-clipped view over the meeting cells.
+    ``guard_box`` is the box a Voronoi builder clipped the facets to, which
+    the masks need for a cell with no facet in it (``_window_masks``).
     """
 
     parent: Honeycomb
+    guard_box: InitVar[Box | None] = None
     inside: np.ndarray = field(init=False)
     meeting: np.ndarray = field(init=False)
     interior_facets: FacetSet = field(init=False)
     inside_index: np.ndarray = field(init=False)
     meeting_index: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, guard_box):
         parent = self.parent
         f = parent.facets
         if f.endpoints is None:
             self.inside = self.meeting = np.ones(parent.ref_points.shape[0], dtype=bool)
         else:
-            self.inside, self.meeting = _window_masks(parent)
+            self.inside, self.meeting = _window_masks(parent, guard_box)
         self.inside_index = np.flatnonzero(self.inside)
         # global ids of the cells with positive area in the window, ascending
         self.meeting_index = np.flatnonzero(self.meeting)
@@ -454,7 +457,9 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     keep = measure > MIN_FACET_FRACTION * float(np.max(guard_box.side_lengths))
     facets = FacetSet(a=ab[keep, 0], b=ab[keep, 1], measure=measure[keep], endpoints=ends[keep])
 
-    return WindowedHoneycomb(Honeycomb(d=2, ref_points=points, facets=facets, window=window))
+    return WindowedHoneycomb(
+        Honeycomb(d=2, ref_points=points, facets=facets, window=window), guard_box
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +480,7 @@ def _excess(verts: np.ndarray, box: Box) -> np.ndarray:
     return reduce(np.maximum, (_side_values(verts, box, sign, axis) for sign, axis in _SIDES))
 
 
-def _window_masks(parent: Honeycomb):
+def _window_masks(parent: Honeycomb, guard_box: Box | None):
     """Inside and meeting masks of the cells of a 2D honeycomb, from its facet table.
 
     Within the guard region the vertices of a cell are its facet endpoints.
@@ -487,7 +492,11 @@ def _window_masks(parent: Honeycomb):
     A facet that only touches the window, or runs along a side, makes no
     cell meet it, also when rounding puts its vertices a few ulps inside.
     The cell whose reference point is nearest the window centre meets it
-    too: a cell that covers the whole window has no facet in it.
+    too: a cell that covers the whole window has no facet in it.  When that
+    cell has no facet at all, it covers the whole ``guard_box`` the facets
+    were clipped to, so it is inside exactly when the guard box lies within
+    the window (a guard margin of 0).  Without a guard box the facets were
+    not clipped, and a cell with no facet is not counted inside.
     """
     facets, window = parent.facets, parent.window
     n = parent.ref_points.shape[0]
@@ -495,7 +504,8 @@ def _window_masks(parent: Honeycomb):
     # how far the farther endpoint of each facet lies beyond the window
     excess = _excess(ends.reshape(-1, 2), window).reshape(-1, 2)
     excess = np.maximum(excess[:, 0], excess[:, 1])
-    inside = _cells_with(facets, n, slice(None)) & ~_cells_with(facets, n, excess > CONTAINMENT_TOL)
+    has_facet = _cells_with(facets, n, slice(None))
+    inside = has_facet & ~_cells_with(facets, n, excess > CONTAINMENT_TOL)
     # a facet with both endpoints that deep reaches in whole; only the rest are clipped
     enters = excess <= -CONTAINMENT_TOL
     rim = np.flatnonzero(~enters)
@@ -503,7 +513,11 @@ def _window_masks(parent: Honeycomb):
     enters[rim] = _excess(0.5 * (clipped[:, 0] + clipped[:, 1]), window) <= -CONTAINMENT_TOL
     meeting = _cells_with(facets, n, enters)
     centre = 0.5 * (window.lo + window.hi)
-    meeting[np.argmin(np.sum((parent.ref_points - centre) ** 2, axis=1))] = True
+    covering = np.argmin(np.sum((parent.ref_points - centre) ** 2, axis=1))
+    meeting[covering] = True
+    if guard_box is not None and not has_facet[covering]:
+        corners = np.stack([guard_box.lo, guard_box.hi])
+        inside[covering] = bool(np.all(_excess(corners, window) <= CONTAINMENT_TOL))
     return inside, meeting
 
 

@@ -243,8 +243,9 @@ class TestRowGrids:
 # an 8^2 grid (half_width 2, delta 0.5) of full axis rank 8, for one thread:
 # the fixed overhead of its one draw, the 2 x 8^2 noise, one 8 x 8 partial
 # contraction and the one slab of all 8 rows it makes, each value of 8 B,
-# and the flags and the estimator's mask, 8^2 of 1 B each
-_ONE_SMALL_DRAW = campaigns.DRAW_OVERHEAD + 8 * (2 * 8**2 + 8 * 8 + 8**2) + 2 * 8**2
+# and the two bool buffers of the counting pass, 8 + 1 planes of flags and 8
+# planes of pair comparisons, 8 nodes of 1 B each
+_ONE_SMALL_DRAW = campaigns.DRAW_OVERHEAD + 8 * (2 * 8**2 + 8 * 8 + 8**2) + (2 * 8 + 1) * 8
 
 
 class TestGridMemoryPreflight:
@@ -294,6 +295,23 @@ class TestGridMemoryPreflight:
         validate_config(replace(cfg, threads=1))
         with pytest.raises(ConfigError, match=f"{cells} points and rank {rank}"):
             validate_config(replace(cfg, threads=2))
+
+    @pytest.mark.parametrize(
+        "family, threads",
+        [("hexagonal", 1), ("voronoi", 4)],
+        ids=["hexagonal-2d", "criterion-03"],
+    )
+    def test_point_family_admitted_without_factoring(self, monkeypatch, family, threads):
+        # the benchmark's hexagonal-2d config and the criterion-03 Voronoi
+        # config fit when priced at the axis node count, which bounds the
+        # rank, so no axis is factored just to price it
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(campaigns, "_axis_factor", _must_not_run)
+        cfg = replace(
+            default_config("bias-sweep"),
+            family=family, half_width=4.0, deltas=(0.25, 0.125), threads=threads,
+        )
+        validate_config(cfg)
 
     def test_point_family_rank_only_priced_when_points_fit(self, monkeypatch):
         # 66,189 Voronoi cells expected on the default window at delta 1/16:
@@ -352,19 +370,22 @@ class TestGridMemoryPreflight:
             assert peak <= bound, (peak, points.shape[0], what)
 
     @pytest.mark.parametrize(
-        "kind, d, overrides, nodes, fields",
+        "kind, d, overrides, nodes, node_bytes",
         [
-            ("bias-sweep", 2, dict(half_width=8.0, deltas=(0.0625,)), 256, 1),
-            ("bias-sweep", 3, dict(half_width=4.0, deltas=(0.125,)), 64, 1),
+            ("bias-sweep", 2, dict(half_width=8.0, deltas=(0.0625,)), 256, 8),
+            ("bias-sweep", 3, dict(half_width=4.0, deltas=(0.125,)), 64, 8),
+            # a 256^3 task holds less than one byte per node, the flags of
+            # one field
+            ("bias-sweep", 3, dict(half_width=8.0, deltas=(0.0625,)), 256, 1),
             # at u = -3 nearly every cell exceeds, the most the volume sum counts
-            ("volume-check", 2, dict(half_width=8.0, deltas=(0.0625,), levels=(-3.0,)), 256, 1),
-            ("clt", 2, dict(windows=(128,), deltas=(0.0625,)), 256, 1),
+            ("volume-check", 2, dict(half_width=8.0, deltas=(0.0625,), levels=(-3.0,)), 256, 8),
+            ("clt", 2, dict(windows=(128,), deltas=(0.0625,)), 256, 8),
             (
                 "bias-sweep",
                 2,
                 dict(half_width=8.0, deltas=(0.0625,), model="chi-square", k=3, u=2.0),
                 256,
-                2,
+                16,
             ),
             # at u = 0.05 nearly every cell exceeds (P = 0.997 at k = 3)
             (
@@ -372,14 +393,14 @@ class TestGridMemoryPreflight:
                 2,
                 dict(half_width=8.0, deltas=(0.0625,), levels=(0.05,), model="chi-square", k=3),
                 256,
-                2,
+                16,
             ),
             (
                 "bias-sweep",
                 3,
                 dict(half_width=4.0, deltas=(0.125,), model="chi-square", k=3, u=2.0),
                 64,
-                1,
+                8,
             ),
             # on grids this small the fixed overhead of a draw outweighs its
             # fields, so no float-field ceiling applies
@@ -389,6 +410,7 @@ class TestGridMemoryPreflight:
         ids=[
             "256^2",
             "64^3",
+            "256^3",
             "volume-check-256^2",
             "clt-256^2",
             "chi-square-256^2",
@@ -398,12 +420,13 @@ class TestGridMemoryPreflight:
             "chi-square-8^2",
         ],
     )
-    def test_grid_price_bounds_one_task(self, kind, d, overrides, nodes, fields):
+    def test_grid_price_bounds_one_task(self, kind, d, overrides, nodes, node_bytes):
         # the grid price of the preflight bounds what one task allocates: its
-        # draw and the estimates of both fields.  A Gaussian task thresholds
-        # its fields slab by slab and holds less than one float field; so
-        # does a chi-square task, which sums its squared blocks slab by slab,
-        # except at 256^2, where its two slabs are a whole field
+        # draw and the estimates of both fields.  A Gaussian task counts its
+        # fields slab by slab and holds less than one float field; so does a
+        # chi-square task, which sums its squared blocks slab by slab, except
+        # at 256^2, where its two slabs are a whole field.  At 256^3 the noise
+        # and one slab are less than the flags of one field
         cfg = validate_config(tiny(kind, d=d, **overrides))
         price, what = campaigns._draw_memory(cfg, 2**40)
         assert what.startswith(f"{nodes}^{d} grid points and rank")
@@ -416,8 +439,8 @@ class TestGridMemoryPreflight:
         finally:
             tracemalloc.stop()
         assert peak <= price, (peak, what)
-        if fields is not None:
-            assert peak < fields * 8 * nodes**d, peak
+        if node_bytes is not None:
+            assert peak < node_bytes * nodes**d, peak
 
     def test_point_counts_bound_the_cells_drawn(self):
         # the hexagonal price bounds the inside cells; the Voronoi price is
@@ -435,13 +458,13 @@ class TestGridMemoryPreflight:
         assert abs(np.mean(meeting) - (1 + 64 + 64 / math.pi)) < 4 * se
 
     def test_big_config_refused_before_any_draw(self, monkeypatch):
-        # a 2048^3 grid needs about 128 GiB for its two fields alone; only
-        # its size is computed, not the axis factor
+        # a 32768^3 grid needs about 21 GiB for one slab of 2 planes and its
+        # flag buffers alone; only its size is computed, not the axis factor
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: 8 * 2**30)
         monkeypatch.setattr(campaigns, "_axis_factor", _must_not_run)
         monkeypatch.setattr(campaigns, "sample_gaussian_grid", _must_not_run)
-        cfg = tiny("bias-sweep", d=3, half_width=64.0, deltas=(0.0625,))
-        with pytest.raises(ConfigError, match="2048\\^3 grid points"):
+        cfg = tiny("bias-sweep", d=3, half_width=1024.0, deltas=(0.0625,))
+        with pytest.raises(ConfigError, match="32768\\^3 grid points"):
             run_campaign(cfg)
 
     def test_cli_exit_code_two(self, tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ import pytest
 
 from excursionkit import sampling
 from excursionkit.densities import CovarianceModel
+from excursionkit.estimators import _counted_surface, _lattice_counts, hypercubic_surface_fast
 from excursionkit.sampling import (
     FACTOR_TOL,
     GridSpec,
@@ -185,8 +186,21 @@ def _one_shot(noise, factor):
     return z.reshape(-1)
 
 
+def _whole_field_counts(field, grid, u):
+    """(nodes >= u, neighbour pairs whose flags differ) of a whole field, by
+    one comparison of the flags per axis."""
+    flags = (field >= u).reshape(grid.shape)
+    pairs = 0
+    for axis in range(grid.d):
+        lo = np.take(flags, np.arange(grid.shape[axis] - 1), axis=axis)
+        hi = np.take(flags, np.arange(1, grid.shape[axis]), axis=axis)
+        pairs += int(np.count_nonzero(lo != hi))
+    return int(np.count_nonzero(flags)), pairs
+
+
 class TestSlabs:
-    """A field contracted slab by slab has the bits of one whole contraction."""
+    """A field contracted slab by slab has the bits of one whole contraction,
+    and its counts, taken slab by slab, those of the whole field."""
 
     @pytest.mark.parametrize(
         "d, half_extent, slab_values, slabs",
@@ -205,19 +219,18 @@ class TestSlabs:
         monkeypatch.setattr(sampling, "SLAB_VALUES", slab_values)
         g = GridSpec(d, half_extent, 0.25)
         factor = _axis_factor(g.shape[0], g.spacing, MODEL.length_scale)
-        plane = g.shape[0] ** (d - 1)
+        shapes = [(rows,) + g.shape[1:] for rows in slabs]
         draw = sample_gaussian_grid(MODEL, g, 31)
-        seen = []
-        draw._each_slab(0, lambda nodes, values: seen.append((nodes.stop - nodes.start) // plane))
-        assert seen == slabs
+        assert [slab.shape for slab in draw.slabs(0)] == shapes
 
         noise = sampling._rng(31).standard_normal((2,) + (factor.shape[1],) * d)
         for h in (0, 1):
             field = _one_shot(noise[h], factor)
             assert draw[h].tobytes() == field.tobytes()
             for u in (-0.5, 0.0, 1.0, field[5]):  # field[5] is a tie at node 5
-                assert draw.exceeds(h, u).tobytes() == (field >= u).tobytes()
-                assert np.array_equal(draw.exceeds(h, u), draw[h] >= u)
+                counts = _lattice_counts(draw.slabs(h), u)
+                assert counts == _whole_field_counts(field, g, u)
+                assert _counted_surface(counts[1], g) == hypercubic_surface_fast(field, g, u)
 
         sums = np.zeros((2, g.n_nodes))
         for comp in range(3):
@@ -225,9 +238,7 @@ class TestSlabs:
             for h in (0, 1):
                 sums[h] += np.square(_one_shot(noise[h], factor))
         chi = sample_chi_square(MODEL, 3, g, 31)
-        chi_seen = []
-        chi._each_slab(1, lambda nodes, _: chi_seen.append((nodes.stop - nodes.start) // plane))
-        assert chi_seen == slabs
+        assert [slab.shape for slab in chi.slabs(1)] == shapes
         assert len(chi) == 2
         assert [x.tobytes() for x in chi] == [x.tobytes() for x in sums]
         first, second = chi
@@ -236,8 +247,8 @@ class TestSlabs:
             chi[2]
         for h in (0, 1):
             for u in (0.5, 1.0, 3.0, sums[h][5]):  # sums[h][5] is a tie at node 5
-                assert chi.exceeds(h, u).tobytes() == (chi[h] >= u).tobytes()
-                assert chi.exceeds(h, u).tobytes() == (sums[h] >= u).tobytes()
+                counts = _lattice_counts(chi.slabs(h), u)
+                assert counts == _whole_field_counts(sums[h], g, u)
 
         # one degree: the squared Gaussian field of the component's key
         one, gauss = sample_chi_square(MODEL, 1, g, 31), sample_gaussian_grid(MODEL, g, (31, 0))

@@ -708,6 +708,20 @@ class TestVoronoiClouds:
         assert wh.meeting_index.tolist() == [0]
         assert clipped_surface_estimate(wh, np.array([True])) == 0.0
 
+    @pytest.mark.parametrize("seed, cell", [((5, 36), 0), ((5, 48), 6)], ids=["5-36", "5-48"])
+    def test_cell_covering_the_guard_box(self, seed, cell):
+        # a sparse cloud whose diagram has no facet in the guard box: one
+        # cell covers it, and at guard 0 the guard box is the window
+        pts = sample_poisson_process(0.1, Box(np.full(2, -5.0), np.full(2, 5.0)), seed)
+        window = Box(np.full(2, -1.0), np.full(2, 1.0))
+        wh = voronoi_honeycomb_2d(pts, window, guard=0.0)
+        assert wh.parent.facets.measure.size == 0
+        assert wh.inside_index.tolist() == wh.meeting_index.tolist() == [cell]
+        # with a guard margin the covering cell reaches beyond the window
+        wh = voronoi_honeycomb_2d(pts, window, guard=0.5)
+        assert wh.n_inside == 0
+        assert wh.meeting_index.tolist() == [cell]
+
     def test_clipped_facets_account_for_all_cell_boundary_in_window(self):
         # each facet piece in T borders two cells, and the rest of the clipped
         # cell perimeters is the boundary of T itself
