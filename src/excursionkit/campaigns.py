@@ -57,7 +57,7 @@ from .estimators import (
     hypercubic_surface_fast,  # noqa: F401  (bound here for perfbench/worker.py --spans)
     surface_estimate,
 )
-from .crofton import circle_shape, crofton_measure_mc, square_shape
+from .crofton import _CHUNK, circle_shape, crofton_measure_mc, square_shape
 
 KINDS = ("bias-sweep", "crossing", "clt", "crofton-demo", "volume-check")
 FAMILIES = ("hypercubic", "hexagonal", "voronoi")
@@ -318,7 +318,7 @@ def _check_memory(cfg: CampaignConfig) -> None:
     need, what = _draw_memory(cfg, memory // cfg.threads)
     if need * cfg.threads > memory:
         raise ConfigError(
-            f"field draws need about {need * cfg.threads / 2**30:.1f} GiB of memory ({what} "
+            f"draws need about {need * cfg.threads / 2**30:.1f} GiB of memory ({what} "
             f"x threads = {cfg.threads}), more than the {memory / 2**30:.1f} GiB of "
             "physical memory"
         )
@@ -343,8 +343,9 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     (``estimators._lattice_counts``), one slab of s leading-axis planes at a
     time (``sampling._slab_rows``, s <= n): while the last axis is
     contracted, the slab's s n^(d-1) values and the partial contraction they
-    come from, r s n^(d-2) values, each of 8 B; then the two bool buffers of
-    the counting pass, (s + 1) n^(d-1) flags and s n^(d-1) pair comparisons.
+    come from, r s n^(d-2) values, each of 8 B; then, while it is counted,
+    the slab's s n^(d-1) flags, one comparison of at most as many neighbour
+    pairs and the copied n^(d-1) flags of the last plane of the slab before.
     That is 8 B x (2 r^d + s n^(d-2) (n + r)) + (2 s + 1) n^(d-1) B, and no
     term grows with n^d but the noise.  A chi-square task of k degrees holds
     k noise blocks, and for k >= 2 its slab of squares summed so far besides
@@ -368,6 +369,12 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     when that bound does not fit in ``budget``; a grid's rank only once the
     rank-free part of its draw fits.  Each noise block or point draw held
     adds DRAW_OVERHEAD B, which no per-value term bounds on a small draw.
+    A crossing task of p pairs holds their 2 p normals and the two products
+    and the sum that give the second value of each pair: 8 B x 5 p.  A
+    Crofton task of l lines holds their l counts and, for each of the up to
+    _CHUNK lines sampled at a time, about 12 values (the directions and
+    offsets of this batch and the last, and the temporaries of the sampler
+    and the shape oracle): 8 B x (l + 12 min(l, _CHUNK)).
     """
     d, side = cfg.d, 2.0 * cfg.half_width
     if cfg.kind == "bias-sweep" and cfg.family != "hypercubic":
@@ -394,21 +401,30 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
         return price(rank), (
             f"{n} points and {what}: values, points, factors, product and factor buffer x 8 B"
         )
+    if cfg.kind == "crossing":
+        pairs = cfg.n_pairs // cfg.reps
+        return DRAW_OVERHEAD + 8 * 5 * pairs, f"{pairs} pairs x 5 values x 8 B"
+    if cfg.kind == "crofton-demo":
+        lines = cfg.n_lines // cfg.reps
+        batch = min(lines, _CHUNK)
+        return DRAW_OVERHEAD + 8 * (lines + 12 * batch), (
+            f"{lines} line counts and {batch} sampled lines x 12 values, x 8 B"
+        )
     grids = _row_grids(cfg)
     if not grids:
         return 0, ""
     grid = max(grids, key=lambda g: g.half_extent)
     n = grid.shape[0]
-    rows = min(_slab_rows(n, d), n)
+    rows = _slab_rows(n, d)
     blocks = cfg.k if cfg.model == "chi-square" else 1
     need = blocks * DRAW_OVERHEAD + (8 * min(blocks, 2) * rows + 2 * rows + 1) * n ** (d - 1)
     if need > budget:
-        return need, f"{n}^{d} grid points x (slabs x 8 B + flag buffers x 1 B)"
+        return need, f"{n}^{d} grid points x (slabs x 8 B + flags x 1 B)"
     rank = _axis_factor(n, grid.spacing, cfg.ell).shape[1]
     need += 8 * (2 * blocks * rank**d + rows * n ** (d - 2) * rank)
     return need, (
         f"{n}^{d} grid points and rank {rank}: noise block x {blocks}, slabs and contraction "
-        "x 8 B + flag buffers x 1 B"
+        "x 8 B + flags x 1 B"
     )
 
 

@@ -14,8 +14,6 @@ honeycomb and one boolean exceedance flag per cell, ``exceedance_indicator``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .densities import CovarianceModel, beta_d
@@ -120,49 +118,34 @@ def _grid_block(values, grid: GridSpec) -> np.ndarray:
 def _lattice_counts(slabs, u) -> tuple:
     """(nodes with X >= u, neighbour node pairs whose flags differ) of a
     lattice field, read from ``slabs``: the field in blocks of whole
-    leading-axis planes, in order, each of shape (rows, n, ..., n), none
-    with more rows than the first.
+    leading-axis planes, in order, each of shape (rows, n, ..., n).
 
     These two integers are all that the lattice volume and surface
-    estimates take from a field.  Each slab is thresholded into planes 1 to
-    rows of one bool buffer, reused for every slab, whose plane 0 holds the
-    flags of the last plane of the slab before, so the pairs across a slab
-    boundary count along the leading axis like the pairs within a slab.
-    Before the first slab, plane 0 holds the flags of its first plane, which
-    differ from them nowhere.  The pairs of each axis are compared into a
-    second reused buffer, of rows planes, and counted there.  Each slab is
-    dropped before the next is asked for, so a reader of ``_GridDraw.slabs``
-    holds one slab at a time and never a whole field's flags.
+    estimates take from a field.  Each slab is thresholded into its own
+    flags, and the neighbour pairs of each axis within it are compared and
+    counted one axis at a time; the pairs across a slab boundary compare its first plane
+    with a copy of the last plane of the slab before.  Each slab and its
+    flags are dropped before the next slab is asked for, so a reader of
+    ``_GridDraw.slabs`` holds one slab, its flags, one comparison and one
+    copied plane at a time, and never a whole field's flags.
     """
     exceeding = crossing = 0
-    buffer = None
+    last = None
     for slab in slabs:
-        rows = slab.shape[0]
-        if buffer is None:
-            buffer = np.empty((rows + 1,) + slab.shape[1:], dtype=bool)
-            differs = np.empty(rows * math.prod(slab.shape[1:]), dtype=bool)
-            np.greater_equal(slab[:1], u, out=buffer[:1])
-        flags = buffer[: rows + 1]
-        np.greater_equal(slab, u, out=flags[1:])
+        flags = slab >= u
         del slab  # freed before the next slab is contracted
-        exceeding += int(np.count_nonzero(flags[1:]))
-        for lo, hi in _neighbour_pairs(flags):
-            diff = differs[: lo.size].reshape(lo.shape)
-            np.not_equal(lo, hi, out=diff)
-            crossing += int(np.count_nonzero(diff))
-        flags[0] = flags[-1]
+        exceeding += int(np.count_nonzero(flags))
+        if last is not None:
+            crossing += int(np.count_nonzero(flags[:1] != last))
+        for axis in range(flags.ndim):
+            head = (slice(None),) * axis
+            lo, hi = flags[head + (slice(-1),)], flags[head + (slice(1, None),)]
+            crossing += int(np.count_nonzero(lo != hi))
+        # a copy, not a view, so that no flags of this slab are held while
+        # the next slab is contracted
+        last = flags[-1:].copy()
+        del flags, lo, hi
     return exceeding, crossing
-
-
-def _neighbour_pairs(flags: np.ndarray) -> list:
-    """(lo, hi) per axis: the views of ``flags`` at the two ends of the
-    axis's neighbour pairs; leading-axis pairs reach back into plane 0, the
-    others lie in planes 1 and up."""
-    pairs = [(flags[:-1], flags[1:])]
-    for axis in range(1, flags.ndim):
-        head = (slice(1, None),) + (slice(None),) * (axis - 1)
-        pairs.append((flags[head + (slice(None, -1),)], flags[head + (slice(1, None),)]))
-    return pairs
 
 
 def _counted_volume(count: int, grid: GridSpec) -> float:

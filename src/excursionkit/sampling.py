@@ -116,9 +116,9 @@ def _axis_factor(n: int, spacing: float, length_scale: float) -> np.ndarray:
 
 def _slab_rows(n: int, d: int) -> int:
     """Leading-axis planes per slab of an n^d field: the largest power of two
-    of at least 2 whose slab holds at most SLAB_VALUES values, so no slab has
-    1 row (n is even, as every grid's is)."""
-    return 1 << (max(2, SLAB_VALUES // n ** (d - 1)).bit_length() - 1)
+    of at least 2 whose slab holds at most SLAB_VALUES values, or n where
+    that is fewer.  No slab has 1 row, as n is even, as every grid's is."""
+    return min(n, 1 << (max(2, SLAB_VALUES // n ** (d - 1)).bit_length() - 1))
 
 
 class _GridDraw(Sequence):

@@ -243,8 +243,8 @@ class TestRowGrids:
 # an 8^2 grid (half_width 2, delta 0.5) of full axis rank 8, for one thread:
 # the fixed overhead of its one draw, the 2 x 8^2 noise, one 8 x 8 partial
 # contraction and the one slab of all 8 rows it makes, each value of 8 B,
-# and the two bool buffers of the counting pass, 8 + 1 planes of flags and 8
-# planes of pair comparisons, 8 nodes of 1 B each
+# and what the counting pass holds besides, the slab's 8 planes of flags,
+# one comparison of at most 8 planes and one copied plane, 8 nodes of 1 B each
 _ONE_SMALL_DRAW = campaigns.DRAW_OVERHEAD + 8 * (2 * 8**2 + 8 * 8 + 8**2) + (2 * 8 + 1) * 8
 
 
@@ -459,13 +459,55 @@ class TestGridMemoryPreflight:
 
     def test_big_config_refused_before_any_draw(self, monkeypatch):
         # a 32768^3 grid needs about 21 GiB for one slab of 2 planes and its
-        # flag buffers alone; only its size is computed, not the axis factor
+        # flags alone; only its size is computed, not the axis factor
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: 8 * 2**30)
         monkeypatch.setattr(campaigns, "_axis_factor", _must_not_run)
         monkeypatch.setattr(campaigns, "sample_gaussian_grid", _must_not_run)
         cfg = tiny("bias-sweep", d=3, half_width=1024.0, deltas=(0.0625,))
         with pytest.raises(ConfigError, match="32768\\^3 grid points"):
             run_campaign(cfg)
+
+    @pytest.mark.parametrize(
+        "kind, overrides, sampler",
+        [
+            ("crossing", dict(n_pairs=10**10, reps=2), "crossing_frequency"),
+            ("crofton-demo", dict(n_lines=10**10, reps=2), "crofton_measure_mc"),
+        ],
+        ids=["crossing", "crofton-demo"],
+    )
+    def test_pairs_and_lines_refused_before_any_draw(self, monkeypatch, kind, overrides, sampler):
+        # a task of 5e9 pairs or lines needs about 186 or 37 GiB
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(campaigns, sampler, _must_not_run)
+        with pytest.raises(ConfigError, match="physical memory"):
+            run_campaign(tiny(kind, **overrides))
+
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            # 1,000 pairs: arrays too small for numpy to reuse a temporary
+            ("crossing", dict(n_pairs=2000, reps=2)),
+            ("crossing", dict(n_pairs=200_000, reps=2)),
+            ("crofton-demo", dict(n_lines=2000, reps=2)),
+            # two batches of lines per task
+            ("crofton-demo", dict(n_lines=800_000, reps=2)),
+        ],
+        ids=["crossing-1000", "crossing-100000", "crofton-1000", "crofton-400000"],
+    )
+    def test_pair_and_line_price_bounds_one_task(self, kind, overrides):
+        # the preflight price bounds what one task allocates, for each row
+        cfg = validate_config(tiny(kind, **overrides))
+        price, _ = campaigns._draw_memory(cfg, 2**40)
+        _, values, replicates, _ = campaigns._SPECS[kind](cfg)
+        for si, value in enumerate(values):
+            task = replicates(si, value)
+            tracemalloc.start()
+            try:
+                task(0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= price, (value, peak, price)
 
     def test_cli_exit_code_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: _ONE_SMALL_DRAW)
