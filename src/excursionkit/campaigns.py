@@ -34,11 +34,13 @@ from .densities import (
     gaussian_volume_density,
 )
 from .sampling import (
+    DRAW_OVERHEAD,  # noqa: F401  (the fixed price of a draw, read by the tests)
     _axis_factor,
     _blas_threads,
     _flat_key,
+    _grid_draw_memory,
     _one_blas_thread,
-    _slab_rows,
+    _point_draw_memory,
     covariance_factor,
     sample_chi_square,
     sample_gaussian_grid,
@@ -49,6 +51,8 @@ from .tessellation import Box, GridSpec, hexagonal_honeycomb, voronoi_honeycomb_
 from .estimators import (
     _counted_surface,
     _counted_volume,
+    _crossing_memory,
+    _lattice_count_memory,
     _lattice_counts,
     clipped_surface_estimate,
     corrected_surface,
@@ -57,7 +61,7 @@ from .estimators import (
     hypercubic_surface_fast,  # noqa: F401  (bound here for perfbench/worker.py --spans)
     surface_estimate,
 )
-from .crofton import _CHUNK, circle_shape, crofton_measure_mc, square_shape
+from .crofton import _line_memory, circle_shape, crofton_measure_mc, square_shape
 
 KINDS = ("bias-sweep", "crossing", "clt", "crofton-demo", "volume-check")
 FAMILIES = ("hypercubic", "hexagonal", "voronoi")
@@ -66,10 +70,6 @@ MODELS = ("gaussian", "chi-square")
 # fewest expected generators a Voronoi bias sweep accepts at its coarsest cell
 # size; a cloud of fewer than 2 has no diagram
 MIN_VORONOI_GENERATORS = 16
-
-# bytes a Gaussian draw holds besides its arrays' values: its Philox
-# generator, array headers and draw object (3.3 to 3.7 kB on an 8^2 grid)
-DRAW_OVERHEAD = 8192
 
 # fields that do not influence the computed numbers and are therefore
 # excluded from the config hash echoed on every output row
@@ -338,43 +338,25 @@ def _row_grids(cfg: CampaignConfig) -> list:
 def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     """Bytes one worker holds for the largest draw of ``cfg``, and what they are.
 
-    A Gaussian grid task of n^d nodes holds the 2 r^d noise of its draw, r
-    being the rank of the axis factor, and reads each field as two counts
-    (``estimators._lattice_counts``), one slab of s leading-axis planes at a
-    time (``sampling._slab_rows``, s <= n): while the last axis is
-    contracted, the slab's s n^(d-1) values and the partial contraction they
-    come from, r s n^(d-2) values, each of 8 B; then, while it is counted,
-    the slab's s n^(d-1) flags, one comparison of at most as many neighbour
-    pairs and the copied n^(d-1) flags of the last plane of the slab before.
-    That is 8 B x (2 r^d + s n^(d-2) (n + r)) + (2 s + 1) n^(d-1) B, and no
-    term grows with n^d but the noise.  A chi-square task of k degrees holds
-    k noise blocks, and for k >= 2 its slab of squares summed so far besides
-    the slab of the block it adds: 8 B x (2 k r^d + s n^(d-2) (min(k, 2) n +
-    r)) + (2 s + 1) n^(d-1) B, one formula for both models with k = 1 for a
-    Gaussian task.  A draw at n
-    scattered points holds the n values, the n x d points, the d axis
-    factors and one partial product of n columns and up to r + 1 rows each
-    (the pivot order of scattered coordinates can take one column more than
-    a grid's), and while factoring the row buffer of the factor loop, which
-    grows 16 rows at a time: 8 B x n (1 + d + (d + 1) (r + 1) + 16).
-    Here n is at most the number of whole hexagons in the window, and for
-    Voronoi clouds the expected number of cells meeting the window,
-    1 + m^2 + 8 m / pi for a window m cells wide (the Steiner formula with
-    the mean Poisson-Voronoi cell perimeter 4 / sqrt(rate)).  r is the rank
-    of a grid axis across the extent of the points (the window, plus the
-    guard margin for Voronoi generators) at the finest cell size, or at
-    1/16 of a length scale where that is finer: a coarser grid has fewer
-    nodes than a dense cloud has rank.  The points are priced first at the
-    axis node count, which bounds that rank, and the axis is factored only
-    when that bound does not fit in ``budget``; a grid's rank only once the
-    rank-free part of its draw fits.  Each noise block or point draw held
-    adds DRAW_OVERHEAD B, which no per-value term bounds on a small draw.
-    A crossing task of p pairs holds their 2 p normals and the two products
-    and the sum that give the second value of each pair: 8 B x 5 p.  A
-    Crofton task of l lines holds their l counts and, for each of the up to
-    _CHUNK lines sampled at a time, about 12 values (the directions and
-    offsets of this batch and the last, and the temporaries of the sampler
-    and the shape oracle): 8 B x (l + 12 min(l, _CHUNK)).
+    Each module prices the arrays it allocates, and this sums those prices
+    the way a task calls them: a lattice task holds its grid draw
+    (``sampling._grid_draw_memory``, k noise blocks for chi-square, 1 for
+    Gaussian) while it counts each field (``estimators._lattice_count_memory``),
+    at the largest grid of the sweep.  A hexagonal or Voronoi task holds one
+    draw at its points (``sampling._point_draw_memory``): at most the number
+    of whole hexagons in the window, or for Voronoi clouds the expected
+    number of cells meeting it, 1 + m^2 + 8 m / pi for a window m cells wide
+    (the Steiner formula with the mean Poisson-Voronoi cell perimeter
+    4 / sqrt(rate)), with the rank of a grid axis across the extent of the
+    points (the window, plus the guard margin for Voronoi generators) at the
+    finest cell size, or at 1/16 of a length scale where that is finer: a
+    coarser grid has fewer nodes than a dense cloud has rank.  A crossing
+    task prices its pairs (``estimators._crossing_memory``) and a Crofton
+    task its lines (``crofton._line_memory``), ``n_pairs`` or ``n_lines``
+    over ``reps`` each.  A draw is first priced without its rank, and an
+    axis is factored only once that part fits in ``budget``; the points are
+    then priced at the axis node count, which bounds the rank, and the axis
+    is factored only when that bound does not fit.
     """
     d, side = cfg.d, 2.0 * cfg.half_width
     if cfg.kind == "bias-sweep" and cfg.family != "hypercubic":
@@ -385,44 +367,36 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
             m = side / delta
             n = math.ceil(1.0 + m * m + 8.0 * m / math.pi)
             side = delta * float(_voronoi_box(cfg, delta).side_lengths[0])
-        need = DRAW_OVERHEAD + 8 * n * (1 + d)
+        need = _point_draw_memory(n, d, None)
         if need > budget:
             return need, f"{n} points x (1 + {d}) x 8 B"
         spacing = min(delta, cfg.ell / 16.0)
         nodes = math.ceil(side / spacing) + 1
-
-        def price(rank):
-            return DRAW_OVERHEAD + 8 * n * (1 + d + (d + 1) * (rank + 1) + 16)
-
         rank, what = nodes, f"rank at most {nodes}"
-        if price(rank) > budget:
+        if _point_draw_memory(n, d, rank) > budget:
             rank = _axis_factor(nodes, spacing, cfg.ell).shape[1]
             what = f"rank {rank}"
-        return price(rank), (
+        return _point_draw_memory(n, d, rank), (
             f"{n} points and {what}: values, points, factors, product and factor buffer x 8 B"
         )
     if cfg.kind == "crossing":
         pairs = cfg.n_pairs // cfg.reps
-        return DRAW_OVERHEAD + 8 * 5 * pairs, f"{pairs} pairs x 5 values x 8 B"
+        return _crossing_memory(pairs), f"{pairs} pairs"
     if cfg.kind == "crofton-demo":
         lines = cfg.n_lines // cfg.reps
-        batch = min(lines, _CHUNK)
-        return DRAW_OVERHEAD + 8 * (lines + 12 * batch), (
-            f"{lines} line counts and {batch} sampled lines x 12 values, x 8 B"
-        )
+        return _line_memory(lines), f"{lines} lines"
     grids = _row_grids(cfg)
     if not grids:
         return 0, ""
     grid = max(grids, key=lambda g: g.half_extent)
     n = grid.shape[0]
-    rows = _slab_rows(n, d)
     blocks = cfg.k if cfg.model == "chi-square" else 1
-    need = blocks * DRAW_OVERHEAD + (8 * min(blocks, 2) * rows + 2 * rows + 1) * n ** (d - 1)
+    counting = _lattice_count_memory(n, d)
+    need = _grid_draw_memory(n, d, blocks, 0) + counting
     if need > budget:
         return need, f"{n}^{d} grid points x (slabs x 8 B + flags x 1 B)"
     rank = _axis_factor(n, grid.spacing, cfg.ell).shape[1]
-    need += 8 * (2 * blocks * rank**d + rows * n ** (d - 2) * rank)
-    return need, (
+    return _grid_draw_memory(n, d, blocks, rank) + counting, (
         f"{n}^{d} grid points and rank {rank}: noise block x {blocks}, slabs and contraction "
         "x 8 B + flags x 1 B"
     )

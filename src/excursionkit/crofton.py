@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import _rng
+from .sampling import DRAW_OVERHEAD, _rng
 from .tessellation import GridSpec
 
 _CHUNK = 200_000       # lines evaluated per vectorized batch
@@ -78,6 +78,7 @@ def crofton_measure_mc(shape, d: int, n_lines: int, bounding_radius: float, seed
         m = min(_CHUNK, n_lines - done)
         s, v = _sample_lines(rng, d, m, bounding_radius)
         counts[done:done + m] = shape(s, v)
+        del s, v  # freed before the next batch is sampled
         done += m
     # the direction average cancels the sphere area; the offset-disk volume
     # times the dimensional constant sqrt(pi)*Gamma((d+1)/2)/Gamma(d/2)
@@ -90,6 +91,16 @@ def crofton_measure_mc(shape, d: int, n_lines: int, bounding_radius: float, seed
         stderr=factor * sd / np.sqrt(n_lines),
         n_lines=n_lines,
     )
+
+
+def _line_memory(n_lines: int) -> int:
+    """Bytes ``crofton_measure_mc`` holds for ``n_lines`` lines in the plane:
+    their counts and, for each line of the batch of up to _CHUNK being
+    evaluated, about 9 values (its direction and offset, and the
+    temporaries of ``_sample_lines`` and of the shape oracle), each of 8 B,
+    plus DRAW_OVERHEAD.  A batch's lines are freed before the next is
+    sampled."""
+    return DRAW_OVERHEAD + 8 * (n_lines + 9 * min(n_lines, _CHUNK))
 
 
 def _convex_boundary(center, half_width):
@@ -105,6 +116,7 @@ def _convex_boundary(center, half_width):
     def count(s, v):
         w = c - v
         dist = np.abs(w[:, 0] * s[:, 1] - w[:, 1] * s[:, 0])
+        del w  # freed before the half-width's temporaries are made
         return np.where(dist < half_width(s), 2, 0)
 
     return count

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .densities import CovarianceModel, beta_d
-from .sampling import _rng
+from .sampling import DRAW_OVERHEAD, _rng, _slab_rows
 from .tessellation import FacetSet, GridSpec, WindowedHoneycomb
 
 
@@ -148,6 +148,14 @@ def _lattice_counts(slabs, u) -> tuple:
     return exceeding, crossing
 
 
+def _lattice_count_memory(n: int, d: int) -> int:
+    """Bytes ``_lattice_counts`` holds besides the slabs it reads, on slabs
+    of s = ``_slab_rows(n, d)`` planes of an n^d field: the slab's s n^(d-1)
+    flags, one comparison of at most as many neighbour pairs and the copied
+    n^(d-1) flags of the last plane of the slab before, each of 1 B."""
+    return (2 * _slab_rows(n, d) + 1) * n ** (d - 1)
+
+
 def _counted_volume(count: int, grid: GridSpec) -> float:
     """Volume estimate of ``count`` exceeding nodes: their cells over |T|."""
     return _lattice_sum(count, grid.spacing**grid.d, grid)
@@ -183,8 +191,17 @@ def crossing_frequency(
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
     rho = float(model.covariance(distance * distance))
-    rng = _rng(seed)
-    z = rng.standard_normal((2, n_pairs))
-    x0 = z[0]
-    x1 = rho * z[0] + np.sqrt(max(1.0 - rho * rho, 0.0)) * z[1]
-    return float(np.count_nonzero((x0 <= u) & (x1 > u)) / n_pairs)
+    z = _rng(seed).standard_normal((2, n_pairs))
+    # the second value is formed in place: the sum has the bits of
+    # rho z0 + sqrt(1 - rho^2) z1, as addition commutes
+    z[1] *= np.sqrt(max(1.0 - rho * rho, 0.0))
+    z[1] += rho * z[0]
+    return float(np.count_nonzero((z[0] <= u) & (z[1] > u)) / n_pairs)
+
+
+def _crossing_memory(n_pairs: int) -> int:
+    """Bytes ``crossing_frequency`` holds for ``n_pairs`` pairs: their
+    (2, n_pairs) normals and the product rho z0 added into the second
+    values, each value of 8 B, plus DRAW_OVERHEAD.  The 3 B of flags per
+    pair that follow are allocated once that product is freed."""
+    return DRAW_OVERHEAD + 8 * 3 * n_pairs

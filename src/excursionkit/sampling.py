@@ -52,6 +52,10 @@ from .tessellation import Box, GridSpec
 
 FACTOR_TOL = 1e-13          # largest residual variance left by an axis factor
 SLAB_VALUES = 2**15         # about as many grid field values contracted at a time
+# bytes a draw holds besides its arrays' values: its Philox generator,
+# array headers and draw object (3.3 to 3.7 kB for a Gaussian draw on an
+# 8^2 grid); every memory price of a task adds it per draw or noise block
+DRAW_OVERHEAD = 8192
 
 
 def _rng(seed_key) -> Generator:
@@ -119,6 +123,20 @@ def _slab_rows(n: int, d: int) -> int:
     of at least 2 whose slab holds at most SLAB_VALUES values, or n where
     that is fewer.  No slab has 1 row, as n is even, as every grid's is."""
     return min(n, 1 << (max(2, SLAB_VALUES // n ** (d - 1)).bit_length() - 1))
+
+
+def _grid_draw_memory(n: int, d: int, k: int, rank: int) -> int:
+    """Bytes a grid draw of k noise blocks on n^d nodes, with an axis factor
+    of rank r = ``rank``, holds while one of its fields is read slab by slab:
+    the k (2, r, ..., r) noise blocks, and for the slab being contracted, of
+    s = ``_slab_rows(n, d)`` planes, its partial contraction of r s n^(d-2)
+    values and min(k, 2) slabs of s n^(d-1) values (for k >= 2 the sum of
+    squares so far besides the slab of the block being added), each value
+    of 8 B, plus DRAW_OVERHEAD per block.  At rank 0 it is the part that
+    no factor changes.  What a reader of the slabs allocates is its own
+    price (``estimators._lattice_count_memory``)."""
+    lines = _slab_rows(n, d) * n ** (d - 2)  # a slab's values over n
+    return k * DRAW_OVERHEAD + 8 * (2 * k * rank**d + lines * (min(k, 2) * n + rank))
 
 
 class _GridDraw(Sequence):
@@ -244,6 +262,21 @@ def _draw(factors: tuple, seed_key) -> np.ndarray:
     for factor in factors[1:]:
         z = np.einsum("ji,j...i->...i", factor, z)
     return z
+
+
+def _point_draw_memory(n: int, d: int, rank: int | None) -> int:
+    """Bytes a draw at n scattered points in d dimensions holds when no axis
+    factor has more than ``rank`` rows: the n values and the n x d points,
+    the d axis factors and one partial product of n columns and up to
+    rank + 1 rows each (the pivot order of scattered coordinates can take
+    one column more than a grid axis's), and while factoring the row buffer
+    of ``_pivoted_factor``, which grows 16 rows at a time; each value of
+    8 B, plus DRAW_OVERHEAD.  A rank of None prices the values and points
+    alone, the part that no factor changes.  A chi-square draw at points
+    squares its k draws into the sum one at a time, so k does not change
+    the price."""
+    values = 1 + d if rank is None else 1 + d + (d + 1) * (rank + 1) + 16
+    return DRAW_OVERHEAD + 8 * n * values
 
 
 def _point_factor(model, points, factor) -> tuple:

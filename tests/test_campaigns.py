@@ -27,6 +27,7 @@ from excursionkit.campaigns import (
     run_campaign,
     validate_config,
 )
+from excursionkit.crofton import _CHUNK
 from excursionkit.densities import CovarianceModel, gaussian_surface_density
 from excursionkit.estimators import (
     clipped_surface_estimate,
@@ -334,8 +335,16 @@ class TestGridMemoryPreflight:
             ("hexagonal", 1.0, 0.25, dict(ell=4.0), 24),
             # k draws, each squared into the sum, one at a time
             ("hexagonal", 2.0, 0.25, dict(model="chi-square", k=3, u=2.0), 98),
+            ("voronoi", 2.0, 0.25, dict(model="chi-square", k=3, u=2.0), 298),
         ],
-        ids=["hexagonal-98", "hexagonal-886", "voronoi-298", "hexagonal-17", "chi-square-98"],
+        ids=[
+            "hexagonal-98",
+            "hexagonal-886",
+            "voronoi-298",
+            "hexagonal-17",
+            "chi-square-98",
+            "voronoi-chi-square-298",
+        ],
     )
     def test_point_price_bounds_the_draw(self, family, half_width, delta, overrides, priced_points):
         # the fixed and per-point price of the preflight bound what one draw,
@@ -476,26 +485,29 @@ class TestGridMemoryPreflight:
         ids=["crossing", "crofton-demo"],
     )
     def test_pairs_and_lines_refused_before_any_draw(self, monkeypatch, kind, overrides, sampler):
-        # a task of 5e9 pairs or lines needs about 186 or 37 GiB
+        # a task of 5e9 pairs or lines needs about 112 or 37 GiB
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: 8 * 2**30)
         monkeypatch.setattr(campaigns, sampler, _must_not_run)
         with pytest.raises(ConfigError, match="physical memory"):
             run_campaign(tiny(kind, **overrides))
 
     @pytest.mark.parametrize(
-        "kind, overrides",
+        "kind, overrides, ceiling",
         [
-            # 1,000 pairs: arrays too small for numpy to reuse a temporary
-            ("crossing", dict(n_pairs=2000, reps=2)),
-            ("crossing", dict(n_pairs=200_000, reps=2)),
-            ("crofton-demo", dict(n_lines=2000, reps=2)),
-            # two batches of lines per task
-            ("crofton-demo", dict(n_lines=800_000, reps=2)),
+            # 1,000 pairs: arrays too small for numpy to reuse a temporary;
+            # a task holds 3 values per pair, its two normals and one product
+            ("crossing", dict(n_pairs=2000, reps=2), 24 * 1000),
+            ("crossing", dict(n_pairs=200_000, reps=2), 24 * 100_000),
+            # the line counts and 9 values per line of the batch evaluated
+            ("crofton-demo", dict(n_lines=2000, reps=2), 8 * (1000 + 9 * 1000)),
+            # two batches of lines per task, the first freed before the second
+            ("crofton-demo", dict(n_lines=800_000, reps=2), 8 * (400_000 + 9 * _CHUNK)),
         ],
         ids=["crossing-1000", "crossing-100000", "crofton-1000", "crofton-400000"],
     )
-    def test_pair_and_line_price_bounds_one_task(self, kind, overrides):
-        # the preflight price bounds what one task allocates, for each row
+    def test_pair_and_line_price_bounds_one_task(self, kind, overrides, ceiling):
+        # the preflight price bounds what one task allocates, for each row,
+        # and so does the ceiling, with the fixed overhead of one draw
         cfg = validate_config(tiny(kind, **overrides))
         price, _ = campaigns._draw_memory(cfg, 2**40)
         _, values, replicates, _ = campaigns._SPECS[kind](cfg)
@@ -508,6 +520,7 @@ class TestGridMemoryPreflight:
             finally:
                 tracemalloc.stop()
             assert peak <= price, (value, peak, price)
+            assert peak <= campaigns.DRAW_OVERHEAD + ceiling, (value, peak)
 
     def test_cli_exit_code_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: _ONE_SMALL_DRAW)
