@@ -55,7 +55,6 @@ from .estimators import (
     _lattice_count_memory,
     _lattice_counts,
     clipped_surface_estimate,
-    corrected_surface,
     crossing_frequency,
     exceedance_indicator,
     hypercubic_surface_fast,  # noqa: F401  (bound here for perfbench/worker.py --spans)
@@ -551,7 +550,8 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
     ``replicates(si, value)`` giving the per-task function of row si, and
     ``reduce(value, results)`` giving the row and the named raw columns.  A
     task is one replicate, or on rows with a grid (``_row_grids``) the two
-    replicates 2t and 2t + 1 of one grid draw; an odd count drops the last.
+    replicates 2t and 2t + 1 of one grid draw; with an odd count the last
+    task estimates only its first half.
     Each row also gets numeric-health counters, written to the JSON summary
     only: the rank of the axis factor its grid draws use.
     """
@@ -566,7 +566,7 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
         # covariance factor, say) is freed before the next row builds its own
         results = _parallel(replicates(si, value), tasks, cfg.threads)
         if grids:
-            results = [r for pair in results for r in pair][: cfg.reps]
+            results = [r for pair in results for r in pair]
         row, raw_columns = reduce(value, results)
         rows.append({column: value, **row, "reps": cfg.reps})
         health.append(
@@ -609,7 +609,8 @@ def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec
     """Task function of row si on a grid: task t draws once, keyed
     (seed, si, t), and returns ``estimate(exceeding, crossing)`` of the
     counts at level ``u`` (``_lattice_counts``) of its first and its second
-    half, replicates 2t and 2t + 1."""
+    half, replicates 2t and 2t + 1.  A half past ``cfg.reps`` (the second
+    half of the last task of an odd count) is drawn but never counted."""
     # computed here, in the calling thread, so that pool threads share one
     # axis factor instead of racing to fill the cache with copies of it
     _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
@@ -618,7 +619,9 @@ def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec
         draw = _field(cfg, model, grid, _flat_key(cfg.seed, si, t))
         # each field is thresholded and counted slab by slab as it is
         # contracted, so a task never holds a field or its flags
-        return [estimate(*_lattice_counts(draw.slabs(h), u)) for h in (0, 1)]
+        return [
+            estimate(*_lattice_counts(draw.slabs(h), u)) for h in (0, 1) if 2 * t + h < cfg.reps
+        ]
 
     return task
 
@@ -680,7 +683,7 @@ def _bias_spec(cfg: CampaignConfig):
     def reduce(delta, surfaces):
         surfaces = np.array(surfaces)
         ratios = surfaces / denom
-        corrected = np.array([corrected_surface(r, cfg.d) for r in ratios])
+        corrected = ratios * beta_d(cfg.d) / (2.0 * cfg.d)
         mean_ratio, se_ratio = _mean_stderr(ratios)
         mean_corr, se_corr = _mean_stderr(corrected)
         row = {

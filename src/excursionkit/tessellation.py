@@ -466,18 +466,10 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
 # shared geometry helpers
 # ---------------------------------------------------------------------------
 
-_SIDES = ((1.0, 0), (1.0, 1), (-1.0, 0), (-1.0, 1))  # box sides as (sign, axis)
-
-
-def _side_values(verts: np.ndarray, box: Box, sign: float, axis: int) -> np.ndarray:
-    """Signed distance of each vertex beyond one box side (<= 0 inside it)."""
-    return sign * verts[:, axis] - (box.hi[axis] if sign > 0 else -box.lo[axis])
-
-
-def _excess(verts: np.ndarray, box: Box) -> np.ndarray:
-    """How far each (N, 2) vertex lies beyond the box: the largest of its
-    four side values (<= 0 inside it)."""
-    return reduce(np.maximum, (_side_values(verts, box, sign, axis) for sign, axis in _SIDES))
+def _excess(points: np.ndarray, box: Box) -> np.ndarray:
+    """How far each (N, d) point lies beyond the box: the largest of its 2d
+    side values (<= 0 inside it)."""
+    return reduce(np.maximum, [*(points - box.hi).T, *(box.lo - points).T])
 
 
 def _window_masks(parent: Honeycomb, guard_box: Box | None):
@@ -527,60 +519,6 @@ def _cells_with(facets: FacetSet, n: int, rows) -> np.ndarray:
     mask[facets.a[rows]] = True
     mask[facets.b[rows]] = True
     return mask
-
-
-def clip_cells_to_box(verts: np.ndarray, counts: np.ndarray, box: Box):
-    """Intersection of every convex CCW cell of a flat vertex array with a 2D box.
-
-    Cell i is the run of ``counts[i]`` rows of the (N, 2) array ``verts``.
-    A cell of at least 3 vertices, none of them beyond a side by more than
-    ``CONTAINMENT_TOL`` (``_excess``), comes back bit for bit.  The others
-    are clipped by Sutherland-Hodgman (Sutherland & Hodgman, "Reentrant
-    polygon clipping", CACM 1974), on all of them at once, one box side at a
-    time: each vertex emits the crossing point of the edge that ends at it,
-    then itself if it is inside that side (with slack ``CONTAINMENT_TOL``),
-    and a cell left with fewer than 3 vertices after a side is emptied.  Cell order is kept.  Returns the
-    clipped (M, 2) vertex array and the (n,) vertex count of each cell.
-
-    No builder calls it, since the 2D honeycombs keep no cell polygons; it
-    stays for clipping the ridge polygons of a 3D Voronoi honeycomb
-    (ROADMAP item 6).
-    """
-    uncut = counts >= 3
-    beyond = _excess(verts, box) > CONTAINMENT_TOL
-    uncut[np.repeat(np.arange(counts.size), counts)[beyond]] = False
-    cut, cut_counts = verts[~np.repeat(uncut, counts)], counts[~uncut]
-    for sign, axis in _SIDES:
-        vals = _side_values(cut, box, sign, axis)
-        ins = vals <= CONTAINMENT_TOL
-        # predecessor of each vertex around its own cell
-        stops = np.cumsum(cut_counts)
-        nonempty = cut_counts > 0
-        prev = np.arange(-1, cut.shape[0] - 1)
-        prev[(stops - cut_counts)[nonempty]] = stops[nonempty] - 1
-        cross = ins != ins[prev]
-        k = np.flatnonzero(cross)
-        j = prev[k]
-        # t only on crossing edges, where vals[j] - vals[k] cannot be 0
-        t = vals[j] / (vals[j] - vals[k])
-        emit = cross.astype(np.int64) + ins
-        first = np.cumsum(emit) - emit
-        out = np.empty((int(emit.sum()), 2))
-        out[first[k]] = cut[j] + t[:, None] * (cut[k] - cut[j])
-        out[first[ins] + cross[ins]] = cut[ins]
-        out_cell = np.repeat(np.repeat(np.arange(cut_counts.size), cut_counts), emit)
-        cut_counts = np.bincount(out_cell, minlength=cut_counts.size)
-        short = cut_counts < 3
-        cut = out[~short[out_cell]]
-        cut_counts[short] = 0
-    out_counts = np.array(counts, dtype=np.int64)
-    out_counts[~uncut] = cut_counts
-    # both row sets are in cell order, so each fills its own output rows in turn
-    kept = np.repeat(uncut, out_counts)
-    out = np.empty((kept.size, 2))
-    out[kept] = verts[np.repeat(uncut, counts)]
-    out[~kept] = cut
-    return out, out_counts
 
 
 def clip_segments_to_box(endpoints: np.ndarray, box: Box) -> np.ndarray:

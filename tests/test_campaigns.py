@@ -599,13 +599,26 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("kind", ["bias-sweep", "clt", "volume-check"])
     def test_odd_reps_drop_the_last_imaginary_half(self, kind):
-        # grid kinds draw two replicates per FFT; an odd count keeps the
+        # grid kinds draw two replicates per grid draw; an odd count keeps the
         # first reps of them, the same values as the next even count
         odd = run_campaign(tiny(kind, reps=5))
         even = run_campaign(tiny(kind, reps=6))
         assert all(row["reps"] == 5 for row in odd.rows)
         assert len(odd.raw) == 5 * len(odd.rows)
         assert odd.raw == [r for r in even.raw if r["replicate"] < 5]
+
+    def test_odd_reps_count_no_unused_field(self, monkeypatch):
+        # the last task of an odd count draws two fields and counts only the first
+        counted = []
+        real = campaigns._lattice_counts
+
+        def counting(slabs, u):
+            counted.append(u)
+            return real(slabs, u)
+
+        monkeypatch.setattr(campaigns, "_lattice_counts", counting)
+        run_campaign(tiny("bias-sweep", reps=3))
+        assert len(counted) == 3
 
     def test_lattice_factor_once_per_grid_axis(self, monkeypatch):
         # a slow factor: pool threads that each computed it on their first
@@ -930,6 +943,24 @@ class TestLatticeExpectation:
         exact = _lattice_expectation(3, 4.0, 0.125)
         assert exact == pytest.approx(1.47464, abs=5e-6)
         assert abs(row["mean_ratio"] - exact) <= 4.0 * row["stderr_ratio"], (row, exact)
+
+    @pytest.mark.parametrize(
+        "d, deltas, seed",
+        [(4, (0.5, 0.25, 0.125), 31_339), (5, (0.5, 0.25), 31_340)],
+        ids=["4d", "5d"],
+    )
+    def test_higher_dimension_sweep(self, d, deltas, seed):
+        # the contraction runs over d - 1 trailing axes, so d = 4 and 5 take
+        # the same path as d = 3 with longer loops
+        cfg = replace(
+            default_config("bias-sweep"),
+            d=d, half_width=2.0, deltas=deltas, reps=40, seed=seed, threads=2,
+        )
+        res = run_campaign(cfg)
+        assert [row["delta"] for row in res.rows] == list(deltas)
+        for row in res.rows:
+            exact = _lattice_expectation(d, 2.0, row["delta"])
+            assert abs(row["mean_ratio"] - exact) <= 3.0 * row["stderr_ratio"], (row, exact)
 
 
 class TestChiSquareLatticeRatio:

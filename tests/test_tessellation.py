@@ -4,8 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.spatial import ConvexHull, Delaunay, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from excursionkit import sampling
 from excursionkit.estimators import clipped_surface_estimate
@@ -16,7 +15,6 @@ from excursionkit.tessellation import (
     Box,
     FacetSet,
     GridSpec,
-    clip_cells_to_box,
     clip_segments_to_box,
     hexagonal_honeycomb,
     hypercubic_honeycomb,
@@ -231,7 +229,7 @@ def _clip_half_plane(verts, normal_vec, offset):
 
 def clip_polygon_to_box(verts, box):
     """Intersection of a convex CCW polygon with an axis-aligned 2D box, one
-    polygon and one box side at a time: the reference for ``clip_cells_to_box``."""
+    box side at a time (Sutherland-Hodgman): the loop reference's clipper."""
     v = [np.asarray(p, dtype=float) for p in verts]
     for sign, axis in ((1.0, 0), (1.0, 1), (-1.0, 0), (-1.0, 1)):
         nrm = np.zeros(2)
@@ -742,92 +740,6 @@ class TestVoronoiClouds:
         window = Box(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError):
             voronoi_honeycomb_2d(np.array([[0.2, 0.2], [0.8, 0.8]]), window, guard=-0.5)
-
-
-def _assert_clip_equals_loop(cells, box):
-    """``clip_cells_to_box`` on all cells at once equals the per-polygon loop
-    on each cell, bit for bit; returns the clipped cells."""
-    counts = np.array([len(c) for c in cells], dtype=np.int64)
-    verts, out_counts = clip_cells_to_box(np.concatenate(cells), counts, box)
-    assert out_counts.shape == counts.shape and out_counts.sum() == verts.shape[0]
-    clipped = np.split(verts, np.cumsum(out_counts)[:-1])
-    for got, cell in zip(clipped, cells):
-        assert _same_bits(got, clip_polygon_to_box(cell, box).reshape(-1, 2))
-    return clipped
-
-
-class TestClipCellsToBox:
-    BOX = Box(np.zeros(2), np.ones(2))
-
-    def test_case_table_matches_loop(self):
-        cases = [
-            # triangle whose hypotenuse x + y = 4 misses the box: the full square
-            np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]),
-            np.array([[0.25, 0.25], [0.75, 0.25], [0.5, 0.75]]),  # wholly inside
-            np.empty((0, 2)),  # empty cell in the middle
-            np.array([[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]),  # across a corner
-            np.array([[2.0, 2.0], [3.0, 2.0], [3.0, 3.0], [2.0, 3.0]]),  # wholly outside
-            np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]]),  # touches side x = 1
-            # beyond side x = 1 by less than CONTAINMENT_TOL: inside
-            np.array([[0.5, 0.5], [1.0 + 5e-13, 0.5], [0.5, 0.9]]),
-            # two vertices inside side x = 1 empty the cell before side y = 1
-            # would turn them into three
-            np.array([[0.5, 0.5], [0.5, 1.5]]),
-            # beyond side x = 1 by just more than CONTAINMENT_TOL: clipped
-            np.array([[0.5, 0.5], [1.0 + 4e-12, 0.5], [0.5, 0.9]]),
-            # beyond side y = 0 by exactly CONTAINMENT_TOL: unchanged
-            np.array([[0.25, -CONTAINMENT_TOL], [0.75, 0.25], [0.5, 0.75]]),
-            # at x = 1 + CONTAINMENT_TOL, which rounds to 1.0000889e-12 beyond
-            # side x = 1: Box.contains(tol=CONTAINMENT_TOL) keeps it inside,
-            # the side test does not, so the cell is clipped
-            np.array([[0.5, 0.5], [1.0 + CONTAINMENT_TOL, 0.5], [0.5, 0.9]]),
-            np.array([[0.5, 0.5]]),  # one vertex inside the box: emptied
-            np.array([[0.25, 0.5], [0.75, 0.5]]),  # two vertices inside: emptied
-            np.empty((0, 2)),  # empty cell at the end
-        ]
-        clipped = _assert_clip_equals_loop(cases, self.BOX)
-        assert _shoelace_area(clipped[0]) == pytest.approx(1.0)
-        assert _same_bits(clipped[1], cases[1])  # an inside cell comes back unchanged
-        assert _shoelace_area(clipped[3]) == pytest.approx(0.25)
-        assert [len(clipped[i]) for i in (2, 4, 7, 11, 12, 13)] == [0] * 6
-        assert _shoelace_area(clipped[5]) == 0.0
-        assert _same_bits(clipped[6], cases[6])
-        assert _same_bits(clipped[9], cases[9])
-        assert [len(clipped[i]) for i in (8, 10)] == [4, 4]  # the far vertex cut in two
-        assert np.all(self.BOX.contains(cases[10], tol=CONTAINMENT_TOL))
-
-    def test_empty_input(self):
-        verts, counts = clip_cells_to_box(np.empty((0, 2)), np.empty(0, dtype=np.int64), self.BOX)
-        assert verts.shape == (0, 2) and counts.shape == (0,)
-
-    @given(
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=1, max_value=6),
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=-1e3, max_value=1e3),
-        st.floats(min_value=-1e3, max_value=1e3),
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=-2.0, max_value=2.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_random_convex_polygons_match_loop(self, seed, n_cells, scale, x0, y0, w, h, shift):
-        # convex hulls of random points, scaled and shifted by up to two box
-        # sides from the box centre, so some miss the box and some cover it
-        rng = np.random.default_rng(seed)
-        box = Box(np.array([x0, y0]), np.array([x0 + w, y0 + h]))
-        centre = box.lo + (0.5 + shift) * box.side_lengths
-        cells = []
-        for _ in range(n_cells):
-            pts = centre + scale * rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 12)), 2))
-            cells.append(pts[ConvexHull(pts).vertices])  # CCW in 2D
-        clipped = _assert_clip_equals_loop(cells, box)
-        for got, cell in zip(clipped, cells):
-            area = _shoelace_area(got)
-            # shoelace rounding grows with the coordinates' magnitude
-            slack = 1e-12 * len(got) * float(np.max(np.abs(cell))) ** 2
-            assert area <= _shoelace_area(cell) + slack
-            assert area <= box.volume + slack
 
 
 class TestPolygonHelpers:
