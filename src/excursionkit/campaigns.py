@@ -34,7 +34,6 @@ from .densities import (
     gaussian_volume_density,
 )
 from .sampling import (
-    DRAW_OVERHEAD,  # noqa: F401  (the fixed price of a draw, read by the tests)
     _axis_factor,
     _blas_threads,
     _flat_key,
@@ -52,8 +51,6 @@ from .estimators import (
     _counted_surface,
     _counted_volume,
     _crossing_memory,
-    _lattice_count_memory,
-    _lattice_counts,
     clipped_surface_estimate,
     crossing_frequency,
     exceedance_indicator,
@@ -338,13 +335,13 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     """Bytes one worker holds for the largest draw of ``cfg``, and what they are.
 
     Each module prices the arrays it allocates, and this sums those prices
-    the way a task calls them: a lattice task holds its grid draw
-    (``sampling._grid_draw_memory``, k noise blocks for chi-square, 1 for
-    Gaussian) while it counts each field (``estimators._lattice_count_memory``),
-    at the largest grid of the sweep.  A hexagonal or Voronoi task holds one
-    draw at its points (``sampling._point_draw_memory``): at most the number
-    of whole hexagons in the window, or for Voronoi clouds the expected
-    number of cells meeting it, 1 + m^2 + 8 m / pi for a window m cells wide
+    the way a task calls them: a lattice task holds its grid draw while it
+    counts each field (``sampling._grid_draw_memory``, k noise blocks for
+    chi-square, 1 for Gaussian), at the largest grid of the sweep.  A
+    hexagonal or Voronoi task holds one draw at its points
+    (``sampling._point_draw_memory``): at most the number of whole hexagons
+    in the window, or for Voronoi clouds the expected number of cells
+    meeting it, 1 + m^2 + 8 m / pi for a window m cells wide
     (the Steiner formula with the mean Poisson-Voronoi cell perimeter
     4 / sqrt(rate)), with the rank of a grid axis across the extent of the
     points (the window, plus the guard margin for Voronoi generators) at the
@@ -390,12 +387,11 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     grid = max(grids, key=lambda g: g.half_extent)
     n = grid.shape[0]
     blocks = cfg.k if cfg.model == "chi-square" else 1
-    counting = _lattice_count_memory(n, d)
-    need = _grid_draw_memory(n, d, blocks, 0) + counting
+    need = _grid_draw_memory(n, d, blocks, 0)
     if need > budget:
         return need, f"{n}^{d} grid points x (slabs x 8 B + flags x 1 B)"
     rank = _axis_factor(n, grid.spacing, cfg.ell).shape[1]
-    return _grid_draw_memory(n, d, blocks, rank) + counting, (
+    return _grid_draw_memory(n, d, blocks, rank), (
         f"{n}^{d} grid points and rank {rank}: noise block x {blocks}, slabs and contraction "
         "x 8 B + flags x 1 B"
     )
@@ -472,8 +468,23 @@ class McCampaignResult:
             "provenance": _provenance(self.config, self.config_hash),
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+            json.dump(
+                _json_safe(payload), fh, indent=2, sort_keys=True, default=str, allow_nan=False
+            )
             fh.write("\n")
+
+
+def _json_safe(value):
+    """``value`` with each non-finite float, such as the skewness of a
+    constant column, made None, which JSON writes as null: JSON has no NaN
+    or Infinity token.  The CSV keeps writing them as nan."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _fmt(value) -> str:
@@ -608,7 +619,7 @@ def _field(cfg: CampaignConfig, model: CovarianceModel, where, key, factor=None)
 def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec, si, u, estimate):
     """Task function of row si on a grid: task t draws once, keyed
     (seed, si, t), and returns ``estimate(exceeding, crossing)`` of the
-    counts at level ``u`` (``_lattice_counts``) of its first and its second
+    counts at level ``u`` (``_GridDraw.counts``) of its first and its second
     half, replicates 2t and 2t + 1.  A half past ``cfg.reps`` (the second
     half of the last task of an odd count) is drawn but never counted."""
     # computed here, in the calling thread, so that pool threads share one
@@ -619,9 +630,7 @@ def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec
         draw = _field(cfg, model, grid, _flat_key(cfg.seed, si, t))
         # each field is thresholded and counted slab by slab as it is
         # contracted, so a task never holds a field or its flags
-        return [
-            estimate(*_lattice_counts(draw.slabs(h), u)) for h in (0, 1) if 2 * t + h < cfg.reps
-        ]
+        return [estimate(*draw.counts(h, u)) for h in (0, 1) if 2 * t + h < cfg.reps]
 
     return task
 

@@ -69,8 +69,8 @@ def crofton_measure_mc(shape, d: int, n_lines: int, bounding_radius: float, seed
         raise ValueError(f"dimension must be >= 2, got {d}")
     if n_lines < 1:
         raise ValueError(f"need at least one line, got {n_lines}")
-    if bounding_radius <= 0:
-        raise ValueError(f"bounding radius must be positive, got {bounding_radius}")
+    if not 0 < bounding_radius < math.inf:
+        raise ValueError(f"bounding radius must be positive and finite, got {bounding_radius}")
     rng = _rng(seed)
     counts = np.empty(n_lines)
     done = 0

@@ -180,14 +180,17 @@ class CovarianceModel:
     Attributes
     ----------
     length_scale : float
-        Positive length scale ell.
+        Positive length scale ell, with a finite nonzero square.
     """
 
     length_scale: float = 1.0
 
     def __post_init__(self):
-        if self.length_scale <= 0:
-            raise ValueError(f"length scale must be positive, got {self.length_scale}")
+        ell = self.length_scale
+        if not (ell > 0 and 0 < ell * ell < math.inf):
+            raise ValueError(
+                f"length scale must be positive with a finite nonzero square, got {ell}"
+            )
 
     @property
     def second_spectral_moment(self) -> float:

@@ -10,6 +10,10 @@ the inside-cell union, not of T.  ``clipped_surface_estimate`` is the
 plus-sampling edge correction for that case: flags on every cell meeting T,
 facet lengths clipped to T.  Each estimator is a function of the windowed
 honeycomb and one boolean exceedance flag per cell, ``exceedance_indicator``.
+On the lattice both estimates take only two counts of a field, its exceeding
+nodes and its neighbour pairs whose flags differ (``_counted_volume``,
+``_counted_surface``); a lattice grid draw counts its own fields, and
+``hypercubic_surface_fast`` counts a field given whole as a single slab.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .densities import CovarianceModel, beta_d
-from .sampling import DRAW_OVERHEAD, _rng, _slab_rows
+from .sampling import DRAW_OVERHEAD, _lattice_counts, _rng
 from .tessellation import FacetSet, GridSpec, WindowedHoneycomb
 
 
@@ -97,63 +101,10 @@ def hypercubic_surface_fast(values: np.ndarray, grid: GridSpec, u: float) -> flo
     on the materialized lattice honeycomb exactly.  Boolean ``values`` at
     ``u = True`` are the flags themselves.
     """
-    return _counted_surface(_lattice_counts([_grid_block(values, grid)], u)[1], grid)
-
-
-def _lattice_volume(values: np.ndarray, grid: GridSpec, u: float) -> float:
-    """Volume of the exceeding lattice cells over |T|.  Equals
-    ``volume_estimate`` on the lattice honeycomb exactly, without building one.
-    Boolean ``values`` at ``u = True`` are the flags themselves."""
-    return _counted_volume(_lattice_counts([_grid_block(values, grid)], u)[0], grid)
-
-
-def _grid_block(values, grid: GridSpec) -> np.ndarray:
-    """Grid values in node order as one slab of all leading-axis planes."""
     values = np.asarray(values)
     if values.size != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} grid values, got {values.size}")
-    return values.reshape(grid.shape)
-
-
-def _lattice_counts(slabs, u) -> tuple:
-    """(nodes with X >= u, neighbour node pairs whose flags differ) of a
-    lattice field, read from ``slabs``: the field in blocks of whole
-    leading-axis planes, in order, each of shape (rows, n, ..., n).
-
-    These two integers are all that the lattice volume and surface
-    estimates take from a field.  Each slab is thresholded into its own
-    flags, and the neighbour pairs of each axis within it are compared and
-    counted one axis at a time; the pairs across a slab boundary compare its first plane
-    with a copy of the last plane of the slab before.  Each slab and its
-    flags are dropped before the next slab is asked for, so a reader of
-    ``_GridDraw.slabs`` holds one slab, its flags, one comparison and one
-    copied plane at a time, and never a whole field's flags.
-    """
-    exceeding = crossing = 0
-    last = None
-    for slab in slabs:
-        flags = slab >= u
-        del slab  # freed before the next slab is contracted
-        exceeding += int(np.count_nonzero(flags))
-        if last is not None:
-            crossing += int(np.count_nonzero(flags[:1] != last))
-        for axis in range(flags.ndim):
-            head = (slice(None),) * axis
-            lo, hi = flags[head + (slice(-1),)], flags[head + (slice(1, None),)]
-            crossing += int(np.count_nonzero(lo != hi))
-        # a copy, not a view, so that no flags of this slab are held while
-        # the next slab is contracted
-        last = flags[-1:].copy()
-        del flags, lo, hi
-    return exceeding, crossing
-
-
-def _lattice_count_memory(n: int, d: int) -> int:
-    """Bytes ``_lattice_counts`` holds besides the slabs it reads, on slabs
-    of s = ``_slab_rows(n, d)`` planes of an n^d field: the slab's s n^(d-1)
-    flags, one comparison of at most as many neighbour pairs and the copied
-    n^(d-1) flags of the last plane of the slab before, each of 1 B."""
-    return (2 * _slab_rows(n, d) + 1) * n ** (d - 1)
+    return _counted_surface(_lattice_counts([values.reshape(grid.shape)], u)[1], grid)
 
 
 def _counted_volume(count: int, grid: GridSpec) -> float:
@@ -190,6 +141,9 @@ def crossing_frequency(
     """
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
+    for name, value in (("level", u), ("distance", distance)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     rho = float(model.covariance(distance * distance))
     z = _rng(seed).standard_normal((2, n_pairs))
     # the second value is formed in place: the sum has the bits of

@@ -15,13 +15,15 @@ returns the two fields as a sequence that contracts a slice only when the
 field is read, so a caller that is done with the first field before it
 reads the second never holds both.  A field is contracted one slab of
 leading-axis planes at a time, about SLAB_VALUES values, with the bits of
-one whole contraction, and ``_GridDraw.slabs`` yields the slabs in turn: a
-reader that needs only counts of the field, as the lattice estimators do
-(``estimators._lattice_counts``), thresholds and counts each slab as it
-comes and never holds the field or its flags.  A chi-square grid draw of k
-degrees is one such draw with k noise blocks: each slab of its field h is
-the sum of the squared slabs h of the k blocks, so it is read by the same
-slab loop and never held whole either.  At scattered points,
+one whole contraction, and ``_GridDraw.slabs`` yields the slabs in turn.
+The lattice estimators take only two counts from a field, its exceeding
+nodes and its neighbour pairs whose flags differ; ``_GridDraw.counts``
+takes them with ``_lattice_counts``, which thresholds and counts each slab
+as it comes, so a lattice task never holds the field or its flags, and
+``_grid_draw_memory`` prices all that it does hold.  A chi-square grid
+draw of k degrees is one such draw with k noise blocks: each slab of its
+field h is the sum of the squared slabs h of the k blocks, so it is read
+by the same slab loop and never held whole either.  At scattered points,
 point i takes row i of every axis factor and one (r_1, ..., r_d) noise
 block gives one value array.  All samplers are pure functions of (model,
 locations, seed): the RNG is a Philox counter generator keyed by the seed,
@@ -126,23 +128,30 @@ def _slab_rows(n: int, d: int) -> int:
 
 
 def _grid_draw_memory(n: int, d: int, k: int, rank: int) -> int:
-    """Bytes a grid draw of k noise blocks on n^d nodes, with an axis factor
-    of rank r = ``rank``, holds while one of its fields is read slab by slab:
-    the k (2, r, ..., r) noise blocks, and for the slab being contracted, of
-    s = ``_slab_rows(n, d)`` planes, its partial contraction of r s n^(d-2)
-    values and min(k, 2) slabs of s n^(d-1) values (for k >= 2 the sum of
-    squares so far besides the slab of the block being added), each value
-    of 8 B, plus DRAW_OVERHEAD per block.  At rank 0 it is the part that
-    no factor changes.  What a reader of the slabs allocates is its own
-    price (``estimators._lattice_count_memory``)."""
+    """Bytes one lattice task holds while it counts a field of its grid draw
+    of k noise blocks on n^d nodes, with an axis factor of rank
+    r = ``rank`` (``_GridDraw.counts``): the k (2, r, ..., r) noise
+    blocks, and for the slab being contracted, of s = ``_slab_rows(n, d)``
+    planes, its partial contraction of r s n^(d-2) values and min(k, 2)
+    slabs of s n^(d-1) values (for k >= 2 the sum of squares so far besides
+    the slab of the block being added), each value of 8 B, plus
+    DRAW_OVERHEAD per block; and what ``_lattice_counts`` holds besides the
+    slab, its s n^(d-1) flags, one comparison of at most as many neighbour
+    pairs and the copied n^(d-1) flags of the last plane of the slab
+    before, each of 1 B.  At rank 0 it is the part that no factor changes."""
     lines = _slab_rows(n, d) * n ** (d - 2)  # a slab's values over n
-    return k * DRAW_OVERHEAD + 8 * (2 * k * rank**d + lines * (min(k, 2) * n + rank))
+    return (
+        k * DRAW_OVERHEAD
+        + 8 * (2 * k * rank**d + lines * (min(k, 2) * n + rank))
+        + 2 * lines * n + n ** (d - 1)
+    )
 
 
 class _GridDraw(Sequence):
     """The two fields of one grid draw, each contracted from slice h of the
     (2, r, ..., r) noise blocks of the draw when it is read, one slab of
-    leading-axis planes at a time (``slabs``).  A Gaussian draw has one
+    leading-axis planes at a time (``slabs``), or counted as it is
+    contracted (``counts``).  A Gaussian draw has one
     block, keyed by its seed; a chi-square draw of k degrees has k, keyed in
     order, and its field h sums the squares of the k fields h.  Reading a
     field twice contracts it twice, to the same bits, and holds no field
@@ -196,6 +205,45 @@ class _GridDraw(Sequence):
                 total = z if total is None else np.add(total, z, out=total)
             z = None  # the reader alone holds the slab while the next is contracted
             yield total.reshape((-1,) + (n,) * (d - 1))
+
+    def counts(self, half, u) -> tuple:
+        """(nodes with X >= u, neighbour node pairs whose flags differ) of
+        field ``half``, counted slab by slab (``_lattice_counts``), so that
+        neither the field nor its flags are ever held whole."""
+        return _lattice_counts(self.slabs(half), u)
+
+
+def _lattice_counts(slabs, u) -> tuple:
+    """(nodes with X >= u, neighbour node pairs whose flags differ) of a
+    lattice field, read from ``slabs``: the field in blocks of whole
+    leading-axis planes, in order, each of shape (rows, n, ..., n).
+
+    These two integers are all that the lattice volume and surface
+    estimates take from a field.  Each slab is thresholded into its own
+    flags, and the neighbour pairs of each axis within it are compared and
+    counted one axis at a time; the pairs across a slab boundary compare its first plane
+    with a copy of the last plane of the slab before.  Each slab and its
+    flags are dropped before the next slab is asked for, so a reader of
+    ``_GridDraw.slabs`` holds one slab, its flags, one comparison and one
+    copied plane at a time, and never a whole field's flags.
+    """
+    exceeding = crossing = 0
+    last = None
+    for slab in slabs:
+        flags = slab >= u
+        del slab  # freed before the next slab is contracted
+        exceeding += int(np.count_nonzero(flags))
+        if last is not None:
+            crossing += int(np.count_nonzero(flags[:1] != last))
+        for axis in range(flags.ndim):
+            head = (slice(None),) * axis
+            lo, hi = flags[head + (slice(-1),)], flags[head + (slice(1, None),)]
+            crossing += int(np.count_nonzero(lo != hi))
+        # a copy, not a view, so that no flags of this slab are held while
+        # the next slab is contracted
+        last = flags[-1:].copy()
+        del flags, lo, hi
+    return exceeding, crossing
 
 
 def sample_gaussian_grid(model: CovarianceModel, grid: GridSpec, seed) -> Sequence:

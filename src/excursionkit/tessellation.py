@@ -97,8 +97,8 @@ class GridSpec:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.half_extent < 1:
             raise ValueError(f"half extent must be >= 1, got {self.half_extent}")
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
 
     @property
     def shape(self) -> tuple:
@@ -332,8 +332,8 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
     """
     if window.d != 2:
         raise ValueError("hexagonal tiling is 2D only")
-    if delta <= 0:
-        raise ValueError(f"circumradius must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"circumradius must be positive and finite, got {delta}")
     if delta >= np.min(window.side_lengths):
         raise ValueError("circumradius must be smaller than the window sides")
 

@@ -246,7 +246,7 @@ class TestRowGrids:
 # contraction and the one slab of all 8 rows it makes, each value of 8 B,
 # and what the counting pass holds besides, the slab's 8 planes of flags,
 # one comparison of at most 8 planes and one copied plane, 8 nodes of 1 B each
-_ONE_SMALL_DRAW = campaigns.DRAW_OVERHEAD + 8 * (2 * 8**2 + 8 * 8 + 8**2) + (2 * 8 + 1) * 8
+_ONE_SMALL_DRAW = sampling.DRAW_OVERHEAD + 8 * (2 * 8**2 + 8 * 8 + 8**2) + (2 * 8 + 1) * 8
 
 
 class TestGridMemoryPreflight:
@@ -288,7 +288,7 @@ class TestGridMemoryPreflight:
         ],
     )
     def test_point_families_priced_by_linear_draw(self, monkeypatch, family, cells, rank):
-        price = campaigns.DRAW_OVERHEAD + 8 * cells * (1 + 2 + 3 * (rank + 1) + 16)
+        price = sampling.DRAW_OVERHEAD + 8 * cells * (1 + 2 + 3 * (rank + 1) + 16)
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: price)
         # the finest row sets the price; 0.8 = half_width / 2.5 is the
         # coarsest hexagonal cell size the window admits
@@ -354,7 +354,7 @@ class TestGridMemoryPreflight:
         )
         price, what = campaigns._draw_memory(cfg, 2**40)
         assert what.startswith(f"{priced_points} points")
-        per_point = (price - campaigns.DRAW_OVERHEAD) / priced_points
+        per_point = (price - sampling.DRAW_OVERHEAD) / priced_points
         window = Box(np.full(2, -half_width), np.full(2, half_width))
         if family == "hexagonal":
             clouds = [hexagonal_honeycomb(delta, window).ref_points_inside]
@@ -375,7 +375,7 @@ class TestGridMemoryPreflight:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            bound = campaigns.DRAW_OVERHEAD + per_point * points.shape[0]
+            bound = sampling.DRAW_OVERHEAD + per_point * points.shape[0]
             assert peak <= bound, (peak, points.shape[0], what)
 
     @pytest.mark.parametrize(
@@ -415,6 +415,10 @@ class TestGridMemoryPreflight:
             # fields, so no float-field ceiling applies
             ("bias-sweep", 2, {}, 8, None),
             ("bias-sweep", 2, dict(model="chi-square", k=3, u=2.0), 8, None),
+            # the d = 4 and d = 5 lattices of the higher-dimension sweeps;
+            # at 16^5 the 2 x 15^5 noise values alone exceed 8 B per node
+            ("bias-sweep", 4, dict(half_width=2.0, deltas=(0.125,)), 32, 8),
+            ("bias-sweep", 5, dict(half_width=2.0, deltas=(0.25,)), 16, None),
         ],
         ids=[
             "256^2",
@@ -427,6 +431,8 @@ class TestGridMemoryPreflight:
             "chi-square-64^3",
             "8^2",
             "chi-square-8^2",
+            "32^4",
+            "16^5",
         ],
     )
     def test_grid_price_bounds_one_task(self, kind, d, overrides, nodes, node_bytes):
@@ -520,7 +526,7 @@ class TestGridMemoryPreflight:
             finally:
                 tracemalloc.stop()
             assert peak <= price, (value, peak, price)
-            assert peak <= campaigns.DRAW_OVERHEAD + ceiling, (value, peak)
+            assert peak <= sampling.DRAW_OVERHEAD + ceiling, (value, peak)
 
     def test_cli_exit_code_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: _ONE_SMALL_DRAW)
@@ -533,6 +539,10 @@ class TestGridMemoryPreflight:
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("called for a config the preflight should refuse")
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not a JSON value")
 
 
 class TestHashing:
@@ -610,13 +620,13 @@ class TestDeterminism:
     def test_odd_reps_count_no_unused_field(self, monkeypatch):
         # the last task of an odd count draws two fields and counts only the first
         counted = []
-        real = campaigns._lattice_counts
+        real = sampling._lattice_counts
 
         def counting(slabs, u):
             counted.append(u)
             return real(slabs, u)
 
-        monkeypatch.setattr(campaigns, "_lattice_counts", counting)
+        monkeypatch.setattr(sampling, "_lattice_counts", counting)
         run_campaign(tiny("bias-sweep", reps=3))
         assert len(counted) == 3
 
@@ -1236,16 +1246,23 @@ class TestCampaignOutputs:
             assert row["var_volume_scaled"] > 0.0
             assert math.isfinite(row["skew_surface"])
 
-    def test_clt_moments_of_a_constant_column_are_nan_without_warning(self):
+    def test_clt_moments_of_a_constant_column_are_nan_without_warning(self, tmp_path):
         # at u = -40 every volume is 1 and every surface 0: the moments are
         # undefined, and no precision-loss warning may reach the run
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_campaign(tiny("clt", u=-40.0))
+        moments = ("skew_volume", "kurt_volume", "skew_surface", "kurt_surface")
         for row in res.rows:
             assert row["mean_volume"] == 1.0 and row["mean_surface"] == 0.0
-            for name in ("skew_volume", "kurt_volume", "skew_surface", "kurt_surface"):
+            for name in moments:
                 assert math.isnan(row[name]), name
+        # the JSON summary is strict JSON, with null for an undefined moment
+        path = tmp_path / "summary.json"
+        res.write_json(path)
+        data = json.loads(path.read_text(), parse_constant=_no_constant)
+        for row in data["rows"]:
+            assert [row[name] for name in moments] == [None] * 4
 
     def test_crofton_shapes(self):
         res = run_campaign(tiny("crofton-demo"))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from excursionkit.campaigns import default_config, run_campaign
 from excursionkit.densities import CovarianceModel, beta_d
 from excursionkit.estimators import (
+    _counted_volume,
     _lattice_sum,
-    _lattice_volume,
     clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
@@ -18,7 +18,12 @@ from excursionkit.estimators import (
     surface_estimate,
     volume_estimate,
 )
-from excursionkit.sampling import GridSpec, sample_gaussian_grid, sample_poisson_process
+from excursionkit.sampling import (
+    GridSpec,
+    _lattice_counts,
+    sample_gaussian_grid,
+    sample_poisson_process,
+)
 from excursionkit.tessellation import (
     Box,
     hypercubic_honeycomb,
@@ -98,7 +103,8 @@ class TestFastEqualsGeneric:
             generic = surface_estimate(wh, flags)
             fast = hypercubic_surface_fast(values, grid, u)
             assert fast == generic  # bitwise, not approx
-            assert _lattice_volume(values, grid, u) == volume_estimate(wh, flags)
+            counts = _lattice_counts([values.reshape(grid.shape)], u)
+            assert _counted_volume(counts[0], grid) == volume_estimate(wh, flags)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 import ast
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 import scipy
 
 import excursionkit
@@ -27,6 +30,49 @@ def test_public_names_imported_from_submodules_are_exported():
     }
     assert imported  # the package does import from its submodules
     assert sorted(imported - set(excursionkit.__all__)) == []
+
+
+_UNIT = excursionkit.CovarianceModel(1.0)
+_WINDOW = excursionkit.Box(np.full(2, -2.0), np.full(2, 2.0))
+_CIRCLE = excursionkit.circle_shape(1.0)
+_SQUARE_SCALE = "length scale must be positive with a finite nonzero square"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: excursionkit.CovarianceModel(math.nan), _SQUARE_SCALE),
+        (lambda: excursionkit.CovarianceModel(math.inf), _SQUARE_SCALE),
+        (lambda: excursionkit.CovarianceModel(1e-200), _SQUARE_SCALE),  # its square is 0
+        (lambda: excursionkit.GridSpec(2, 4, math.nan), "spacing must be positive and finite"),
+        (
+            lambda: excursionkit.hexagonal_honeycomb(math.nan, _WINDOW),
+            "circumradius must be positive and finite",
+        ),
+        (
+            lambda: excursionkit.crossing_frequency(_UNIT, 0.0, math.nan, 10, 1),
+            "distance must be finite",
+        ),
+        (
+            lambda: excursionkit.crossing_frequency(_UNIT, math.nan, 0.5, 10, 1),
+            "level must be finite",
+        ),
+        (
+            lambda: excursionkit.crofton_measure_mc(_CIRCLE, 2, 10, math.nan, 1),
+            "bounding radius must be positive and finite",
+        ),
+    ],
+    ids=[
+        "ell-nan", "ell-inf", "ell-square-underflows", "grid-spacing-nan", "hexagon-nan",
+        "crossing-distance-nan", "crossing-level-nan", "crofton-radius-nan",
+    ],
+)
+def test_non_finite_inputs_refused(call, message):
+    # each is refused by name when it is passed: a nan length scale would
+    # draw all-nan fields whose surface estimate reads 0.0, and a nan lag or
+    # level would give a crossing rate of 0
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def _run_python(code: str) -> str:

@@ -13,11 +13,12 @@ import pytest
 
 from excursionkit import sampling
 from excursionkit.densities import CovarianceModel
-from excursionkit.estimators import _counted_surface, _lattice_counts, hypercubic_surface_fast
+from excursionkit.estimators import _counted_surface, hypercubic_surface_fast
 from excursionkit.sampling import (
     FACTOR_TOL,
     GridSpec,
     _axis_factor,
+    _lattice_counts,
     _pivoted_factor,
     covariance_factor,
     sample_chi_square,
