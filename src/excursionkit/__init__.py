@@ -21,7 +21,6 @@ from .tessellation import (
     Box,
     FacetSet,
     GridSpec,
-    Honeycomb,
     WindowedHoneycomb,
     hexagonal_honeycomb,
     hypercubic_honeycomb,
@@ -73,7 +72,6 @@ __all__ = [
     "CroftonEstimate",
     "FacetSet",
     "GridSpec",
-    "Honeycomb",
     "LevelPolyline",
     "McCampaignResult",
     "WindowedHoneycomb",

@@ -254,7 +254,11 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
     if cfg.kind == "volume-check" and cfg.model == "chi-square" and min(cfg.levels) <= 0:
         # every chi-square value is >= 0: a level u <= 0 would check nothing
         raise ConfigError(f"a chi-square volume check needs positive levels, got {cfg.levels}")
-    if sweep and not 0 < _reference_surface_density(cfg) < math.inf:
+    try:
+        density = _reference_surface_density(cfg) if sweep else 1.0
+    except ValueError:  # the spectral moment 1 / ell^2 overflows
+        density = math.inf
+    if not 0 < density < math.inf:
         raise ConfigError(
             f"the {cfg.model} surface density at u = {cfg.u} (ell = {cfg.ell}) is not a positive "
             "finite float: every ratio would divide by it"
@@ -572,6 +576,14 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
     grids = _row_grids(cfg)
     rows, raw, health = [], [], []
     for si, value in enumerate(values):
+        # computed in the calling thread before the row's tasks start, so
+        # that pool threads share the cached axis factor instead of racing
+        # to fill the cache with copies of it
+        health.append(
+            {"axis_rank": _axis_factor(grids[si].shape[0], grids[si].spacing, cfg.ell).shape[1]}
+            if grids
+            else {}
+        )
         tasks = (cfg.reps + 1) // 2 if grids else cfg.reps
         # no name holds the task function, so what it closes over (a
         # covariance factor, say) is freed before the next row builds its own
@@ -580,11 +592,6 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
             results = [r for pair in results for r in pair]
         row, raw_columns = reduce(value, results)
         rows.append({column: value, **row, "reps": cfg.reps})
-        health.append(
-            {"axis_rank": _axis_factor(grids[si].shape[0], grids[si].spacing, cfg.ell).shape[1]}
-            if grids
-            else {}
-        )
         for rep, entries in enumerate(zip(*raw_columns.values())):
             named = dict(zip(raw_columns, map(float, entries)))
             raw.append({column: value, "replicate": rep, **named})
@@ -621,10 +628,9 @@ def _grid_replicates(cfg: CampaignConfig, model: CovarianceModel, grid: GridSpec
     (seed, si, t), and returns ``estimate(exceeding, crossing)`` of the
     counts at level ``u`` (``_GridDraw.counts``) of its first and its second
     half, replicates 2t and 2t + 1.  A half past ``cfg.reps`` (the second
-    half of the last task of an odd count) is drawn but never counted."""
-    # computed here, in the calling thread, so that pool threads share one
-    # axis factor instead of racing to fill the cache with copies of it
-    _axis_factor(grid.shape[0], grid.spacing, model.length_scale)
+    half of the last task of an odd count) is drawn but never counted.
+    ``run_campaign`` has computed the row's axis factor before its tasks
+    start."""
 
     def task(t):
         draw = _field(cfg, model, grid, _flat_key(cfg.seed, si, t))

@@ -17,6 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_level(u: float) -> None:
+    if not math.isfinite(u):
+        raise ValueError(f"level must be finite, got {u}")
+
+
+def _check_moment(lam: float) -> None:
+    if not 0 < lam < math.inf:
+        raise ValueError(f"second spectral moment must be positive and finite, got {lam}")
+
+
 def beta_d(d: int) -> float:
     """Dimensional constant 2*sqrt(pi)*Gamma((d+1)/2)/Gamma(d/2).
 
@@ -58,6 +68,7 @@ def gaussian_volume_density(u: float) -> float:
     Uses the complementary error function rather than 1 - cdf so that deep
     tails do not cancel.
     """
+    _check_level(u)
     return 0.5 * math.erfc(u / math.sqrt(2.0))
 
 
@@ -81,8 +92,8 @@ def gaussian_surface_density(u: float, lam: float, d: int) -> float:
         as sqrt(lam) * exp(-u**2/2) * beta_d / (2*pi): 1/2 exactly at
         d = 2, u = 0, lam = 1.
     """
-    if lam <= 0:
-        raise ValueError(f"second spectral moment must be positive, got {lam}")
+    _check_level(u)
+    _check_moment(lam)
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     return beta_d(d) / (2.0 * math.pi) * math.sqrt(lam) * math.exp(-0.5 * u * u)
@@ -99,6 +110,7 @@ def chisq_volume_density(u: float, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
+    _check_level(u)
     if u <= 0:
         return 1.0
     x = 0.5 * u
@@ -133,10 +145,9 @@ def chisq_surface_density(u: float, lam: float, d: int, k: int) -> float:
     float
         2 sqrt(lam) * (u/2)**((k-1)/2) * exp(-u/2) * Gamma((d+1)/2) / (Gamma(k/2)*Gamma(d/2)).
     """
-    if u <= 0:
-        raise ValueError(f"chi-square level must be positive, got {u}")
-    if lam <= 0:
-        raise ValueError(f"second spectral moment must be positive, got {lam}")
+    if not 0 < u < math.inf:
+        raise ValueError(f"chi-square level must be positive and finite, got {u}")
+    _check_moment(lam)
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if k < 1:
@@ -161,8 +172,8 @@ def gaussian_l1_limit(u: float, lam: float, d: int) -> float:
     equals (2d/beta_d) * gaussian_surface_density(u, lam, d); the two routes
     are kept separate so the identity can be checked numerically.
     """
-    if lam <= 0:
-        raise ValueError(f"second spectral moment must be positive, got {lam}")
+    _check_level(u)
+    _check_moment(lam)
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     phi_u = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .densities import CovarianceModel, beta_d
+from .densities import CovarianceModel, _check_level, beta_d
 from .sampling import DRAW_OVERHEAD, _lattice_counts, _rng
 from .tessellation import FacetSet, GridSpec, WindowedHoneycomb
 
 
 def exceedance_indicator(values: np.ndarray, u: float) -> np.ndarray:
     """Per-cell flags 1{X(ref point) >= u}; exact ties count as exceedances."""
+    _check_level(u)
     return np.asarray(values) >= u
 
 
@@ -48,7 +49,7 @@ def volume_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
         ValueError: the honeycomb has no cell volumes, or the flags do not
             match its inside cells.
     """
-    volumes = wh.parent.cell_volumes
+    volumes = wh.cell_volumes
     if volumes is None:
         raise ValueError("volume_estimate needs cell volumes, which only the lattice honeycomb has")
     _check_flags(flags, wh.n_inside, "inside cells")
@@ -104,6 +105,7 @@ def hypercubic_surface_fast(values: np.ndarray, grid: GridSpec, u: float) -> flo
     values = np.asarray(values)
     if values.size != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} grid values, got {values.size}")
+    _check_level(u)
     return _counted_surface(_lattice_counts([values.reshape(grid.shape)], u)[1], grid)
 
 

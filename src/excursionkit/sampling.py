@@ -431,8 +431,8 @@ def sample_poisson_process(rate: float, box: Box, seed: int) -> np.ndarray:
     ndarray
         (count, d) points, count ~ Poisson(rate * volume), i.i.d. uniform.
     """
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
+    if not 0 <= rate < math.inf:
+        raise ValueError(f"rate must be nonnegative and finite, got {rate}")
     if rate == 0.0:
         return np.empty((0, box.d))
     rng = _rng(_flat_key(seed, 0x9E3779B9))  # fixed stream tag keeps counts and positions coupled

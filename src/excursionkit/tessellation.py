@@ -10,9 +10,11 @@ Three families are built here:
 * regular hexagonal tilings in 2D,
 * Voronoi diagrams of arbitrary 2D generator clouds (``scipy.spatial.Voronoi``).
 
-Cells whose closure lies inside the observation window are the ones the
-paper's estimators operate on; facets between two such cells are "interior".
-The plus-sampling view (``WindowedHoneycomb.clipped_facets``) instead keeps
+Each builder returns one object, a ``WindowedHoneycomb``: the reference
+points, the facet table and the window T, with the window views computed
+when it is made.  Cells whose closure lies inside the observation window are
+the ones the paper's estimators operate on; facets between two such cells
+are "interior".  The plus-sampling view (``clipped_facets``) instead keeps
 every cell that meets the window and clips facet lengths to it.  A 2D
 honeycomb is its facet table: the builders make no cell polygons, and both
 window masks come from the facet endpoints, by one rule for both families
@@ -152,29 +154,18 @@ class FacetSet:
 
 
 @dataclass(eq=False)
-class Honeycomb:
-    """Full tessellation of the guard region, as a facet table.
+class WindowedHoneycomb:
+    """A tessellation of the guard region as a facet table, with its window views.
 
     Args:
-        d: ambient dimension.
-        ref_points: (n, d) reference point of each cell.
+        ref_points: (n, d) reference point of each cell; d is its width.
         facets: all positive-measure shared facets, indexed by global cell id.
         window: the observation window T.
         cell_volumes: (n,) sigma_d measure of each cell, for the hypercubic
             lattice only (delta^d each); None for the 2D point families,
             which keep no cell polygons.
-    """
-
-    d: int
-    ref_points: np.ndarray
-    facets: FacetSet
-    window: Box
-    cell_volumes: np.ndarray | None = None
-
-
-@dataclass(eq=False)
-class WindowedHoneycomb:
-    """A honeycomb together with its window views, read from its facet table.
+        guard_box: the box a Voronoi builder clipped the facets to, which
+            the masks need for a cell with no facet in it (``_window_masks``).
 
     ``inside`` marks cells entirely contained in the closed window and
     ``meeting`` the cells with positive area in it; on the lattice, whose
@@ -185,11 +176,12 @@ class WindowedHoneycomb:
     indices remapped to positions in the inside-cell ordering (the ordering
     of the field values and exceedance flags).  ``meeting_index`` and
     ``clipped_facets`` give the window-clipped view over the meeting cells.
-    ``guard_box`` is the box a Voronoi builder clipped the facets to, which
-    the masks need for a cell with no facet in it (``_window_masks``).
     """
 
-    parent: Honeycomb
+    ref_points: np.ndarray
+    facets: FacetSet
+    window: Box
+    cell_volumes: np.ndarray | None = None
     guard_box: InitVar[Box | None] = None
     inside: np.ndarray = field(init=False)
     meeting: np.ndarray = field(init=False)
@@ -198,12 +190,11 @@ class WindowedHoneycomb:
     meeting_index: np.ndarray = field(init=False)
 
     def __post_init__(self, guard_box):
-        parent = self.parent
-        f = parent.facets
+        f = self.facets
         if f.endpoints is None:
-            self.inside = self.meeting = np.ones(parent.ref_points.shape[0], dtype=bool)
+            self.inside = self.meeting = np.ones(self.ref_points.shape[0], dtype=bool)
         else:
-            self.inside, self.meeting = _window_masks(parent, guard_box)
+            self.inside, self.meeting = _window_masks(self, guard_box)
         self.inside_index = np.flatnonzero(self.inside)
         # global ids of the cells with positive area in the window, ascending
         self.meeting_index = np.flatnonzero(self.meeting)
@@ -211,12 +202,14 @@ class WindowedHoneycomb:
         self.interior_facets = _restrict(f, self.inside, interior, f.measure, f.endpoints)
 
     @property
-    def d(self) -> int:
-        return self.parent.d
+    def parent(self) -> "WindowedHoneycomb":
+        # the honeycomb itself; read only by perfbench/worker.py::_honeycomb_attrs
+        # (``result.parent.ref_points`` on traced builds), which ROADMAP item 7 deletes
+        return self
 
     @property
-    def window(self) -> Box:
-        return self.parent.window
+    def d(self) -> int:
+        return self.ref_points.shape[1]
 
     @property
     def n_inside(self) -> int:
@@ -224,11 +217,11 @@ class WindowedHoneycomb:
 
     @property
     def ref_points_inside(self) -> np.ndarray:
-        return self.parent.ref_points[self.inside_index]
+        return self.ref_points[self.inside_index]
 
     @property
     def ref_points_meeting(self) -> np.ndarray:
-        return self.parent.ref_points[self.meeting_index]
+        return self.ref_points[self.meeting_index]
 
     def clipped_facets(self) -> FacetSet:
         """Facets between two cells meeting the window, clipped to the window.
@@ -239,7 +232,7 @@ class WindowedHoneycomb:
         dropped.  So when every cell meeting the window is inside it, the
         table equals ``interior_facets``.  Built on each call.
         """
-        f = self.parent.facets
+        f = self.facets
         mask = self.meeting[f.a] & self.meeting[f.b]
         measure, endpoints = f.measure, f.endpoints
         # empty on the lattice, whose cells all lie inside the window
@@ -302,14 +295,9 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
     b = np.concatenate(b_parts)
     # no facet endpoints: the cells tile T, so no facet needs clipping to it
     facets = FacetSet(a=a, b=b, measure=np.full(a.size, delta ** (d - 1)))
-    parent = Honeycomb(
-        d=d,
-        ref_points=ref_points,
-        facets=facets,
-        window=grid.window,
-        cell_volumes=np.full(ref_points.shape[0], delta**d),
+    return WindowedHoneycomb(
+        ref_points, facets, grid.window, cell_volumes=np.full(ref_points.shape[0], delta**d)
     )
-    return WindowedHoneycomb(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +357,7 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
     fb = nb[fa, k]
     endpoints = centers[fa, None] + hex_offsets[np.stack([k, k + 1], axis=1)]
     facets = FacetSet(a=fa, b=fb, measure=np.full(fa.size, delta), endpoints=endpoints)
-    return WindowedHoneycomb(Honeycomb(d=2, ref_points=centers, facets=facets, window=window))
+    return WindowedHoneycomb(centers, facets, window)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +445,7 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     keep = measure > MIN_FACET_FRACTION * float(np.max(guard_box.side_lengths))
     facets = FacetSet(a=ab[keep, 0], b=ab[keep, 1], measure=measure[keep], endpoints=ends[keep])
 
-    return WindowedHoneycomb(
-        Honeycomb(d=2, ref_points=points, facets=facets, window=window), guard_box
-    )
+    return WindowedHoneycomb(points, facets, window, guard_box=guard_box)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +458,7 @@ def _excess(points: np.ndarray, box: Box) -> np.ndarray:
     return reduce(np.maximum, [*(points - box.hi).T, *(box.lo - points).T])
 
 
-def _window_masks(parent: Honeycomb, guard_box: Box | None):
+def _window_masks(wh: WindowedHoneycomb, guard_box: Box | None):
     """Inside and meeting masks of the cells of a 2D honeycomb, from its facet table.
 
     Within the guard region the vertices of a cell are its facet endpoints.
@@ -490,8 +476,8 @@ def _window_masks(parent: Honeycomb, guard_box: Box | None):
     the window (a guard margin of 0).  Without a guard box the facets were
     not clipped, and a cell with no facet is not counted inside.
     """
-    facets, window = parent.facets, parent.window
-    n = parent.ref_points.shape[0]
+    facets, window = wh.facets, wh.window
+    n = wh.ref_points.shape[0]
     ends = facets.endpoints
     # how far the farther endpoint of each facet lies beyond the window
     excess = _excess(ends.reshape(-1, 2), window).reshape(-1, 2)
@@ -505,7 +491,7 @@ def _window_masks(parent: Honeycomb, guard_box: Box | None):
     enters[rim] = _excess(0.5 * (clipped[:, 0] + clipped[:, 1]), window) <= -CONTAINMENT_TOL
     meeting = _cells_with(facets, n, enters)
     centre = 0.5 * (window.lo + window.hi)
-    covering = np.argmin(np.sum((parent.ref_points - centre) ** 2, axis=1))
+    covering = np.argmin(np.sum((wh.ref_points - centre) ** 2, axis=1))
     meeting[covering] = True
     if guard_box is not None and not has_facet[covering]:
         corners = np.stack([guard_box.lo, guard_box.hi])

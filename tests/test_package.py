@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -35,7 +37,10 @@ def test_public_names_imported_from_submodules_are_exported():
 _UNIT = excursionkit.CovarianceModel(1.0)
 _WINDOW = excursionkit.Box(np.full(2, -2.0), np.full(2, 2.0))
 _CIRCLE = excursionkit.circle_shape(1.0)
+_GRID = excursionkit.GridSpec(2, 4, 0.5)
 _SQUARE_SCALE = "length scale must be positive with a finite nonzero square"
+_LEVEL = "level must be finite"
+_MOMENT = "second spectral moment must be positive and finite"
 
 
 @pytest.mark.parametrize(
@@ -61,18 +66,61 @@ _SQUARE_SCALE = "length scale must be positive with a finite nonzero square"
             lambda: excursionkit.crofton_measure_mc(_CIRCLE, 2, 10, math.nan, 1),
             "bounding radius must be positive and finite",
         ),
+        (
+            lambda: excursionkit.hypercubic_surface_fast(np.zeros(64), _GRID, math.nan),
+            _LEVEL,
+        ),
+        (lambda: excursionkit.exceedance_indicator(np.zeros(4), math.nan), _LEVEL),
+        (lambda: excursionkit.chisq_volume_density(math.nan, 3), _LEVEL),
+        (lambda: excursionkit.chisq_volume_density(math.inf, 3), _LEVEL),
+        (
+            lambda: excursionkit.chisq_surface_density(math.nan, 1.0, 2, 3),
+            "chi-square level must be positive and finite",
+        ),
+        (lambda: excursionkit.gaussian_volume_density(math.nan), _LEVEL),
+        (lambda: excursionkit.gaussian_surface_density(math.nan, 1.0, 2), _LEVEL),
+        (lambda: excursionkit.gaussian_l1_limit(math.nan, 1.0, 2), _LEVEL),
+        (lambda: excursionkit.gaussian_surface_density(0.0, math.nan, 2), _MOMENT),
+        (lambda: excursionkit.gaussian_surface_density(0.0, math.inf, 2), _MOMENT),
+        (
+            lambda: excursionkit.sample_poisson_process(math.nan, _WINDOW, 1),
+            "rate must be nonnegative and finite",
+        ),
+        (
+            lambda: excursionkit.sample_poisson_process(math.inf, _WINDOW, 1),
+            "rate must be nonnegative and finite",
+        ),
     ],
     ids=[
         "ell-nan", "ell-inf", "ell-square-underflows", "grid-spacing-nan", "hexagon-nan",
         "crossing-distance-nan", "crossing-level-nan", "crofton-radius-nan",
+        "surface-fast-level-nan", "indicator-level-nan", "chisq-volume-level-nan",
+        "chisq-volume-level-inf", "chisq-surface-level-nan", "gaussian-volume-level-nan",
+        "gaussian-surface-level-nan", "l1-limit-level-nan", "spectral-moment-nan",
+        "spectral-moment-inf", "poisson-rate-nan", "poisson-rate-inf",
     ],
 )
 def test_non_finite_inputs_refused(call, message):
     # each is refused by name when it is passed: a nan length scale would
-    # draw all-nan fields whose surface estimate reads 0.0, and a nan lag or
-    # level would give a crossing rate of 0
+    # draw all-nan fields whose surface estimate reads 0.0, a nan lag or
+    # level would give a crossing rate of 0, a nan level flags no node (so
+    # a surface estimate of 0.0) or gives a nan density, and a non-finite
+    # Poisson rate failed inside numpy with a message naming no rate
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_readme_quick_start_prints_its_commented_ratios():
+    # the block runs as printed; like the golden digests, the counts behind
+    # its two ratios depend on the BLAS kernel of the grid draw
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    commented = [line.rsplit("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert commented == ["1.4160", "1.1121"]
+    assert [f"{float(x):.4f}" for x in out.getvalue().split()] == commented
 
 
 def _run_python(code: str) -> str:

@@ -78,7 +78,7 @@ class TestHypercubic:
         wh = hypercubic_honeycomb(1.0, 1, 2)
         assert wh.n_inside == 4
         assert wh.interior_facets.measure.size == 4
-        assert wh.parent.cell_volumes.sum() == wh.window.volume
+        assert wh.cell_volumes.sum() == wh.window.volume
         assert wh.window.volume == pytest.approx(4.0)
 
     def test_two_by_two_pyramid(self):
@@ -115,7 +115,7 @@ class TestHypercubic:
     def test_geometry_metadata(self):
         wh = hypercubic_honeycomb(0.25, 4, 2)
         assert np.allclose(wh.window.lo, [-1.0, -1.0])
-        assert np.all(wh.parent.cell_volumes == pytest.approx(0.25**2))
+        assert np.all(wh.cell_volumes == pytest.approx(0.25**2))
 
     def test_ref_points_row_major_and_centered(self):
         wh = hypercubic_honeycomb(1.0, 1, 2)
@@ -142,7 +142,7 @@ class TestHypercubic:
         # the cells tile the window: no facet endpoints, and every cell is
         # inside the window and meets it
         wh = hypercubic_honeycomb(0.5, 2, 2)
-        assert wh.parent.facets.endpoints is None
+        assert wh.facets.endpoints is None
         assert wh.n_inside == 16
         assert np.array_equal(wh.meeting_index, wh.inside_index)
 
@@ -158,10 +158,10 @@ class TestHypercubic:
         # the samplers and the honeycomb share one lattice class
         assert sampling.GridSpec is GridSpec
         grid = GridSpec(3, 2, 0.5)
-        parent = hypercubic_honeycomb(0.5, 2, 3).parent
-        assert np.array_equal(parent.ref_points, grid.nodes())
-        assert np.array_equal(parent.window.lo, grid.window.lo)
-        assert np.array_equal(parent.window.hi, grid.window.hi)
+        wh = hypercubic_honeycomb(0.5, 2, 3)
+        assert np.array_equal(wh.ref_points, grid.nodes())
+        assert np.array_equal(wh.window.lo, grid.window.lo)
+        assert np.array_equal(wh.window.hi, grid.window.hi)
 
 
 class TestHexagonal:
@@ -390,10 +390,10 @@ class TestHexagonalMatchesLoopReference:
         window = Box(np.array(lo), np.array(hi))
         ref = _loop_hexagonal(delta, window)
         wh = hexagonal_honeycomb(delta, window)
-        assert _same_bits(wh.parent.ref_points, ref["ref_points"])
+        assert _same_bits(wh.ref_points, ref["ref_points"])
         assert _same_bits(wh.inside, ref["inside"])
         assert _same_bits(wh.meeting_index, np.flatnonzero(ref["meeting"]))
-        assert _same_facets(wh.parent.facets, ref["facets"])
+        assert _same_facets(wh.facets, ref["facets"])
         assert _same_facets(wh.interior_facets, ref["interior"])
 
     def test_voronoi_window_stats_equal_to_loop(self):
@@ -487,7 +487,7 @@ class TestVoronoiMatchesHalfPlaneReference:
         cells, lengths = _half_plane_voronoi(pts, guard_box)
         scale = float(np.max(guard_box.side_lengths))
         pairs = sorted(k for k, m in lengths.items() if m > MIN_FACET_FRACTION * scale)
-        f = wh.parent.facets
+        f = wh.facets
         assert list(zip(f.a.tolist(), f.b.tolist())) == pairs  # rows sorted by (a, b)
         inside, meeting = _loop_window_stats(cells, window)
         assert np.array_equal(wh.inside, inside)
@@ -509,7 +509,7 @@ def _table_digest(wh):
     """Digest of what the campaigns read from a 2D honeycomb: the facet
     table, the inside mask, the cells meeting the window and the clipped
     facet lengths."""
-    f = wh.parent.facets
+    f = wh.facets
     h = hashlib.sha256()
     for x in (f.a, f.b, f.measure, f.endpoints, wh.inside, wh.meeting_index,
               wh.clipped_facets().measure):
@@ -626,7 +626,7 @@ class TestVoronoiClouds:
         tree = cKDTree(pts)
         # the two generators nearest a facet's midpoint are its own two, at
         # one distance
-        f = wh.parent.facets
+        f = wh.facets
         dist, nearest = tree.query(f.endpoints.mean(axis=1), k=2)
         assert np.array_equal(np.sort(nearest, axis=1), np.stack([f.a, f.b], axis=1))
         assert np.allclose(dist[:, 0], dist[:, 1], rtol=0, atol=1e-12)
@@ -687,7 +687,7 @@ class TestVoronoiClouds:
             warnings.simplefilter("always")
             wh = voronoi_honeycomb_2d(pts, window, guard=0.0)
         assert any("merged 1 duplicate" in str(w.message).lower() for w in rec)
-        assert wh.parent.ref_points.shape[0] == 2
+        assert wh.ref_points.shape[0] == 2
 
     def test_too_few_generators_rejected(self):
         window = Box(np.zeros(2), np.ones(2))
@@ -713,7 +713,7 @@ class TestVoronoiClouds:
         pts = sample_poisson_process(0.1, Box(np.full(2, -5.0), np.full(2, 5.0)), seed)
         window = Box(np.full(2, -1.0), np.full(2, 1.0))
         wh = voronoi_honeycomb_2d(pts, window, guard=0.0)
-        assert wh.parent.facets.measure.size == 0
+        assert wh.facets.measure.size == 0
         assert wh.inside_index.tolist() == wh.meeting_index.tolist() == [cell]
         # with a guard margin the covering cell reaches beyond the window
         wh = voronoi_honeycomb_2d(pts, window, guard=0.5)
