@@ -311,7 +311,8 @@ def _physical_memory() -> int | None:
 
 def _check_memory(cfg: CampaignConfig) -> None:
     """Refuse a campaign whose concurrent draws cannot fit in physical memory:
-    each worker thread holds one draw of the largest size in the sweep."""
+    each of its ``threads`` pool threads, the calling thread among them,
+    holds one draw of the largest size in the sweep."""
     memory = _physical_memory()
     if memory is None:
         return
@@ -510,19 +511,22 @@ def _csv_text(rows, config_hash) -> str:
 
 
 def _parallel(fn, count: int, threads: int) -> list:
-    """[fn(0), ..., fn(count - 1)], on up to ``threads`` worker threads when
-    more than one, with BLAS single-threaded throughout: the workers' matrix
-    products spawn no BLAS threads of their own beyond the cores, and no
-    idle BLAS thread falls asleep while an estimate runs between two
+    """[fn(0), ..., fn(count - 1)], on the calling thread plus up to
+    ``threads`` - 1 worker threads, with BLAS single-threaded throughout: the
+    matrix products spawn no BLAS threads of their own beyond the cores, and
+    no idle BLAS thread falls asleep while an estimate runs between two
     products.  Each product's bits do not depend on the BLAS thread count.
 
-    The workers are plain ``threading`` threads taking indices in order, so
-    no pool module is loaded.  Once a task fails no worker starts another,
+    The workers are plain ``threading`` threads, so no pool module is
+    loaded, and they run the caller's loop, taking indices in order: at one
+    thread, or for fewer than two tasks, no thread is started.  Once a task
+    fails no thread starts another,
     and the exception of the lowest failing index is raised, as
-    ``ThreadPoolExecutor.map`` would raise it."""
+    ``ThreadPoolExecutor.map`` would raise it.  A Ctrl-C, which Python
+    raises in the main thread, stops the workers the same way: raised in a
+    task it is that task's exception, and raised between two tasks it is
+    raised once the workers have finished."""
     with _one_blas_thread:
-        if threads <= 1:
-            return [fn(i) for i in range(count)]
         results = [None] * count
         errors = {}
         indices = iter(range(count))
@@ -540,9 +544,15 @@ def _parallel(fn, count: int, threads: int) -> list:
                     with lock:
                         errors[i] = exc
 
-        workers = [threading.Thread(target=work) for _ in range(min(threads, count))]
+        workers = [threading.Thread(target=work) for _ in range(min(threads, count) - 1)]
         for worker in workers:
             worker.start()
+        try:
+            work()
+        except BaseException as exc:
+            # below every task index, so it is the one raised
+            with lock:
+                errors[-1] = exc
         for worker in workers:
             worker.join()
         if errors:

@@ -30,9 +30,9 @@ locations, seed): the RNG is a Philox counter generator keyed by the seed,
 so replicates can run on any number of threads in any order and still
 reproduce bit for bit.  Draws multiply through BLAS, so their last bits
 depend on the BLAS build, though not on its thread count;
-``_one_blas_thread`` holds OpenBLAS at one thread while a campaign draws,
-so that its workers start no BLAS threads of their own and none wait,
-asleep, between two products.
+``_one_blas_thread`` holds the OpenBLAS that numpy's linalg extension
+links at one thread while a campaign draws, so that its pool threads start
+no BLAS threads of their own and none wait, asleep, between two products.
 """
 
 from __future__ import annotations
@@ -451,25 +451,17 @@ _BLAS_THREAD_SYMBOLS = (
 
 @lru_cache(maxsize=1)
 def _blas_control() -> tuple | None:
-    """(get, set) thread-count functions of the loaded OpenBLAS, or None
-    where no OpenBLAS with a known symbol is loaded (MKL, Accelerate, or a
-    platform without /proc/self/maps)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping whose file is gone
-            continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                return get, set_
+    """(get, set) thread-count functions of the OpenBLAS that numpy's linalg
+    extension links, or None where it links no OpenBLAS with a known symbol
+    (MKL, Accelerate).  A symbol lookup on the extension's handle searches
+    the libraries it needs as well, so no /proc is read."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
     return None
 
 

@@ -1,8 +1,10 @@
+import builtins
 import functools
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -817,6 +819,25 @@ class TestPoolBlasCap:
         assert campaigns._parallel(lambda i: sampling._blas_threads(), 3, 1) == [1] * 3
         assert sampling._blas_threads() == 2
 
+    def test_control_found_without_proc(self, control, monkeypatch):
+        # the control comes from numpy's linalg extension, so a platform
+        # whose /proc cannot be read still caps BLAS
+        real_open = builtins.open
+
+        def open_without_proc(file, *args, **kwargs):
+            if str(file) == "/proc/self/maps":
+                raise PermissionError(f"{file} cannot be read here")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_without_proc)
+        sampling._blas_control.cache_clear()
+        try:
+            found = sampling._blas_control()
+        finally:
+            sampling._blas_control.cache_clear()
+        assert found is not None
+        assert found[0]() == 2
+
     def test_without_a_control_the_pool_runs_uncapped(self, monkeypatch):
         monkeypatch.setattr(sampling, "_blas_control", lambda: None)
         assert campaigns._parallel(lambda i: i * i, 4, 2) == [0, 1, 4, 9]
@@ -825,8 +846,8 @@ class TestPoolBlasCap:
 
 
 class TestParallel:
-    """The worker threads of ``_parallel``: index order, how many threads,
-    and which failure is raised."""
+    """The threads of ``_parallel``, the caller and its workers: index order,
+    how many threads, which failure is raised, and a Ctrl-C."""
 
     def test_results_in_index_order_whatever_the_finishing_order(self):
         naps = np.random.default_rng(20251019).uniform(0.0, 0.004, 40)
@@ -844,8 +865,10 @@ class TestParallel:
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_at_most_threads_workers(self, threads):
+        # the caller works as one of the threads, so at most threads - 1 are
+        # started, and none is left alive on return
         lock, running, seen = threading.Lock(), [0], {"peak": 0, "workers": set()}
-        before = threading.active_count()
+        before, alive = threading.active_count(), set(threading.enumerate())
 
         def task(i):
             with lock:
@@ -861,9 +884,26 @@ class TestParallel:
         assert campaigns._parallel(task, 24, threads) == list(range(24))
         assert 1 <= seen["peak"] <= threads
         assert 1 <= len(seen["workers"]) <= threads
-        assert threading.main_thread() not in seen["workers"]
-        assert seen["extra"] <= threads
-        assert not any(worker.is_alive() for worker in seen["workers"])
+        assert len(seen["workers"] - {threading.current_thread()}) <= threads - 1
+        assert seen["extra"] <= threads - 1
+        assert set(threading.enumerate()) <= alive
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_no_thread_for_fewer_than_two_tasks(self, monkeypatch, threads, count):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(campaigns.threading, "Thread", Recorded)
+        caller = threading.current_thread()
+        assert campaigns._parallel(lambda i: threading.current_thread(), count, threads) == (
+            [caller] * count
+        )
+        assert started == []
 
     def test_lowest_failing_index_is_raised(self):
         # index 5 fails first in time; index 3, taken before it, fails later:
@@ -880,7 +920,7 @@ class TestParallel:
             campaigns._parallel(task, 10, 4)
 
     def test_no_task_starts_after_a_failure(self):
-        # the first worker sleeps in task 0 while the second fails task 1
+        # one thread sleeps in task 0 while the other fails task 1
         started = []
 
         def task(i):
@@ -893,6 +933,29 @@ class TestParallel:
         with pytest.raises(ValueError, match="task 1 failed"):
             campaigns._parallel(task, 20, 2)
         assert sorted(started) == [0, 1]
+
+    def test_ctrl_c_stops_the_workers(self):
+        # a SIGINT raises KeyboardInterrupt in the main thread, whichever
+        # thread runs the task that sends it: no thread may take another
+        # index, and no worker may outlive the call, uncapped and holding
+        # the process open
+        started, alive = [], set(threading.enumerate())
+
+        def task(i):
+            started.append(i)
+            if i == 2:
+                os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(0.025)
+            return i
+
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                campaigns._parallel(task, 40, 2)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert len(started) <= 5, started
+        assert set(threading.enumerate()) <= alive
 
 
 class TestUnderProfiler:
