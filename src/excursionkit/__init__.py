@@ -35,13 +35,13 @@ from .sampling import (
     sample_poisson_process,
 )
 from .estimators import (
-    clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
     exceedance_indicator,
     hypercubic_surface_fast,
     surface_estimate,
     volume_estimate,
+    weighted_surface_estimate,
 )
 from .crofton import (
     CroftonEstimate,
@@ -80,7 +80,6 @@ __all__ = [
     "chisq_surface_density",
     "chisq_volume_density",
     "circle_shape",
-    "clipped_surface_estimate",
     "corrected_surface",
     "covariance_factor",
     "crofton_measure_mc",
@@ -107,5 +106,6 @@ __all__ = [
     "validate_config",
     "volume_estimate",
     "voronoi_honeycomb_2d",
+    "weighted_surface_estimate",
     "__version__",
 ]

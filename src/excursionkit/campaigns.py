@@ -51,11 +51,11 @@ from .estimators import (
     _counted_surface,
     _counted_volume,
     _crossing_memory,
-    clipped_surface_estimate,
     crossing_frequency,
     exceedance_indicator,
     hypercubic_surface_fast,  # noqa: F401  (bound here for perfbench/worker.py --spans)
     surface_estimate,
+    weighted_surface_estimate,
 )
 from .crofton import _line_memory, circle_shape, crofton_measure_mc, square_shape
 
@@ -345,11 +345,10 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     chi-square, 1 for Gaussian), at the largest grid of the sweep.  A
     hexagonal or Voronoi task holds one draw at its points
     (``sampling._point_draw_memory``): at most the number of whole hexagons
-    in the window, or for Voronoi clouds the expected number of cells
-    meeting it, 1 + m^2 + 8 m / pi for a window m cells wide
-    (the Steiner formula with the mean Poisson-Voronoi cell perimeter
-    4 / sqrt(rate)), with the rank of a grid axis across the extent of the
-    points (the window, plus the guard margin for Voronoi generators) at the
+    in the window, or for Voronoi clouds the expected number of generators
+    in the cloud box (``_voronoi_box``), where every cell drawn has its
+    generator, with the rank of a grid axis across the extent of the points
+    (the window, plus the guard margin for Voronoi generators) at the
     finest cell size, or at 1/16 of a length scale where that is finer: a
     coarser grid has fewer nodes than a dense cloud has rank.  A crossing
     task prices its pairs (``estimators._crossing_memory``) and a Crofton
@@ -365,9 +364,9 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
         if cfg.family == "hexagonal":
             n = math.floor(side * side / (1.5 * math.sqrt(3.0) * delta * delta))
         else:
-            m = side / delta
-            n = math.ceil(1.0 + m * m + 8.0 * m / math.pi)
-            side = delta * float(_voronoi_box(cfg, delta).side_lengths[0])
+            box = _voronoi_box(cfg, delta)
+            n = math.ceil(box.volume)
+            side = delta * float(box.side_lengths[0])
         need = _point_draw_memory(n, d, None)
         if need > budget:
             return need, f"{n} points x (1 + {d}) x 8 B"
@@ -661,10 +660,11 @@ def _bias_spec(cfg: CampaignConfig):
     coordinates (``covariance_factor``).  The hexagonal cells are the same in
     every replicate of a cell size, so their factors are computed once per
     row, in the calling thread, and shared read-only.  The Voronoi family
-    uses ``clipped_surface_estimate``: the field is drawn at the generators
-    of every cell meeting the window and facets count with their length
-    clipped to it, so the edge band of partly covered cells is not lost.
-    Each Voronoi replicate has its own cloud and so its own factors.
+    uses ``weighted_surface_estimate``: the field is drawn at the generators
+    of the facets with a generator in the window (``ref_points_weighted``),
+    and each facet counts unclipped at half its length per such generator,
+    so the edge band of partly covered cells is not lost.  Each Voronoi
+    replicate has its own cloud and so its own factors.
     """
     model = CovarianceModel(cfg.ell)
     denom = _reference_surface_density(cfg)
@@ -700,8 +700,8 @@ def _bias_spec(cfg: CampaignConfig):
                         f"{pts.shape[0]} generator(s), fewer than the 2 a diagram needs"
                     )
                 wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
-                values = _field(cfg, model, wh.ref_points_meeting, _flat_key(cfg.seed, si, rep, 1))
-                return clipped_surface_estimate(wh, exceedance_indicator(values, cfg.u))
+                values = _field(cfg, model, wh.ref_points_weighted, _flat_key(cfg.seed, si, rep, 1))
+                return weighted_surface_estimate(wh, exceedance_indicator(values, cfg.u))
 
         return one
 

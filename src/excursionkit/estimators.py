@@ -6,9 +6,11 @@ sigma_d(T).  On a lattice, whose cells tile T, its value is (2d/beta_d) times
 the true surface density in the small-cell limit, and ``corrected_surface``
 inverts that universal factor.  On a honeycomb whose cells do not tile T it
 misses the facets near the window edge, so it estimates the facet density of
-the inside-cell union, not of T.  ``clipped_surface_estimate`` is the
-plus-sampling edge correction for that case: flags on every cell meeting T,
-facet lengths clipped to T.  Each estimator is a function of the windowed
+the inside-cell union, not of T.  ``weighted_surface_estimate`` is the edge
+correction for that case: flags on every cell of a facet with a reference
+point in T, each facet counted unclipped at half its measure per such point
+(Campbell's theorem gives it the mean of the window-clipped sum on a
+stationary tessellation).  Each estimator is a function of the windowed
 honeycomb and one boolean exceedance flag per cell, ``exceedance_indicator``.
 On the lattice both estimates take only two counts of a field, its exceeding
 nodes and its neighbour pairs whose flags differ (``_counted_volume``,
@@ -68,17 +70,17 @@ def surface_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
     return _crossing_density(wh.interior_facets, flags, wh.window.volume)
 
 
-def clipped_surface_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
-    """Crossing-weighted facet measure inside the window, per unit window volume.
+def weighted_surface_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
+    """Generator-weighted measure of the crossed facets per unit window volume.
 
-    Plus-sampling edge correction of ``surface_estimate``: the flags are
-    aligned with ``wh.meeting_index`` (every cell with positive area in the
-    window), and each facet between two such cells counts with its length
-    clipped to the window.  Equals ``surface_estimate`` bit for bit when every
-    cell meeting the window lies inside it.
+    ``flags`` holds one flag per cell of ``wh.weighted_index``, and each
+    facet counts with its measure in ``wh.weighted_facets``: half its own
+    per reference point in the window.  Equals ``surface_estimate`` bit for bit
+    when every reference point on a facet lies in the window and every cell
+    is inside it, as on the lattice.
     """
-    _check_flags(flags, wh.meeting_index.size, "cells meeting the window")
-    return _crossing_density(wh.clipped_facets(), flags, wh.window.volume)
+    _check_flags(flags, wh.weighted_index.size, "cells on a weighted facet")
+    return _crossing_density(wh.weighted_facets, flags, wh.window.volume)
 
 
 def _crossing_density(f: FacetSet, flags: np.ndarray, window_volume: float) -> float:

@@ -328,8 +328,11 @@ def _point_draw_memory(n: int, d: int, rank: int | None) -> int:
 
 
 def _point_factor(model, points, factor) -> tuple:
-    """The given per-axis factors after a shape check, or fresh ones."""
+    """The given per-axis factors after a shape check, or fresh ones, for
+    finite points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(points)):
+        raise ValueError("sample points must be finite")
     if factor is None:
         return covariance_factor(model, points)
     n, d = points.shape

@@ -1,4 +1,4 @@
-"""Point-referenced honeycombs clipped to an observation window.
+"""Point-referenced honeycombs and their views from an observation window.
 
 A honeycomb is a tessellation of the plane (or of R^d for the cubic lattice)
 by closed convex polytopes, each carrying a reference point, such that every
@@ -14,11 +14,13 @@ Each builder returns one object, a ``WindowedHoneycomb``: the reference
 points, the facet table and the window T, with the window views computed
 when it is made.  Cells whose closure lies inside the observation window are
 the ones the paper's estimators operate on; facets between two such cells
-are "interior".  The plus-sampling view (``clipped_facets``) instead keeps
-every cell that meets the window and clips facet lengths to it.  A 2D
-honeycomb is its facet table: the builders make no cell polygons, and both
-window masks come from the facet endpoints, by one rule for both families
-(``_window_masks``).
+are "interior".  The generator-weighted view (``weighted_facets``) instead
+keeps every facet with a reference point in T on either side, unclipped, at
+half its measure per such point: by Campbell's theorem its crossing sum has
+the mean of the window-clipped one on a stationary tessellation, and it
+needs only the reference points, in any d.  A 2D honeycomb is its facet
+table: the builders make no cell polygons, and the inside mask comes from
+the facet endpoints (``_window_masks``).
 """
 
 from __future__ import annotations
@@ -165,17 +167,23 @@ class WindowedHoneycomb:
             lattice only (delta^d each); None for the 2D point families,
             which keep no cell polygons.
         guard_box: the box a Voronoi builder clipped the facets to, which
-            the masks need for a cell with no facet in it (``_window_masks``).
+            the inside mask needs for a cell with no facet (``_window_masks``).
 
-    ``inside`` marks cells entirely contained in the closed window and
-    ``meeting`` the cells with positive area in it; on the lattice, whose
-    facets have no endpoints because its cells tile the window, every cell
-    is both, and on the 2D point families both masks come from the facet
-    endpoints (``_window_masks``).  ``interior_facets``, built from
-    ``inside``, keeps only facets between two inside cells, with cell
-    indices remapped to positions in the inside-cell ordering (the ordering
-    of the field values and exceedance flags).  ``meeting_index`` and
-    ``clipped_facets`` give the window-clipped view over the meeting cells.
+    ``inside`` marks cells entirely contained in the closed window; on the
+    lattice, whose facets have no endpoints because its cells tile the
+    window, every cell is inside, and on the 2D point families the mask
+    comes from the facet endpoints (``_window_masks``).  ``interior_facets``,
+    built from ``inside``, keeps only facets between two inside cells, with
+    cell indices remapped to positions in the inside-cell ordering (the
+    ordering of the field values and exceedance flags).
+
+    ``weighted_facets`` is the generator-weighted view: a facet between
+    reference points x_a and x_b has weight w = (1{x_a in T} + 1{x_b in T}) / 2,
+    T closed, and the facets with w > 0 are kept unclipped, with measure
+    w |f| (exact: w is 0.5 or 1).  Their cells are renumbered among the
+    cells on a kept facet, ``weighted_index``, in ascending global id.  On
+    the lattice every reference point lies in T, so the view is the
+    interior one.
     """
 
     ref_points: np.ndarray
@@ -184,22 +192,27 @@ class WindowedHoneycomb:
     cell_volumes: np.ndarray | None = None
     guard_box: InitVar[Box | None] = None
     inside: np.ndarray = field(init=False)
-    meeting: np.ndarray = field(init=False)
     interior_facets: FacetSet = field(init=False)
     inside_index: np.ndarray = field(init=False)
-    meeting_index: np.ndarray = field(init=False)
+    weighted_facets: FacetSet = field(init=False)
+    weighted_index: np.ndarray = field(init=False)
 
     def __post_init__(self, guard_box):
         f = self.facets
+        n = self.ref_points.shape[0]
         if f.endpoints is None:
-            self.inside = self.meeting = np.ones(self.ref_points.shape[0], dtype=bool)
+            self.inside = np.ones(n, dtype=bool)
         else:
-            self.inside, self.meeting = _window_masks(self, guard_box)
+            self.inside = _window_masks(self, guard_box)
         self.inside_index = np.flatnonzero(self.inside)
-        # global ids of the cells with positive area in the window, ascending
-        self.meeting_index = np.flatnonzero(self.meeting)
         interior = self.inside[f.a] & self.inside[f.b]
         self.interior_facets = _restrict(f, self.inside, interior, f.measure, f.endpoints)
+        in_window = self.window.contains(self.ref_points)
+        weight = 0.5 * in_window[f.a] + 0.5 * in_window[f.b]
+        kept = weight > 0
+        cells = _cells_with(f, n, kept)
+        self.weighted_index = np.flatnonzero(cells)
+        self.weighted_facets = _restrict(f, cells, kept, weight * f.measure, f.endpoints)
 
     @property
     def parent(self) -> "WindowedHoneycomb":
@@ -220,28 +233,8 @@ class WindowedHoneycomb:
         return self.ref_points[self.inside_index]
 
     @property
-    def ref_points_meeting(self) -> np.ndarray:
-        return self.ref_points[self.meeting_index]
-
-    def clipped_facets(self) -> FacetSet:
-        """Facets between two cells meeting the window, clipped to the window.
-
-        Cell indices are positions in the ``meeting_index`` ordering.  Facets
-        between two inside cells lie in the window and keep their tabulated
-        measure; the others are clipped, and those left with zero length are
-        dropped.  So when every cell meeting the window is inside it, the
-        table equals ``interior_facets``.  Built on each call.
-        """
-        f = self.facets
-        mask = self.meeting[f.a] & self.meeting[f.b]
-        measure, endpoints = f.measure, f.endpoints
-        # empty on the lattice, whose cells all lie inside the window
-        edge = mask & ~(self.inside[f.a] & self.inside[f.b])
-        if np.any(edge):
-            endpoints, measure = endpoints.copy(), measure.copy()
-            endpoints[edge] = clip_segments_to_box(endpoints[edge], self.window)
-            measure[edge] = np.linalg.norm(endpoints[edge, 1] - endpoints[edge, 0], axis=1)
-        return _restrict(f, self.meeting, mask & (measure > 0), measure, endpoints)
+    def ref_points_weighted(self) -> np.ndarray:
+        return self.ref_points[self.weighted_index]
 
 
 def _restrict(facets: FacetSet, cells, keep, measure, endpoints) -> FacetSet:
@@ -375,9 +368,10 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     (a, b), and facets shorter than ``MIN_FACET_FRACTION`` of the longest
     guard-box side are dropped.
 
-    A cell meeting the window may still be cut by the guard box: at the
-    bias-sweep guard of 1.5 unit-rate cell units, 409 of 33,838 such cells
-    touched it over 8 clouds on [-4, 4]^2 at delta = 0.125.  What holds is
+    A facet with a generator in the window may still be cut by the guard
+    box: at the bias-sweep guard of 1.5 unit-rate cell units, 104 of
+    249,687 such facets reached it over 20 clouds on [-4, 4]^2 at
+    delta = 0.125, and none at a guard of 3.  What holds is
     that the diagram restricted to the window is exact: when the generators
     are a process sampled over the guard box, it equals the Voronoi diagram
     of the whole process inside the window, unless some point of the window
@@ -395,7 +389,8 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
         later one is dropped, with a warning that counts the dropped ones.
 
     Raises:
-        ValueError: fewer than 2 distinct generators, or a non-2D window.
+        ValueError: fewer than 2 distinct generators, a non-finite
+            coordinate, or a non-2D window.
     """
     # imported here: loading scipy.spatial (and the scipy.linalg it pulls in)
     # would cost every CLI call more than a lattice campaign, and only this
@@ -409,6 +404,8 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("generator points must be finite")
 
     if points.shape[0] >= 2:
         pairs = cKDTree(points).query_pairs(DUPLICATE_TOL, output_type="ndarray")
@@ -458,45 +455,32 @@ def _excess(points: np.ndarray, box: Box) -> np.ndarray:
     return reduce(np.maximum, [*(points - box.hi).T, *(box.lo - points).T])
 
 
-def _window_masks(wh: WindowedHoneycomb, guard_box: Box | None):
-    """Inside and meeting masks of the cells of a 2D honeycomb, from its facet table.
+def _window_masks(wh: WindowedHoneycomb, guard_box: Box | None) -> np.ndarray:
+    """Inside mask of the cells of a 2D honeycomb, from its facet table.
 
     Within the guard region the vertices of a cell are its facet endpoints.
     So a cell is inside the closed window when it has a facet and no
     endpoint of its facets lies beyond a side by more than
-    ``CONTAINMENT_TOL``.  A cell meets the window (has positive area in it)
-    when one of its facets reaches into it: the midpoint of the facet's part
-    clipped to the window lies deeper than ``CONTAINMENT_TOL`` inside it.
-    A facet that only touches the window, or runs along a side, makes no
-    cell meet it, also when rounding puts its vertices a few ulps inside.
-    The cell whose reference point is nearest the window centre meets it
-    too: a cell that covers the whole window has no facet in it.  When that
-    cell has no facet at all, it covers the whole ``guard_box`` the facets
-    were clipped to, so it is inside exactly when the guard box lies within
-    the window (a guard margin of 0).  Without a guard box the facets were
-    not clipped, and a cell with no facet is not counted inside.
+    ``CONTAINMENT_TOL``.  A cell with no facet either misses the
+    ``guard_box`` the facets were clipped to or covers all of it, and then
+    it is the cell whose reference point is nearest the window centre; that
+    cell is inside exactly when the guard box lies within the window (a
+    guard margin of 0).  Without a guard box the facets were not clipped,
+    and a cell with no facet is not counted inside.
     """
     facets, window = wh.facets, wh.window
     n = wh.ref_points.shape[0]
-    ends = facets.endpoints
     # how far the farther endpoint of each facet lies beyond the window
-    excess = _excess(ends.reshape(-1, 2), window).reshape(-1, 2)
+    excess = _excess(facets.endpoints.reshape(-1, 2), window).reshape(-1, 2)
     excess = np.maximum(excess[:, 0], excess[:, 1])
     has_facet = _cells_with(facets, n, slice(None))
     inside = has_facet & ~_cells_with(facets, n, excess > CONTAINMENT_TOL)
-    # a facet with both endpoints that deep reaches in whole; only the rest are clipped
-    enters = excess <= -CONTAINMENT_TOL
-    rim = np.flatnonzero(~enters)
-    clipped = clip_segments_to_box(ends[rim], window)
-    enters[rim] = _excess(0.5 * (clipped[:, 0] + clipped[:, 1]), window) <= -CONTAINMENT_TOL
-    meeting = _cells_with(facets, n, enters)
     centre = 0.5 * (window.lo + window.hi)
     covering = np.argmin(np.sum((wh.ref_points - centre) ** 2, axis=1))
-    meeting[covering] = True
     if guard_box is not None and not has_facet[covering]:
         corners = np.stack([guard_box.lo, guard_box.hi])
         inside[covering] = bool(np.all(_excess(corners, window) <= CONTAINMENT_TOL))
-    return inside, meeting
+    return inside
 
 
 def _cells_with(facets: FacetSet, n: int, rows) -> np.ndarray:

@@ -32,10 +32,10 @@ from excursionkit.campaigns import (
 from excursionkit.crofton import _CHUNK
 from excursionkit.densities import CovarianceModel, gaussian_surface_density
 from excursionkit.estimators import (
-    clipped_surface_estimate,
     exceedance_indicator,
     surface_estimate,
     volume_estimate,
+    weighted_surface_estimate,
 )
 from excursionkit.sampling import (
     GridSpec,
@@ -283,10 +283,10 @@ class TestGridMemoryPreflight:
             # hexagons; a 65-node axis at spacing 1/16 across the 4-wide
             # window has rank 17
             ("hexagonal", 24, 17),
-            # 1 + 8^2 + 8 * 8 / pi = 85.4 Voronoi cells expected to meet
-            # [-2, 2]^2; their generators span the window plus the guard
-            # margin 1.5 x 0.5 on each side, 89 nodes of rank 21
-            ("voronoi", 86, 21),
+            # (2 (2 / 0.5 + 1.5))^2 = 121 generators expected in the cloud
+            # box of [-2, 2]^2; they span the window plus the guard margin
+            # 1.5 x 0.5 on each side, 89 nodes of rank 21
+            ("voronoi", 121, 21),
         ],
     )
     def test_point_families_priced_by_linear_draw(self, monkeypatch, family, cells, rank):
@@ -317,12 +317,13 @@ class TestGridMemoryPreflight:
         validate_config(cfg)
 
     def test_point_family_rank_only_priced_when_points_fit(self, monkeypatch):
-        # 66,189 Voronoi cells expected on the default window at delta 1/16:
-        # with 1 MiB of memory their values and points alone are refused
+        # (2 (8 / (1/16) + 1.5))^2 = 67,081 Voronoi generators expected on
+        # the default window at delta 1/16: with 1 MiB of memory their values
+        # and points alone are refused
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: 2**20)
         monkeypatch.setattr(campaigns, "_axis_factor", _must_not_run)
         cfg = replace(default_config("bias-sweep"), family="voronoi")
-        with pytest.raises(ConfigError, match="66189 points x \\(1 \\+ 2\\)"):
+        with pytest.raises(ConfigError, match="67081 points x \\(1 \\+ 2\\)"):
             validate_config(cfg)
 
     @pytest.mark.parametrize(
@@ -332,20 +333,20 @@ class TestGridMemoryPreflight:
             # 821 whole hexagons, whose axis factors have ranks 21 and 22
             # against the priced grid rank 21
             ("hexagonal", 3.0, 0.125, {}, 886),  # floor(36 / (1.5 sqrt(3) 0.125^2))
-            ("voronoi", 2.0, 0.25, {}, 298),  # ceil(1 + 16^2 + 8 * 16 / pi)
+            ("voronoi", 2.0, 0.25, {}, 361),  # (2 (2 / 0.25 + 1.5))^2
             # 17 whole hexagons, where the fixed overhead outweighs the points
             ("hexagonal", 1.0, 0.25, dict(ell=4.0), 24),
             # k draws, each squared into the sum, one at a time
             ("hexagonal", 2.0, 0.25, dict(model="chi-square", k=3, u=2.0), 98),
-            ("voronoi", 2.0, 0.25, dict(model="chi-square", k=3, u=2.0), 298),
+            ("voronoi", 2.0, 0.25, dict(model="chi-square", k=3, u=2.0), 361),
         ],
         ids=[
             "hexagonal-98",
             "hexagonal-886",
-            "voronoi-298",
+            "voronoi-361",
             "hexagonal-17",
             "chi-square-98",
-            "voronoi-chi-square-298",
+            "voronoi-chi-square-361",
         ],
     )
     def test_point_price_bounds_the_draw(self, family, half_width, delta, overrides, priced_points):
@@ -367,7 +368,7 @@ class TestGridMemoryPreflight:
                     0.25 * sample_poisson_process(1.0, unit_box, (cfg.seed, 0, rep, 0)),
                     window,
                     0.375,
-                ).ref_points_meeting
+                ).ref_points_weighted
                 for rep in range(4)
             ]
         for points in clouds:
@@ -460,19 +461,23 @@ class TestGridMemoryPreflight:
             assert peak < node_bytes * nodes**d, peak
 
     def test_point_counts_bound_the_cells_drawn(self):
-        # the hexagonal price bounds the inside cells; the Voronoi price is
-        # the mean meeting count of the campaign's clouds
+        # the hexagonal price bounds the inside cells; the Voronoi price, the
+        # expected generator count of the cloud box, bounds the mean count of
+        # cells a replicate draws at
         window = Box(np.full(2, -2.0), np.full(2, 2.0))
         assert hexagonal_honeycomb(0.5, window).n_inside <= 24
-        unit_box = Box(np.full(2, -5.5), np.full(2, 5.5))
-        meeting = [
+        cfg = validate_config(tiny("bias-sweep", family="voronoi"))
+        _, what = campaigns._draw_memory(cfg, 2**40)
+        priced = int(what.split(" points")[0])
+        unit_box = campaigns._voronoi_box(cfg, 0.5)
+        drawn = [
             voronoi_honeycomb_2d(
                 0.5 * sample_poisson_process(1.0, unit_box, (77, k)), window, 0.75
-            ).meeting_index.size
+            ).weighted_index.size
             for k in range(40)
         ]
-        se = np.std(meeting, ddof=1) / np.sqrt(len(meeting))
-        assert abs(np.mean(meeting) - (1 + 64 + 64 / math.pi)) < 4 * se
+        assert priced == 121
+        assert np.mean(drawn) <= priced
 
     def test_big_config_refused_before_any_draw(self, monkeypatch):
         # a 32768^3 grid needs about 21 GiB for one slab of 2 planes and its
@@ -1105,7 +1110,7 @@ class TestPointFamilyExpectation:
                 )
                 wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
                 exact = _facet_expectation(
-                    wh.clipped_facets(), wh.ref_points_meeting, wh.window.volume
+                    wh.weighted_facets, wh.ref_points_weighted, wh.window.volume
                 )
                 gaps.append(raw["ratio"] - exact)
             assert len(gaps) == cfg.reps
@@ -1172,11 +1177,11 @@ class TestCovarianceFactorReuse:
             for rep in range(cfg.reps):
                 pts = delta * sample_poisson_process(1.0, unit_box, (cfg.seed, si, rep, 0))
                 wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
-                sizes.append(wh.ref_points_meeting.shape[0])
+                sizes.append(wh.ref_points_weighted.shape[0])
                 values = sample_gaussian_points(
-                    CovarianceModel(cfg.ell), wh.ref_points_meeting, (cfg.seed, si, rep, 1)
+                    CovarianceModel(cfg.ell), wh.ref_points_weighted, (cfg.seed, si, rep, 1)
                 )
-                expected.append(clipped_surface_estimate(wh, exceedance_indicator(values, cfg.u)))
+                expected.append(weighted_surface_estimate(wh, exceedance_indicator(values, cfg.u)))
         # one factor per replicate, of that replicate's own cloud
         assert campaign_calls == sizes
         assert [r["surface_raw"] for r in res.raw] == expected
@@ -1235,7 +1240,7 @@ class TestGoldenDigests:
                 dict(family="hexagonal", deltas=(0.5, 0.25), reps=3, model="chi-square", k=3, u=2.0),
                 "5a5cfd5d4edd978f",
             ),
-            ("bias-sweep", dict(family="voronoi", deltas=(0.5, 0.25), reps=4), "2279b6fdc8134e61"),
+            ("bias-sweep", dict(family="voronoi", deltas=(0.5, 0.25), reps=4), "fdc2f8b6e7c2ae57"),
         ],
     )
     def test_output_digest(self, kind, overrides, digest):

@@ -10,13 +10,13 @@ from excursionkit.densities import CovarianceModel, beta_d
 from excursionkit.estimators import (
     _counted_volume,
     _lattice_sum,
-    clipped_surface_estimate,
     corrected_surface,
     crossing_frequency,
     exceedance_indicator,
     hypercubic_surface_fast,
     surface_estimate,
     volume_estimate,
+    weighted_surface_estimate,
 )
 from excursionkit.sampling import (
     GridSpec,
@@ -166,50 +166,57 @@ _GUARDED = _poisson_voronoi(31, guard=0.75)
 
 
 class TestClippedSurface:
-    def test_two_generators_bisector_clipped_to_window_height(self):
-        # the bisector x = 0 spans the guard box [-2, 2]^2; only [-1, 1] is in T
+    """``weighted_surface_estimate``, the window-edge-aware estimator of the
+    Voronoi sweep."""
+
+    def test_two_generators_one_in_window_count_half_the_facet(self):
+        # the bisector x = 1 spans the guard box [-2, 2]^2, unclipped to T =
+        # [-1, 1]^2; one of its generators lies in T, so it counts at half
+        # its length 4
         window = Box(np.full(2, -1.0), np.full(2, 1.0))
-        wh = voronoi_honeycomb_2d(np.array([[-0.5, 0.0], [0.5, 0.0]]), window, guard=1.0)
+        wh = voronoi_honeycomb_2d(np.array([[0.5, 0.0], [1.5, 0.0]]), window, guard=1.0)
         assert wh.n_inside == 0
         # an empty interior facet table sums to 0 on the general path
         assert len(wh.interior_facets) == 0
         assert surface_estimate(wh, np.zeros(0, dtype=bool)) == 0.0
         assert pyramid_identity_sum(wh) == 0.0
-        f = wh.clipped_facets()
-        assert f.measure.tolist() == [2.0]
-        assert np.allclose(f.endpoints[0, :, 0], 0.0)
-        assert sorted(f.endpoints[0, :, 1].tolist()) == [-1.0, 1.0]
-        assert clipped_surface_estimate(wh, np.array([True, False])) == 2.0 / window.volume
-        assert clipped_surface_estimate(wh, np.array([True, True])) == 0.0
+        assert wh.facets.measure.tolist() == [4.0]
+        f = wh.weighted_facets
+        assert wh.weighted_index.tolist() == [0, 1]
+        assert (f.a.tolist(), f.b.tolist(), f.measure.tolist()) == ([0], [1], [2.0])
+        assert weighted_surface_estimate(wh, np.array([True, False])) == 2.0 / window.volume
+        assert weighted_surface_estimate(wh, np.array([True, True])) == 0.0
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_equals_inside_estimator_when_cells_lie_inside(self, seed):
+        # at guard 0 every generator lies in the window, so every facet has
+        # weight 1 and every cell is inside
         wh = _poisson_voronoi(seed, guard=0.0)
-        assert np.array_equal(wh.meeting_index, wh.inside_index)
+        assert np.array_equal(wh.weighted_index, wh.inside_index)
         rng = np.random.default_rng(seed)
         for _ in range(10):
             flags = rng.random(wh.n_inside) < 0.5
-            assert clipped_surface_estimate(wh, flags) == surface_estimate(wh, flags)  # bitwise
+            assert weighted_surface_estimate(wh, flags) == surface_estimate(wh, flags)  # bitwise
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_equals_inside_estimator_on_lattice(self, d):
         wh = hypercubic_honeycomb(0.5, 2, d)
         flags = np.random.default_rng(d).random(wh.n_inside) < 0.5
-        assert clipped_surface_estimate(wh, flags) == surface_estimate(wh, flags)
+        assert weighted_surface_estimate(wh, flags) == surface_estimate(wh, flags)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_complement(self, seed):
-        n = _GUARDED.meeting_index.size
+        n = _GUARDED.weighted_index.size
         flags = np.random.default_rng(seed).random(n) < 0.5
-        a = clipped_surface_estimate(_GUARDED, flags)
-        b = clipped_surface_estimate(_GUARDED, ~flags)
+        a = weighted_surface_estimate(_GUARDED, flags)
+        b = weighted_surface_estimate(_GUARDED, ~flags)
         assert a == b
 
     def test_alignment_checked(self):
-        n = _GUARDED.meeting_index.size
+        n = _GUARDED.weighted_index.size
         with pytest.raises(ValueError):
-            clipped_surface_estimate(_GUARDED, np.ones(n - 1, dtype=bool))
+            weighted_surface_estimate(_GUARDED, np.ones(n - 1, dtype=bool))
 
     def test_voronoi_sweep_identical_across_threads(self, tmp_path):
         cfg = replace(

@@ -41,6 +41,13 @@ _GRID = excursionkit.GridSpec(2, 4, 0.5)
 _SQUARE_SCALE = "length scale must be positive with a finite nonzero square"
 _LEVEL = "level must be finite"
 _MOMENT = "second spectral moment must be positive and finite"
+_POINTS = "sample points must be finite"
+_GENERATORS = "generator points must be finite"
+
+
+def _with(value):
+    """Four points, one of them with a coordinate ``value``."""
+    return np.array([[0.0, 0.0], [1.0, 0.0], [0.0, value], [1.0, 1.0]])
 
 
 @pytest.mark.parametrize(
@@ -90,6 +97,11 @@ _MOMENT = "second spectral moment must be positive and finite"
             lambda: excursionkit.sample_poisson_process(math.inf, _WINDOW, 1),
             "rate must be nonnegative and finite",
         ),
+        (lambda: excursionkit.sample_gaussian_points(_UNIT, _with(math.nan), 1), _POINTS),
+        (lambda: excursionkit.sample_gaussian_points(_UNIT, _with(math.inf), 1), _POINTS),
+        (lambda: excursionkit.sample_chi_square(_UNIT, 3, _with(math.nan), 1), _POINTS),
+        (lambda: excursionkit.voronoi_honeycomb_2d(_with(math.nan), _WINDOW, 0.5), _GENERATORS),
+        (lambda: excursionkit.voronoi_honeycomb_2d(_with(-math.inf), _WINDOW, 0.5), _GENERATORS),
     ],
     ids=[
         "ell-nan", "ell-inf", "ell-square-underflows", "grid-spacing-nan", "hexagon-nan",
@@ -97,15 +109,18 @@ _MOMENT = "second spectral moment must be positive and finite"
         "surface-fast-level-nan", "indicator-level-nan", "chisq-volume-level-nan",
         "chisq-volume-level-inf", "chisq-surface-level-nan", "gaussian-volume-level-nan",
         "gaussian-surface-level-nan", "l1-limit-level-nan", "spectral-moment-nan",
-        "spectral-moment-inf", "poisson-rate-nan", "poisson-rate-inf",
+        "spectral-moment-inf", "poisson-rate-nan", "poisson-rate-inf", "points-nan",
+        "points-inf", "chisq-points-nan", "generators-nan", "generators-inf",
     ],
 )
 def test_non_finite_inputs_refused(call, message):
     # each is refused by name when it is passed: a nan length scale would
     # draw all-nan fields whose surface estimate reads 0.0, a nan lag or
     # level would give a crossing rate of 0, a nan level flags no node (so
-    # a surface estimate of 0.0) or gives a nan density, and a non-finite
-    # Poisson rate failed inside numpy with a message naming no rate
+    # a surface estimate of 0.0) or gives a nan density, a non-finite
+    # Poisson rate failed inside numpy with a message naming no rate, one
+    # nan point coordinate made every value of a point draw nan, and a
+    # non-finite generator failed inside scipy's cKDTree
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -330,7 +330,7 @@ def _voronoi_generators():
     window = Box(np.full(2, -2.0), np.full(2, 2.0))
     unit_box = Box(np.full(2, -9.5), np.full(2, 9.5))
     pts = 0.25 * sample_poisson_process(1.0, unit_box, (12, 0))
-    return voronoi_honeycomb_2d(pts, window, 0.375).ref_points_meeting
+    return voronoi_honeycomb_2d(pts, window, 0.375).ref_points_weighted
 
 
 class TestPointFactor:

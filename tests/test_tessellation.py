@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import Delaunay, cKDTree
 
 from excursionkit import sampling
-from excursionkit.estimators import clipped_surface_estimate
+from excursionkit.estimators import weighted_surface_estimate
 from excursionkit.sampling import sample_poisson_process
 from excursionkit.tessellation import (
     CONTAINMENT_TOL,
@@ -140,11 +140,11 @@ class TestHypercubic:
 
     def test_lattice_has_no_vertex_array(self):
         # the cells tile the window: no facet endpoints, and every cell is
-        # inside the window and meets it
+        # inside the window, with its reference corner in it
         wh = hypercubic_honeycomb(0.5, 2, 2)
         assert wh.facets.endpoints is None
         assert wh.n_inside == 16
-        assert np.array_equal(wh.meeting_index, wh.inside_index)
+        assert np.array_equal(wh.weighted_index, wh.inside_index)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError, match="spacing must be positive"):
@@ -254,29 +254,18 @@ def _shoelace_area(verts) -> float:
     return 0.5 * abs(float(total))
 
 
-def _loop_window_stats(cells, window):
-    """Inside and meeting masks, one polygon at a time.
-
-    A cell meets the window when it keeps positive area clipped to the
-    window shrunk by twice ``CONTAINMENT_TOL``: the clip keeps vertices up
-    to ``CONTAINMENT_TOL`` beyond a side, so that box keeps what lies deeper
-    than the tolerance inside the window.  A cell that only touches the
-    window, clipped to the window itself, can leave a rounding sliver of
-    positive area.
-    """
+def _loop_inside(cells, window):
+    """Inside mask, one polygon at a time: no vertex beyond a side of the
+    window by more than ``CONTAINMENT_TOL``."""
     inside = np.zeros(len(cells), dtype=bool)
-    meeting = np.zeros(len(cells), dtype=bool)
-    core = Box(window.lo + 2 * CONTAINMENT_TOL, window.hi - 2 * CONTAINMENT_TOL)
     for i, verts in enumerate(cells):
         if len(verts) < 3:
             continue
-        # the side test of the clip: no vertex beyond a side by more than the tolerance
         inside[i] = bool(
             np.all(window.lo - verts <= CONTAINMENT_TOL)
             and np.all(verts - window.hi <= CONTAINMENT_TOL)
         )
-        meeting[i] = _shoelace_area(clip_polygon_to_box(verts, core)) > 0
-    return inside, meeting
+    return inside
 
 
 def _loop_hexagonal(delta, window):
@@ -316,7 +305,7 @@ def _loop_hexagonal(delta, window):
         measure=np.full(fa.size, delta),
         endpoints=np.asarray(ends).reshape(-1, 2, 2),
     )
-    inside, meeting = _loop_window_stats(cells, window)
+    inside = _loop_inside(cells, window)
     local = np.cumsum(inside) - 1
     keep = inside[fa] & inside[fb]
     interior = FacetSet(
@@ -325,9 +314,7 @@ def _loop_hexagonal(delta, window):
         measure=facets.measure[keep],
         endpoints=facets.endpoints[keep],
     )
-    return dict(
-        ref_points=centers, inside=inside, meeting=meeting, facets=facets, interior=interior
-    )
+    return dict(ref_points=centers, inside=inside, facets=facets, interior=interior)
 
 
 def _same_bits(x, y):
@@ -392,7 +379,6 @@ class TestHexagonalMatchesLoopReference:
         wh = hexagonal_honeycomb(delta, window)
         assert _same_bits(wh.ref_points, ref["ref_points"])
         assert _same_bits(wh.inside, ref["inside"])
-        assert _same_bits(wh.meeting_index, np.flatnonzero(ref["meeting"]))
         assert _same_facets(wh.facets, ref["facets"])
         assert _same_facets(wh.interior_facets, ref["interior"])
 
@@ -401,9 +387,8 @@ class TestHexagonalMatchesLoopReference:
         pts = sample_poisson_process(4.0, guard_box, 5)
         window = Box(np.full(2, -2.0), np.full(2, 2.0))
         wh = voronoi_honeycomb_2d(pts, window, guard=1.0)
-        inside, meeting = _loop_window_stats(_half_plane_voronoi(pts, guard_box)[0], window)
+        inside = _loop_inside(_half_plane_voronoi(pts, guard_box)[0], window)
         assert _same_bits(wh.inside, inside)
-        assert _same_bits(wh.meeting_index, np.flatnonzero(meeting))
 
     def test_voronoi_empty_cells_window_stats_equal_to_loop(self):
         # two far generators whose regions the guard box clips away to no
@@ -415,10 +400,7 @@ class TestHexagonalMatchesLoopReference:
         wh = voronoi_honeycomb_2d(pts, window, guard)
         cells, _ = _half_plane_voronoi(pts, window.expanded(guard))
         assert len(cells[20]) == 0 and len(cells[-1]) == 0
-        inside, meeting = _loop_window_stats(cells, window)
-        assert _same_bits(wh.inside, inside)
-        assert _same_bits(wh.meeting_index, np.flatnonzero(meeting))
-        assert not np.any(wh.meeting[[20, -1]])
+        assert _same_bits(wh.inside, _loop_inside(cells, window))
 
 
 def _clip_labelled(verts, labels, normal_vec, offset, new_label):
@@ -489,9 +471,7 @@ class TestVoronoiMatchesHalfPlaneReference:
         pairs = sorted(k for k, m in lengths.items() if m > MIN_FACET_FRACTION * scale)
         f = wh.facets
         assert list(zip(f.a.tolist(), f.b.tolist())) == pairs  # rows sorted by (a, b)
-        inside, meeting = _loop_window_stats(cells, window)
-        assert np.array_equal(wh.inside, inside)
-        assert np.array_equal(wh.meeting_index, np.flatnonzero(meeting))
+        assert np.array_equal(wh.inside, _loop_inside(cells, window))
         if guard == 0:
             assert wh.inside.all()
         # Voronoi vertices are rounded relative to their coordinates, not to
@@ -505,14 +485,36 @@ class TestVoronoiMatchesHalfPlaneReference:
             assert polygon_contains_point(cells[i], pts[i])
 
 
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_weighted_measure_is_half_the_edges_of_cells_in_window(self, seed):
+        # the generators fill the guard box, so some lie outside the window;
+        # the weighted measure sums to half the shared-edge length of the
+        # reference cells whose generator lies in the window, and the view
+        # holds the cells on those edges
+        window = Box(np.full(2, -2.0), np.full(2, 2.0))
+        guard_box = window.expanded(1.0)
+        pts = sample_poisson_process(4.0, guard_box, seed)
+        wh = voronoi_honeycomb_2d(pts, window, guard=1.0)
+        _, lengths = _half_plane_voronoi(pts, guard_box)
+        scale = float(np.max(guard_box.side_lengths))
+        edges = {k: m for k, m in lengths.items() if m > MIN_FACET_FRACTION * scale}
+        in_window = window.contains(pts)
+        assert 0 < in_window.sum() < len(pts)
+        half = 0.5 * sum(m for pair, m in edges.items() for c in pair if in_window[c])
+        total = wh.weighted_facets.measure.sum()
+        assert total == pytest.approx(half, rel=0, abs=1e-12 * scale * len(edges))
+        cells = sorted({c for pair in edges if in_window[list(pair)].any() for c in pair})
+        assert wh.weighted_index.tolist() == cells
+
+
 def _table_digest(wh):
     """Digest of what the campaigns read from a 2D honeycomb: the facet
-    table, the inside mask, the cells meeting the window and the clipped
-    facet lengths."""
+    table, the inside mask, and the cells and measures of the
+    generator-weighted view."""
     f = wh.facets
     h = hashlib.sha256()
-    for x in (f.a, f.b, f.measure, f.endpoints, wh.inside, wh.meeting_index,
-              wh.clipped_facets().measure):
+    for x in (f.a, f.b, f.measure, f.endpoints, wh.inside, wh.weighted_index,
+              wh.weighted_facets.measure):
         h.update(np.ascontiguousarray(x).tobytes())
     return h.hexdigest()[:16]
 
@@ -526,12 +528,12 @@ class TestHoneycombDigests:
     WINDOW = Box(np.full(2, -4.0), np.full(2, 4.0))
 
     @pytest.mark.parametrize(
-        "delta, digest", [(0.25, "82cd5b9f7691a9c2"), (0.125, "72682d92d09dcd6b")]
+        "delta, digest", [(0.25, "de5c490c1f9e660c"), (0.125, "42eb7ab38f11b84e")]
     )
     def test_hexagonal(self, delta, digest):
         assert _table_digest(hexagonal_honeycomb(delta, self.WINDOW)) == digest
 
-    @pytest.mark.parametrize("seed, digest", [(1, "28d73be115a399f7"), (2, "6030ea4022c65f58")])
+    @pytest.mark.parametrize("seed, digest", [(1, "d8a684b52b2f7e54"), (2, "f96764d52dd85779")])
     def test_voronoi(self, seed, digest):
         assert _table_digest(self._voronoi(seed)) == digest
 
@@ -542,19 +544,21 @@ class TestHoneycombDigests:
 
 
 class TestPoissonVoronoiFacetDensity:
-    def test_clipped_facet_length_per_area_is_two_sqrt_rate(self):
+    def test_weighted_facet_length_per_area_is_two_sqrt_rate(self):
         # The edge length per unit area of a rate-lambda Poisson-Voronoi
         # tessellation is 2 sqrt(lambda) (Okabe, Boots, Sugihara & Chiu,
-        # Spatial Tessellations, 2000).  At about 1,024 cells per window the
-        # ratio of one cloud spread with sd 0.017 over 30 clouds, so the mean
-        # of 8 has sd 0.006 and the 3% tolerance is 5 of those.
+        # Spatial Tessellations, 2000), and by Campbell's theorem the
+        # generator-weighted edge length of a window has mean 2 sqrt(lambda)
+        # times its area.  At about 1,024 cells per window the ratio of one
+        # cloud spread with sd 0.017 over 30 clouds, so the mean of 8 has sd
+        # 0.006 and the 3% tolerance is 5 of those.
         rate, guard = 16.0, 0.375  # guard of 1.5 mean cell spacings, as in the bias sweep
         window = Box(np.full(2, -4.0), np.full(2, 4.0))
         ratios = []
         for seed in range(8):
             pts = sample_poisson_process(rate, window.expanded(guard), seed)
             wh = voronoi_honeycomb_2d(pts, window, guard)
-            density = wh.clipped_facets().measure.sum() / window.volume
+            density = wh.weighted_facets.measure.sum() / window.volume
             ratios.append(density / (2.0 * math.sqrt(rate)))
         assert abs(np.mean(ratios) - 1.0) < 0.03
 
@@ -584,7 +588,7 @@ class TestVoronoiTwoGenerators:
         # window into two rectangles of area 3, each a cell inside the window
         wh = self.build()
         assert wh.window.volume == pytest.approx(6.0)
-        assert wh.n_inside == 2 and wh.meeting_index.tolist() == [0, 1]
+        assert wh.n_inside == 2 and wh.weighted_index.tolist() == [0, 1]
         ends = wh.interior_facets.endpoints[0]
         assert ends[:, 0].tolist() == [0.5, 0.5]
         assert sorted(ends[:, 1].tolist()) == [-1.0, 1.0]
@@ -630,17 +634,16 @@ class TestVoronoiClouds:
         dist, nearest = tree.query(f.endpoints.mean(axis=1), k=2)
         assert np.array_equal(np.sort(nearest, axis=1), np.stack([f.a, f.b], axis=1))
         assert np.allclose(dist[:, 0], dist[:, 1], rtol=0, atol=1e-12)
-        # the generator nearest a point of the window owns a cell meeting it
-        queries = np.random.default_rng(3).uniform(-3.0, 3.0, size=(200, 2))
-        assert np.all(wh.meeting[tree.query(queries)[1]])
 
     def test_cells_partition_window(self):
-        # the meeting cells of the reference diagram, clipped to the window, tile it
+        # every generator lies in the window, so the weighted view holds
+        # every cell, and their reference cells, clipped to the window, tile it
         pts = self.make_cloud(5)
         window = Box(np.full(2, -3.0), np.full(2, 3.0))
         wh = voronoi_honeycomb_2d(pts, window, guard=1.0)
+        assert wh.weighted_index.tolist() == list(range(len(pts)))
         cells, _ = _half_plane_voronoi(pts, window.expanded(1.0))
-        areas = [_shoelace_area(clip_polygon_to_box(cells[i], window)) for i in wh.meeting_index]
+        areas = [_shoelace_area(clip_polygon_to_box(cells[i], window)) for i in wh.weighted_index]
         assert np.sum(areas) == pytest.approx(window.volume, rel=1e-9)
 
     def test_facet_normality(self):
@@ -701,10 +704,15 @@ class TestVoronoiClouds:
         wh = voronoi_honeycomb_2d(pts, window, guard=10.0)
         assert wh.n_inside <= 1
         assert wh.interior_facets.measure.size == 0
-        # the cell of the generator at the centre covers the window: no facet
-        # reaches into it, yet the cell meets it
-        assert wh.meeting_index.tolist() == [0]
-        assert clipped_surface_estimate(wh, np.array([True])) == 0.0
+        # the generator at the centre is the only one in the window: each of
+        # its facets, all outside the window, counts at half its length
+        f = wh.weighted_facets
+        assert wh.weighted_index.tolist() == [0, 1, 2, 3]
+        assert f.a.tolist() == [0, 0, 0]
+        assert np.array_equal(f.measure, 0.5 * wh.facets.measure[wh.facets.a == 0])
+        flags = np.array([True, False, False, False])
+        assert weighted_surface_estimate(wh, flags) == f.measure.sum() / window.volume
+        assert weighted_surface_estimate(wh, np.ones(4, dtype=bool)) == 0.0
 
     @pytest.mark.parametrize("seed, cell", [((5, 36), 0), ((5, 48), 6)], ids=["5-36", "5-48"])
     def test_cell_covering_the_guard_box(self, seed, cell):
@@ -714,27 +722,12 @@ class TestVoronoiClouds:
         window = Box(np.full(2, -1.0), np.full(2, 1.0))
         wh = voronoi_honeycomb_2d(pts, window, guard=0.0)
         assert wh.facets.measure.size == 0
-        assert wh.inside_index.tolist() == wh.meeting_index.tolist() == [cell]
+        assert wh.inside_index.tolist() == [cell]
+        # with no facet, no generator weights one
+        assert wh.weighted_index.size == 0
         # with a guard margin the covering cell reaches beyond the window
         wh = voronoi_honeycomb_2d(pts, window, guard=0.5)
         assert wh.n_inside == 0
-        assert wh.meeting_index.tolist() == [cell]
-
-    def test_clipped_facets_account_for_all_cell_boundary_in_window(self):
-        # each facet piece in T borders two cells, and the rest of the clipped
-        # cell perimeters is the boundary of T itself
-        pts = self.make_cloud(17)
-        window = Box(np.full(2, -2.0), np.full(2, 2.0))
-        wh = voronoi_honeycomb_2d(pts, window, guard=1.0)
-        perimeters = 0.0
-        cells, _ = _half_plane_voronoi(pts, window.expanded(1.0))
-        for i in wh.meeting_index:
-            poly = clip_polygon_to_box(cells[i], window)
-            perimeters += np.sum(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1))
-        f = wh.clipped_facets()
-        assert perimeters == pytest.approx(2 * f.measure.sum() + 16.0, rel=1e-9)
-        assert np.all(window.contains(f.endpoints.reshape(-1, 2), tol=1e-12))
-        assert f.a.max() < wh.meeting_index.size and f.b.max() < wh.meeting_index.size
 
     def test_negative_guard_rejected(self):
         window = Box(np.zeros(2), np.ones(2))
