@@ -311,18 +311,26 @@ def _physical_memory() -> int | None:
 
 def _check_memory(cfg: CampaignConfig) -> None:
     """Refuse a campaign whose concurrent draws cannot fit in physical memory:
-    each of its ``threads`` pool threads, the calling thread among them,
-    holds one draw of the largest size in the sweep."""
+    ``_parallel`` runs min(``threads``, tasks of a row) tasks at once, the
+    calling thread among them, and each holds one draw of the largest size
+    in the sweep."""
     memory = _physical_memory()
     if memory is None:
         return
-    need, what = _draw_memory(cfg, memory // cfg.threads)
-    if need * cfg.threads > memory:
+    draws = min(cfg.threads, _task_count(cfg, _row_grids(cfg)))
+    need, what = _draw_memory(cfg, memory // draws)
+    if need * draws > memory:
         raise ConfigError(
-            f"draws need about {need * cfg.threads / 2**30:.1f} GiB of memory ({what} "
-            f"x threads = {cfg.threads}), more than the {memory / 2**30:.1f} GiB of "
+            f"draws need about {need * draws / 2**30:.1f} GiB of memory ({what} "
+            f"x concurrent draws = {draws}), more than the {memory / 2**30:.1f} GiB of "
             "physical memory"
         )
+
+
+def _task_count(cfg: CampaignConfig, grids: list) -> int:
+    """Tasks per sweep row: one per replicate, or on rows with a grid
+    (``grids``, from ``_row_grids``) one per grid draw of two replicates."""
+    return (cfg.reps + 1) // 2 if grids else cfg.reps
 
 
 def _row_grids(cfg: CampaignConfig) -> list:
@@ -593,10 +601,9 @@ def run_campaign(cfg: CampaignConfig) -> McCampaignResult:
             if grids
             else {}
         )
-        tasks = (cfg.reps + 1) // 2 if grids else cfg.reps
         # no name holds the task function, so what it closes over (a
         # covariance factor, say) is freed before the next row builds its own
-        results = _parallel(replicates(si, value), tasks, cfg.threads)
+        results = _parallel(replicates(si, value), _task_count(cfg, grids), cfg.threads)
         if grids:
             results = [r for pair in results for r in pair]
         row, raw_columns = reduce(value, results)

@@ -294,9 +294,22 @@ def covariance_factor(model: CovarianceModel, points) -> tuple:
     -------
     tuple of ndarray
         The d read-only transposed factors R_a, each with n columns.
+
+    Raises
+    ------
+    ValueError
+        A coordinate is NaN or infinite.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _finite_points(points)
     return tuple(_pivoted_factor(x / model.length_scale) for x in points.T)
+
+
+def _finite_points(points) -> np.ndarray:
+    """``points`` as a 2-d float array, refused if a coordinate is not finite."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(points)):
+        raise ValueError("sample points must be finite")
+    return points
 
 
 def _draw(factors: tuple, seed_key) -> np.ndarray:
@@ -330,12 +343,9 @@ def _point_draw_memory(n: int, d: int, rank: int | None) -> int:
 def _point_factor(model, points, factor) -> tuple:
     """The given per-axis factors after a shape check, or fresh ones, for
     finite points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(points)):
-        raise ValueError("sample points must be finite")
     if factor is None:
         return covariance_factor(model, points)
-    n, d = points.shape
+    n, d = _finite_points(points).shape
     columns = [axis.shape[1] for axis in factor]
     if columns != [n] * d:
         raise ValueError(f"factors of {columns} columns do not match {n} points in {d} dimensions")

@@ -11,22 +11,24 @@ Three families are built here:
 * Voronoi diagrams of arbitrary 2D generator clouds (``scipy.spatial.Voronoi``).
 
 Each builder returns one object, a ``WindowedHoneycomb``: the reference
-points, the facet table and the window T, with the window views computed
-when it is made.  Cells whose closure lies inside the observation window are
-the ones the paper's estimators operate on; facets between two such cells
-are "interior".  The generator-weighted view (``weighted_facets``) instead
-keeps every facet with a reference point in T on either side, unclipped, at
-half its measure per such point: by Campbell's theorem its crossing sum has
-the mean of the window-clipped one on a stationary tessellation, and it
-needs only the reference points, in any d.  A 2D honeycomb is its facet
-table: the builders make no cell polygons, and the inside mask comes from
-the facet endpoints (``_window_masks``).
+points, the facet table, the window T and the mask of the cells inside T,
+with the window views computed from them when it is made, in any d.  Cells
+whose closure lies inside the observation window are the ones the paper's
+estimators operate on; facets between two such cells are "interior".  The
+generator-weighted view (``weighted_facets``) instead keeps every facet with
+a reference point in T on either side, unclipped, at half its measure per
+such point: by Campbell's theorem its crossing sum has the mean of the
+window-clipped one on a stationary tessellation, and it needs only the
+reference points, in any d.  Each builder finds its own inside cells: every
+lattice cell is inside, since the cells tile T, and a 2D point family reads
+them from the segment endpoints of its facet table (``_window_masks``); the
+builders make no cell polygons.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -69,10 +71,10 @@ class Box:
     def expanded(self, margin: float) -> "Box":
         return Box(self.lo - margin, self.hi + margin)
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        """Boolean mask of points inside the closed box, with outward slack tol."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask of points inside the closed box."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
+        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,9 @@ class FacetSet:
         a: integer cell index of the first cell of each facet.
         b: integer cell index of the second cell.
         measure: sigma_{d-1} measure of each facet (length in 2D).
-        endpoints: (n, 2, 2) segment endpoints for the 2D point families;
-            None for the lattice, whose cells tile the window.
+        endpoints: (n, 2, 2) segment endpoints, on the full facet table of
+            a 2D point family only, where its builder reads the inside cells
+            from them; None on the lattice and on every window view.
     """
 
     a: np.ndarray
@@ -163,19 +166,20 @@ class WindowedHoneycomb:
         ref_points: (n, d) reference point of each cell; d is its width.
         facets: all positive-measure shared facets, indexed by global cell id.
         window: the observation window T.
+        inside: (n,) mask of the cells entirely contained in the closed
+            window, which each builder finds: every cell on the lattice,
+            whose cells tile the window, and on a 2D point family the cells
+            whose facet endpoints all lie in it (``_window_masks``).
         cell_volumes: (n,) sigma_d measure of each cell, for the hypercubic
             lattice only (delta^d each); None for the 2D point families,
             which keep no cell polygons.
-        guard_box: the box a Voronoi builder clipped the facets to, which
-            the inside mask needs for a cell with no facet (``_window_masks``).
 
-    ``inside`` marks cells entirely contained in the closed window; on the
-    lattice, whose facets have no endpoints because its cells tile the
-    window, every cell is inside, and on the 2D point families the mask
-    comes from the facet endpoints (``_window_masks``).  ``interior_facets``,
-    built from ``inside``, keeps only facets between two inside cells, with
+    ``interior_facets`` keeps only facets between two inside cells, with
     cell indices remapped to positions in the inside-cell ordering (the
-    ordering of the field values and exceedance flags).
+    ordering of the field values and exceedance flags).  The views carry
+    the cells and measures the estimators read, and no endpoints: the
+    segments stay on ``facets``, where the interior rows are
+    ``inside[facets.a] & inside[facets.b]``.
 
     ``weighted_facets`` is the generator-weighted view: a facet between
     reference points x_a and x_b has weight w = (1{x_a in T} + 1{x_b in T}) / 2,
@@ -189,30 +193,24 @@ class WindowedHoneycomb:
     ref_points: np.ndarray
     facets: FacetSet
     window: Box
+    inside: np.ndarray
     cell_volumes: np.ndarray | None = None
-    guard_box: InitVar[Box | None] = None
-    inside: np.ndarray = field(init=False)
     interior_facets: FacetSet = field(init=False)
     inside_index: np.ndarray = field(init=False)
     weighted_facets: FacetSet = field(init=False)
     weighted_index: np.ndarray = field(init=False)
 
-    def __post_init__(self, guard_box):
+    def __post_init__(self):
         f = self.facets
-        n = self.ref_points.shape[0]
-        if f.endpoints is None:
-            self.inside = np.ones(n, dtype=bool)
-        else:
-            self.inside = _window_masks(self, guard_box)
         self.inside_index = np.flatnonzero(self.inside)
         interior = self.inside[f.a] & self.inside[f.b]
-        self.interior_facets = _restrict(f, self.inside, interior, f.measure, f.endpoints)
+        self.interior_facets = _restrict(f, self.inside, interior, f.measure)
         in_window = self.window.contains(self.ref_points)
         weight = 0.5 * in_window[f.a] + 0.5 * in_window[f.b]
         kept = weight > 0
-        cells = _cells_with(f, n, kept)
+        cells = _cells_with(f, self.ref_points.shape[0], kept)
         self.weighted_index = np.flatnonzero(cells)
-        self.weighted_facets = _restrict(f, cells, kept, weight * f.measure, f.endpoints)
+        self.weighted_facets = _restrict(f, cells, kept, weight * f.measure)
 
     @property
     def parent(self) -> "WindowedHoneycomb":
@@ -237,15 +235,10 @@ class WindowedHoneycomb:
         return self.ref_points[self.weighted_index]
 
 
-def _restrict(facets: FacetSet, cells, keep, measure, endpoints) -> FacetSet:
+def _restrict(facets: FacetSet, cells, keep, measure) -> FacetSet:
     """Rows ``keep`` of a facet table, cell ids renumbered among the cells marked ``cells``."""
     local = np.cumsum(cells) - 1
-    return FacetSet(
-        a=local[facets.a[keep]],
-        b=local[facets.b[keep]],
-        measure=measure[keep],
-        endpoints=None if endpoints is None else endpoints[keep],
-    )
+    return FacetSet(a=local[facets.a[keep]], b=local[facets.b[keep]], measure=measure[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +279,11 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         b_parts.append(ids[tuple(sl_hi)].reshape(-1))
     a = np.concatenate(a_parts)
     b = np.concatenate(b_parts)
-    # no facet endpoints: the cells tile T, so no facet needs clipping to it
+    # no facet endpoints: the cells tile T, so every cell is inside it
     facets = FacetSet(a=a, b=b, measure=np.full(a.size, delta ** (d - 1)))
+    n = ref_points.shape[0]
     return WindowedHoneycomb(
-        ref_points, facets, grid.window, cell_volumes=np.full(ref_points.shape[0], delta**d)
+        ref_points, facets, grid.window, np.ones(n, dtype=bool), cell_volumes=np.full(n, delta**d)
     )
 
 
@@ -350,7 +344,7 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
     fb = nb[fa, k]
     endpoints = centers[fa, None] + hex_offsets[np.stack([k, k + 1], axis=1)]
     facets = FacetSet(a=fa, b=fb, measure=np.full(fa.size, delta), endpoints=endpoints)
-    return WindowedHoneycomb(centers, facets, window)
+    return WindowedHoneycomb(centers, facets, window, _window_masks(facets, centers, window, None))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +436,8 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     keep = measure > MIN_FACET_FRACTION * float(np.max(guard_box.side_lengths))
     facets = FacetSet(a=ab[keep, 0], b=ab[keep, 1], measure=measure[keep], endpoints=ends[keep])
 
-    return WindowedHoneycomb(points, facets, window, guard_box=guard_box)
+    inside = _window_masks(facets, points, window, guard_box)
+    return WindowedHoneycomb(points, facets, window, inside)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +450,9 @@ def _excess(points: np.ndarray, box: Box) -> np.ndarray:
     return reduce(np.maximum, [*(points - box.hi).T, *(box.lo - points).T])
 
 
-def _window_masks(wh: WindowedHoneycomb, guard_box: Box | None) -> np.ndarray:
+def _window_masks(
+    facets: FacetSet, ref_points: np.ndarray, window: Box, guard_box: Box | None
+) -> np.ndarray:
     """Inside mask of the cells of a 2D honeycomb, from its facet table.
 
     Within the guard region the vertices of a cell are its facet endpoints.
@@ -468,15 +465,14 @@ def _window_masks(wh: WindowedHoneycomb, guard_box: Box | None) -> np.ndarray:
     guard margin of 0).  Without a guard box the facets were not clipped,
     and a cell with no facet is not counted inside.
     """
-    facets, window = wh.facets, wh.window
-    n = wh.ref_points.shape[0]
+    n = ref_points.shape[0]
     # how far the farther endpoint of each facet lies beyond the window
     excess = _excess(facets.endpoints.reshape(-1, 2), window).reshape(-1, 2)
     excess = np.maximum(excess[:, 0], excess[:, 1])
     has_facet = _cells_with(facets, n, slice(None))
     inside = has_facet & ~_cells_with(facets, n, excess > CONTAINMENT_TOL)
     centre = 0.5 * (window.lo + window.hi)
-    covering = np.argmin(np.sum((wh.ref_points - centre) ** 2, axis=1))
+    covering = np.argmin(np.sum((ref_points - centre) ** 2, axis=1))
     if guard_box is not None and not has_facet[covering]:
         corners = np.stack([guard_box.lo, guard_box.hi])
         inside[covering] = bool(np.all(_excess(corners, window) <= CONTAINMENT_TOL))

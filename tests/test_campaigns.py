@@ -263,6 +263,24 @@ class TestGridMemoryPreflight:
             validate_config(tiny("bias-sweep", threads=2))
 
     @pytest.mark.parametrize(
+        "threads, reps, admitted",
+        # a lattice task draws two replicates, so 8 reps make 4 tasks and 2
+        # make 1, and no more tasks run at once than there are
+        [(8, 8, True), (8, 2, True), (8, 16, False)],
+        ids=["4-tasks", "1-task", "8-tasks"],
+    )
+    def test_concurrent_draws_priced(self, monkeypatch, threads, reps, admitted):
+        cfg = tiny("bias-sweep", d=3, half_width=8.0, deltas=(0.0625,), threads=threads, reps=reps)
+        price, _ = campaigns._draw_memory(validate_config(replace(cfg, threads=1)), 2**40)
+        assert price == 3_350_528
+        monkeypatch.setattr(campaigns, "_physical_memory", lambda: 5 * price)
+        if admitted:
+            validate_config(cfg)
+        else:
+            with pytest.raises(ConfigError, match="x concurrent draws = 8"):
+                validate_config(cfg)
+
+    @pytest.mark.parametrize(
         "kind, overrides",
         [
             ("bias-sweep", dict(deltas=(0.5, 0.25))),
@@ -536,9 +554,10 @@ class TestGridMemoryPreflight:
             assert peak <= sampling.DRAW_OVERHEAD + ceiling, (value, peak)
 
     def test_cli_exit_code_two(self, tmp_path, monkeypatch, capsys):
+        # 4 replicates are 2 lattice tasks, which run at once on 2 threads
         monkeypatch.setattr(campaigns, "_physical_memory", lambda: _ONE_SMALL_DRAW)
         argv = ["bias-sweep", "--config", str(_write_cfg(tmp_path, "half_width = 2.0\n")),
-                "--delta", "0.5", "--reps", "2", "--threads", "2"]
+                "--delta", "0.5", "--reps", "4", "--threads", "2"]
         assert cli.main(argv) == 2
         assert "physical memory" in capsys.readouterr().err
         assert cli.main(argv[:-2]) == 0

@@ -100,6 +100,8 @@ def _with(value):
         (lambda: excursionkit.sample_gaussian_points(_UNIT, _with(math.nan), 1), _POINTS),
         (lambda: excursionkit.sample_gaussian_points(_UNIT, _with(math.inf), 1), _POINTS),
         (lambda: excursionkit.sample_chi_square(_UNIT, 3, _with(math.nan), 1), _POINTS),
+        (lambda: excursionkit.covariance_factor(_UNIT, _with(math.nan)), _POINTS),
+        (lambda: excursionkit.covariance_factor(_UNIT, _with(math.inf)), _POINTS),
         (lambda: excursionkit.voronoi_honeycomb_2d(_with(math.nan), _WINDOW, 0.5), _GENERATORS),
         (lambda: excursionkit.voronoi_honeycomb_2d(_with(-math.inf), _WINDOW, 0.5), _GENERATORS),
     ],
@@ -110,7 +112,8 @@ def _with(value):
         "chisq-volume-level-inf", "chisq-surface-level-nan", "gaussian-volume-level-nan",
         "gaussian-surface-level-nan", "l1-limit-level-nan", "spectral-moment-nan",
         "spectral-moment-inf", "poisson-rate-nan", "poisson-rate-inf", "points-nan",
-        "points-inf", "chisq-points-nan", "generators-nan", "generators-inf",
+        "points-inf", "chisq-points-nan", "factor-nan", "factor-inf", "generators-nan",
+        "generators-inf",
     ],
 )
 def test_non_finite_inputs_refused(call, message):
@@ -119,8 +122,9 @@ def test_non_finite_inputs_refused(call, message):
     # level would give a crossing rate of 0, a nan level flags no node (so
     # a surface estimate of 0.0) or gives a nan density, a non-finite
     # Poisson rate failed inside numpy with a message naming no rate, one
-    # nan point coordinate made every value of a point draw nan, and a
-    # non-finite generator failed inside scipy's cKDTree
+    # nan point coordinate made every value of a point draw nan or of a
+    # covariance factor, and a non-finite generator failed inside scipy's
+    # cKDTree
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import Delaunay, cKDTree
 
 from excursionkit import sampling
-from excursionkit.estimators import weighted_surface_estimate
+from excursionkit.estimators import surface_estimate, weighted_surface_estimate
 from excursionkit.sampling import sample_poisson_process
 from excursionkit.tessellation import (
     CONTAINMENT_TOL,
@@ -15,6 +15,7 @@ from excursionkit.tessellation import (
     Box,
     FacetSet,
     GridSpec,
+    WindowedHoneycomb,
     clip_segments_to_box,
     hexagonal_honeycomb,
     hypercubic_honeycomb,
@@ -24,11 +25,11 @@ from excursionkit.tessellation import (
 
 
 def max_facet_normality_cos(wh) -> float:
-    """Largest |cos| of the angle between an interior facet and the
-    difference of the reference points on its two sides."""
-    f = wh.interior_facets
+    """Largest |cos| of the angle between a facet and the difference of the
+    reference points on its two sides."""
+    f = wh.facets
     tangent = f.endpoints[:, 1] - f.endpoints[:, 0]
-    refs = wh.ref_points_inside
+    refs = wh.ref_points
     diff = refs[f.b] - refs[f.a]
     dots = np.abs(np.sum(tangent * diff, axis=1))
     return float(np.max(dots / (np.linalg.norm(tangent, axis=1) * np.linalg.norm(diff, axis=1))))
@@ -162,6 +163,46 @@ class TestHypercubic:
         assert np.array_equal(wh.ref_points, grid.nodes())
         assert np.array_equal(wh.window.lo, grid.window.lo)
         assert np.array_equal(wh.window.hi, grid.window.hi)
+
+
+class TestWindowViews:
+    def test_views_from_a_given_inside_mask_in_3d(self):
+        # a facet table with no endpoints and an inside mask that is not all
+        # true, as a 3D point-family builder passes them: three unit cubes
+        # centred on their reference points along x, the first outside T
+        # but for its facet with the second, which lies on a side of T
+        refs = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        facets = FacetSet(a=np.array([0, 1]), b=np.array([1, 2]), measure=np.ones(2))
+        window = Box([-0.5, -0.5, -0.5], [1.5, 0.5, 0.5])
+        wh = WindowedHoneycomb(refs, facets, window, np.array([False, True, True]))
+        assert window.volume == 2.0
+        f = wh.interior_facets
+        assert wh.inside_index.tolist() == [1, 2]
+        assert (f.a.tolist(), f.b.tolist(), f.measure.tolist()) == ([0], [1], [1.0])
+        # the first reference point lies outside T: its facet counts at half
+        g = wh.weighted_facets
+        assert wh.weighted_index.tolist() == [0, 1, 2]
+        assert (g.a.tolist(), g.b.tolist(), g.measure.tolist()) == ([0, 1], [1, 2], [0.5, 1.0])
+        assert surface_estimate(wh, np.array([True, False])) == 0.5
+        assert surface_estimate(wh, np.array([True, True])) == 0.0
+        assert weighted_surface_estimate(wh, np.array([True, False, True])) == 0.75
+        assert weighted_surface_estimate(wh, np.array([True, False, False])) == 0.25
+
+    @pytest.mark.parametrize("family", ["hypercubic", "hexagonal", "voronoi"])
+    def test_views_carry_no_endpoints(self, family):
+        # the views hold what the estimators read; the segments of a 2D
+        # point family stay on the full table
+        window = Box(np.full(2, -2.0), np.full(2, 2.0))
+        wh = {
+            "hypercubic": lambda: hypercubic_honeycomb(0.5, 4, 2),
+            "hexagonal": lambda: hexagonal_honeycomb(0.5, window),
+            "voronoi": lambda: voronoi_honeycomb_2d(
+                sample_poisson_process(4.0, window.expanded(1.0), 3), window, 1.0
+            ),
+        }[family]()
+        assert wh.interior_facets.endpoints is None
+        assert wh.weighted_facets.endpoints is None
+        assert (wh.facets.endpoints is None) == (family == "hypercubic")
 
 
 class TestHexagonal:
@@ -308,12 +349,7 @@ def _loop_hexagonal(delta, window):
     inside = _loop_inside(cells, window)
     local = np.cumsum(inside) - 1
     keep = inside[fa] & inside[fb]
-    interior = FacetSet(
-        a=local[fa[keep]],
-        b=local[fb[keep]],
-        measure=facets.measure[keep],
-        endpoints=facets.endpoints[keep],
-    )
+    interior = FacetSet(a=local[fa[keep]], b=local[fb[keep]], measure=facets.measure[keep])
     return dict(ref_points=centers, inside=inside, facets=facets, interior=interior)
 
 
@@ -323,9 +359,14 @@ def _same_bits(x, y):
 
 
 def _same_facets(f, g):
-    return all(
-        _same_bits(getattr(f, name), getattr(g, name))
-        for name in ("a", "b", "measure", "endpoints")
+    """Equal tables, bit for bit; a table without endpoints (a window view)
+    matches only another without them."""
+    if f.endpoints is None or g.endpoints is None:
+        same_ends = f.endpoints is None and g.endpoints is None
+    else:
+        same_ends = _same_bits(f.endpoints, g.endpoints)
+    return same_ends and all(
+        _same_bits(getattr(f, name), getattr(g, name)) for name in ("a", "b", "measure")
     )
 
 
@@ -580,7 +621,7 @@ class TestVoronoiTwoGenerators:
         wh = self.build()
         fs = wh.interior_facets
         assert fs.measure[0] == pytest.approx(2.0, rel=1e-12)
-        mid = fs.endpoints[0].mean(axis=0)
+        mid = wh.facets.endpoints[0].mean(axis=0)
         assert mid[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_volumes_partition_window(self):
@@ -589,7 +630,7 @@ class TestVoronoiTwoGenerators:
         wh = self.build()
         assert wh.window.volume == pytest.approx(6.0)
         assert wh.n_inside == 2 and wh.weighted_index.tolist() == [0, 1]
-        ends = wh.interior_facets.endpoints[0]
+        ends = wh.facets.endpoints[0]
         assert ends[:, 0].tolist() == [0.5, 0.5]
         assert sorted(ends[:, 1].tolist()) == [-1.0, 1.0]
         widths = np.array([0.5 - self.WINDOW.lo[0], self.WINDOW.hi[0] - 0.5])
