@@ -41,7 +41,6 @@ from .estimators import (
     hypercubic_surface_fast,
     surface_estimate,
     volume_estimate,
-    weighted_surface_estimate,
 )
 from .crofton import (
     CroftonEstimate,
@@ -106,6 +105,5 @@ __all__ = [
     "validate_config",
     "volume_estimate",
     "voronoi_honeycomb_2d",
-    "weighted_surface_estimate",
     "__version__",
 ]

@@ -55,7 +55,6 @@ from .estimators import (
     exceedance_indicator,
     hypercubic_surface_fast,  # noqa: F401  (bound here for perfbench/worker.py --spans)
     surface_estimate,
-    weighted_surface_estimate,
 )
 from .crofton import _line_memory, circle_shape, crofton_measure_mc, square_shape
 
@@ -233,14 +232,6 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
         raise ConfigError(
             f"cell size {cfg.deltas[0]} must be below the window side {2 * cfg.half_width}"
         )
-    if sweep and cfg.family == "hexagonal" and cfg.deltas[0] > cfg.half_width / 2.5:
-        # below 2.5 cells per half width no facet joins two inside cells, and
-        # every replicate would score a silent zero
-        raise ConfigError(
-            f"a hexagonal window of half width {cfg.half_width} has no facet between two "
-            f"inside cells at cell size {cfg.deltas[0]}: use cells of at most "
-            f"{cfg.half_width / 2.5:.6g}"
-        )
     if sweep and cfg.family == "voronoi":
         generators = _voronoi_box(cfg, cfg.deltas[0]).volume  # at unit rate
         if generators < MIN_VORONOI_GENERATORS:
@@ -352,12 +343,13 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     counts each field (``sampling._grid_draw_memory``, k noise blocks for
     chi-square, 1 for Gaussian), at the largest grid of the sweep.  A
     hexagonal or Voronoi task holds one draw at its points
-    (``sampling._point_draw_memory``): at most the number of whole hexagons
-    in the window, or for Voronoi clouds the expected number of generators
-    in the cloud box (``_voronoi_box``), where every cell drawn has its
-    generator, with the rank of a grid axis across the extent of the points
-    (the window, plus the guard margin for Voronoi generators) at the
-    finest cell size, or at 1/16 of a length scale where that is finer: a
+    (``sampling._point_draw_memory``).  A hexagonal task draws at the
+    centres within sqrt(3) delta of the window, whose hexagons lie within
+    (1 + sqrt(3)) delta of it, so it is priced at the hexagon areas in that
+    box; a Voronoi task at the expected number of generators in the cloud
+    box (``_voronoi_box``), where every cell drawn has its generator.  Both
+    take the rank of a grid axis across that box at the finest cell size,
+    or at 1/16 of a length scale where that is finer: a
     coarser grid has fewer nodes than a dense cloud has rank.  A crossing
     task prices its pairs (``estimators._crossing_memory``) and a Crofton
     task its lines (``crofton._line_memory``), ``n_pairs`` or ``n_lines``
@@ -370,6 +362,7 @@ def _draw_memory(cfg: CampaignConfig, budget: int) -> tuple:
     if cfg.kind == "bias-sweep" and cfg.family != "hypercubic":
         delta = min(cfg.deltas)
         if cfg.family == "hexagonal":
+            side += 2.0 * (1.0 + math.sqrt(3.0)) * delta
             n = math.floor(side * side / (1.5 * math.sqrt(3.0) * delta * delta))
         else:
             box = _voronoi_box(cfg, delta)
@@ -661,17 +654,18 @@ def _bias_spec(cfg: CampaignConfig):
     """Replicated surface estimates over shrinking cells, as ratios to the
     analytic surface density; the mean ratio approaches 2d/beta_d from below.
 
-    The hypercubic family uses the fast lattice path and the hexagonal family
-    ``surface_estimate`` (inside cells only, divided by the window volume).
-    Both 2D point families draw from per-axis factors of the cell centres'
-    coordinates (``covariance_factor``).  The hexagonal cells are the same in
-    every replicate of a cell size, so their factors are computed once per
-    row, in the calling thread, and shared read-only.  The Voronoi family
-    uses ``weighted_surface_estimate``: the field is drawn at the generators
-    of the facets with a generator in the window (``ref_points_weighted``),
-    and each facet counts unclipped at half its length per such generator,
-    so the edge band of partly covered cells is not lost.  Each Voronoi
-    replicate has its own cloud and so its own factors.
+    The hypercubic family uses the fast lattice path.  The two 2D point
+    families use ``surface_estimate`` over the honeycomb's window view: the
+    field is drawn at the reference points of the facets with one in the
+    window (``ref_points_weighted``), and each facet counts unclipped at half
+    its length per such point, so the edge band of partly covered cells is
+    not lost.  Both draw from per-axis factors of those points' coordinates
+    (``covariance_factor``).  The hexagonal tiling has a fixed phase, so its
+    cells are the same in every replicate of a cell size: its factors are
+    computed once per row, in the calling thread, and shared read-only.  A
+    random shift per replicate would make the tiling stationary, at the cost
+    of a build and a factor per replicate.  Each Voronoi replicate has its
+    own cloud and so its own factors.
     """
     model = CovarianceModel(cfg.ell)
     denom = _reference_surface_density(cfg)
@@ -687,7 +681,7 @@ def _bias_spec(cfg: CampaignConfig):
 
         elif cfg.family == "hexagonal":
             wh = hexagonal_honeycomb(delta, window)
-            refs = wh.ref_points_inside
+            refs = wh.ref_points_weighted
             # the cells are the same for every replicate of the row, so are
             # the axis factors: compute them once here; the replicates only read them
             factor = covariance_factor(model, refs)
@@ -708,7 +702,7 @@ def _bias_spec(cfg: CampaignConfig):
                     )
                 wh = voronoi_honeycomb_2d(pts, window, cfg.guard * delta)
                 values = _field(cfg, model, wh.ref_points_weighted, _flat_key(cfg.seed, si, rep, 1))
-                return weighted_surface_estimate(wh, exceedance_indicator(values, cfg.u))
+                return surface_estimate(wh, exceedance_indicator(values, cfg.u))
 
         return one
 
@@ -791,7 +785,10 @@ def _clt_spec(cfg: CampaignConfig):
             "mean_surface": float(surf.mean()),
             "var_volume_scaled": float(sigma_t * vol.var(ddof=1)),
             "var_surface_scaled": float(sigma_t * surf.var(ddof=1)),
-            "cov_scaled": float(sigma_t * np.cov(vol, surf, ddof=1)[0, 1]),
+            # elementwise, not np.cov, whose BLAS dot rounds by CPU kernel
+            "cov_scaled": float(
+                sigma_t * (np.sum((vol - vol.mean()) * (surf - surf.mean())) / (vol.size - 1))
+            ),
         }
         row["skew_volume"], row["kurt_volume"] = _skew_kurtosis(vol)
         row["skew_surface"], row["kurt_surface"] = _skew_kurtosis(surf)

@@ -1,17 +1,17 @@
 """Volume and surface-density estimators over windowed honeycombs.
 
-``surface_estimate`` is the paper's estimator: it counts level crossings
-across interior facets (both cells wholly inside the window T) and divides by
-sigma_d(T).  On a lattice, whose cells tile T, its value is (2d/beta_d) times
-the true surface density in the small-cell limit, and ``corrected_surface``
-inverts that universal factor.  On a honeycomb whose cells do not tile T it
-misses the facets near the window edge, so it estimates the facet density of
-the inside-cell union, not of T.  ``weighted_surface_estimate`` is the edge
-correction for that case: flags on every cell of a facet with a reference
-point in T, each facet counted unclipped at half its measure per such point
-(Campbell's theorem gives it the mean of the window-clipped sum on a
-stationary tessellation).  Each estimator is a function of the windowed
-honeycomb and one boolean exceedance flag per cell, ``exceedance_indicator``.
+``surface_estimate`` is the paper's estimator, the one for every family: it
+sums the measure of the facets whose two cells lie on opposite sides of the
+level and divides by sigma_d(T).  It reads the honeycomb's one window view,
+with flags on every cell of a facet with a reference point in T, each facet
+counted unclipped at half its measure per such point (Campbell's theorem
+gives it the mean of the window-clipped sum on a stationary tessellation),
+so no edge band of partly covered cells is lost.  On a lattice, whose
+reference points all lie in T, the view is every facet, and the value is
+(2d/beta_d) times the true surface density in the small-cell limit;
+``corrected_surface`` inverts that universal factor.  Each estimator is a
+function of the windowed honeycomb and one boolean exceedance flag per cell
+of its view, ``exceedance_indicator``.
 On the lattice both estimates take only two counts of a field, its exceeding
 nodes and its neighbour pairs whose flags differ (``_counted_volume``,
 ``_counted_surface``); a lattice grid draw counts its own fields, and
@@ -24,7 +24,7 @@ import numpy as np
 
 from .densities import CovarianceModel, _check_level, beta_d
 from .sampling import DRAW_OVERHEAD, _lattice_counts, _rng
-from .tessellation import FacetSet, GridSpec, WindowedHoneycomb
+from .tessellation import GridSpec, WindowedHoneycomb
 
 
 def exceedance_indicator(values: np.ndarray, u: float) -> np.ndarray:
@@ -39,54 +39,40 @@ def _check_flags(flags: np.ndarray, n_cells: int, cells: str) -> None:
 
 
 def volume_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
-    """Volume fraction: sum of inside-cell volumes with exceeding reference points,
-    normalized by the window volume (not by the covered volume).
+    """Volume fraction: sum of the volumes of the cells with exceeding
+    reference points, normalized by the window volume.
 
-    ``flags`` holds one flag per inside cell, in ``wh.inside_index`` order.
-    Only the lattice honeycomb carries cell volumes; on a honeycomb that
-    tiles T the estimate is unbiased by sum |C n T| = |T|, so a point-family
-    volume run would show nothing the lattice run does not.
+    ``flags`` holds one flag per cell of ``wh.weighted_index``, which on the
+    lattice is every cell.  Only the lattice honeycomb carries cell volumes;
+    on a honeycomb that tiles T the estimate is unbiased by
+    sum |C n T| = |T|, so a point-family volume run would show nothing the
+    lattice run does not.
 
     Raises:
         ValueError: the honeycomb has no cell volumes, or the flags do not
-            match its inside cells.
+            match the cells of its view.
     """
     volumes = wh.cell_volumes
     if volumes is None:
         raise ValueError("volume_estimate needs cell volumes, which only the lattice honeycomb has")
-    _check_flags(flags, wh.n_inside, "inside cells")
-    return float(np.sum(volumes[wh.inside_index][flags]) / wh.window.volume)
+    _check_flags(flags, wh.weighted_index.size, "cells on a weighted facet")
+    return float(np.sum(volumes[wh.weighted_index][flags]) / wh.window.volume)
 
 
 def surface_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
-    """Crossing-weighted interior facet measure per unit window volume.
-
-    ``flags`` holds one flag per inside cell, in ``wh.inside_index`` order.
-    A facet contributes when its two cells sit on opposite sides of the level;
-    exactly one of the two orderings satisfies the crossing indicator, so the
-    unordered pass of ``_crossing_density`` equals the ordered double sum.
-    """
-    _check_flags(flags, wh.n_inside, "inside cells")
-    return _crossing_density(wh.interior_facets, flags, wh.window.volume)
-
-
-def weighted_surface_estimate(wh: WindowedHoneycomb, flags: np.ndarray) -> float:
     """Generator-weighted measure of the crossed facets per unit window volume.
 
     ``flags`` holds one flag per cell of ``wh.weighted_index``, and each
     facet counts with its measure in ``wh.weighted_facets``: half its own
-    per reference point in the window.  Equals ``surface_estimate`` bit for bit
-    when every reference point on a facet lies in the window and every cell
-    is inside it, as on the lattice.
+    per reference point in the window.  A facet contributes when its two
+    cells sit on opposite sides of the level; exactly one of the two
+    orderings satisfies the crossing indicator, so the unordered pass equals
+    the ordered double sum.
     """
     _check_flags(flags, wh.weighted_index.size, "cells on a weighted facet")
-    return _crossing_density(wh.weighted_facets, flags, wh.window.volume)
-
-
-def _crossing_density(f: FacetSet, flags: np.ndarray, window_volume: float) -> float:
-    """Summed measure of the facets whose two cells disagree, over |T|."""
+    f = wh.weighted_facets
     crossing = flags[f.a] != flags[f.b]
-    return float(np.sum(f.measure[crossing]) / window_volume)
+    return float(np.sum(f.measure[crossing]) / wh.window.volume)
 
 
 def corrected_surface(raw: float, d: int) -> float:

@@ -1,4 +1,4 @@
-"""Point-referenced honeycombs and their views from an observation window.
+"""Point-referenced honeycombs and their view from an observation window.
 
 A honeycomb is a tessellation of the plane (or of R^d for the cubic lattice)
 by closed convex polytopes, each carrying a reference point, such that every
@@ -11,18 +11,15 @@ Three families are built here:
 * Voronoi diagrams of arbitrary 2D generator clouds (``scipy.spatial.Voronoi``).
 
 Each builder returns one object, a ``WindowedHoneycomb``: the reference
-points, the facet table, the window T and the mask of the cells inside T,
-with the window views computed from them when it is made, in any d.  Cells
-whose closure lies inside the observation window are the ones the paper's
-estimators operate on; facets between two such cells are "interior".  The
-generator-weighted view (``weighted_facets``) instead keeps every facet with
-a reference point in T on either side, unclipped, at half its measure per
-such point: by Campbell's theorem its crossing sum has the mean of the
+points, the facet table and the window T, with the one window view the
+estimators read computed from them when it is made, in any d.  The view
+(``weighted_facets``) is generator-weighted: it keeps every facet with a
+reference point in T on either side, unclipped, at half its measure per
+such point.  By Campbell's theorem its crossing sum has the mean of the
 window-clipped one on a stationary tessellation, and it needs only the
-reference points, in any d.  Each builder finds its own inside cells: every
-lattice cell is inside, since the cells tile T, and a 2D point family reads
-them from the segment endpoints of its facet table (``_window_masks``); the
-builders make no cell polygons.
+reference points and the facet table, so no builder makes cell polygons or
+facet segments, and none decides which cells lie inside T.  On the lattice
+every reference point lies in T, so the view is every cell and facet.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ import numpy as np
 
 # geometric tolerances, in the spatial units of the tessellation
 DUPLICATE_TOL = 1e-12     # generators closer than this are merged
-CONTAINMENT_TOL = 1e-12   # slack for the closed-cell containment test
 MIN_FACET_FRACTION = 1e-12  # facets shorter than this fraction of the window scale are dropped
 
 
@@ -138,21 +134,19 @@ class GridSpec:
 class FacetSet:
     """Flat table of shared facets.
 
-    No direction is stored: a facet is orthogonal to ref[b] - ref[a].
+    No direction and no geometry are stored: a facet is orthogonal to
+    ref[b] - ref[a], and the estimators read only its two cells and its
+    measure.
 
     Args:
         a: integer cell index of the first cell of each facet.
         b: integer cell index of the second cell.
         measure: sigma_{d-1} measure of each facet (length in 2D).
-        endpoints: (n, 2, 2) segment endpoints, on the full facet table of
-            a 2D point family only, where its builder reads the inside cells
-            from them; None on the lattice and on every window view.
     """
 
     a: np.ndarray
     b: np.ndarray
     measure: np.ndarray
-    endpoints: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.a.size
@@ -160,51 +154,35 @@ class FacetSet:
 
 @dataclass(eq=False)
 class WindowedHoneycomb:
-    """A tessellation of the guard region as a facet table, with its window views.
+    """A tessellation of the guard region as a facet table, with its window view.
 
     Args:
         ref_points: (n, d) reference point of each cell; d is its width.
         facets: all positive-measure shared facets, indexed by global cell id.
         window: the observation window T.
-        inside: (n,) mask of the cells entirely contained in the closed
-            window, which each builder finds: every cell on the lattice,
-            whose cells tile the window, and on a 2D point family the cells
-            whose facet endpoints all lie in it (``_window_masks``).
         cell_volumes: (n,) sigma_d measure of each cell, for the hypercubic
             lattice only (delta^d each); None for the 2D point families,
             which keep no cell polygons.
 
-    ``interior_facets`` keeps only facets between two inside cells, with
-    cell indices remapped to positions in the inside-cell ordering (the
-    ordering of the field values and exceedance flags).  The views carry
-    the cells and measures the estimators read, and no endpoints: the
-    segments stay on ``facets``, where the interior rows are
-    ``inside[facets.a] & inside[facets.b]``.
-
-    ``weighted_facets`` is the generator-weighted view: a facet between
-    reference points x_a and x_b has weight w = (1{x_a in T} + 1{x_b in T}) / 2,
-    T closed, and the facets with w > 0 are kept unclipped, with measure
-    w |f| (exact: w is 0.5 or 1).  Their cells are renumbered among the
-    cells on a kept facet, ``weighted_index``, in ascending global id.  On
-    the lattice every reference point lies in T, so the view is the
-    interior one.
+    ``weighted_facets`` is the generator-weighted view, the one the
+    estimators read: a facet between reference points x_a and x_b has
+    weight w = (1{x_a in T} + 1{x_b in T}) / 2, T closed, and the facets
+    with w > 0 are kept unclipped, with measure w |f| (exact: w is 0.5 or 1).
+    Their cells are renumbered among the cells on a kept facet,
+    ``weighted_index``, in ascending global id; that is the order of the
+    field values and exceedance flags.  On the lattice every reference point
+    lies in T, so the view is every cell and every facet.
     """
 
     ref_points: np.ndarray
     facets: FacetSet
     window: Box
-    inside: np.ndarray
     cell_volumes: np.ndarray | None = None
-    interior_facets: FacetSet = field(init=False)
-    inside_index: np.ndarray = field(init=False)
     weighted_facets: FacetSet = field(init=False)
     weighted_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
         f = self.facets
-        self.inside_index = np.flatnonzero(self.inside)
-        interior = self.inside[f.a] & self.inside[f.b]
-        self.interior_facets = _restrict(f, self.inside, interior, f.measure)
         in_window = self.window.contains(self.ref_points)
         weight = 0.5 * in_window[f.a] + 0.5 * in_window[f.b]
         kept = weight > 0
@@ -213,26 +191,32 @@ class WindowedHoneycomb:
         self.weighted_facets = _restrict(f, cells, kept, weight * f.measure)
 
     @property
-    def parent(self) -> "WindowedHoneycomb":
-        # the honeycomb itself; read only by perfbench/worker.py::_honeycomb_attrs
-        # (``result.parent.ref_points`` on traced builds), which ROADMAP item 7 deletes
-        return self
-
-    @property
     def d(self) -> int:
         return self.ref_points.shape[1]
 
     @property
-    def n_inside(self) -> int:
-        return int(self.inside_index.size)
+    def ref_points_weighted(self) -> np.ndarray:
+        return self.ref_points[self.weighted_index]
+
+    # Read-only names for the one view, read only by perfbench/oracle.py
+    # (``interior_facets``, ``ref_points_inside``) and perfbench/worker.py
+    # (``parent``, ``n_inside``) until ROADMAP item 2 moves those files off them.
+
+    @property
+    def parent(self) -> "WindowedHoneycomb":
+        return self
+
+    @property
+    def interior_facets(self) -> FacetSet:
+        return self.weighted_facets
 
     @property
     def ref_points_inside(self) -> np.ndarray:
-        return self.ref_points[self.inside_index]
+        return self.ref_points_weighted
 
     @property
-    def ref_points_weighted(self) -> np.ndarray:
-        return self.ref_points[self.weighted_index]
+    def n_inside(self) -> int:
+        return int(self.weighted_index.size)
 
 
 def _restrict(facets: FacetSet, cells, keep, measure) -> FacetSet:
@@ -260,7 +244,8 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         d: dimension, at least 2.
 
     Returns:
-        WindowedHoneycomb with every cell inside.
+        WindowedHoneycomb whose view is every cell: each reference corner
+        lies in T.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -279,12 +264,9 @@ def hypercubic_honeycomb(delta: float, half_extent: int, d: int) -> WindowedHone
         b_parts.append(ids[tuple(sl_hi)].reshape(-1))
     a = np.concatenate(a_parts)
     b = np.concatenate(b_parts)
-    # no facet endpoints: the cells tile T, so every cell is inside it
     facets = FacetSet(a=a, b=b, measure=np.full(a.size, delta ** (d - 1)))
     n = ref_points.shape[0]
-    return WindowedHoneycomb(
-        ref_points, facets, grid.window, np.ones(n, dtype=bool), cell_volumes=np.full(n, delta**d)
-    )
+    return WindowedHoneycomb(ref_points, facets, grid.window, cell_volumes=np.full(n, delta**d))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +285,10 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
         window: 2D observation window.
 
     Returns:
-        WindowedHoneycomb covering the window (plus a margin of cells).
+        WindowedHoneycomb of the cells whose centres lie within 2 delta of
+        the window.  Neighbouring centres are sqrt(3) delta apart, so each
+        cell with its centre in the window has all six of its facets in the
+        table, and the window view loses no edge.
     """
     if window.d != 2:
         raise ValueError("hexagonal tiling is 2D only")
@@ -330,21 +315,18 @@ def hexagonal_honeycomb(delta: float, window: Box) -> WindowedHoneycomb:
     q = q_axis[qi]
     centers = q[:, None] * a1 + ri[:, None] * a2
 
-    angles = np.deg2rad(60.0 * np.arange(6))
-    hex_offsets = delta * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
     # (q, r) -> cell id, with a border of -1 so that every neighbor step stays in range
     r_min = int(ri.min())
     ids = np.full((q_axis.size + 2, int(ri.max()) - r_min + 3), -1, dtype=np.int64)
     ids[qi + 1, ri - r_min + 1] = np.arange(qi.size)
-    # neighbor at direction angle 30 + 60k shares the edge (vertex k, vertex k+1)
+    # the neighbors at direction angles 30, 90 and 150 degrees: each shares
+    # one edge of length delta, and each facet is listed once
     steps = np.array([(1, 0), (0, -1), (-1, -1)])
     nb = ids[qi[:, None] + 1 + steps[:, 0], ri[:, None] - r_min + 1 + steps[:, 1]]
     fa, k = np.nonzero(nb >= 0)
     fb = nb[fa, k]
-    endpoints = centers[fa, None] + hex_offsets[np.stack([k, k + 1], axis=1)]
-    facets = FacetSet(a=fa, b=fb, measure=np.full(fa.size, delta), endpoints=endpoints)
-    return WindowedHoneycomb(centers, facets, window, _window_masks(facets, centers, window, None))
+    facets = FacetSet(a=fa, b=fb, measure=np.full(fa.size, delta))
+    return WindowedHoneycomb(centers, facets, window)
 
 
 # ---------------------------------------------------------------------------
@@ -434,50 +416,13 @@ def voronoi_honeycomb_2d(points, window: Box, guard: float) -> WindowedHoneycomb
     ends = clip_segments_to_box(ends, guard_box)
     measure = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
     keep = measure > MIN_FACET_FRACTION * float(np.max(guard_box.side_lengths))
-    facets = FacetSet(a=ab[keep, 0], b=ab[keep, 1], measure=measure[keep], endpoints=ends[keep])
-
-    inside = _window_masks(facets, points, window, guard_box)
-    return WindowedHoneycomb(points, facets, window, inside)
+    facets = FacetSet(a=ab[keep, 0], b=ab[keep, 1], measure=measure[keep])
+    return WindowedHoneycomb(points, facets, window)
 
 
 # ---------------------------------------------------------------------------
 # shared geometry helpers
 # ---------------------------------------------------------------------------
-
-def _excess(points: np.ndarray, box: Box) -> np.ndarray:
-    """How far each (N, d) point lies beyond the box: the largest of its 2d
-    side values (<= 0 inside it)."""
-    return reduce(np.maximum, [*(points - box.hi).T, *(box.lo - points).T])
-
-
-def _window_masks(
-    facets: FacetSet, ref_points: np.ndarray, window: Box, guard_box: Box | None
-) -> np.ndarray:
-    """Inside mask of the cells of a 2D honeycomb, from its facet table.
-
-    Within the guard region the vertices of a cell are its facet endpoints.
-    So a cell is inside the closed window when it has a facet and no
-    endpoint of its facets lies beyond a side by more than
-    ``CONTAINMENT_TOL``.  A cell with no facet either misses the
-    ``guard_box`` the facets were clipped to or covers all of it, and then
-    it is the cell whose reference point is nearest the window centre; that
-    cell is inside exactly when the guard box lies within the window (a
-    guard margin of 0).  Without a guard box the facets were not clipped,
-    and a cell with no facet is not counted inside.
-    """
-    n = ref_points.shape[0]
-    # how far the farther endpoint of each facet lies beyond the window
-    excess = _excess(facets.endpoints.reshape(-1, 2), window).reshape(-1, 2)
-    excess = np.maximum(excess[:, 0], excess[:, 1])
-    has_facet = _cells_with(facets, n, slice(None))
-    inside = has_facet & ~_cells_with(facets, n, excess > CONTAINMENT_TOL)
-    centre = 0.5 * (window.lo + window.hi)
-    covering = np.argmin(np.sum((ref_points - centre) ** 2, axis=1))
-    if guard_box is not None and not has_facet[covering]:
-        corners = np.stack([guard_box.lo, guard_box.hi])
-        inside[covering] = bool(np.all(_excess(corners, window) <= CONTAINMENT_TOL))
-    return inside
-
 
 def _cells_with(facets: FacetSet, n: int, rows) -> np.ndarray:
     """(n,) mask of the cells on either side of the facet rows ``rows``."""
@@ -512,14 +457,24 @@ def clip_segments_to_box(endpoints: np.ndarray, box: Box) -> np.ndarray:
 
 
 def pyramid_identity_sum(wh: WindowedHoneycomb) -> float:
-    """Sum over ordered interior facet pairs of measure * reference distance.
+    """Sum over ordered facet pairs of the window view of measure * reference distance.
 
-    The value is bounded by 2*d*sigma_d(T) and converges to that bound as the
-    cells shrink to points, which is the geometric identity behind the
-    surface estimator's limiting constant.
+    Each facet counts at its weighted measure, so the sum runs over the
+    facets of the cells whose reference point lies in T.  By the pyramid
+    identity, a cell whose facets are all in the table contributes
+    2d sigma_d(C): each of its facets bisects the two reference points, or,
+    on the lattice, each cube has 2d facets of measure delta^(d-1) at
+    reference distance delta.  So the sum is 2d times the volume of those
+    cells, and its ratio to 2*d*sigma_d(T) tends to 1 as the cells shrink
+    to points, which is the geometric identity behind the surface
+    estimator's limiting constant.  It is not a bound: the cells whose
+    reference point lies in T reach beyond T as well as fall short of it,
+    and on Poisson-Voronoi clouds the ratio reads up to about 1.0008.  On
+    the lattice, whose boundary cells have no facet outside T, it is
+    1 - 1/(2N) in any d.
     """
-    f = wh.interior_facets
-    refs = wh.ref_points_inside
+    f = wh.weighted_facets
+    refs = wh.ref_points_weighted
     dist = np.linalg.norm(refs[f.b] - refs[f.a], axis=1)
     return float(2.0 * np.sum(f.measure * dist))
 

@@ -95,7 +95,7 @@ def test_criterion_03_poisson_voronoi_bias():
     ok = lo <= fine["mean_ratio"] <= hi
     detail = (
         f"ratio(0.125)={fine['mean_ratio']:.4f}±{fine['stderr_ratio']:.4f} "
-        f"band=[{lo:.4f},{hi:.4f}]; facets clipped to the [-4,4]^2 window, "
+        f"band=[{lo:.4f},{hi:.4f}]; facets weighted by their generators in the [-4,4]^2 window, "
         f"see README note on window edges"
     )
     assert _report(3, "Poisson-Voronoi bias 4/pi", ok, detail)

@@ -16,7 +16,6 @@ from excursionkit.estimators import (
     hypercubic_surface_fast,
     surface_estimate,
     volume_estimate,
-    weighted_surface_estimate,
 )
 from excursionkit.sampling import (
     GridSpec,
@@ -47,7 +46,7 @@ class TestHandExamples:
         assert surface_estimate(wh, flags) == pytest.approx(0.5)
 
     def test_checkerboard(self, wh):
-        values = wh.ref_points_inside.sum(axis=1) % 2  # 0, 1, 1, 0 pattern
+        values = wh.ref_points_weighted.sum(axis=1) % 2  # 0, 1, 1, 0 pattern
         flags = exceedance_indicator(values, 0.5)
         assert volume_estimate(wh, flags) == pytest.approx(0.5)
         # all four interior facets cross: 4 * 1 / sigma = 1
@@ -72,7 +71,7 @@ class TestHandExamples:
         window = Box(np.full(2, -1.0), np.full(2, 1.0))
         wh = voronoi_honeycomb_2d(np.array([[-0.5, 0.0], [0.5, 0.0]]), window, guard=0.0)
         with pytest.raises(ValueError, match="cell volumes"):
-            volume_estimate(wh, np.ones(wh.n_inside, dtype=bool))
+            volume_estimate(wh, np.ones(wh.weighted_index.size, dtype=bool))
 
 
 class TestCorrection:
@@ -166,8 +165,8 @@ _GUARDED = _poisson_voronoi(31, guard=0.75)
 
 
 class TestClippedSurface:
-    """``weighted_surface_estimate``, the window-edge-aware estimator of the
-    Voronoi sweep."""
+    """``surface_estimate`` over the generator-weighted window view, the
+    window-edge-aware estimator of every family."""
 
     def test_two_generators_one_in_window_count_half_the_facet(self):
         # the bisector x = 1 spans the guard box [-2, 2]^2, unclipped to T =
@@ -175,48 +174,55 @@ class TestClippedSurface:
         # its length 4
         window = Box(np.full(2, -1.0), np.full(2, 1.0))
         wh = voronoi_honeycomb_2d(np.array([[0.5, 0.0], [1.5, 0.0]]), window, guard=1.0)
-        assert wh.n_inside == 0
-        # an empty interior facet table sums to 0 on the general path
-        assert len(wh.interior_facets) == 0
-        assert surface_estimate(wh, np.zeros(0, dtype=bool)) == 0.0
-        assert pyramid_identity_sum(wh) == 0.0
         assert wh.facets.measure.tolist() == [4.0]
         f = wh.weighted_facets
         assert wh.weighted_index.tolist() == [0, 1]
         assert (f.a.tolist(), f.b.tolist(), f.measure.tolist()) == ([0], [1], [2.0])
-        assert weighted_surface_estimate(wh, np.array([True, False])) == 2.0 / window.volume
-        assert weighted_surface_estimate(wh, np.array([True, True])) == 0.0
+        assert surface_estimate(wh, np.array([True, False])) == 2.0 / window.volume
+        assert surface_estimate(wh, np.array([True, True])) == 0.0
+        # twice the half length times the generator distance 1
+        assert pyramid_identity_sum(wh) == 4.0
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_equals_inside_estimator_when_cells_lie_inside(self, seed):
         # at guard 0 every generator lies in the window, so every facet has
-        # weight 1 and every cell is inside
+        # weight 1: the estimate is the crossing sum over the whole table,
+        # the estimator of cells wholly inside T, bit for bit
         wh = _poisson_voronoi(seed, guard=0.0)
-        assert np.array_equal(wh.weighted_index, wh.inside_index)
+        f = wh.facets
+        assert np.array_equal(wh.weighted_index, np.arange(wh.ref_points.shape[0]))
         rng = np.random.default_rng(seed)
         for _ in range(10):
-            flags = rng.random(wh.n_inside) < 0.5
-            assert weighted_surface_estimate(wh, flags) == surface_estimate(wh, flags)  # bitwise
+            flags = rng.random(wh.weighted_index.size) < 0.5
+            whole = float(np.sum(f.measure[flags[f.a] != flags[f.b]]) / wh.window.volume)
+            assert surface_estimate(wh, flags) == whole  # bitwise
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_equals_inside_estimator_on_lattice(self, d):
+        # every lattice cell lies in T: the view is the whole table, and the
+        # estimate is its crossing sum, which the fast path counts
         wh = hypercubic_honeycomb(0.5, 2, d)
-        flags = np.random.default_rng(d).random(wh.n_inside) < 0.5
-        assert weighted_surface_estimate(wh, flags) == surface_estimate(wh, flags)
+        values = np.random.default_rng(d).standard_normal(wh.weighted_index.size)
+        flags = values >= 0.0
+        f = wh.facets
+        whole = float(np.sum(f.measure[flags[f.a] != flags[f.b]]) / wh.window.volume)
+        assert surface_estimate(wh, flags) == whole
+        fast = hypercubic_surface_fast(values, GridSpec(d, 2, 0.5), 0.0)
+        assert surface_estimate(wh, flags) == fast
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_complement(self, seed):
         n = _GUARDED.weighted_index.size
         flags = np.random.default_rng(seed).random(n) < 0.5
-        a = weighted_surface_estimate(_GUARDED, flags)
-        b = weighted_surface_estimate(_GUARDED, ~flags)
+        a = surface_estimate(_GUARDED, flags)
+        b = surface_estimate(_GUARDED, ~flags)
         assert a == b
 
     def test_alignment_checked(self):
         n = _GUARDED.weighted_index.size
         with pytest.raises(ValueError):
-            weighted_surface_estimate(_GUARDED, np.ones(n - 1, dtype=bool))
+            surface_estimate(_GUARDED, np.ones(n - 1, dtype=bool))
 
     def test_voronoi_sweep_identical_across_threads(self, tmp_path):
         cfg = replace(

@@ -323,7 +323,7 @@ def _point_covariance(points, length_scale=1.0):
 
 
 def _hexagon_centres():
-    return hexagonal_honeycomb(0.25, Box(np.full(2, -4.0), np.full(2, 4.0))).ref_points_inside
+    return hexagonal_honeycomb(0.25, Box(np.full(2, -4.0), np.full(2, 4.0))).ref_points_weighted
 
 
 def _voronoi_generators():
@@ -337,7 +337,7 @@ class TestPointFactor:
     @pytest.mark.parametrize(
         "name, points, length_scale",
         [
-            # 367 hexagon centres on 21 distinct x and 91 distinct y values
+            # 471 hexagon centres on 23 distinct x and 107 distinct y values
             ("hexagonal", _hexagon_centres(), 1.0),
             ("voronoi", _voronoi_generators(), 1.0),
             ("voronoi-short-scale", _voronoi_generators(), 0.4),
@@ -364,7 +364,7 @@ class TestPointFactor:
             assert [r.shape[0] for r in factors] == [n] * d
 
     def test_repeated_coordinates_add_no_rank(self):
-        # 367 centres, but x takes 21 distinct values: that axis has rank 21
+        # 471 centres, but x takes 23 distinct values: that axis has rank 23
         points = _hexagon_centres()
         for x, r in zip(points.T, covariance_factor(MODEL, points)):
             assert r.shape[0] <= np.unique(x).size

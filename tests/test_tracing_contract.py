@@ -29,9 +29,11 @@ ROOT = Path(__file__).resolve().parents[1]
             "hexagonal",
             {"sampling.points_calls": 2, "tessellation.build_calls": 1, "estimators.calls": 4},
         ),
+        # each point-family replicate calls the traced surface_estimate and
+        # exceedance_indicator once
         (
             "voronoi",
-            {"sampling.points_calls": 2, "tessellation.build_calls": 2, "estimators.calls": 2},
+            {"sampling.points_calls": 2, "tessellation.build_calls": 2, "estimators.calls": 4},
         ),
     ],
 )
